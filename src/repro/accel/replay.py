@@ -30,6 +30,7 @@ cheap replay per configuration; :mod:`repro.explore` builds on this.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -769,16 +770,10 @@ class TraceReplayer:
 
 
 def _copy_search(search: SearchStats) -> SearchStats:
-    """Fresh SearchStats so replay results never alias the trace's lists."""
-    return SearchStats(
-        frames=search.frames,
-        tokens_pruned=search.tokens_pruned,
-        states_expanded=search.states_expanded,
-        arcs_processed=search.arcs_processed,
-        epsilon_arcs_processed=search.epsilon_arcs_processed,
-        tokens_created=search.tokens_created,
-        tokens_updated=search.tokens_updated,
-        visited_state_degrees=list(search.visited_state_degrees),
+    """Fresh SearchStats so replay results never alias the trace's own."""
+    return replace(
+        search,
+        degree_histogram=search.degree_histogram.copy(),
         active_tokens_per_frame=list(search.active_tokens_per_frame),
     )
 

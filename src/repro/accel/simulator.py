@@ -32,6 +32,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigError, DecodeError
 from repro.common.logmath import LOG_ZERO
 from repro.acoustic.scorer import AcousticScores
@@ -291,13 +293,14 @@ class AcceleratorSimulator:
 
         proc_time = cycle
         hash_ready = cycle
+        degrees: List[int] = []
 
         for state, score, bp, token_ready in survivors:
-            first, n_non_eps, _n_eps, state_done = self._fetch_state(
+            first, n_non_eps, n_eps, state_done = self._fetch_state(
                 state, max(token_ready, cycle), stats, state_cache, state_window
             )
             search.states_expanded += 1
-            search.visited_state_degrees.append(graph.out_degree(state))
+            degrees.append(n_non_eps + n_eps)
 
             for a in range(first, first + n_non_eps):
                 # Arc Issuer: address generation + cache lookup, gated by
@@ -348,6 +351,7 @@ class AcceleratorSimulator:
                     token_window.push(done)
                     stats.tokens_written += 1
 
+        search.count_degrees(np.array(degrees, dtype=np.int64))
         return max(proc_time, hash_ready, token_window.drain(), cycle)
 
     def _epsilon_pass(

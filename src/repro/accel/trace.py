@@ -66,8 +66,10 @@ from repro.wfst.layout import CompiledWfst
 #: (``pruning`` / ``target_active``) joined the header.  v3: layout keys
 #: derive from the graph compiler's content fingerprint
 #: (:meth:`repro.wfst.layout.CompiledWfst.fingerprint`) instead of an
-#: ad-hoc checksum.
-TRACE_FORMAT_VERSION = 3
+#: ad-hoc checksum.  v4: the search statistics carry the out-degree
+#: histogram (``search_degree_histogram``) instead of one degree per
+#: fetched state (``search_degrees``).
+TRACE_FORMAT_VERSION = 4
 
 
 def layout_fingerprint(graph: CompiledWfst) -> int:
@@ -275,9 +277,7 @@ class DecodeTrace:
             ],
             dtype=np.int64,
         )
-        payload["search_degrees"] = np.asarray(
-            s.visited_state_degrees, dtype=np.int32
-        )
+        payload["search_degree_histogram"] = s.degree_histogram
         payload["search_active"] = np.asarray(
             s.active_tokens_per_frame, dtype=np.int64
         )
@@ -307,7 +307,7 @@ class DecodeTrace:
                 epsilon_arcs_processed=int(counters[4]),
                 tokens_created=int(counters[5]),
                 tokens_updated=int(counters[6]),
-                visited_state_degrees=data["search_degrees"].tolist(),
+                degree_histogram=data["search_degree_histogram"],
                 active_tokens_per_frame=data["search_active"].tolist(),
             )
             arrays = {name: data[name] for name in cls._ARRAYS}

@@ -24,7 +24,7 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.wfst.fst import EPSILON
-from repro.wfst.layout import CompiledWfst, StateRecord
+from repro.wfst.layout import CompiledWfst
 
 
 @dataclass(frozen=True)
@@ -101,19 +101,14 @@ def generate_kaldi_like_graph(config: SyntheticGraphConfig) -> CompiledWfst:
     weight = np.log(rng.uniform(0.05, 1.0, size=total_arcs)).astype(np.float32)
 
     # Per-state layout: non-epsilon arcs first (required by the format).
-    states_packed = np.zeros(n, dtype=np.uint64)
     order = np.lexsort((eps_mask, src_of_arc))
     dest, weight, ilabel, olabel = (
         dest[order], weight[order], ilabel[order], olabel[order]
     )
-    n_eps_per_state = np.zeros(n, dtype=np.int64)
-    np.add.at(n_eps_per_state, src_of_arc, eps_mask)
-    for s in range(n):
-        n_arcs = int(degrees[s])
-        n_eps = int(n_eps_per_state[s])
-        states_packed[s] = CompiledWfst.pack_state(
-            StateRecord(int(first_arc[s]), n_arcs - n_eps, n_eps)
-        )
+    n_eps_per_state = np.bincount(src_of_arc[eps_mask], minlength=n)
+    states_packed = CompiledWfst.pack_states(
+        first_arc, degrees - n_eps_per_state, n_eps_per_state
+    )
 
     from repro.common.logmath import LOG_ZERO
 
@@ -185,18 +180,16 @@ def _break_epsilon_cycles(graph: CompiledWfst) -> None:
     if len(eps_idx) == 0:
         return
     n = graph.num_states
-    # Source of each arc, recovered from the state records.
-    src = np.zeros(graph.num_arcs, dtype=np.int64)
-    for s in range(n):
-        first, n_non_eps, n_eps = graph.arc_range(s)
-        src[first : first + n_non_eps + n_eps] = s
-    dest = graph.arc_dest
-    for i in eps_idx:
-        s = src[i]
-        if dest[i] <= s:
-            span = n - 1 - s
-            if span <= 0:
-                dest[i] = s  # self arc at the last state: make non-eps
-                graph.arc_ilabel[i] = 1
-            else:
-                dest[i] = s + 1 + (int(dest[i]) % span)
+    # Source of each epsilon arc, recovered from the state records.
+    _, num_non_eps, num_eps = CompiledWfst.unpack_states(graph.states_packed)
+    src = np.repeat(np.arange(n, dtype=np.int64), num_non_eps + num_eps)[eps_idx]
+    dest = graph.arc_dest[eps_idx].astype(np.int64)
+    span = n - 1 - src
+    backward = dest <= src
+    # A backward arc out of the last state has nowhere to go: it becomes
+    # a non-epsilon self arc.
+    stuck = eps_idx[backward & (span <= 0)]
+    graph.arc_dest[stuck] = n - 1
+    graph.arc_ilabel[stuck] = 1
+    move = backward & (span > 0)
+    graph.arc_dest[eps_idx[move]] = src[move] + 1 + dest[move] % span[move]

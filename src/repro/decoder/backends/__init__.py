@@ -13,8 +13,8 @@ differential suite in ``tests/test_backend_equivalence.py`` verify it).
 
 Backends
 --------
-* ``numpy`` -- the portable default; the exact sweeps the kernel always
-  ran, moved verbatim into :mod:`repro.decoder.backends.numpy_backend`.
+* ``numpy`` -- the portable default, and the definition of the
+  bit-level contract: :mod:`repro.decoder.backends.numpy_backend`.
 * ``numba`` -- optional (``pip install repro-asr[compiled]``);
   ``@njit(parallel=True, nogil=True)`` kernels with chunked parallelism
   over the gathered arc rows, spanning every session of a fused sweep.

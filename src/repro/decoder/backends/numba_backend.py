@@ -18,8 +18,8 @@ once.  Score arithmetic keeps the shared kernel's association order
 ``(token_score + arc_weight) + acoustic_score`` so float64 path scores
 stay bit-identical to the numpy backend.
 
-The segment merge reproduces the numpy backend's
-``np.lexsort((-score, dest))`` first-wins semantics with a stable
+The segment merge delivers the contract's tie rule (per key the best
+score, earliest candidate position among equals) with a stable
 key-only argsort followed by a strictly-greater run scan: within one
 key's run the stable sort preserves input order, and ``>`` (not ``>=``)
 keeps the earliest candidate on ties -- including ``0.0`` vs ``-0.0``,

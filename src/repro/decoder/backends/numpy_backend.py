@@ -1,12 +1,15 @@
 """The portable numpy kernel backend (the dispatch default).
 
-These are the exact vectorized sweeps :class:`repro.decoder.kernel.
-SearchKernel` has always run, extracted behind the
+These are the vectorized sweeps of :class:`repro.decoder.kernel.
+SearchKernel`, extracted behind the
 :class:`~repro.decoder.backends.KernelBackend` protocol.  They define
 the bit-level contract every other backend must reproduce: the gather
-enumerates arcs in block order, the segment merge keeps the earliest
-candidate on score ties (``np.lexsort`` is stable), and score
-accumulation associates as ``(token + arc_weight) + acoustic``.
+enumerates arcs in block order, the segment merge keeps, per key, the
+best score and -- among candidates of equal score (``+0.0 == -0.0``) --
+the earliest candidate position, and score accumulation associates as
+``(token + arc_weight) + acoustic``.  The tie rule is part of the
+contract; the mechanism that delivers it (here: one value-sort of a
+packed ``(key, position)`` word, no comparison sort of pairs) is not.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ def csr_gather(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     src = np.repeat(np.arange(len(first), dtype=np.int64), counts)
-    ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return first[src] + offsets, src
+    # Arc k of the output is block src[k]'s arc (k - block start).
+    block_shift = first - (np.cumsum(counts) - counts)
+    return block_shift[src] + np.arange(total, dtype=np.int64), src
 
 
 def segment_best(
@@ -44,14 +47,47 @@ def segment_best(
 
     Returns ``(unique_dests_sorted, winner_positions)``.  Ties keep the
     earliest candidate (source-major, arc order), mirroring the reference
-    discipline's first-wins relaxation.
+    discipline's first-wins relaxation.  ``dest`` holds non-negative
+    keys and is non-empty; ``score`` holds no NaN.
     """
-    order = np.lexsort((-score, dest))
-    sorted_dest = dest[order]
-    first = np.empty(len(order), dtype=bool)
+    n = dest.size
+    bits = (n - 1).bit_length()
+    if int(dest.max()) >> (63 - bits) == 0:
+        # Like the accelerator's hash merge, no candidate pair is ever
+        # compared: one value-sort of (key << bits) | position groups
+        # equal keys and leaves each group in candidate order.
+        packed = (dest << bits) | np.arange(n, dtype=np.int64)
+        packed.sort()
+        sorted_dest = packed >> bits
+        order = packed & ((1 << bits) - 1)
+    else:
+        order = np.argsort(dest, kind="stable")
+        sorted_dest = dest[order]
+    first = np.empty(n, dtype=bool)
     first[0] = True
-    first[1:] = sorted_dest[1:] != sorted_dest[:-1]
-    return sorted_dest[first], order[first]
+    np.not_equal(sorted_dest[1:], sorted_dest[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    winners = order[starts]
+    if starts.size < n:
+        # Only keys with several candidates need their scores compared
+        # (a few percent of a wide frontier): per such run the maximum,
+        # then the first candidate that attains it.
+        contested = ~first
+        contested[:-1] |= contested[1:]
+        rows = np.flatnonzero(contested)
+        run_first = first[rows]
+        run_starts = np.flatnonzero(run_first)
+        cand = order[rows]
+        cand_score = score[cand]
+        run_of = np.cumsum(run_first) - 1
+        run_max = np.maximum.reduceat(cand_score, run_starts)
+        hits = np.flatnonzero(cand_score == run_max[run_of])
+        hit_run = run_of[hits]
+        lead = np.empty(hits.size, dtype=bool)
+        lead[0] = True
+        np.not_equal(hit_run[1:], hit_run[:-1], out=lead[1:])
+        winners[np.searchsorted(starts, rows[run_starts])] = cand[hits[lead]]
+    return sorted_dest[starts], winners
 
 
 class NumpyBackend(KernelBackend):

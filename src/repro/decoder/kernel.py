@@ -104,7 +104,6 @@ from repro.common.errors import ConfigError, DecodeError
 from repro.common.logmath import LOG_ZERO
 from repro.acoustic.scorer import AcousticScores
 from repro.decoder.backends import KERNEL_BACKENDS, KernelBackend, resolve_backend
-from repro.decoder.backends.numpy_backend import csr_gather, segment_best
 from repro.decoder.result import DecodeResult, SearchStats
 # The shared backpointer trace of the vectorized discipline lives in
 # repro.decoder.traceback (windowed compaction + committed-prefix
@@ -396,13 +395,44 @@ class KernelObserver:
 
 
 # ----------------------------------------------------------------------
-# Array helpers shared by the vectorized kernel and the GPU model.  The
-# implementations moved to repro.decoder.backends.numpy_backend (they
-# define the bit-level contract every backend reproduces); these aliases
-# keep the historical import path working.
+# Array helpers of the vectorized discipline (solo and fused sweeps)
 # ----------------------------------------------------------------------
-_csr_gather = csr_gather
-_segment_best = segment_best
+def _top_cap_mask(scores: np.ndarray, cap: int) -> np.ndarray:
+    """Mask of the ``cap`` best of ``scores`` (``0 < cap < scores.size``).
+
+    Histogram pruning as a selection, not a sort: everything above the
+    cap-th best score survives, and of the tokens equal to it the
+    earliest -- what a stable descending sort would keep.
+    """
+    cut = scores.size - cap
+    kth = np.partition(scores, cut)[cut]
+    mask = scores > kth
+    ties = np.flatnonzero(scores == kth)
+    mask[ties[: cap - np.count_nonzero(mask)]] = True
+    return mask
+
+
+def _insert_sorted(
+    pos: np.ndarray,
+    arrays: Tuple[np.ndarray, ...],
+    values: Tuple[np.ndarray, ...],
+) -> Tuple[np.ndarray, ...]:
+    """``np.insert(a, pos, v)`` for parallel arrays sharing ascending ``pos``.
+
+    The slots the new items land in are computed once and every array is
+    scattered through them.
+    """
+    total = arrays[0].size + pos.size
+    slots = pos + np.arange(pos.size, dtype=np.int64)
+    old = np.ones(total, dtype=bool)
+    old[slots] = False
+    merged = []
+    for array, value in zip(arrays, values):
+        out = np.empty(total, dtype=array.dtype)
+        out[slots] = value
+        out[old] = array
+        merged.append(out)
+    return tuple(merged)
 
 
 # ----------------------------------------------------------------------
@@ -510,13 +540,12 @@ class SearchKernel:
         scores = frontier.scores[keep]
         bps = frontier.bps[keep]
 
-        # Histogram pruning: stable top-cap by score.
+        # Histogram pruning: the cap best by score, earliest on ties.
         cap = pruner.cap()
         cap_pruned = 0
         order = None
         if cap and n_keep > cap:
-            order = np.argsort(-scores, kind="stable")[:cap]
-            order.sort()
+            order = np.flatnonzero(_top_cap_mask(scores, cap))
             cap_pruned = n_keep - cap
             stats.tokens_pruned += cap_pruned
             states = states[order]
@@ -542,7 +571,7 @@ class SearchKernel:
 
         stats.active_tokens_per_frame.append(states.size)
         stats.states_expanded += states.size
-        stats.visited_state_degrees.extend(flat.out_degree[states].tolist())
+        stats.count_degrees(flat.out_degree[states])
 
         # Fused gather + score accumulation over every surviving state's
         # non-epsilon arc block, on the active backend.
@@ -671,10 +700,11 @@ class SearchKernel:
             frontier.scores[upd] = cand_scores[improves]
             frontier.bps[upd] = trace_idx[imp_in_acc]
             # ... and sorted insertion of brand-new ones.
-            ins = pos[is_new]
-            frontier.states = np.insert(frontier.states, ins, uniq[is_new])
-            frontier.scores = np.insert(frontier.scores, ins, cand_scores[is_new])
-            frontier.bps = np.insert(frontier.bps, ins, trace_idx[new_in_acc])
+            frontier.states, frontier.scores, frontier.bps = _insert_sorted(
+                pos[is_new],
+                (frontier.states, frontier.scores, frontier.bps),
+                (uniq[is_new], cand_scores[is_new], trace_idx[new_in_acc]),
+            )
 
             active = (uniq[accepted], cand_scores[accepted], trace_idx)
 
@@ -734,10 +764,9 @@ class SearchKernel:
         n = len(frontiers)
         num_states = flat.num_states
 
-        counts = np.array([f.states.size for f in frontiers], dtype=np.int64)
-        starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]]
-        )
+        sizes = [f.states.size for f in frontiers]
+        counts = np.array(sizes, dtype=np.int64)
+        starts = np.cumsum(counts) - counts
         states = np.concatenate([f.states for f in frontiers])
         scores = np.concatenate([f.scores for f in frontiers])
         bps = np.concatenate([f.bps for f in frontiers])
@@ -748,44 +777,41 @@ class SearchKernel:
         best = np.maximum.reduceat(scores, starts)
         thresholds = np.array(
             [
-                frontier.pruner.threshold(float(b))
-                for frontier, b in zip(frontiers, best)
+                frontier.pruner.threshold(b)
+                for frontier, b in zip(frontiers, best.tolist())
             ],
             dtype=np.float64,
         )
         keep = scores >= thresholds[seg]
-        states, scores, bps, seg = states[keep], scores[keep], bps[keep], seg[keep]
-        kept = np.bincount(seg, minlength=n)
-        for i, frontier in enumerate(frontiers):
-            frontier.stats.tokens_pruned += int(counts[i] - kept[i])
+        after_beam = np.add.reduceat(keep, starts, dtype=np.int64).tolist()
 
-        # Histogram pruning: stable per-session top-cap by score.  The
-        # cap is a config constant, identical across strategies/sessions.
+        # Histogram pruning: per session over the cap, the cap best by
+        # score (earliest on ties).  The cap is a config constant,
+        # identical across strategies/sessions.
         cap = config.max_active
-        if cap and (kept > cap).any():
-            order = np.lexsort((-scores, seg))
-            seg_sorted = seg[order]
-            seg_starts = np.searchsorted(seg_sorted, np.arange(n))
-            rank = np.arange(order.size, dtype=np.int64) - seg_starts[seg_sorted]
-            mask = np.zeros(order.size, dtype=bool)
-            mask[order[rank < cap]] = True
-            states, scores = states[mask], scores[mask]
-            bps, seg = bps[mask], seg[mask]
-            capped = np.bincount(seg, minlength=n)
-            for i, frontier in enumerate(frontiers):
-                frontier.stats.tokens_pruned += int(kept[i] - capped[i])
-                frontier.pruner.observe(int(kept[i]))
-            kept = capped
-        else:
-            for i, frontier in enumerate(frontiers):
-                frontier.pruner.observe(int(kept[i]))
+        kept = after_beam
+        if cap and max(after_beam) > cap:
+            kept = [min(k, cap) for k in after_beam]
+            for lo, size, k in zip(starts.tolist(), sizes, after_beam):
+                if k > cap:
+                    own = lo + np.flatnonzero(keep[lo: lo + size])
+                    keep[own[~_top_cap_mask(scores[own], cap)]] = False
+        alive = np.flatnonzero(keep)
+        states, scores, bps = states[alive], scores[alive], bps[alive]
+        seg = np.repeat(np.arange(n, dtype=np.int64), kept)
 
-        bounds = np.cumsum(kept)[:-1]
         degrees = flat.out_degree[states]
-        for i, (frontier, deg) in enumerate(zip(frontiers, np.split(degrees, bounds))):
-            frontier.stats.active_tokens_per_frame.append(int(kept[i]))
-            frontier.stats.states_expanded += int(kept[i])
-            frontier.stats.visited_state_degrees.extend(deg.tolist())
+        lo = 0
+        for frontier, before, beam_kept, k in zip(
+            frontiers, sizes, after_beam, kept
+        ):
+            stats = frontier.stats
+            stats.tokens_pruned += before - k
+            frontier.pruner.observe(beam_kept)
+            stats.active_tokens_per_frame.append(k)
+            stats.states_expanded += k
+            stats.count_degrees(degrees[lo: lo + k])
+            lo += k
 
         # Fused gather + score accumulation across every session's
         # surviving states at once (the backend's widest parallel sweep:
@@ -795,59 +821,59 @@ class SearchKernel:
             flat.arc_dest, flat.arc_weight64, flat.arc_ilabel, frame_stack,
         )
         arc_seg = seg[src]
-        arc_counts = np.bincount(arc_seg, minlength=n)
+        arc_counts = np.bincount(arc_seg, minlength=n).tolist()
         for frontier, c in zip(frontiers, arc_counts):
-            frontier.stats.arcs_processed += int(c)
+            frontier.stats.arcs_processed += c
         if arc_idx.size == 0:
             for frontier in frontiers:
                 _set_empty(frontier)
             return
 
-        # Segment-max merge on the combined (session, state) key.
-        combined = arc_seg * num_states + dest
-        uniq, winners = self.backend.segment_best(combined, new_scores)
+        # Segment-max merge on the combined (session, state) key; the
+        # winners stay one session-major array through the closure.
+        uniq, winners = self.backend.segment_best(
+            arc_seg * num_states + dest, new_scores
+        )
         win_seg = arc_seg[winners]
-        win_counts = np.bincount(win_seg, minlength=n)
-        win_bounds = np.cumsum(win_counts)[:-1]
-        next_states = uniq - win_seg * num_states
-        next_scores = new_scores[winners]
         prev = bps[src[winners]]
         words = flat.arc_olabel[arc_idx[winners]]
-
-        for frontier, st, sc, pv, wd in zip(
-            frontiers,
-            np.split(next_states, win_bounds),
-            np.split(next_scores, win_bounds),
-            np.split(prev, win_bounds),
-            np.split(words, win_bounds),
+        new_bps = []
+        lo = 0
+        for frontier, c in zip(
+            frontiers, np.bincount(win_seg, minlength=n).tolist()
         ):
-            if st.size == 0:
-                _set_empty(frontier)
-                continue
-            frontier.bps = frontier.trace.append_bulk(pv, wd)
-            frontier.stats.tokens_created += st.size
-            frontier.states = st
-            frontier.scores = sc
+            if c:
+                new_bps.append(
+                    frontier.trace.append_bulk(prev[lo: lo + c], words[lo: lo + c])
+                )
+                frontier.stats.tokens_created += c
+                lo += c
+        self._fused_closure(
+            frontiers, uniq, win_seg, new_scores[winners], np.concatenate(new_bps)
+        )
 
-        self._fused_closure(frontiers)
+    def _fused_closure(
+        self,
+        frontiers: List[Frontier],
+        f_comb: np.ndarray,
+        act_seg: np.ndarray,
+        f_scores: np.ndarray,
+        f_bps: np.ndarray,
+    ) -> None:
+        """Epsilon closure to fixpoint over every frontier in lockstep rounds.
 
-    def _fused_closure(self, frontiers: List[Frontier]) -> None:
-        """Epsilon closure to fixpoint over every frontier in lockstep rounds."""
+        ``f_comb`` holds the live tokens' ``session * num_states + state``
+        keys (of sessions ``act_seg``), globally ascending because
+        sessions are concatenated in order; the closed token set is
+        handed back to the frontiers at the end.
+        """
         flat = self.flat
         n = len(frontiers)
         num_states = flat.num_states
 
-        # Combined sorted token arrays: session-major concatenation keeps
-        # the (session * num_states + state) keys globally ascending.
-        f_comb = np.concatenate(
-            [f.states + i * num_states for i, f in enumerate(frontiers)]
-        )
-        f_scores = np.concatenate([f.scores for f in frontiers])
-        f_bps = np.concatenate([f.bps for f in frontiers])
-
         act_comb, act_scores, act_bps = f_comb, f_scores, f_bps
         while act_comb.size:
-            act_seg, act_states = np.divmod(act_comb, num_states)
+            act_states = act_comb - act_seg * num_states
             arc_idx, src, dest, cand = self.backend.expand_closure(
                 flat.eps_first[act_states], flat.num_eps[act_states],
                 act_scores, flat.arc_dest, flat.arc_weight64,
@@ -855,16 +881,14 @@ class SearchKernel:
             if arc_idx.size == 0:
                 break
             arc_seg = act_seg[src]
-            eps_counts = np.bincount(arc_seg, minlength=n)
+            eps_counts = np.bincount(arc_seg, minlength=n).tolist()
             for frontier, c in zip(frontiers, eps_counts):
-                frontier.stats.epsilon_arcs_processed += int(c)
+                frontier.stats.epsilon_arcs_processed += c
 
             uniq, winners = self.backend.segment_best(
                 arc_seg * num_states + dest, cand
             )
             cand_scores = cand[winners]
-            cand_prev = act_bps[src[winners]]
-            cand_word = flat.arc_olabel[arc_idx[winners]]
             cand_seg = arc_seg[winners]
 
             pos = np.searchsorted(f_comb, uniq)
@@ -873,56 +897,52 @@ class SearchKernel:
             improves = exists & (cand_scores > f_scores[pos_clipped])
             is_new = ~exists
             accepted = improves | is_new
-            if not accepted.any():
+            acc_rows = np.flatnonzero(accepted)
+            if acc_rows.size == 0:
                 break
 
             # Trace records go to each session's own trace, in key order.
-            acc_seg = cand_seg[accepted]
-            acc_bounds = np.cumsum(np.bincount(acc_seg, minlength=n))[:-1]
-            trace_idx = np.concatenate(
-                [
-                    frontier.trace.append_bulk(pv, wd)
-                    for frontier, pv, wd in zip(
-                        frontiers,
-                        np.split(cand_prev[accepted], acc_bounds),
-                        np.split(cand_word[accepted], acc_bounds),
-                    )
-                ]
-            )
-            acc_rows = np.nonzero(accepted)[0]
+            acc_win = winners[acc_rows]
+            acc_prev = act_bps[src[acc_win]]
+            acc_word = flat.arc_olabel[arc_idx[acc_win]]
+            acc_seg = cand_seg[acc_rows]
             imp_in_acc = improves[acc_rows]
-            new_in_acc = is_new[acc_rows]
-            created = np.bincount(acc_seg[new_in_acc], minlength=n)
-            updated = np.bincount(acc_seg[imp_in_acc], minlength=n)
-            for i, frontier in enumerate(frontiers):
-                frontier.stats.tokens_created += int(created[i])
-                frontier.stats.tokens_updated += int(updated[i])
+            new_in_acc = ~imp_in_acc
+            created = np.bincount(acc_seg[new_in_acc], minlength=n).tolist()
+            updated = np.bincount(acc_seg[imp_in_acc], minlength=n).tolist()
+            trace_idx = []
+            lo = 0
+            for frontier, c_new, c_upd in zip(frontiers, created, updated):
+                hi = lo + c_new + c_upd
+                if hi > lo:
+                    trace_idx.append(
+                        frontier.trace.append_bulk(acc_prev[lo:hi], acc_word[lo:hi])
+                    )
+                    frontier.stats.tokens_created += c_new
+                    frontier.stats.tokens_updated += c_upd
+                    lo = hi
+            act_bps = np.concatenate(trace_idx)
+            act_comb = uniq[acc_rows]
+            act_seg = acc_seg
+            act_scores = cand_scores[acc_rows]
 
             upd = pos[improves]
-            f_scores[upd] = cand_scores[improves]
-            f_bps[upd] = trace_idx[imp_in_acc]
-            ins = pos[is_new]
-            f_comb = np.insert(f_comb, ins, uniq[is_new])
-            f_scores = np.insert(f_scores, ins, cand_scores[is_new])
-            f_bps = np.insert(f_bps, ins, trace_idx[new_in_acc])
-
-            act_comb = uniq[accepted]
-            act_scores = cand_scores[accepted]
-            act_bps = trace_idx
-
-        sizes = np.bincount(f_comb // num_states, minlength=n)
-        bounds = np.cumsum(sizes)[:-1]
-        for i, (frontier, st, sc, bp) in enumerate(
-            zip(
-                frontiers,
-                np.split(f_comb, bounds),
-                np.split(f_scores, bounds),
-                np.split(f_bps, bounds),
+            f_scores[upd] = act_scores[imp_in_acc]
+            f_bps[upd] = act_bps[imp_in_acc]
+            f_comb, f_scores, f_bps = _insert_sorted(
+                pos[is_new],
+                (f_comb, f_scores, f_bps),
+                (act_comb[new_in_acc], act_scores[new_in_acc], act_bps[new_in_acc]),
             )
-        ):
-            frontier.states = st - i * num_states
-            frontier.scores = sc
-            frontier.bps = bp
+
+        bounds = np.searchsorted(
+            f_comb, np.arange(n + 1, dtype=np.int64) * num_states
+        ).tolist()
+        for i, frontier in enumerate(frontiers):
+            lo, hi = bounds[i], bounds[i + 1]
+            frontier.states = f_comb[lo:hi] - i * num_states
+            frontier.scores = f_scores[lo:hi]
+            frontier.bps = f_bps[lo:hi]
 
 
 # ----------------------------------------------------------------------
@@ -958,6 +978,7 @@ class ReferenceKernel:
         self._ilabel = flat.arc_ilabel.tolist()
         self._olabel = flat.arc_olabel.tolist()
         self._final = flat.final_weights.tolist()
+        self._out_degree = flat.out_degree
 
     # ------------------------------------------------------------------
     def decode(
@@ -1058,13 +1079,15 @@ class ReferenceKernel:
     ) -> None:
         first_l = self._first
         n_non_l = self._n_non_eps
-        n_eps_l = self._n_eps
         dest_l = self._dest
         weight_l = self._weight
         ilabel_l = self._ilabel
         olabel_l = self._olabel
-        degrees = search.visited_state_degrees
         tokens_get = next_tokens.get
+        search.states_expanded += len(survivors)
+        search.count_degrees(
+            self._out_degree[[state for state, _, _, _ in survivors]]
+        )
 
         record = bool(observers)
         emit_states: List[int] = []
@@ -1083,8 +1106,6 @@ class ReferenceKernel:
                 emit_first.append(first)
                 emit_n.append(n_non_eps)
                 emit_read_idx.append(ridx)
-            search.states_expanded += 1
-            degrees.append(n_non_eps + n_eps_l[state])
 
             for a in range(first, first + n_non_eps):
                 dest = dest_l[a]

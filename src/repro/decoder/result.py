@@ -1,8 +1,8 @@
 """Decode results and search statistics.
 
 :class:`SearchStats` holds the *functional* counters of one Section II
-Viterbi beam search -- tokens, arcs, pruning, per-frame active set (the
-Figure 7 out-degree data).  They are timing-independent: the CPU/GPU
+Viterbi beam search -- tokens, arcs, pruning, per-frame active set and
+the Figure 7 out-degree histogram.  They are timing-independent: the CPU/GPU
 timing models price them, and the accelerator simulator and trace
 replayer cross-check against them.
 """
@@ -12,15 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 
 class _PrefixView(Sequence):
     """Immutable length-pinned view of an append-only list.
 
-    The per-frame stats lists (``visited_state_degrees``,
-    ``active_tokens_per_frame``) only ever grow, so pinning today's
-    length over the live list is a true point-in-time snapshot at O(1)
-    cost -- the cheap alternative to the O(T) copies streaming partials
-    used to take on every call.
+    ``SearchStats.active_tokens_per_frame`` only ever grows, so pinning
+    today's length over the live list is a true point-in-time snapshot
+    at O(1) cost -- the cheap alternative to an O(T) copy on every
+    streaming partial.
     """
 
     __slots__ = ("_data", "_length")
@@ -59,6 +60,16 @@ class _PrefixView(Sequence):
         return f"_PrefixView({list(self)!r})"
 
 
+def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``total`` with ``counts`` added in place, grown to fit if shorter."""
+    if counts.size > total.size:
+        total = np.concatenate(
+            [total, np.zeros(counts.size - total.size, dtype=np.int64)]
+        )
+    total[: counts.size] += counts
+    return total
+
+
 @dataclass
 class SearchStats:
     """Operation counts gathered during one decode.
@@ -75,8 +86,12 @@ class SearchStats:
     epsilon_arcs_processed: int = 0
     tokens_created: int = 0
     tokens_updated: int = 0
-    #: out-degree of every state fetched dynamically (Figure 7's data).
-    visited_state_degrees: List[int] = field(default_factory=list)
+    #: ``degree_histogram[d]`` counts the dynamically fetched states of
+    #: out-degree ``d`` (Figure 7's data); as long as the largest degree
+    #: seen, so bounded by the graph and not by the decode length.
+    degree_histogram: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
     #: active tokens at the start of each frame.
     active_tokens_per_frame: List[int] = field(default_factory=list)
 
@@ -92,20 +107,33 @@ class SearchStats:
             self.active_tokens_per_frame
         )
 
+    def count_degrees(self, degrees: np.ndarray) -> None:
+        """Add one batch of fetched states' out-degrees to the histogram."""
+        self.degree_histogram = _add_counts(
+            self.degree_histogram, np.bincount(degrees)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchStats):
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        return np.array_equal(
+            mine.pop("degree_histogram"), theirs.pop("degree_histogram")
+        ) and mine == theirs
+
     def snapshot(self) -> "SearchStats":
         """A detached point-in-time copy, O(1) in the decode length.
 
-        Scalar counters are copied by the dataclass ``replace``; the two
-        per-frame lists -- which only ever grow -- are wrapped in
-        length-pinned :class:`_PrefixView` instances instead of being
-        deep-copied, so streaming ``partial()`` calls stay cheap no
-        matter how long the session has run.
+        Scalar counters are copied by the dataclass ``replace`` and the
+        degree histogram (as long as the largest out-degree) by value;
+        the per-frame list -- which only ever grows -- is wrapped in a
+        length-pinned :class:`_PrefixView` instead of being deep-copied,
+        so streaming ``partial()`` calls stay cheap no matter how long
+        the session has run.
         """
         return replace(
             self,
-            visited_state_degrees=_PrefixView(
-                self.visited_state_degrees, len(self.visited_state_degrees)
-            ),
+            degree_histogram=self.degree_histogram.copy(),
             active_tokens_per_frame=_PrefixView(
                 self.active_tokens_per_frame, len(self.active_tokens_per_frame)
             ),
@@ -123,7 +151,9 @@ class SearchStats:
             merged.epsilon_arcs_processed += s.epsilon_arcs_processed
             merged.tokens_created += s.tokens_created
             merged.tokens_updated += s.tokens_updated
-            merged.visited_state_degrees.extend(s.visited_state_degrees)
+            merged.degree_histogram = _add_counts(
+                merged.degree_histogram, s.degree_histogram
+            )
             merged.active_tokens_per_frame.extend(s.active_tokens_per_frame)
         return merged
 

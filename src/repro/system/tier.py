@@ -315,7 +315,13 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
     ledger: Dict[int, Deque[Tuple[int, int, int]]] = {}
 
     def ship_finished() -> None:
-        for isid in server.finished_session_ids:
+        # Records are kept in retirement order and each is shipped once,
+        # so only the tail past the shipped count is new; walking the
+        # whole list after every message would cost time that grows with
+        # every session the worker has ever finished.
+        if server.stats.sessions_finalized == len(shipped):
+            return
+        for isid in server.finished_session_ids[len(shipped):]:
             ext = to_external.get(isid)
             if ext is None or ext in shipped:
                 continue
@@ -386,6 +392,12 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
                     server.close_input(to_internal[ext])
                 except (KeyError, ReproError):
                     pass  # already retired; its record is shipped below
+                if not server.pending_frames:
+                    # The buffer drained before the close arrived, so no
+                    # sweep is due -- and sessions retire only inside
+                    # step(): without this one the loop would block on
+                    # the pipe holding a closed, never-retired session.
+                    server.step()
             elif op == "stop":
                 running = False
         elif server.pending_frames:
@@ -942,7 +954,7 @@ class ServingTier:
                     raise DecodeError(f"unknown session {session_id}")
                 if session.record is not None:
                     return session.record
-                self._pump(block_worker=session.worker)
+                self._pump()
                 if session.record is not None:
                     return session.record
                 if not session.worker.process.is_alive():
@@ -952,11 +964,20 @@ class ServingTier:
                         + (f" (last error: {session.remote_error})"
                            if session.remote_error else "")
                     )
+                conn = session.worker.conn
             if deadline is not None and time.monotonic() > deadline:
                 raise TierError(
                     f"session {session_id} produced no record within "
                     f"{timeout:.1f}s"
                 )
+            # Wait for the shard's next reply with the lock released: a
+            # caller that slept on the pipe while holding it re-took the
+            # (unfair) lock every 50 ms and starved the scoring thread
+            # and every other front-door caller for minutes.
+            try:
+                conn.poll(0.05)
+            except OSError:
+                pass  # closed by a concurrent shutdown(); _pump copes
 
     def poll(self) -> None:
         """Drain any queued worker replies without blocking."""

@@ -102,12 +102,9 @@ class FlatLayout:
     @classmethod
     def from_compiled(cls, graph: "CompiledWfst") -> "FlatLayout":
         """Unpack a compiled graph's state records into SoA form."""
-        packed = graph.states_packed
-        first_arc = (packed & np.uint64(_MAX_U32)).astype(np.int64)
-        num_non_eps = (
-            (packed >> np.uint64(32)) & np.uint64(_MAX_U16)
-        ).astype(np.int64)
-        num_eps = (packed >> np.uint64(48)).astype(np.int64)
+        first_arc, num_non_eps, num_eps = CompiledWfst.unpack_states(
+            graph.states_packed
+        )
         arrays = dict(
             first_arc=first_arc,
             num_non_eps=num_non_eps,
@@ -296,6 +293,37 @@ class CompiledWfst:
             num_non_eps=(packed >> 32) & _MAX_U16,
             num_eps=(packed >> 48) & _MAX_U16,
         )
+
+    @staticmethod
+    def pack_states(
+        first_arc: np.ndarray, num_non_eps: np.ndarray, num_eps: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`pack_state` for whole int64 columns, same range checks."""
+        for name, column, limit in (
+            ("first_arc", first_arc, _MAX_U32),
+            ("num_non_eps", num_non_eps, _MAX_U16),
+            ("num_eps", num_eps, _MAX_U16),
+        ):
+            if column.size and not 0 <= column.min() <= column.max() <= limit:
+                raise GraphError(f"{name} out of range")
+        return (
+            first_arc.astype(np.uint64)
+            | (num_non_eps.astype(np.uint64) << np.uint64(32))
+            | (num_eps.astype(np.uint64) << np.uint64(48))
+        )
+
+    @staticmethod
+    def unpack_states(
+        packed: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`unpack_state` for a whole states array, as int64
+        ``(first_arc, num_non_eps, num_eps)`` columns."""
+        first_arc = (packed & np.uint64(_MAX_U32)).astype(np.int64)
+        num_non_eps = (
+            (packed >> np.uint64(32)) & np.uint64(_MAX_U16)
+        ).astype(np.int64)
+        num_eps = (packed >> np.uint64(48)).astype(np.int64)
+        return first_arc, num_non_eps, num_eps
 
     @staticmethod
     def pack_arc(dest: int, weight: float, ilabel: int, olabel: int) -> bytes:

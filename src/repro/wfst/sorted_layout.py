@@ -21,7 +21,7 @@ states array whenever the state is in the sorted region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -113,70 +113,49 @@ def sort_states_by_arc_count(
         raise GraphError("max_direct_arcs must be >= 1")
 
     n = graph.num_states
-    degrees = np.array([graph.out_degree(s) for s in range(n)], dtype=np.int64)
+    first_arc, num_non_eps, num_eps = CompiledWfst.unpack_states(
+        graph.states_packed
+    )
+    degrees = num_non_eps + num_eps
 
-    groups: Dict[int, List[int]] = {k: [] for k in range(1, max_direct_arcs + 1)}
-    rest: List[int] = []
-    for s in range(n):
-        d = int(degrees[s])
-        if 1 <= d <= max_direct_arcs:
-            groups[d].append(s)
-        else:
-            rest.append(s)
-
-    new_order: List[int] = []
-    boundaries: List[int] = []
-    group_start: Dict[int, int] = {}
-    for k in range(1, max_direct_arcs + 1):
-        group_start[k] = len(new_order)
-        new_order.extend(groups[k])
-        boundaries.append(len(new_order))
-    new_order.extend(rest)
-
-    old_to_new = np.zeros(n, dtype=np.int64)
-    for new_id, old_id in enumerate(new_order):
-        old_to_new[old_id] = new_id
+    # A stable sort on the group key keeps every group, and the rest, in
+    # original state order.
+    direct = (degrees >= 1) & (degrees <= max_direct_arcs)
+    group = np.where(direct, degrees, max_direct_arcs + 1)
+    new_order = np.argsort(group, kind="stable")
+    old_to_new = np.empty(n, dtype=np.int64)
+    old_to_new[new_order] = np.arange(n, dtype=np.int64)
+    sizes = np.bincount(group, minlength=max_direct_arcs + 2)[
+        1 : max_direct_arcs + 1
+    ]
+    boundaries = np.cumsum(sizes)
+    group_start = boundaries - sizes
 
     # Rebuild arc arrays in the new state order; arcs of one state stay
     # contiguous and in their original relative order.
-    n_arcs = graph.num_arcs
-    arc_dest = np.zeros(n_arcs, dtype=np.uint32)
-    arc_weight = np.zeros(n_arcs, dtype=np.float32)
-    arc_ilabel = np.zeros(n_arcs, dtype=np.uint32)
-    arc_olabel = np.zeros(n_arcs, dtype=np.uint32)
-    states_packed = np.zeros(n, dtype=np.uint64)
-    final_weights = np.zeros(n, dtype=np.float64)
-
-    offsets: Dict[int, int] = {}
-    cursor = 0
-    for new_id, old_id in enumerate(new_order):
-        first, n_non_eps, n_eps = graph.arc_range(old_id)
-        count = n_non_eps + n_eps
-        states_packed[new_id] = CompiledWfst.pack_state(
-            StateRecord(cursor, n_non_eps, n_eps)
-        )
-        final_weights[new_id] = graph.final_weights[old_id]
-        src = slice(first, first + count)
-        dst = slice(cursor, cursor + count)
-        arc_dest[dst] = old_to_new[graph.arc_dest[src].astype(np.int64)]
-        arc_weight[dst] = graph.arc_weight[src]
-        arc_ilabel[dst] = graph.arc_ilabel[src]
-        arc_olabel[dst] = graph.arc_olabel[src]
-        cursor += count
+    counts = degrees[new_order]
+    new_first = np.cumsum(counts) - counts
+    n_arcs = int(counts.sum())
+    arc_order = np.repeat(first_arc[new_order] - new_first, counts) + np.arange(
+        n_arcs, dtype=np.int64
+    )
+    arc_dest = old_to_new[graph.arc_dest[arc_order].astype(np.int64)].astype(
+        np.uint32
+    )
+    arc_weight = graph.arc_weight[arc_order].astype(np.float32, copy=False)
+    arc_ilabel = graph.arc_ilabel[arc_order].astype(np.uint32, copy=False)
+    arc_olabel = graph.arc_olabel[arc_order].astype(np.uint32, copy=False)
+    states_packed = CompiledWfst.pack_states(
+        new_first, num_non_eps[new_order], num_eps[new_order]
+    )
+    final_weights = graph.final_weights[new_order].astype(np.float64, copy=False)
 
     # Derive the offset table: within group k the states are dense, so the
-    # first arc of the group anchors the linear map.
-    for k in range(1, max_direct_arcs + 1):
-        start_state = group_start[k]
-        group_size = len(groups[k])
-        if group_size == 0:
-            # Keep the linear map consistent with neighbouring groups by
-            # anchoring at where the group would begin.
-            anchor_arc = _first_arc_at(states_packed, start_state, n)
-            offsets[k] = anchor_arc - start_state * k
-            continue
-        rec = CompiledWfst.unpack_state(states_packed[start_state])
-        offsets[k] = rec.first_arc - start_state * k
+    # first arc of the group anchors the linear map.  An empty group is
+    # anchored where it would begin (past the last state: at the arc
+    # count), keeping the map consistent with its neighbours.
+    ks = np.arange(1, max_direct_arcs + 1, dtype=np.int64)
+    offsets = np.append(new_first, n_arcs)[group_start] - group_start * ks
 
     sorted_graph = CompiledWfst(
         start=int(old_to_new[graph.start]),
@@ -187,20 +166,11 @@ def sort_states_by_arc_count(
         arc_olabel=arc_olabel,
         final_weights=final_weights,
     )
+    keys = ks.tolist()
     tables = DirectLookupTables(
         max_direct_arcs=max_direct_arcs,
-        boundaries=tuple(boundaries),
-        group_start=group_start,
-        offsets=offsets,
+        boundaries=tuple(boundaries.tolist()),
+        group_start=dict(zip(keys, group_start.tolist())),
+        offsets=dict(zip(keys, offsets.tolist())),
     )
     return SortedWfst(sorted_graph, tables, old_to_new)
-
-
-def _first_arc_at(states_packed: np.ndarray, state: int, n_states: int) -> int:
-    """First-arc index at ``state``, or total arc count when past the end."""
-    if state < n_states:
-        return CompiledWfst.unpack_state(states_packed[state]).first_arc
-    if n_states == 0:
-        return 0
-    rec = CompiledWfst.unpack_state(states_packed[n_states - 1])
-    return rec.first_arc + rec.num_arcs

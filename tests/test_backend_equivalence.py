@@ -103,7 +103,7 @@ def _core_counters(stats):
         stats.arcs_processed,
         stats.tokens_created,
         tuple(stats.active_tokens_per_frame),
-        tuple(sorted(stats.visited_state_degrees)),
+        tuple(stats.degree_histogram.tolist()),
     )
 
 

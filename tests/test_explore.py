@@ -300,3 +300,34 @@ class TestTraceCache:
         )
         assert cache2.recordings == 1
         assert traces[0].num_frames == workload.scores[0].num_frames
+
+    def test_v3_disk_entry_is_rerecorded_not_misread(self, tmp_path, workload):
+        """Format v3 stored one out-degree per fetched state
+        (``search_degrees``); v4 stores the histogram.  An entry a v3
+        checkout left in the directory must be recorded afresh."""
+        directory = str(tmp_path / "traces")
+        args = (workload.graph, workload.scores, workload.beam,
+                workload.max_active)
+        recorded = TraceCache(directory).get(*args)
+        for name in os.listdir(directory):
+            path = os.path.join(directory, name)
+            with np.load(path) as data:
+                payload = {key: data[key] for key in data.files}
+            histogram = payload.pop("search_degree_histogram")
+            payload["search_degrees"] = np.repeat(
+                np.arange(histogram.size), histogram
+            ).astype(np.int32)
+            assert payload["meta"][0] == 4
+            payload["meta"][0] = 3
+            np.savez_compressed(path, **payload)
+
+        cache = TraceCache(directory)
+        traces = cache.get(*args)
+        assert (cache.recordings, cache.hits) == (1, 0)
+        for got, want in zip(traces, recorded):
+            assert got.search == want.search
+            assert got.search.degree_histogram.sum() == got.search.states_expanded
+        # ... and the stale files were overwritten in the current format.
+        again = TraceCache(directory)
+        again.get(*args)
+        assert (again.recordings, again.hits) == (0, 1)

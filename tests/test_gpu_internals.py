@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.accel.stats import SimStats
-from repro.decoder.kernel import _csr_gather
+from repro.decoder.backends.numpy_backend import csr_gather
 from repro.decoder.result import SearchStats
 from repro.gpu.decoder import GpuWorkload
 from repro.system.experiment import accelerator_configs
@@ -21,14 +21,14 @@ class TestBulkArcGather:
         return small_graph.flat()
 
     def test_empty_state_set(self):
-        arcs, src = _csr_gather(
+        arcs, src = csr_gather(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
         assert len(arcs) == 0 and len(src) == 0
 
     def test_counts_match_state_records(self, flat, small_graph):
         states = np.arange(min(20, small_graph.num_states), dtype=np.int64)
-        arcs, src = _csr_gather(
+        arcs, src = csr_gather(
             flat.first_arc[states], flat.num_non_eps[states]
         )
         expected = int(flat.num_non_eps[states].sum())
@@ -37,7 +37,7 @@ class TestBulkArcGather:
 
     def test_arcs_fall_in_state_ranges(self, flat, small_graph):
         states = np.arange(min(20, small_graph.num_states), dtype=np.int64)
-        arcs, src = _csr_gather(
+        arcs, src = csr_gather(
             flat.first_arc[states], flat.num_non_eps[states]
         )
         for a, row in zip(arcs, src):
@@ -49,12 +49,18 @@ class TestStatsMerge:
     def test_search_stats_merge(self):
         a = SearchStats(frames=2, arcs_processed=10,
                         active_tokens_per_frame=[1, 2])
+        a.count_degrees(np.array([1, 1, 4]))
         b = SearchStats(frames=3, arcs_processed=5,
                         active_tokens_per_frame=[3])
+        b.count_degrees(np.array([0, 1]))
         merged = SearchStats.merge([a, b])
         assert merged.frames == 5
         assert merged.arcs_processed == 15
         assert merged.active_tokens_per_frame == [1, 2, 3]
+        # Histograms of unequal length add; the inputs are left alone.
+        assert merged.degree_histogram.tolist() == [1, 3, 0, 0, 1]
+        assert a.degree_histogram.tolist() == [0, 2, 0, 0, 1]
+        assert b.degree_histogram.tolist() == [1, 1]
 
     def test_sim_stats_merge(self):
         a = SimStats(cycles=100, frames=1)

@@ -43,6 +43,39 @@ class TestStatePacking:
         with pytest.raises(GraphError):
             CompiledWfst.pack_state(StateRecord(0, 2**16, 0))
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 2**16 - 1),
+                st.integers(0, 2**16 - 1),
+            ),
+            max_size=8,
+        )
+    )
+    def test_whole_columns_pack_like_single_records(self, records):
+        columns = [
+            np.array([r[i] for r in records], dtype=np.int64) for i in range(3)
+        ]
+        packed = CompiledWfst.pack_states(*columns)
+        assert packed.dtype == np.uint64
+        assert packed.tolist() == [
+            CompiledWfst.pack_state(StateRecord(*r)) for r in records
+        ]
+        for column, unpacked in zip(columns, CompiledWfst.unpack_states(packed)):
+            assert unpacked.dtype == np.int64
+            np.testing.assert_array_equal(unpacked, column)
+
+    @pytest.mark.parametrize(
+        "bad", [(2**32, 0, 0), (-1, 0, 0), (0, 2**16, 0), (0, 0, 2**16), (0, 0, -1)]
+    )
+    def test_whole_columns_reject_what_single_records_reject(self, bad):
+        columns = [np.array([0, value], dtype=np.int64) for value in bad]
+        with pytest.raises(GraphError):
+            CompiledWfst.pack_states(*columns)
+        with pytest.raises(GraphError):
+            CompiledWfst.pack_state(StateRecord(*bad))
+
 
 class TestArcPacking:
     @given(

@@ -8,6 +8,7 @@ of the fleet undisturbed.
 """
 
 import asyncio
+from collections import deque
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from repro.common.errors import (
 )
 from repro.decoder import BatchDecoder, BeamSearchConfig
 from repro.system import ServingTier, TierConfig
+from repro.system.score_ring import ScorePlaneRing
+from repro.system.server import ServerConfig, StreamingServer
+from repro.system.tier import _worker_main
 from repro.wfst import save_graph_mmap
 
 
@@ -41,6 +45,113 @@ def make_tier(small_task, config, **kwargs):
         search_config=config,
         tier_config=TierConfig(**kwargs),
     )
+
+
+class _ScriptedConn:
+    """The worker's end of the pipe, with delivery order under the
+    test's control: ``now`` messages are there whenever the worker
+    looks, ``when_idle`` ones arrive one at a time and only once the
+    worker has nothing buffered and blocks on the pipe.  A blocking poll
+    with nothing left to deliver is the hang, reported as a failure."""
+
+    def __init__(self, now, when_idle):
+        self.now = deque(now)
+        self.when_idle = deque(when_idle)
+        self.sent = []
+        self.sent_before = {}  #: idle message op -> replies sent by then
+
+    def poll(self, timeout=0):
+        if not self.now and timeout is None:
+            assert self.when_idle, "worker blocks on the pipe for good"
+            message = self.when_idle.popleft()
+            self.sent_before[message[0]] = list(self.sent)
+            self.now.append(message)
+        return bool(self.now)
+
+    def recv(self):
+        return self.now.popleft()
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def close(self):
+        pass
+
+
+class TestWorkerLoop:
+    def test_close_arriving_after_the_buffer_drained_retires_the_session(
+        self, tmp_path, small_task, config, oneshot
+    ):
+        """ROADMAP item 0a: sessions retire only inside ``step()``, and
+        the loop stepped only while frames were buffered, so a close
+        that found the buffer already decoded left its session without
+        a record until unrelated traffic (here: shutdown) arrived."""
+        directory = save_graph_mmap(small_task.graph, str(tmp_path / "g.mmap"))
+        matrix = small_task.utterances[0].scores.matrix
+        frames, width = matrix.shape
+        ring = ScorePlaneRing(plane_frames=frames, width=width)
+        try:
+            generation, offset, rows = ring.try_alloc(frames)
+            rows[:] = matrix
+            conn = _ScriptedConn(
+                now=[
+                    ("open", 7),
+                    ("ring", ring.name, frames, width),
+                    ("push", 7, generation, offset, frames),
+                ],
+                when_idle=[("close", 7), ("stop",)],
+            )
+            _worker_main(conn, directory, config, ServerConfig())
+        finally:
+            ring.close()
+        # Every frame was decoded and acked before the close was delivered...
+        assert ("ack", 7, frames, generation) in conn.sent_before["close"]
+        # ... and its record left before anything else arrived.
+        records = [m for m in conn.sent_before["stop"] if m[0] == "record"]
+        assert [m[1] for m in records] == [7]
+        assert records[0][2].result.words == oneshot[0].words
+        assert records[0][2].result.log_likelihood == oneshot[0].log_likelihood
+        assert conn.sent[-1][0] == "stats"
+
+    def test_shipping_records_does_not_rewalk_finished_sessions(
+        self, tmp_path, small_task, config, oneshot, monkeypatch
+    ):
+        """The loop looked for records to ship by walking every session
+        the worker had ever finished, after every message, so a shard
+        slowed down for as long as it lived.  It may list the finished
+        sessions only when one has retired since it last shipped."""
+        listings = []
+        listing = StreamingServer.finished_session_ids
+        monkeypatch.setattr(
+            StreamingServer, "finished_session_ids",
+            property(lambda self: listings.append(1) or listing.fget(self)),
+        )
+        directory = save_graph_mmap(small_task.graph, str(tmp_path / "g.mmap"))
+        matrix = small_task.utterances[0].scores.matrix
+        frames, width = matrix.shape
+        sessions = 6
+        ring = ScorePlaneRing(plane_frames=frames * sessions, width=width)
+        try:
+            script = [("ring", ring.name, frames * sessions, width)]
+            for sid in range(sessions):
+                generation, offset, rows = ring.try_alloc(frames)
+                rows[:] = matrix
+                script += [
+                    ("open", sid),
+                    ("push", sid, generation, offset, frames),
+                    ("close", sid),
+                ]
+            conn = _ScriptedConn(now=script, when_idle=[("stop",)])
+            _worker_main(conn, directory, config, ServerConfig())
+        finally:
+            ring.close()
+        records = [m for m in conn.sent if m[0] == "record"]
+        assert sorted(m[1] for m in records) == list(range(sessions))
+        for message in records:
+            assert message[2].session_id == message[1]
+            assert message[2].result.words == oneshot[0].words
+            assert message[2].result.log_likelihood == oneshot[0].log_likelihood
+        assert len(listings) <= sessions
 
 
 class TestEquivalence:
@@ -172,6 +283,36 @@ class TestAdmissionAndBackpressure:
             assert tier.stats.frames_pushed == deadline_frames + 4
             tier.close_input(sid)
             assert tier.result(sid, timeout=60) is not None
+
+    def test_result_waits_for_the_shard_with_the_lock_released(
+        self, small_task, config
+    ):
+        """ROADMAP item 0b: ``result()`` used to sleep on the pipe while
+        holding the front-door lock and re-take it at once, so the
+        scoring thread got in only by luck (features-mode decodes of a
+        few utterances took 20-400 s)."""
+
+        class PollSpy:
+            def __init__(self, conn, lock):
+                self.conn, self.lock, self.held_while_waiting = conn, lock, []
+
+            def poll(self, timeout=0.0):
+                if timeout:
+                    self.held_while_waiting.append(self.lock._is_owned())
+                return self.conn.poll(timeout)
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+        with make_tier(small_task, config, num_workers=1) as tier:
+            worker = tier._workers[0]
+            spy = worker.conn = PollSpy(worker.conn, tier._lock)
+            sid = tier.open_session()  # never closed: no record will come
+            with pytest.raises(TierError, match="no record"):
+                tier.result(sid, timeout=0.3)
+            worker.conn = spy.conn
+            assert spy.held_while_waiting  # it did wait on the pipe ...
+            assert not any(spy.held_while_waiting)  # ... never under the lock
 
 
 class TestErrors:

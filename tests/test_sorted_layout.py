@@ -1,5 +1,7 @@
 """Tests for the arc-count-sorted layout (Section IV-B)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,90 @@ class TestSemanticEquivalence:
         assert sorted_graph.graph.start == int(
             sorted_graph.old_to_new[graph.start]
         )
+
+
+# ----------------------------------------------------------------------
+# Byte-identity of the array-built graph set-up
+# ----------------------------------------------------------------------
+#: ``generate_kaldi_like_graph`` + ``sort_states_by_arc_count`` used to
+#: walk every state in Python; these values were recorded from those
+#: loops (PR 13's tree) and pin the array versions to the same bytes.
+#: Per case: generator config, graph / sorted-graph fingerprints,
+#: remapped start, sha256 of ``old_to_new``, comparator boundaries and
+#: the offset table for k = 1..16.
+RECORDED_LAYOUTS = {
+    # Degree groups 6, 14, 15 and 16 are empty, and the last state's
+    # epsilon arc is rewritten into a non-epsilon self arc.
+    "empty_groups_and_last_state_self_arc": (
+        dict(num_states=300, seed=0, epsilon_fraction=0.3, num_phones=20,
+             num_words=50),
+        "9cc059c8cf3e67cda981080ed90a0bb9",
+        "7967fc4ae252127745d3e4f7c5d3d260",
+        268,
+        "a05aaf5ef28f20da9aad095ba4cc5b3f",
+        (214, 262, 268, 273, 280, 280, 281, 285, 286, 287, 288, 291, 292,
+         292, 292, 292),
+        (0, -214, -476, -744, -1017, -1297, -1577, -1858, -2143, -2429,
+         -2716, -3004, -3295, -3587, -3879, -4171),
+    ),
+    # Every state is directly addressable: groups 4..16 are empty and
+    # begin past the last state, at the arc count.
+    "all_states_direct": (
+        dict(num_states=150, seed=5, mean_arcs_per_state=1.6,
+             max_arcs_per_state=3, num_phones=10, num_words=30),
+        "3693d32b3893b34ca9765e4a3488db8f",
+        "eb92b681ff683cc69aa48c26876db123",
+        89,
+        "e80b28212f27189be928edaae2353c74",
+        (89, 126) + (150,) * 14,
+        (0, -89, -215, -365, -515, -665, -815, -965, -1115, -1265, -1415,
+         -1565, -1715, -1865, -2015, -2165),
+    ),
+    # The graph benchmarks/e2e's accel_sweep builds in set-up.
+    "accel_sweep_20k": (
+        dict(num_states=20000, num_phones=50, seed=16),
+        "28515db63967d769235da0cf5ebdf3cd",
+        "64ef302ad2d769bbcbc1271adf22399d",
+        0,
+        "5c30118bb70bb31b3be345fb1bcfb495",
+        (13781, 16664, 17846, 18452, 18791, 19049, 19236, 19352, 19433,
+         19496, 19550, 19597, 19631, 19658, 19691, 19713),
+        (0, -13781, -30445, -48291, -66743, -85534, -104583, -123819,
+         -143171, -162604, -182100, -201650, -221247, -240878, -260536,
+         -280227),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_LAYOUTS))
+def test_set_up_reproduces_the_recorded_bytes(case):
+    (config, graph_fp, sorted_fp, start, perm_sha,
+     boundaries, offsets) = RECORDED_LAYOUTS[case]
+    graph = generate_kaldi_like_graph(SyntheticGraphConfig(**config))
+    assert graph.fingerprint() == graph_fp
+    layout = sort_states_by_arc_count(graph)
+    assert layout.graph.fingerprint() == sorted_fp
+    assert layout.graph.start == start
+    assert layout.old_to_new.dtype == np.int64
+    assert hashlib.sha256(
+        layout.old_to_new.tobytes()
+    ).hexdigest()[:32] == perm_sha
+    tables = layout.tables
+    assert tables.max_direct_arcs == 16
+    assert tables.boundaries == boundaries
+    assert tables.group_start == dict(
+        zip(range(1, 17), (0,) + boundaries[:-1])
+    )
+    assert tables.offsets == dict(zip(range(1, 17), offsets))
+    for table in (tables.boundaries, tables.group_start.values(),
+                  tables.offsets.values()):
+        assert all(type(v) is int for v in table)
+
+
+def test_last_state_self_arc_case_is_what_it_says():
+    config = RECORDED_LAYOUTS["empty_groups_and_last_state_self_arc"][0]
+    graph = generate_kaldi_like_graph(SyntheticGraphConfig(**config))
+    last = graph.num_states - 1
+    first, n_non_eps, n_eps = graph.arc_range(last)
+    assert (n_non_eps, n_eps) == (0, 1)
+    assert (int(graph.arc_dest[first]), int(graph.arc_ilabel[first])) == (last, 1)

@@ -369,6 +369,10 @@ class TestPrefixView:
         session.push(utt.scores.matrix[:4])
         snapshot = session.partial().stats
         frozen = list(snapshot.active_tokens_per_frame)
+        frozen_degrees = snapshot.degree_histogram.copy()
         session.push(utt.scores.matrix[4:])
         assert len(snapshot.active_tokens_per_frame) == 4
         assert list(snapshot.active_tokens_per_frame) == frozen
+        # The histogram is copied by value: later frames do not leak in.
+        assert np.array_equal(snapshot.degree_histogram, frozen_degrees)
+        assert snapshot.degree_histogram.sum() == sum(frozen)

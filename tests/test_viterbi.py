@@ -175,7 +175,7 @@ class TestStats:
         result = decoder.decode(small_task.utterances[0].scores)
         st = result.stats
         assert st.frames == small_task.utterances[0].num_frames
-        assert st.states_expanded == len(st.visited_state_degrees)
+        assert st.states_expanded == st.degree_histogram.sum()
         assert st.arcs_processed > 0
         assert st.total_token_writes == st.tokens_created + st.tokens_updated
         assert len(st.active_tokens_per_frame) == st.frames
