@@ -13,12 +13,10 @@ only the benches that share the cached standard comparison.
 seconds, a decoder-consistency check across every platform, the batch
 vs reference engine benchmark, the continuous-batching streaming
 session benchmark, the sharded serving tier under a bursty session
-load, the kernel-observer lattice benchmark, the long-stream
+load, the kernel-observer lattice benchmark and the long-stream
 traceback-memory gate (flat windowed growth, faster partials, output
-identical to one-shot), and a 10-point design-space sweep gated
-against independent simulator runs (cycle-identical, >= 3x).  Results
-land in ``benchmarks/results/quick_summary.json`` (uploaded as a CI
-artifact) plus a normalized ``benchmarks/results/trajectory.json`` --
+identical to one-shot).  Results land in
+``benchmarks/results/quick_summary.json`` (uploaded as a CI artifact) plus a normalized ``benchmarks/results/trajectory.json`` --
 one frames/s + speedup (and, for the traceback bench, peak-memory +
 partial-latency) point per bench -- that CI's perf-report step diffs
 against the previous main-branch run; the process exits non-zero on
@@ -32,7 +30,8 @@ import sys
 import time
 import traceback
 
-sys.path.insert(0, __file__.rsplit("/", 2)[0])
+_REPO_ROOT = __file__.rsplit("/", 2)[0]
+sys.path[:0] = [_REPO_ROOT, _REPO_ROOT + "/src"]
 
 from benchmarks import common
 from repro.system import run_platform_comparison
@@ -203,23 +202,6 @@ def run_quick() -> int:
         bench_traceback._assert_gates(result)
         return result
 
-    def sweep_throughput():
-        from benchmarks import bench_sweep_throughput as bench_sweep
-
-        result = bench_sweep.run_sweep_throughput(quick=True)
-        bench_sweep._report(result)
-        if result["cycle_mismatches"]:
-            raise AssertionError(
-                f"{result['cycle_mismatches']} sweep points diverged from "
-                f"the monolithic simulator"
-            )
-        if result["speedup"] < bench_sweep.QUICK_SPEEDUP_TARGET:
-            raise AssertionError(
-                f"sweep speedup {result['speedup']:.2f}x below the "
-                f"{bench_sweep.QUICK_SPEEDUP_TARGET:.1f}x quick gate"
-            )
-        return result
-
     step("platform_consistency", platform_consistency)
     step("graph_compile_quick", graph_compile)
     step("batch_throughput_quick", batch_throughput)
@@ -229,7 +211,6 @@ def run_quick() -> int:
     step("kernel_backends_quick", kernel_backends)
     step("lattice_throughput_quick", lattice_throughput)
     step("traceback_memory_quick", traceback_memory)
-    step("sweep_throughput_quick", sweep_throughput)
 
     summary["status"] = "failed" if failed else "ok"
     path = common.write_json("quick_summary", summary)
@@ -329,7 +310,6 @@ def main() -> int:
         bench_lattice_throughput as lattice_tp,
         bench_serving_tier as tier_tp,
         bench_streaming_sessions as stream_tp,
-        bench_sweep_throughput as sweep_tp,
         bench_traceback_memory as traceback_tp,
         bench_fig01_pipeline_breakdown as fig01,
         bench_fig04_cache_miss_ratio as fig04,
@@ -372,7 +352,6 @@ def main() -> int:
     tier_tp.test_serving_tier(bench)
     acoustic_tp.test_acoustic_scoring(bench)
     traceback_tp.test_traceback_memory(bench)
-    sweep_tp.test_sweep_throughput(bench)
 
     if not options.fast:
         fig04.test_fig04_cache_miss_ratio(bench, std_workload)

@@ -12,31 +12,50 @@ cycle-identical (and statistics-identical) to
 :class:`~repro.accel.simulator.AcceleratorSimulator` in
 ``tests/test_trace_replay.py``.
 
-Why it is fast: the replay splits the timing model into
+Why it is fast: only the cycle an access is *issued* depends on the whole
+configuration; what the access *does* depends on far less, and the trace
+fixes the order of every unit's accesses.  The replay therefore runs in
+three layers, the first two memoised on the trace under exactly the
+parameters they read (``DecodeTrace._replay_memo``; the key rule is
+REP003's, see ``docs/INVARIANTS.md``):
 
-* a **vectorized prologue** -- cache line/set streams for every recorded
-  address, token-record addresses, direct-lookup eligibility and the full
-  hash-table chain behaviour (positions, collisions, overflow points) are
-  computed with numpy per configuration, and the State Issuer's token walk
-  collapses to arithmetic whenever the frame's hash table never spilled to
-  the Overflow Buffer (the common case); and
-* a **sequential core** that carries only what is genuinely
-  order-dependent -- LRU tag state, the memory controller's in-flight
-  window and the pipeline timestamp recurrences -- in one tight loop.
+* a **vectorized prologue** -- each unit's accesses merged into issue
+  order (epsilon pass 0, frame 0, epsilon pass 1, ...), the traceback
+  commit schedule and the full hash-table chain behaviour (positions,
+  collisions, overflow points), computed with numpy.  The State Issuer's
+  token walk collapses to arithmetic whenever the frame's hash table never
+  spilled to the Overflow Buffer (the common case);
+* one timing-free **outcome pass** per cache geometry
+  (:func:`lru_outcomes`) -- an LRU cache's hits, misses and evictions
+  depend on the order of its accesses, never on their cycles, so the tag
+  stores are simulated once per ``(line_bytes, num_sets, assoc)`` (plus
+  the Section IV-B direct boundary for the State cache, which decides
+  which states reach it at all) and yield, per access, "miss" or the miss
+  whose fill the hit waits on;
+* a **timing core** that carries only what is genuinely time-dependent --
+  one flat fill-time list per cache, the memory controller's in-flight
+  window and the pipeline timestamp recurrences -- in one tight loop per
+  frame.
 
-A multi-point design-space sweep then costs one functional search plus one
-cheap replay per configuration; :mod:`repro.explore` builds on this.
+Grid points that differ only in prefetching, DRAM latency, issuer depths
+or *another* cache's geometry share every outcome pass: the 24-point Arc
+size x prefetch x State size grid of ``benchmarks/e2e`` runs 6 + 2 + 1 LRU
+simulations per trace, not 72.  A multi-point design-space sweep then
+costs one functional search, one outcome pass per distinct cache geometry
+and one cheap timing pass per configuration; :mod:`repro.explore` builds
+on this.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigError, SimulationError
-from repro.accel.config import AcceleratorConfig
+from repro.accel.config import AcceleratorConfig, CacheConfig
 from repro.accel.hashtable import HASH_MULTIPLIER, OVERFLOW_ENTRY_BYTES
 from repro.accel.simulator import (
     TOKEN_RECORD_BYTES,
@@ -48,6 +67,149 @@ from repro.accel.trace import DecodeTrace, layout_fingerprint
 from repro.decoder.result import SearchStats
 from repro.wfst.layout import ARC_BYTES, STATE_BYTES, CompiledWfst
 from repro.wfst.sorted_layout import SortedWfst
+
+#: Outcome code of an access that misses (its fill time is appended to the
+#: cache's fill list; every other non-negative code indexes that list).
+MISS = -1
+#: Outcome code of an issue slot that never reaches the cache: a Section
+#: IV-B direct-lookup state, or an arc whose relaxation wrote no token.
+_SKIP = -2
+
+
+class LruOutcome(NamedTuple):
+    """Timing-free behaviour of one LRU cache over one access stream."""
+
+    #: Per access: :data:`MISS`, or the ordinal (0-based, in miss order) of
+    #: the miss that filled the line this access hits.
+    src: np.ndarray
+    misses: int
+    #: Lines replaced during the stream / still resident at its end; a
+    #: write-allocate cache writes back one line for each of either.
+    evictions: int
+    resident: int
+
+
+def lru_outcomes(lines: np.ndarray, num_sets: int, assoc: int) -> LruOutcome:
+    """Simulate one set-associative LRU tag store, without time.
+
+    ``lines`` is the cache's line-id stream in issue order.  Hits, misses
+    and evictions of an LRU cache whose tags update at request time
+    (:mod:`repro.accel.cache`) depend only on that order, so the result is
+    valid under every timing configuration; all a timed replay still needs
+    per hit is *which* miss filled the line (the hit waits for that fill).
+    """
+    # Per set: line -> ordinal of the miss that filled it, in LRU order.
+    sets: Dict[int, Dict[int, int]] = defaultdict(dict)
+    src: List[int] = []
+    append = src.append
+    misses = evictions = 0
+    for line, index in zip(lines.tolist(), (lines % num_sets).tolist()):
+        ways = sets[index]
+        fill = ways.pop(line, MISS)
+        append(fill)
+        if fill == MISS:
+            if len(ways) >= assoc:
+                del ways[next(iter(ways))]
+                evictions += 1
+            fill = misses
+            misses += 1
+        ways[line] = fill
+    resident = sum(len(ways) for ways in sets.values())
+    return LruOutcome(np.array(src, dtype=np.int64), misses, evictions, resident)
+
+
+class _CachePricing(NamedTuple):
+    """One cache's outcome pass, laid out the way the timing core reads it.
+
+    ``emit`` / ``eps`` hold one code per slot of the trace's emit / epsilon
+    stream (states for the State cache, arcs for the Arc and Token caches):
+    :data:`_SKIP`, :data:`MISS` or a fill ordinal.  A perfect cache is all
+    hits on fill 0 of a fill list seeded with cycle 0.
+    """
+
+    emit: List[int]
+    eps: List[int]
+    accesses: int
+    misses: int
+    #: Lines evicted plus lines resident at the end: the write-backs of a
+    #: cache whose every access is a write (the Token cache).
+    writebacks: int
+
+
+def _issue_positions(
+    frame_offsets: np.ndarray, pass_offsets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the entries of a per-frame and a per-epsilon-pass stream land
+    in issue order: pass 0, frame 0, pass 1, ..., frame F-1, pass F."""
+    frames = len(frame_offsets) - 1
+    emit_at = np.arange(frame_offsets[-1]) + np.repeat(
+        pass_offsets[1:frames + 1], np.diff(frame_offsets)
+    )
+    eps_at = np.arange(pass_offsets[-1]) + np.repeat(
+        frame_offsets, np.diff(pass_offsets)
+    )
+    return emit_at, eps_at
+
+
+def _issue_order(
+    trace: DecodeTrace,
+) -> Tuple[
+    Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray],
+    np.ndarray, np.ndarray, np.ndarray,
+]:
+    """Merge the trace's emit and epsilon streams into issue order.
+
+    Returns the issue positions of the state visits and of the arc fetches
+    (see :func:`_issue_positions`), and in issue order: every visited
+    state, every fetched arc's index and whether its relaxation won (one
+    token-record write).
+    """
+    state_at = _issue_positions(trace.emit_offsets, trace.eps_offsets)
+    arc_at = _issue_positions(trace.emit_arc_offsets, trace.eps_arc_offsets)
+
+    def merged(at, emit_values, eps_values):
+        out = np.empty(len(emit_values) + len(eps_values), emit_values.dtype)
+        out[at[0]] = emit_values
+        out[at[1]] = eps_values
+        return out
+
+    return (
+        state_at, arc_at,
+        merged(state_at, trace.emit_states, trace.eps_states),
+        merged(arc_at, trace.emit_arc_idx, trace.eps_arc_idx),
+        merged(arc_at, trace.emit_improved, trace.eps_improved),
+    )
+
+
+def _price_cache(
+    cache: CacheConfig,
+    addresses: np.ndarray,
+    positions: Tuple[np.ndarray, np.ndarray],
+    active: Optional[np.ndarray] = None,
+) -> _CachePricing:
+    """Run the outcome pass of one cache and split it per trace stream.
+
+    ``addresses`` are the byte addresses the cache sees, in issue order;
+    ``positions`` map the emit / epsilon stream slots into issue order and
+    ``active`` (issue order, all slots when ``None``) marks the slots that
+    access the cache at all.
+    """
+    if cache.perfect:
+        outcome = LruOutcome(np.zeros(len(addresses), dtype=np.int64), 0, 0, 0)
+    else:
+        outcome = lru_outcomes(
+            addresses // cache.line_bytes, cache.num_sets, cache.assoc
+        )
+    if active is None:
+        codes = outcome.src
+    else:
+        codes = np.full(len(active), _SKIP, dtype=np.int64)
+        codes[active] = outcome.src
+    emit_at, eps_at = positions
+    return _CachePricing(
+        codes[emit_at].tolist(), codes[eps_at].tolist(), len(addresses),
+        outcome.misses, outcome.evictions + outcome.resident,
+    )
 
 
 class TraceReplayer:
@@ -116,87 +278,53 @@ class TraceReplayer:
         ne = len(trace.emit_arc_idx)
         nz = len(trace.eps_arc_idx)
 
-        # Vectorized prologue.  Every product is keyed by the config
-        # parameters it depends on and memoized on the trace, so a sweep
-        # that replays the trace under many configurations pays each
-        # distinct precomputation once (e.g. the state-cache stream is
-        # shared by every point that only varies the arc cache).
-        memo = getattr(trace, "_replay_memo", None)
-        if memo is None:
-            memo = {}
-            trace._replay_memo = memo
+        # Vectorized prologue and outcome passes.  Every product is keyed
+        # by all the parameters it depends on and memoized on the trace, so
+        # a sweep that replays the trace under many configurations pays
+        # each distinct precomputation once (e.g. the State cache's outcome
+        # pass is shared by every point that only varies the Arc cache).
+        memo = trace._replay_memo
 
-        # --- address streams -------------------------------------------
-        acc, scc, tcc = cfg.arc_cache, cfg.state_cache, cfg.token_cache
-        if acc.perfect:
-            ealine = easet = zaline = zaset = None
-        else:
-            key = ("arc", acc.line_bytes, acc.num_sets)
-            cached = memo.get(key)
-            if cached is None:
-                lines = (self._arcs_base + trace.emit_arc_idx * ARC_BYTES) // acc.line_bytes
-                ealine = lines.tolist()
-                easet = (lines % acc.num_sets).tolist()
-                lines = (self._arcs_base + trace.eps_arc_idx * ARC_BYTES) // acc.line_bytes
-                zaline = lines.tolist()
-                zaset = (lines % acc.num_sets).tolist()
-                memo[key] = (ealine, easet, zaline, zaset)
-            else:
-                ealine, easet, zaline, zaset = cached
-        if scc.perfect:
-            esline = esset = zsline = zsset = None
-        else:
-            key = ("state", scc.line_bytes, scc.num_sets)
-            cached = memo.get(key)
-            if cached is None:
-                lines = (self._states_base + trace.emit_states * STATE_BYTES) // scc.line_bytes
-                esline = lines.tolist()
-                esset = (lines % scc.num_sets).tolist()
-                lines = (self._states_base + trace.eps_states * STATE_BYTES) // scc.line_bytes
-                zsline = lines.tolist()
-                zsset = (lines % scc.num_sets).tolist()
-                memo[key] = (esline, esset, zsline, zsset)
-            else:
-                esline, esset, zsline, zsset = cached
-        n_improve = trace.search.tokens_created + trace.search.tokens_updated
-        if tcc.perfect:
-            tline = tset = None
-        else:
-            key = ("token", tcc.line_bytes, tcc.num_sets)
-            cached = memo.get(key)
-            if cached is None:
-                lines = (
-                    self._tokens_base
-                    + np.arange(n_improve, dtype=np.int64) * TOKEN_RECORD_BYTES
-                ) // tcc.line_bytes
-                tline = lines.tolist()
-                tset = (lines % tcc.num_sets).tolist()
-                memo[key] = (tline, tset)
-            else:
-                tline, tset = cached
-
-        # --- direct-lookup eligibility (Section IV-B) ------------------
-        boundary = self._direct_boundary if self.sorted_graph else 0
-        key = ("direct", boundary)
-        cached = memo.get(key)
+        # --- issue order of each unit's accesses (config-independent) --
+        cached = memo.get("issue-order")
         if cached is None:
-            if boundary > 0:
-                emit_mask = trace.emit_states < boundary
-                eps_mask = trace.eps_states < boundary
-                edirect = emit_mask.tolist()
-                zdirect = eps_mask.tolist()
-                direct_total = int(np.count_nonzero(emit_mask))
-                direct_total += int(np.count_nonzero(eps_mask))
-            else:
-                edirect = [False] * len(trace.emit_states)
-                zdirect = [False] * len(trace.eps_states)
-                direct_total = 0
-            memo[key] = (edirect, zdirect, direct_total)
-        else:
-            edirect, zdirect, direct_total = cached
-        fetched_total = (
-            len(trace.emit_states) + len(trace.eps_states) - direct_total
+            cached = memo["issue-order"] = _issue_order(trace)
+        state_at, arc_at, states, arc_idx, improved = cached
+
+        # --- cache outcome passes --------------------------------------
+        acc, scc, tcc = cfg.arc_cache, cfg.state_cache, cfg.token_cache
+        key = ("arc", acc.perfect, acc.line_bytes, acc.num_sets, acc.assoc)
+        arc = memo.get(key)
+        if arc is None:
+            arc = memo[key] = _price_cache(
+                acc, self._arcs_base + arc_idx * ARC_BYTES, arc_at
+            )
+        # Section IV-B: states below the boundary are located by the
+        # comparator tree and never reach the State cache.
+        boundary = self._direct_boundary
+        key = (
+            "state", scc.perfect, scc.line_bytes, scc.num_sets, scc.assoc,
+            boundary,
         )
+        state = memo.get(key)
+        if state is None:
+            fetched = states >= boundary
+            state = memo[key] = _price_cache(
+                scc, self._states_base + states[fetched] * STATE_BYTES,
+                state_at, fetched,
+            )
+        # Token records are appended in improvement order: the j-th
+        # backpointer write of the decode lands on record j.
+        key = ("token", tcc.perfect, tcc.line_bytes, tcc.num_sets, tcc.assoc)
+        token = memo.get(key)
+        if token is None:
+            n_improve = int(np.count_nonzero(improved))
+            token = memo[key] = _price_cache(
+                tcc,
+                self._tokens_base
+                + np.arange(n_improve, dtype=np.int64) * TOKEN_RECORD_BYTES,
+                arc_at, improved,
+            )
 
         # --- traceback-buffer commit schedule --------------------------
         # Windowed-traceback pricing (the design axis of
@@ -255,153 +383,110 @@ class TraceReplayer:
                 trace.read_offsets.tolist(),
                 trace.emit_n.tolist(),
                 trace.emit_read_idx.tolist(),
-                trace.emit_improved.tolist(),
                 trace.eps_n.tolist(),
                 trace.eps_src.tolist(),
-                trace.eps_improved.tolist(),
             )
             memo["payload"] = cached
         (
             emit_offsets, eps_offsets, read_offsets,
-            en, eridx, eimp, zn, zsrc, zimp,
+            en, eridx, zn, zsrc,
         ) = cached
 
-        # --- sequential core -------------------------------------------
-        aperfect, sperfect, tperfect = acc.perfect, scc.perfect, tcc.perfect
-        a_assoc, s_assoc, t_assoc = acc.assoc, scc.assoc, tcc.assoc
-        a_line, s_line, t_line = acc.line_bytes, scc.line_bytes, tcc.line_bytes
-        arc_sets: List[dict] = (
-            [] if aperfect else [dict() for _ in range(acc.num_sets)]
-        )
-        state_sets: List[dict] = (
-            [] if sperfect else [dict() for _ in range(scc.num_sets)]
-        )
-        token_sets: List[dict] = (
-            [] if tperfect else [dict() for _ in range(tcc.num_sets)]
-        )
+        # --- timing core -----------------------------------------------
+        # The outcome passes decided every hit and miss; what is left of a
+        # cache here is the list of its fills' completion cycles, in miss
+        # order.  A hit waits for ``fill[code]``; a miss issues its DRAM
+        # request and appends.
+        escode, zscode = state.emit, state.eps
+        eacode, zacode = arc.emit, arc.eps
+        etcode, ztcode = token.emit, token.eps
+        sfill: List[int] = [0] if scc.perfect else []
+        afill: List[int] = [0] if acc.perfect else []
+        tfill: List[int] = [0] if tcc.perfect else []
+        sfill_append = sfill.append
+        afill_append = afill.append
+        tfill_append = tfill.append
         hperfect = cfg.hash_table.perfect
         backup_entries = cfg.hash_table.backup_entries
 
-        sw_depth = cfg.state_issuer_inflight
-        aw_depth = cfg.arc_issue_window
-        tw_depth = cfg.token_issuer_inflight
+        # Issuer windows as zero-seeded bounded deques: RollingWindow.gate()
+        # returns 0 until the window fills and completion times are never
+        # negative, so a pre-filled window is indistinguishable from the
+        # growing one while avoiding length checks; appending to a full
+        # deque drops its oldest entry.
+        sw_zero = [0] * cfg.state_issuer_inflight
+        aw_zero = [0] * cfg.arc_issue_window
+        tw_zero = [0] * cfg.token_issuer_inflight
 
         lat = cfg.mem_latency_cycles
-        mi = cfg.mem_max_inflight
-        # MemoryController.request's bounded in-flight window as a ring
-        # buffer.  Seeding with -inf sentinels makes the not-yet-full case
-        # indistinguishable from the full case (the queueing condition
-        # ``oldest + latency > t`` is always false for a sentinel), which
-        # keeps the hot loop free of length checks.
-        neg_inf = -(1 << 60)
-        recent: List[int] = [neg_inf] * mi
-        rpos = 0
-        ms_state = ms_arc = ms_token = wb_token = 0
-        r_states = r_arcs = r_tokens = r_overflow = w_tokens = 0
+        # MemoryController.request's bounded in-flight window, seeded with
+        # -inf sentinels the same way (the queueing condition
+        # ``oldest + latency > t`` is always false for a sentinel).
+        recent = deque([-(1 << 60)] * cfg.mem_max_inflight, cfg.mem_max_inflight)
+        recent_append = recent.append
+        r_overflow = 0
         hash_extra_cycles = 0
-        jimp = 0  # global improvement (backpointer write) counter
         ek = 0    # global emit-arc cursor
         pk = 0    # global epsilon-arc cursor
 
         def mem_req(t: int) -> int:
             # MemoryController.request: bounded in-flight queueing window.
-            nonlocal rpos
-            oldest = recent[rpos]
-            if oldest + lat > t:
-                t = oldest + lat
-            recent[rpos] = t
-            rpos += 1
-            if rpos == mi:
-                rpos = 0
+            oldest = recent[0] + lat
+            if oldest > t:
+                t = oldest
+            recent_append(t)
             return t + lat
 
-        def run_emit(frame: int, cycle: int, fb: int, read_done) -> int:
-            # Issuer windows as zero-seeded rings: RollingWindow.gate()
-            # returns 0 until the window fills and completion times are
-            # never negative, so a pre-filled ring is indistinguishable
-            # from the growing deque while avoiding length checks.
-            nonlocal ek, jimp, rpos
-            nonlocal ms_state, ms_arc, ms_token, wb_token
-            nonlocal r_states, r_arcs, r_tokens, r_overflow, w_tokens
-            nonlocal hash_extra_cycles
-            s0 = emit_offsets[frame]
-            s1 = emit_offsets[frame + 1]
+        def run_emit(frame: int, cycle: int, read_done) -> int:
+            nonlocal ek, r_overflow, hash_extra_cycles
             proc_time = cycle
             hash_ready = cycle
-            sw = [0] * sw_depth
-            aw = [0] * aw_depth
-            tw = [0] * tw_depth
-            sw_pos = aw_pos = tw_pos = 0
+            sw = deque(sw_zero, len(sw_zero))
+            aw = deque(aw_zero, len(aw_zero))
+            tw = deque(tw_zero, len(tw_zero))
+            sw_append, aw_append, tw_append = sw.append, aw.append, tw.append
             arc_gate_last = -1
             k = ek
-            for i in range(s0, s1):
-                ridx = eridx[i]
-                if read_done is None:
-                    t = fb + ridx + 1
-                else:
-                    t = read_done.get(ridx, fb + ridx + 1)
-                if t < cycle:
-                    t = cycle
-                if edirect[i]:
+            s0 = emit_offsets[frame]
+            s1 = emit_offsets[frame + 1]
+            for ridx, code, n in zip(eridx[s0:s1], escode[s0:s1], en[s0:s1]):
+                # The token walk hands over one token per cycle, later where
+                # its hash read went to the Overflow Buffer.
+                t = cycle + ridx + 1
+                if read_done is not None:
+                    t = read_done.get(ridx, t)
+                if code == _SKIP:
                     state_done = t + 1
                 else:
-                    g = sw[sw_pos]
+                    g = sw[0]
                     start = t if t > g else g
-                    if sperfect:
-                        state_done = start + 1
+                    if code >= 0:
+                        ft = sfill[code]
+                        state_done = start + 1 if start + 1 > ft else ft
                     else:
-                        line = esline[i]
-                        ways = state_sets[esset[i]]
-                        ft = ways.pop(line, None)
-                        if ft is not None:
-                            ways[line] = ft
-                            state_done = start + 1 if start + 1 > ft else ft
-                        else:
-                            ms_state += 1
-                            if len(ways) >= s_assoc:
-                                del ways[next(iter(ways))]
-                            r_states += s_line
-                            ft = mem_req(start)
-                            ways[line] = ft
-                            state_done = ft
-                    sw[sw_pos] = state_done
-                    sw_pos += 1
-                    if sw_pos == sw_depth:
-                        sw_pos = 0
-                for _ in range(en[i]):
-                    g = aw[aw_pos]
+                        state_done = mem_req(start)
+                        sfill_append(state_done)
+                    sw_append(state_done)
+                k_end = k + n
+                for k in range(k, k_end):
+                    g = aw[0]
                     req = state_done if state_done > g else g
                     if arc_gate_last >= req:
                         req = arc_gate_last + 1
                     arc_gate_last = req
-                    if aperfect:
-                        arc_data = req + 1
+                    code = eacode[k]
+                    if code >= 0:
+                        ft = afill[code]
+                        arc_data = req + 1 if req + 1 > ft else ft
                     else:
-                        line = ealine[k]
-                        ways = arc_sets[easet[k]]
-                        ft = ways.pop(line, None)
-                        if ft is not None:
-                            ways[line] = ft
-                            arc_data = req + 1 if req + 1 > ft else ft
-                        else:
-                            ms_arc += 1
-                            if len(ways) >= a_assoc:
-                                del ways[next(iter(ways))]
-                            r_arcs += a_line
-                            # Inlined mem_req (hottest miss path).
-                            oldest = recent[rpos]
-                            issue = req if oldest + lat <= req else oldest + lat
-                            recent[rpos] = issue
-                            rpos += 1
-                            if rpos == mi:
-                                rpos = 0
-                            ft = issue + lat
-                            ways[line] = ft
-                            arc_data = ft
-                    aw[aw_pos] = arc_data
-                    aw_pos += 1
-                    if aw_pos == aw_depth:
-                        aw_pos = 0
+                        # Inlined mem_req (hottest miss path).
+                        issue = recent[0] + lat
+                        if issue < req:
+                            issue = req
+                        recent_append(issue)
+                        arc_data = issue + lat
+                        afill_append(arc_data)
+                    aw_append(arc_data)
                     pt = proc_time + 1
                     ad = arc_data + 1
                     proc_time = pt if pt > ad else ad
@@ -411,174 +496,95 @@ class TraceReplayer:
                         hash_ready = hs + hc
                     else:
                         r_overflow += OVERFLOW_ENTRY_BYTES
-                        done = mem_req(hs)
-                        hash_extra_cycles += done - hs
-                        hash_ready = done
-                    if eimp[k]:
-                        g = tw[tw_pos]
+                        hash_ready = mem_req(hs)
+                        hash_extra_cycles += hash_ready - hs
+                    code = etcode[k]
+                    if code != _SKIP:
+                        g = tw[0]
                         wslot = hash_ready if hash_ready > g else g
-                        if tperfect:
-                            tdone = wslot + 1
+                        if code >= 0:
+                            ft = tfill[code]
+                            tdone = wslot + 1 if wslot + 1 > ft else ft
                         else:
-                            line = tline[jimp]
-                            ways = token_sets[tset[jimp]]
-                            ft = ways.pop(line, None)
-                            if ft is not None:
-                                ways[line] = ft
-                                tdone = wslot + 1 if wslot + 1 > ft else ft
-                            else:
-                                ms_token += 1
-                                if len(ways) >= t_assoc:
-                                    del ways[next(iter(ways))]
-                                    wb_token += 1
-                                    w_tokens += t_line
-                                r_tokens += t_line
-                                ft = mem_req(wslot)
-                                ways[line] = ft
-                                tdone = ft
-                        jimp += 1
-                        tw[tw_pos] = tdone
-                        tw_pos += 1
-                        if tw_pos == tw_depth:
-                            tw_pos = 0
-                    k += 1
+                            tdone = mem_req(wslot)
+                            tfill_append(tdone)
+                        tw_append(tdone)
+                k = k_end
             ek = k
-            end = proc_time
-            if hash_ready > end:
-                end = hash_ready
-            drain = max(tw)
-            if drain > end:
-                end = drain
-            if cycle > end:
-                end = cycle
-            return end
+            return max(proc_time, hash_ready, max(tw), cycle)
 
         def run_eps(p: int, cycle: int) -> int:
-            nonlocal pk, jimp
-            nonlocal ms_state, ms_arc, ms_token, wb_token
-            nonlocal r_states, r_arcs, r_tokens, r_overflow, w_tokens
-            nonlocal hash_extra_cycles
-            e0 = eps_offsets[p]
-            e1 = eps_offsets[p + 1]
+            nonlocal pk, r_overflow, hash_extra_cycles
             proc_time = cycle
             hash_ready = cycle
-            sw = [0] * sw_depth
-            aw = [0] * aw_depth
-            tw = [0] * tw_depth
-            sw_pos = aw_pos = tw_pos = 0
+            sw = deque(sw_zero, len(sw_zero))
+            aw = deque(aw_zero, len(aw_zero))
+            tw = deque(tw_zero, len(tw_zero))
+            sw_append, aw_append, tw_append = sw.append, aw.append, tw.append
             arc_gate_last = -1
             issue_last = -1
             arc_avail: List[int] = []
+            arc_avail_append = arc_avail.append
             k = pk
-            for i in range(e0, e1):
-                src = zsrc[i]
+            s0 = eps_offsets[p]
+            s1 = eps_offsets[p + 1]
+            for src, code, n in zip(zsrc[s0:s1], zscode[s0:s1], zn[s0:s1]):
                 avail = cycle if src < 0 else arc_avail[src]
                 slot = avail if avail > issue_last else issue_last + 1
                 issue_last = slot
-                if zdirect[i]:
+                if code == _SKIP:
                     state_done = slot + 1
                 else:
-                    g = sw[sw_pos]
+                    g = sw[0]
                     start = slot if slot > g else g
-                    if sperfect:
-                        state_done = start + 1
+                    if code >= 0:
+                        ft = sfill[code]
+                        state_done = start + 1 if start + 1 > ft else ft
                     else:
-                        line = zsline[i]
-                        ways = state_sets[zsset[i]]
-                        ft = ways.pop(line, None)
-                        if ft is not None:
-                            ways[line] = ft
-                            state_done = start + 1 if start + 1 > ft else ft
-                        else:
-                            ms_state += 1
-                            if len(ways) >= s_assoc:
-                                del ways[next(iter(ways))]
-                            r_states += s_line
-                            ft = mem_req(start)
-                            ways[line] = ft
-                            state_done = ft
-                    sw[sw_pos] = state_done
-                    sw_pos += 1
-                    if sw_pos == sw_depth:
-                        sw_pos = 0
-                for _ in range(zn[i]):
-                    g = aw[aw_pos]
+                        state_done = mem_req(start)
+                        sfill_append(state_done)
+                    sw_append(state_done)
+                k_end = k + n
+                for k in range(k, k_end):
+                    g = aw[0]
                     req = state_done if state_done > g else g
                     if arc_gate_last >= req:
                         req = arc_gate_last + 1
                     arc_gate_last = req
-                    if aperfect:
-                        arc_data = req + 1
+                    code = zacode[k]
+                    if code >= 0:
+                        ft = afill[code]
+                        arc_data = req + 1 if req + 1 > ft else ft
                     else:
-                        line = zaline[k]
-                        ways = arc_sets[zaset[k]]
-                        ft = ways.pop(line, None)
-                        if ft is not None:
-                            ways[line] = ft
-                            arc_data = req + 1 if req + 1 > ft else ft
-                        else:
-                            ms_arc += 1
-                            if len(ways) >= a_assoc:
-                                del ways[next(iter(ways))]
-                            r_arcs += a_line
-                            ft = mem_req(req)
-                            ways[line] = ft
-                            arc_data = ft
-                    aw[aw_pos] = arc_data
-                    aw_pos += 1
-                    if aw_pos == aw_depth:
-                        aw_pos = 0
+                        arc_data = mem_req(req)
+                        afill_append(arc_data)
+                    aw_append(arc_data)
                     pt = proc_time + 1
                     ad = arc_data + 1
                     proc_time = pt if pt > ad else ad
-                    arc_avail.append(proc_time)
+                    arc_avail_append(proc_time)
                     hs = proc_time if proc_time > hash_ready else hash_ready
                     hc = zhc[k]
                     if hc > 0:
                         hash_ready = hs + hc
                     else:
                         r_overflow += OVERFLOW_ENTRY_BYTES
-                        done = mem_req(hs)
-                        hash_extra_cycles += done - hs
-                        hash_ready = done
-                    if zimp[k]:
-                        g = tw[tw_pos]
+                        hash_ready = mem_req(hs)
+                        hash_extra_cycles += hash_ready - hs
+                    code = ztcode[k]
+                    if code != _SKIP:
+                        g = tw[0]
                         wslot = hash_ready if hash_ready > g else g
-                        if tperfect:
-                            tdone = wslot + 1
+                        if code >= 0:
+                            ft = tfill[code]
+                            tdone = wslot + 1 if wslot + 1 > ft else ft
                         else:
-                            line = tline[jimp]
-                            ways = token_sets[tset[jimp]]
-                            ft = ways.pop(line, None)
-                            if ft is not None:
-                                ways[line] = ft
-                                tdone = wslot + 1 if wslot + 1 > ft else ft
-                            else:
-                                ms_token += 1
-                                if len(ways) >= t_assoc:
-                                    del ways[next(iter(ways))]
-                                    wb_token += 1
-                                    w_tokens += t_line
-                                r_tokens += t_line
-                                ft = mem_req(wslot)
-                                ways[line] = ft
-                                tdone = ft
-                        jimp += 1
-                        tw[tw_pos] = tdone
-                        tw_pos += 1
-                        if tw_pos == tw_depth:
-                            tw_pos = 0
-                    k += 1
+                            tdone = mem_req(wslot)
+                            tfill_append(tdone)
+                        tw_append(tdone)
+                k = k_end
             pk = k
-            end = proc_time
-            if hash_ready > end:
-                end = hash_ready
-            drain = max(tw)
-            if drain > end:
-                end = drain
-            if cycle > end:
-                end = cycle
-            return end
+            return max(proc_time, hash_ready, max(tw), cycle)
 
         # --- decode timeline -------------------------------------------
         frame_overhead = cfg.frame_overhead_cycles
@@ -597,12 +603,12 @@ class TraceReplayer:
                 posmap = posmaps[f]
                 read_done = {}
                 m0 = read_offsets[f]
-                states = trace.read_states[m0:read_offsets[f + 1]].tolist()
-                for i, s in enumerate(states):
+                walked = trace.read_states[m0:read_offsets[f + 1]].tolist()
+                for i, s in enumerate(walked):
                     if posmap.get(s, 0) > 0:
                         r_overflow += OVERFLOW_ENTRY_BYTES
                         read_done[i] = mem_req(fb + i)
-            cycle = run_emit(f, cycle, fb, read_done)
+            cycle = run_emit(f, cycle, read_done)
             cycle = run_eps(f + 1, cycle)
             if tb_win:
                 tb_pending += tb_group_writes[f + 1]
@@ -622,48 +628,47 @@ class TraceReplayer:
                     tb_retained = retained
             frame_cycles.append(cycle - fb)
 
-        # Flush of dirty token-record lines (CPU reads them to backtrack).
-        if not tperfect:
-            for ways in token_sets:
-                n = len(ways)
-                if n:
-                    wb_token += n
-                    w_tokens += n * t_line
-
         # --- assemble statistics ---------------------------------------
         stats = SimStats(frames=F)
         stats.cycles = cycle
         stats.frame_cycles = frame_cycles
         n_reads = len(trace.read_states)
         stats.tokens_read = n_reads
-        stats.tokens_written = n_improve
+        stats.tokens_written = token.accesses
         stats.arcs_processed = ne
         stats.epsilon_arcs_processed = nz
-        stats.states_fetched = fetched_total
-        stats.states_direct = direct_total
+        stats.states_fetched = state.accesses
+        stats.states_direct = len(states) - state.accesses
         stats.fp_adds = 2 * ne + nz
         stats.fp_compares = n_reads + ne + nz
         stats.acoustic_lookups = ne
-        stats.state_cache.accesses = fetched_total
-        stats.state_cache.misses = ms_state
+        stats.state_cache.accesses = state.accesses
+        stats.state_cache.misses = state.misses
         stats.arc_cache.accesses = ne + nz
-        stats.arc_cache.misses = ms_arc
-        stats.token_cache.accesses = n_improve
-        stats.token_cache.misses = ms_token
-        stats.token_cache.writebacks = wb_token
+        stats.arc_cache.misses = arc.misses
+        stats.token_cache.accesses = token.accesses
+        stats.token_cache.misses = token.misses
+        # Every token-record line is written, so each one evicted during
+        # the decode or flushed at its end (the CPU reads them to
+        # backtrack) is one write-back.
+        stats.token_cache.writebacks = token.writebacks
         stats.hash.requests = ne + nz
         stats.hash.total_cycles = hash_base_cycles + hash_extra_cycles
         stats.hash.collisions = hash_collisions
         stats.hash.overflows = hash_overflows
         for region, nbytes in (
-            ("states", r_states), ("arcs", r_arcs),
-            ("tokens", r_tokens), ("overflow", r_overflow),
+            ("states", state.misses * scc.line_bytes),
+            ("arcs", arc.misses * acc.line_bytes),
+            ("tokens", token.misses * tcc.line_bytes),
+            ("overflow", r_overflow),
             ("traceback", r_traceback),
         ):
             if nbytes:
                 stats.traffic.add(region, nbytes, write=False)
-        if w_tokens:
-            stats.traffic.add("tokens", w_tokens, write=True)
+        if token.writebacks:
+            stats.traffic.add(
+                "tokens", token.writebacks * tcc.line_bytes, write=True
+            )
         if w_traceback:
             stats.traffic.add("traceback", w_traceback, write=True)
 

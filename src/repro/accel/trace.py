@@ -227,6 +227,13 @@ class DecodeTrace:
     pruning: str = "beam"
     target_active: int = 0
 
+    #: What :class:`repro.accel.replay.TraceReplayer` derives from this
+    #: trace, each entry keyed by every parameter it depends on (REP003).
+    #: Scratch state of this object: never saved, compared or copied.
+    _replay_memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
     _ARRAYS = (
         "read_states", "read_offsets",
         "emit_states", "emit_first", "emit_n", "emit_read_idx",

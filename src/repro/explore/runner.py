@@ -10,10 +10,11 @@ returns rows ready for tables, JSON and CSV artifacts.
 
 This is the engine behind the ``bench_fig*`` / ``bench_ablation_*``
 parameter sweeps, ``examples/design_space.py`` and ``repro sweep``; a
-multi-point sweep costs one search plus one cheap replay per point
-instead of one full simulation per point
-(``benchmarks/bench_sweep_throughput.py`` gates the resulting >= 5x
-end-to-end win).
+multi-point sweep costs one search, one LRU outcome pass per distinct
+cache geometry and one cheap timing pass per point instead of one full
+simulation per point (the ``accel_sweep`` workload of ``benchmarks/e2e``
+measures how fast; ``tests/test_explore.py`` holds a sweep to ten
+independent simulator runs, cycle for cycle).
 """
 
 from __future__ import annotations

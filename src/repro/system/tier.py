@@ -51,6 +51,7 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import shutil
 import tempfile
 import threading
 import time
@@ -430,9 +431,10 @@ class ServingTier:
     """Route live decode sessions across a pool of worker shards.
 
     Construct from either an in-memory ``graph`` (materialised to an mmap
-    layout in a temporary directory) or a pre-materialised ``graph_dir``
-    (e.g. :meth:`repro.graph.cache.GraphCache.mmap_dir`).  Use as a
-    context manager, or call :meth:`shutdown` explicitly.
+    layout in a temporary directory that :meth:`shutdown` removes) or a
+    pre-materialised ``graph_dir`` (e.g.
+    :meth:`repro.graph.cache.GraphCache.mmap_dir`).  Use as a context
+    manager, or call :meth:`shutdown` explicitly.
 
     The synchronous methods are thread-safe; the ``a``-prefixed
     coroutines run them in a thread so an asyncio gateway can serve many
@@ -453,9 +455,38 @@ class ServingTier:
             raise ConfigError(
                 "construct ServingTier with exactly one of graph= or graph_dir="
             )
+        # The mmap layout of an in-memory graph lives in a directory this
+        # tier makes and therefore removes: in shutdown(), or right here
+        # when start-up fails.
+        self._graph_tmp: Optional[str] = None
         if graph is not None:
-            tmp = tempfile.mkdtemp(prefix="repro-tier-graph-")
-            graph_dir = save_graph_mmap(graph, os.path.join(tmp, "graph.mmap"))
+            self._graph_tmp = tempfile.mkdtemp(prefix="repro-tier-graph-")
+        try:
+            self._start(
+                graph, search_config, tier_config, graph_dir, clock, scorer
+            )
+        except BaseException:
+            self._remove_graph_tmp()
+            raise
+
+    def _remove_graph_tmp(self) -> None:
+        if self._graph_tmp is not None:
+            shutil.rmtree(self._graph_tmp, ignore_errors=True)
+            self._graph_tmp = None
+
+    def _start(
+        self,
+        graph: Optional[CompiledWfst],
+        search_config: DecoderConfig,
+        tier_config: TierConfig,
+        graph_dir: Optional[str],
+        clock: Callable[[], float],
+        scorer: Optional[DnnScorer],
+    ) -> None:
+        if graph is not None:
+            graph_dir = save_graph_mmap(
+                graph, os.path.join(self._graph_tmp, "graph.mmap")
+            )
         self.graph_dir = graph_dir
         self.tier_config = tier_config
         self.search_config = search_config
@@ -1087,7 +1118,7 @@ class ServingTier:
         The scoring thread drains first (shipping any still-pending
         feature chunks and their deferred closes), then the workers are
         stopped, then the front door unlinks the score-plane segments it
-        owns."""
+        owns and removes the graph directory it made, if any."""
         with self._score_cv:
             if self._shut_down:
                 return
@@ -1117,6 +1148,7 @@ class ServingTier:
                 if worker.ring is not None:
                     worker.ring.close()
                     worker.ring = None
+        self._remove_graph_tmp()
 
     def __enter__(self) -> "ServingTier":
         return self

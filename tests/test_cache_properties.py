@@ -1,11 +1,14 @@
-"""Property-based tests for the cache model against a reference LRU."""
+"""Property-based tests for the cache model against a reference LRU, and
+for the replayer's timing-free outcome pass against the cache model."""
 
 from collections import OrderedDict
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.accel import Cache, MemoryController, Region
 from repro.accel.config import CacheConfig
+from repro.accel.replay import MISS, lru_outcomes
 
 
 class ReferenceLru:
@@ -99,3 +102,59 @@ def test_lru_stack_property(addrs, shift):
         return cache.stats.misses
 
     assert misses(big) <= misses(small)
+
+
+# ----------------------------------------------------------------------
+# The replayer's outcome pass (repro.accel.replay.lru_outcomes) against
+# the timed cache model: same hits, same filling misses, same write-backs.
+# ----------------------------------------------------------------------
+#: (num_sets, assoc): direct-mapped, 2- and 4-way, one set, and more ways
+#: than the streams below have distinct lines (nothing is ever evicted).
+GEOMETRIES = [(8, 1), (4, 2), (4, 4), (1, 3), (2, 64)]
+
+line_streams = st.lists(st.integers(0, 40), min_size=0, max_size=250)
+time_steps = st.lists(st.integers(1, 400), min_size=250, max_size=250)
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_streams, time_steps, st.sampled_from(GEOMETRIES))
+def test_outcome_pass_matches_timed_cache(lines, steps, geometry):
+    num_sets, assoc = geometry
+    config = CacheConfig(size_bytes=num_sets * assoc * 64, assoc=assoc)
+    assert config.num_sets == num_sets
+    # A DRAM so slow that no fill ever lands: a hit then returns the fill
+    # time of the miss that brought its line in, which names that miss.
+    memory = MemoryController(latency_cycles=10**9, max_inflight=len(lines) + 1)
+    cache = Cache(config, memory, Region.TOKENS)
+
+    outcome = lru_outcomes(np.array(lines, dtype=np.int64), num_sets, assoc)
+    assert len(outcome.src) == len(lines)
+
+    fills = []  # completion time of each miss, in miss order
+    time = 0
+    for line, step, src in zip(lines, steps, outcome.src.tolist()):
+        time += step  # arbitrary, strictly increasing issue times
+        done, hit = cache.access(time, line * 64, write=True)
+        assert hit == (src != MISS)
+        if hit:
+            assert done == fills[src], "hit waits on a different miss's fill"
+        else:
+            fills.append(done)
+
+    assert outcome.misses == len(fills) == cache.stats.misses
+    # Every line was written, so each eviction wrote one back and the
+    # end-of-decode flush writes back whatever is still resident.
+    assert outcome.evictions == cache.stats.writebacks
+    assert outcome.resident == cache.flush_dirty(time)
+
+
+@settings(max_examples=30, deadline=None)
+@given(line_streams, st.sampled_from(GEOMETRIES))
+def test_outcome_pass_matches_reference_lru(lines, geometry):
+    num_sets, assoc = geometry
+    ref = ReferenceLru(num_sets, assoc, line=1)
+    outcome = lru_outcomes(np.array(lines, dtype=np.int64), num_sets, assoc)
+    assert [src != MISS for src in outcome.src.tolist()] == [
+        ref.access(line) for line in lines
+    ]
+    assert outcome.resident == sum(len(ways) for ways in ref.sets)

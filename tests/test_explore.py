@@ -89,14 +89,21 @@ class TestGrid:
 
 class TestRunner:
     def test_sweep_matches_independent_simulations(self, workload):
+        """Ten configurations -- five Arc-cache capacities with and
+        without prefetching, the Figure 4 / Section IV-A axes -- priced by
+        one cold sweep with the auto-sized process fan-out, against ten
+        runs of the monolithic simulator."""
         grid = ParameterGrid(
             [
-                ("arc_cache.size_bytes", [64 * 1024, 256 * 1024]),
+                ("arc_cache.size_bytes",
+                 [kib * 1024 for kib in (4, 16, 64, 256, 1024)]),
                 ("prefetch_enabled", [False, True]),
             ]
         )
-        result = SweepRunner(workload).run(grid)
-        assert len(result) == 4
+        result = SweepRunner(
+            workload, trace_cache=TraceCache(), processes=None
+        ).run(grid)
+        assert len(result) == 10
         assert result.trace_recordings == 1  # one layout, one beam
         for point in result.points:
             sim = AcceleratorSimulator(

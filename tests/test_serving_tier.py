@@ -8,6 +8,8 @@ of the fleet undisturbed.
 """
 
 import asyncio
+import os
+import tempfile
 from collections import deque
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.common.errors import (
 )
 from repro.decoder import BatchDecoder, BeamSearchConfig
 from repro.system import ServingTier, TierConfig
+from repro.system import tier as tier_module
 from repro.system.score_ring import ScorePlaneRing
 from repro.system.server import ServerConfig, StreamingServer
 from repro.system.tier import _worker_main
@@ -391,6 +394,46 @@ class TestErrors:
         with pytest.raises(TierError, match="shut down"):
             tier.open_session()
         tier.shutdown()  # idempotent
+
+
+class TestGraphDirectory:
+    """``ServingTier(graph=...)`` removes the mmap directory it makes."""
+
+    @pytest.fixture()
+    def temp_root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_removed_at_shutdown(self, small_task, config, temp_root):
+        with make_tier(small_task, config, num_workers=1) as tier:
+            made = list(temp_root.glob("repro-tier-graph-*"))
+            assert len(made) == 1
+            assert tier.graph_dir.startswith(str(made[0]))
+            sid = tier.open_session()
+            tier.push(sid, small_task.utterances[0].scores)
+            tier.close_input(sid)
+            assert tier.result(sid, timeout=60).ok
+        assert list(temp_root.glob("repro-tier-graph-*")) == []
+
+    def test_removed_when_start_up_fails(
+        self, small_task, config, temp_root, monkeypatch
+    ):
+        def full_disk(graph, path):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(tier_module, "save_graph_mmap", full_disk)
+        with pytest.raises(OSError):
+            make_tier(small_task, config, num_workers=1)
+        assert list(temp_root.glob("repro-tier-graph-*")) == []
+
+    def test_a_callers_graph_dir_is_left_alone(
+        self, small_task, config, tmp_path
+    ):
+        graph_dir = save_graph_mmap(small_task.graph, str(tmp_path / "g.mmap"))
+        with ServingTier(graph_dir=graph_dir, search_config=config,
+                         tier_config=TierConfig(num_workers=1)):
+            pass
+        assert os.path.isdir(graph_dir)
 
 
 class TestAsyncFrontDoor:

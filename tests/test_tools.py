@@ -1,9 +1,12 @@
-"""Tests for the CI helper tools (tools/perf_report.py, tools/check_docs.py)."""
+"""Tests for the CI helper tools (tools/perf_report.py, tools/check_docs.py,
+benchmarks/run_all.py's command line)."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -185,3 +188,20 @@ class TestPydocImportability:
 
     def test_real_repo_links_resolve(self):
         assert check_docs.check_markdown_links(str(REPO_ROOT)) == []
+
+
+# ----------------------------------------------------------------------
+# benchmarks/run_all.py
+# ----------------------------------------------------------------------
+class TestRunAllCommandLine:
+    def test_help_runs_from_a_fresh_checkout(self, tmp_path):
+        """``python benchmarks/run_all.py`` finds ``repro`` by itself: no
+        ``PYTHONPATH``, no installed package, any working directory."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "benchmarks" / "run_all.py"),
+             "--help"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "--quick" in done.stdout

@@ -14,6 +14,7 @@ layout at several comparator counts.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, SimulationError
@@ -89,21 +90,22 @@ def workload():
     )
 
 
+def fresh_recorder(workload, graph=None):
+    return TraceRecorder(
+        graph if graph is not None else workload.graph,
+        beam=workload.beam, max_active=workload.max_active,
+    )
+
+
 @pytest.fixture(scope="module")
 def traces(workload):
-    recorder = TraceRecorder(
-        workload.graph, beam=workload.beam, max_active=workload.max_active
-    )
+    recorder = fresh_recorder(workload)
     return [recorder.record(s) for s in workload.scores]
 
 
 @pytest.fixture(scope="module")
 def sorted_traces(workload):
-    recorder = TraceRecorder(
-        workload.sorted_graph.graph,
-        beam=workload.beam,
-        max_active=workload.max_active,
-    )
+    recorder = fresh_recorder(workload, workload.sorted_graph.graph)
     return [recorder.record(s) for s in workload.scores]
 
 
@@ -238,3 +240,110 @@ class TestTraceContract:
 
         with pytest.raises(SimulationError):
             DecodeTrace.load(path)
+
+
+class TestSharedTraceMemo:
+    """Everything the replayer memoises on a trace is keyed by all of its
+    inputs (REP003): a trace priced under many configurations, in any
+    order, prices each exactly as a freshly recorded trace would."""
+
+    #: Shaped like ``benchmarks/e2e``'s ``ACCEL_GRID`` (6 Arc-cache sizes
+    #: x prefetch off/on x 2 State-cache sizes), scaled to this graph.
+    GRID = [
+        replace(
+            BASE,
+            arc_cache=CacheConfig(arc_kib * 1024, 4),
+            prefetch_enabled=prefetch,
+            state_cache=CacheConfig(state_kib * 1024, 4),
+        )
+        for arc_kib in (1, 2, 4, 8, 16, 32)
+        for prefetch in (False, True)
+        for state_kib in (1, 4)
+    ]
+    #: Smallest / largest Arc cache x prefetch off / on.
+    ORACLE_POINTS = (0, 2, 20, 22)
+    #: Branches the grid does not reach, kept covered on the shared trace.
+    EXTRAS = [
+        replace(BASE, arc_cache=replace(BASE.arc_cache, perfect=True)),
+        CONFIGS["tiny-hash-overflow"],
+    ]
+
+    @pytest.fixture(scope="class")
+    def alone(self, workload):
+        """Every point priced alone, on a trace nothing else touched."""
+        recorder = fresh_recorder(workload)
+        return [
+            TraceReplayer(workload.graph, config).replay(
+                recorder.record(workload.scores[0])
+            )
+            for config in self.GRID + self.EXTRAS
+        ]
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    def test_pricing_order_does_not_matter(self, workload, alone, order):
+        configs = self.GRID + self.EXTRAS
+        indices = list(range(len(configs)))
+        if order == "reversed":
+            indices.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(16).shuffle(indices)
+        shared = fresh_recorder(workload).record(workload.scores[0])
+        for index in indices:
+            result = TraceReplayer(workload.graph, configs[index]).replay(shared)
+            # SimStats equality covers frame_cycles, every traffic region
+            # and token_cache.writebacks.
+            assert_results_identical(alone[index], result)
+
+    def test_priced_alone_matches_the_simulator(self, workload, alone):
+        configs = self.GRID + self.EXTRAS
+        extras = range(len(self.GRID), len(configs))
+        for index in (*self.ORACLE_POINTS, *extras):
+            sim = AcceleratorSimulator(
+                workload.graph, configs[index], beam=workload.beam,
+                max_active=workload.max_active,
+            )
+            assert_results_identical(
+                sim.decode(workload.scores[0]), alone[index]
+            )
+        overflowing = alone[-1].stats
+        assert overflowing.hash.overflows > 0
+        assert overflowing.traffic.region_bytes("overflow") > 0
+
+    def test_equal_sets_and_lines_but_different_ways(self, workload):
+        """32 sets of 64-byte lines, 2 against 4 ways: the outcome memo
+        must tell them apart."""
+        two_way = replace(BASE, arc_cache=CacheConfig(4 * 1024, 2))
+        four_way = replace(BASE, arc_cache=CacheConfig(8 * 1024, 4))
+        assert two_way.arc_cache.num_sets == four_way.arc_cache.num_sets
+        recorder = fresh_recorder(workload)
+        shared = recorder.record(workload.scores[0])
+        results = []
+        for config in (two_way, four_way):
+            replayer = TraceReplayer(workload.graph, config)
+            results.append(replayer.replay(shared))
+            assert_results_identical(
+                replayer.replay(recorder.record(workload.scores[0])),
+                results[-1],
+            )
+        assert (
+            results[0].stats.arc_cache.misses
+            > results[1].stats.arc_cache.misses
+        )
+
+    def test_flat_and_direct_lookup_state_cache_share_a_trace(self, workload):
+        """One sorted-layout trace priced with every state fetched and
+        with the Section IV-B boundary: different State-cache streams."""
+        sorted_graph = workload.sorted_graph
+        recorder = fresh_recorder(workload, sorted_graph.graph)
+        flat = TraceReplayer(sorted_graph.graph, BASE)
+        direct = TraceReplayer(
+            workload.graph, BASE.with_state_direct(), sorted_graph=sorted_graph
+        )
+        shared = recorder.record(workload.scores[0])
+        for replayer in (flat, direct, flat):
+            assert_results_identical(
+                replayer.replay(recorder.record(workload.scores[0])),
+                replayer.replay(shared),
+            )
+        assert flat.replay(shared).stats.states_direct == 0
+        assert direct.replay(shared).stats.states_direct > 0
