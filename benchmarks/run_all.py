@@ -12,8 +12,7 @@ only the benches that share the cached standard comparison.
 ``--quick`` is the CI smoke gate: tiny configurations that finish in
 seconds, a decoder-consistency check across every platform, the batch
 vs reference engine benchmark, the continuous-batching streaming
-session benchmark, the sharded serving tier under a bursty session
-load, the kernel-observer lattice benchmark and the long-stream
+session benchmark, the kernel-observer lattice benchmark and the long-stream
 traceback-memory gate (flat windowed growth, faster partials, output
 identical to one-shot).  Results land in
 ``benchmarks/results/quick_summary.json`` (uploaded as a CI artifact) plus a normalized ``benchmarks/results/trajectory.json`` --
@@ -51,7 +50,6 @@ def run_quick() -> int:
     from benchmarks import bench_graph_compile as bench_graph
     from benchmarks import bench_kernel_backends as bench_backends
     from benchmarks import bench_lattice_throughput as bench_lattice
-    from benchmarks import bench_serving_tier as bench_tier
     from benchmarks import bench_streaming_sessions as bench_stream
     from benchmarks import bench_traceback_memory as bench_traceback
     from repro.datasets import SyntheticGraphConfig
@@ -123,23 +121,6 @@ def run_quick() -> int:
             )
         return result
 
-    def serving_tier():
-        result = bench_tier.run_serving_tier(quick=True)
-        bench_tier._report(result)
-        if result["sessions_rejected"] or result["pushes_shed"]:
-            raise AssertionError(
-                f"serving tier shed work below the admission limit "
-                f"({result['sessions_rejected']} joins, "
-                f"{result['pushes_shed']} pushes)"
-            )
-        if result["speedup"] < result["speedup_target"]:
-            gate = "parallel" if result["parallel_gate"] else "single-core"
-            raise AssertionError(
-                f"serving-tier speedup {result['speedup']:.2f}x below the "
-                f"{result['speedup_target']:.2f}x {gate} gate"
-            )
-        return result
-
     def acoustic_scoring():
         result = bench_acoustic.run_acoustic_scoring(quick=True)
         bench_acoustic._report(result)
@@ -206,7 +187,6 @@ def run_quick() -> int:
     step("graph_compile_quick", graph_compile)
     step("batch_throughput_quick", batch_throughput)
     step("streaming_sessions_quick", streaming_sessions)
-    step("serving_tier_quick", serving_tier)
     step("acoustic_scoring_quick", acoustic_scoring)
     step("kernel_backends_quick", kernel_backends)
     step("lattice_throughput_quick", lattice_throughput)
@@ -228,7 +208,6 @@ def run_quick() -> int:
 _TRAJECTORY_FPS_KEYS = {
     "batch_throughput_quick": "batch_frames_per_second",
     "streaming_sessions_quick": "concurrent_frames_per_second",
-    "serving_tier_quick": "tier_frames_per_second",
     "acoustic_scoring_quick": "scored_frames_per_second",
     "kernel_backends_quick": "fused_frames_per_second",
     "lattice_throughput_quick": "kernel_frames_per_second",

@@ -71,7 +71,7 @@ from repro.system import (
     make_memory_workload,
     run_platform_comparison,
 )
-from repro.wfst import load_any_graph, save_wfst, sort_states_by_arc_count
+from repro.wfst import load_graph_mmap, save_graph_mmap, sort_states_by_arc_count
 
 CONFIG_NAMES = ("base", "state", "arc", "both")
 
@@ -100,10 +100,10 @@ def _add_task_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_graph_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", metavar="PATH",
-                        help="decode a pre-compiled graph artifact "
-                             "(npz graph or bundle from 'repro compile "
-                             "--output') instead of the task's own; must "
+    parser.add_argument("--graph", metavar="DIR",
+                        help="decode a pre-compiled graph (the mmap "
+                             "layout directory 'repro compile --output' "
+                             "writes) instead of the task's own; must "
                              "have been compiled from the same recipe for "
                              "meaningful WER")
     parser.add_argument("--graph-cache", default=DEFAULT_GRAPH_CACHE,
@@ -132,7 +132,7 @@ def _task_config(args: argparse.Namespace) -> TaskConfig:
 def _build_task(args: argparse.Namespace):
     """The task of ``args``: compiled through the cache, or, with
     ``--graph``, generated around a pre-compiled graph (no compile)."""
-    graph = load_any_graph(args.graph) if getattr(args, "graph", None) else None
+    graph = load_graph_mmap(args.graph) if getattr(args, "graph", None) else None
     return generate_task(
         _task_config(args), graph_cache=_graph_cache(args), graph=graph
     )
@@ -213,16 +213,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
         print(f"cache: {cache.directory} "
               f"({cache.hits} hit(s), {cache.compiles} compile(s))")
     if args.output:
-        from repro.wfst import save_graph_bundle
-
-        save_graph_bundle(
-            graph,
-            args.output,
-            fingerprint=graph.fingerprint(),
-            recipe=recipe.to_dict(),
-            passes=[p.to_dict() for p in artifact.passes],
-        )
-        print(f"artifact bundle written to {args.output}")
+        save_graph_mmap(graph, args.output, provenance=artifact.provenance())
+        print(f"artifact written to {args.output}")
     return 0
 
 
@@ -232,7 +224,7 @@ def cmd_build_task(args: argparse.Namespace) -> int:
           f"{task.graph.num_states} states / {task.graph.num_arcs} arcs "
           f"({task.graph.total_size_bytes / 1024:.0f} KB)")
     if args.output:
-        save_wfst(task.graph, args.output)
+        save_graph_mmap(task.graph, args.output)
         print(f"graph written to {args.output}")
     return 0
 
@@ -586,7 +578,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         graph_config=SyntheticGraphConfig(
             num_states=args.states, num_phones=50, seed=args.seed
         ),
-        graph=load_any_graph(args.graph) if args.graph else None,
+        graph=load_graph_mmap(args.graph) if args.graph else None,
         graph_cache=_graph_cache(args),
     )
     if args.param:
@@ -677,13 +669,16 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="graph_cache", metavar="DIR|none",
                    help=f"artifact cache directory (default "
                         f"{DEFAULT_GRAPH_CACHE}; 'none' disables)")
-    p.add_argument("--output", help="write the artifact bundle (npz)")
+    p.add_argument("--output", metavar="DIR",
+                   help="write the artifact (mmap layout directory with "
+                        "the recipe and pass statistics in its meta.json)")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("build-task", help="generate a synthetic ASR task")
     _add_task_args(p)
     _add_graph_args(p)
-    p.add_argument("--output", help="write the compiled graph (npz)")
+    p.add_argument("--output", metavar="DIR",
+                   help="write the compiled graph (mmap layout directory)")
     p.set_defaults(func=cmd_build_task)
 
     p = sub.add_parser("decode", help="decode with the software decoder")
@@ -787,9 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "configurations")
     p.add_argument("--processes", type=int, default=None,
                    help="replay worker processes (default: CPU count)")
-    p.add_argument("--graph", metavar="PATH",
-                   help="sweep over a pre-compiled graph artifact instead "
-                        "of synthesizing one (npz graph or bundle)")
+    p.add_argument("--graph", metavar="DIR",
+                   help="sweep over a pre-compiled graph instead of "
+                        "synthesizing one (mmap layout directory)")
     p.add_argument("--graph-cache", default=DEFAULT_GRAPH_CACHE,
                    dest="graph_cache", metavar="DIR|none",
                    help=f"compiled-graph artifact cache (default "

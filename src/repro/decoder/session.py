@@ -69,10 +69,6 @@ def chunk_matrix(chunk: Chunk) -> np.ndarray:
     return matrix
 
 
-#: Backwards-compatible alias (pre-tier name).
-_chunk_matrix = chunk_matrix
-
-
 class DecodeSession:
     """One utterance's resumable search state on a shared engine.
 
@@ -142,7 +138,7 @@ class DecodeSession:
 
     def push(self, chunk: Chunk) -> int:
         """Advance by a chunk of frames; returns the number consumed."""
-        matrix = _chunk_matrix(chunk)
+        matrix = chunk_matrix(chunk)
         for row in matrix:
             self.push_frame(row)
         return len(matrix)

@@ -2,32 +2,33 @@
 
 Every :class:`~repro.graph.recipe.GraphRecipe` fingerprints to a stable
 content address (recipe fields + compiler version), and :class:`GraphCache`
-stores the compiled artifact under it -- in memory always, and as a
-versioned ``.npz`` graph bundle (:func:`repro.wfst.io.save_graph_bundle`)
-when a directory is configured.  Properties:
+stores the compiled artifact under it -- in memory always, and as an mmap
+layout directory with the compiler provenance in its ``meta.json``
+(:func:`repro.wfst.io.save_graph_mmap`) when a directory is configured.
+Properties:
 
 * within a process, every consumer of the same recipe shares one compile;
 * across processes/runs, a disk directory makes compilation a one-time
   cost per recipe (``benchmarks/bench_graph_compile.py`` gates the warm
-  load at >= 5x a cold compile);
+  load at >= 5x a cold compile), and a warm hit hands out read-only
+  memory maps of the one on-disk copy, which serving-tier workers map too
+  (:meth:`GraphCache.mmap_dir`);
 * invalidation is automatic: any recipe or compiler-version change moves
-  the address, and stale files are simply never addressed again (the
-  directory can be deleted at any time; bundles additionally embed a
-  format version, so archives from an incompatible schema are re-compiled
-  rather than misread).
+  the address, and stale entries are simply never addressed again (the
+  directory can be deleted at any time; layouts additionally embed a
+  format version, so an entry from an incompatible schema, like a torn
+  one, is re-compiled and replaced rather than misread).
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
-import zipfile
 from typing import Dict, Optional
 
-from repro.common.errors import GraphError
+from repro.common.errors import ConfigError, GraphError
 from repro.graph.compiler import GraphArtifact, GraphCompiler, PassStats
 from repro.graph.recipe import GraphRecipe
-from repro.wfst.io import load_graph_bundle, save_graph_bundle, save_graph_mmap
+from repro.wfst.io import load_graph_meta, load_graph_mmap, save_graph_mmap
 
 #: Default on-disk artifact store of the CLI commands (content-addressed;
 #: safe to delete at any time -- see docs/ARCHITECTURE.md).
@@ -40,9 +41,9 @@ class GraphCache:
     """In-memory (and optionally on-disk) store of compiled graph artifacts.
 
     Args:
-        directory: optional directory for persistent bundle files.
-            Created on first write.  ``None`` keeps artifacts in memory
-            only.
+        directory: optional directory for persistent entries (one mmap
+            layout per recipe).  Created on first write.  ``None`` keeps
+            artifacts in memory only.
         compiler: the compiler used on a miss (defaults to a fresh
             :class:`GraphCompiler`).
     """
@@ -57,7 +58,6 @@ class GraphCache:
         )
         self.compiler = compiler or GraphCompiler()
         self._memory: Dict[str, GraphArtifact] = {}
-        self._tmp_root: Optional[str] = None
         self.compiles = 0  #: pipelines actually executed
         self.hits = 0      #: lookups satisfied without compiling
 
@@ -75,36 +75,28 @@ class GraphCache:
         else:
             artifact = self.compiler.compile(recipe)
             self.compiles += 1
-            self._store_to_disk(artifact)
+            if self.directory is not None:
+                self._store_to_disk(artifact)
         self._memory[key] = artifact
         return artifact
 
     def mmap_dir(self, recipe: GraphRecipe) -> str:
-        """The mmap layout directory for ``recipe``'s artifact.
+        """The on-disk entry of ``recipe``'s artifact, an mmap layout every
+        serving-tier worker can map (``ServingTier(graph_dir=...)``).
 
-        Compiles (or cache-loads) the artifact, then materialises it as an
-        uncompressed ``.npy`` directory (:func:`repro.wfst.io.save_graph_mmap`)
-        under the same content address, so every serving-tier worker can
-        memory-map one shared copy of the graph.  A memory-only cache
-        materialises into a per-cache temporary directory instead.
+        Compiles or loads the artifact through :meth:`get`, and writes the
+        entry again should it have been deleted since.
+
+        Raises:
+            ConfigError: for a memory-only cache, which has no entries.
         """
-        artifact = self.get(recipe)
-        if self.directory is not None:
-            os.makedirs(self.directory, exist_ok=True)
-            root = self.directory
-        else:
-            if self._tmp_root is None:
-                self._tmp_root = tempfile.mkdtemp(prefix="repro-graph-mmap-")
-            root = self._tmp_root
-        return save_graph_mmap(
-            artifact.graph,
-            os.path.join(root, f"{artifact.fingerprint}.graph.mmap"),
-            fingerprint=artifact.graph.fingerprint(),
-        )
+        return self._store_to_disk(self.get(recipe))
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.graph.npz")
+        if self.directory is None:
+            raise ConfigError("a memory-only GraphCache has no on-disk entries")
+        return os.path.join(self.directory, f"{key}.graph.mmap")
 
     def _load_from_disk(
         self, recipe: GraphRecipe, key: str
@@ -112,43 +104,29 @@ class GraphCache:
         if self.directory is None:
             return None
         path = self._path(key)
-        if not os.path.exists(path):
-            return None
         try:
-            graph, meta = load_graph_bundle(path)
-        except (GraphError, OSError, KeyError, ValueError,
-                zipfile.BadZipFile, EOFError):
-            # Stale schema or a torn write (np.load raises BadZipFile for
-            # a truncated archive, EOFError for an empty one): fall back
-            # to re-compiling.
+            graph = load_graph_mmap(path)
+            passes = load_graph_meta(path).get("passes", [])
+        except GraphError:
+            # Absent, torn, or another format version: compile, and let
+            # the store replace whatever is there.
             return None
         return GraphArtifact(
             recipe=recipe,
             fingerprint=key,
             graph=graph,
-            passes=tuple(
-                PassStats.from_dict(p) for p in meta.get("passes", [])
-            ),
+            passes=tuple(PassStats.from_dict(p) for p in passes),
             compile_seconds=0.0,
             source="disk",
         )
 
-    def _store_to_disk(self, artifact: GraphArtifact) -> None:
-        if self.directory is None:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        # Write-then-rename so an interrupted or concurrent store never
-        # leaves a torn file at a valid content address.
-        path = self._path(artifact.fingerprint)
-        tmp = f"{path}.{os.getpid()}.tmp.npz"
-        save_graph_bundle(
+    def _store_to_disk(self, artifact: GraphArtifact) -> str:
+        return save_graph_mmap(
             artifact.graph,
-            tmp,
+            self._path(artifact.fingerprint),
             fingerprint=artifact.graph.fingerprint(),
-            recipe=artifact.recipe.to_dict(),
-            passes=[p.to_dict() for p in artifact.passes],
+            provenance=artifact.provenance(),
         )
-        os.replace(tmp, path)
 
 
 def compile_graph(

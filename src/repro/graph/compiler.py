@@ -93,7 +93,8 @@ class GraphArtifact:
             (preserved through the on-disk cache).
         compile_seconds: wall time of that compile.
         source: where this instance came from: ``"compiled"``,
-            ``"memory"`` (cache hit) or ``"disk"`` (bundle load).
+            ``"memory"`` (cache hit) or ``"disk"`` (mapped from the
+            on-disk cache).
         lexicon / lm / corpus: the intermediate models and training
             corpus of a *fresh* composed compile; ``None`` after a cache
             load (consumers that need them regenerate deterministically
@@ -114,6 +115,14 @@ class GraphArtifact:
     def flat(self) -> FlatLayout:
         """The Structure-of-Arrays decode view (lazily built, shared)."""
         return self.graph.flat()
+
+    def provenance(self) -> Dict[str, Any]:
+        """What :func:`repro.wfst.io.save_graph_mmap` stores in the
+        layout's ``meta.json`` next to the graph (JSON-serialisable)."""
+        return {
+            "recipe": self.recipe.to_dict(),
+            "passes": [p.to_dict() for p in self.passes],
+        }
 
     def sorted_graph(
         self, max_direct_arcs: Optional[int] = None

@@ -59,14 +59,10 @@ class ServerConfig:
             :class:`~repro.common.errors.AdmissionError` once this many
             sessions are live (0 = unlimited).  The sharded tier uses it
             to bound each worker's sweep queue.
-        fused: advance the sweep's sessions in one fused numpy pass
-            (False falls back to per-session pushes -- same results,
-            useful for benchmarking the fusion win).
     """
 
     max_batch: int = 64
     max_sessions: int = 0
-    fused: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -402,11 +398,7 @@ class StreamingServer:
                 enqueued_at.append(t_enq)
                 self._live.move_to_end(live.stats.session_id)
             t0 = self._clock()
-            if self.server_config.fused:
-                advance_sessions(pairs)
-            else:
-                for session, row in pairs:
-                    session.push_frame(row)
+            advance_sessions(pairs)
             elapsed = self._clock() - t0
             share = elapsed / len(ready)
             for live, t_enq in zip(ready, enqueued_at):

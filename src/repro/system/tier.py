@@ -13,9 +13,9 @@ server-workload discussion assumes around the accelerator:
   with a typed :class:`~repro.common.errors.BackpressureError`), and
   routes every session **with affinity** to one shard: all of a
   session's chunks decode on the worker that admitted it, so streaming
-  state never migrates.  Every method has an ``asyncio`` twin
-  (:meth:`ServingTier.aopen_session` etc.) so an async gateway can drive
-  the tier without blocking its event loop.
+  state never migrates.  The methods are thread-safe, so an async
+  gateway keeps its event loop free by awaiting
+  ``asyncio.to_thread(tier.push, sid, chunk)`` and the like.
 * **shards** -- ``num_workers`` processes, each running a
   :class:`StreamingServer` doing fused continuous-batching sweeps over
   its sessions.  Workers load the graph from an **mmap layout**
@@ -46,7 +46,6 @@ anchor of ``benchmarks/bench_serving_tier.py`` and
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import multiprocessing
 import os
@@ -432,13 +431,14 @@ class ServingTier:
 
     Construct from either an in-memory ``graph`` (materialised to an mmap
     layout in a temporary directory that :meth:`shutdown` removes) or a
-    pre-materialised ``graph_dir`` (e.g.
-    :meth:`repro.graph.cache.GraphCache.mmap_dir`).  Use as a context
-    manager, or call :meth:`shutdown` explicitly.
+    ``graph_dir`` that already holds one (a disk
+    :class:`~repro.graph.cache.GraphCache` entry, from its ``mmap_dir``,
+    or ``repro compile --output``).  Use as a context manager, or call
+    :meth:`shutdown` explicitly.
 
-    The synchronous methods are thread-safe; the ``a``-prefixed
-    coroutines run them in a thread so an asyncio gateway can serve many
-    connections over one tier without blocking its loop.
+    The methods are thread-safe; an asyncio gateway serves many
+    connections over one tier without blocking its loop by running them
+    through ``asyncio.to_thread``.
     """
 
     def __init__(
@@ -1014,28 +1014,6 @@ class ServingTier:
         """Drain any queued worker replies without blocking."""
         with self._lock:
             self._pump()
-
-    # ------------------------------------------------------------------
-    # Asyncio front door
-    # ------------------------------------------------------------------
-    async def aopen_session(self, mode: str = "scores") -> int:
-        return await asyncio.to_thread(self.open_session, mode)
-
-    async def apush(self, session_id: int, chunk: Chunk) -> int:
-        return await asyncio.to_thread(self.push, session_id, chunk)
-
-    async def apush_features(
-        self, session_id: int, features: np.ndarray
-    ) -> int:
-        return await asyncio.to_thread(self.push_features, session_id, features)
-
-    async def aclose_input(self, session_id: int) -> None:
-        await asyncio.to_thread(self.close_input, session_id)
-
-    async def aresult(
-        self, session_id: int, timeout: Optional[float] = None
-    ) -> SessionRecord:
-        return await asyncio.to_thread(self.result, session_id, timeout)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -21,15 +21,7 @@ from repro.wfst.layout import (
     StateRecord,
 )
 from repro.wfst.sorted_layout import SortedWfst, sort_states_by_arc_count
-from repro.wfst.io import (
-    load_any_graph,
-    load_graph_bundle,
-    load_graph_mmap,
-    load_wfst,
-    save_graph_bundle,
-    save_graph_mmap,
-    save_wfst,
-)
+from repro.wfst.io import load_graph_meta, load_graph_mmap, save_graph_mmap
 from repro.wfst.shortest import best_complete_path_score, shortest_distance
 from repro.wfst.epsilon_removal import count_epsilon_arcs, remove_epsilons
 
@@ -50,13 +42,9 @@ __all__ = [
     "STATE_BYTES",
     "SortedWfst",
     "sort_states_by_arc_count",
-    "save_wfst",
-    "load_wfst",
-    "save_graph_bundle",
-    "load_graph_bundle",
     "save_graph_mmap",
     "load_graph_mmap",
-    "load_any_graph",
+    "load_graph_meta",
     "best_complete_path_score",
     "shortest_distance",
     "count_epsilon_arcs",

@@ -1,35 +1,33 @@
 """Serialisation of compiled decoding graphs (the Section III dataset the
 accelerator walks, persisted in its packed binary layout).
 
-Three on-disk formats live here, all holding the packed arrays unchanged
-so a load/save round trip is bit-exact:
+There is one on-disk format, the **mmap layout**
+(:func:`save_graph_mmap` / :func:`load_graph_mmap`): a directory of
+uncompressed ``.npy`` files, one per packed array, plus a ``meta.json``
+holding the format version, the start state, the graph's content
+fingerprint and -- when the writer supplies it -- the compiler provenance
+(``recipe`` and per-pass ``passes``; :func:`load_graph_meta` reads it
+back).  The arrays are stored unchanged, so a save/load round trip is
+bit-exact, and because nothing is compressed every consumer -- the
+content-addressed graph cache (:mod:`repro.graph.cache`), the CLI's
+``--output`` / ``--graph``, every worker process of the serving tier
+(:mod:`repro.system.tier`) -- can ``np.load(..., mmap_mode="r")`` them: the
+OS page cache shares one physical copy of the graph across processes.
 
-* **plain graphs** (:func:`save_wfst` / :func:`load_wfst`) -- just the
-  packed arrays plus a format version, in one ``.npz`` archive;
-* **graph bundles** (:func:`save_graph_bundle` / :func:`load_graph_bundle`)
-  -- a plain graph extended with compiler provenance: the recipe that
-  produced it, its content fingerprint and the per-pass statistics.  This
-  is the artifact format of the content-addressed graph cache
-  (:mod:`repro.graph.cache`);
-* **mmap layouts** (:func:`save_graph_mmap` / :func:`load_graph_mmap`) --
-  a directory of uncompressed ``.npy`` files, one per packed array, plus a
-  ``meta.json``.  Because nothing is compressed, every worker process of
-  the serving tier (:mod:`repro.system.tier`) can ``np.load(...,
-  mmap_mode="r")`` the arrays, so the OS page cache shares one physical
-  copy of the graph across the whole worker pool.
-
-All entry points accept ``str`` or :class:`pathlib.Path` and raise
-:class:`~repro.common.errors.GraphError` on missing files or format-version
-mismatches, so callers handle one exception type for every load failure.
+All entry points accept ``str`` or :class:`pathlib.Path`, and the loaders
+raise :class:`~repro.common.errors.GraphError` on a missing or torn layout
+or a format-version mismatch, so callers handle one exception type for
+every load failure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 import numpy as np
 
@@ -38,137 +36,10 @@ from repro.wfst.layout import CompiledWfst
 
 PathLike = Union[str, Path]
 
-_FORMAT_VERSION = 1
-#: Version of the bundle (graph + provenance) archive layout.
-BUNDLE_FORMAT_VERSION = 1
-
-
-def _resolve(path: PathLike) -> str:
-    """Normalise to ``str``, appending ``.npz`` when only that file exists."""
-    path = os.fspath(path)
-    if not os.path.exists(path) and os.path.exists(path + ".npz"):
-        path = path + ".npz"
-    if not os.path.exists(path):
-        raise GraphError(f"graph file not found: {path!r}")
-    return path
-
-
-def _graph_payload(graph: CompiledWfst) -> Dict[str, np.ndarray]:
-    """The packed arrays, as stored in both archive formats."""
-    return dict(
-        start=np.int64(graph.start),
-        states_packed=graph.states_packed,
-        arc_dest=graph.arc_dest,
-        arc_weight=graph.arc_weight,
-        arc_ilabel=graph.arc_ilabel,
-        arc_olabel=graph.arc_olabel,
-        final_weights=graph.final_weights,
-    )
-
-
-def _graph_from_archive(data: Mapping[str, np.ndarray]) -> CompiledWfst:
-    return CompiledWfst(
-        start=int(data["start"]),
-        states_packed=data["states_packed"].copy(),
-        arc_dest=data["arc_dest"].copy(),
-        arc_weight=data["arc_weight"].copy(),
-        arc_ilabel=data["arc_ilabel"].copy(),
-        arc_olabel=data["arc_olabel"].copy(),
-        final_weights=data["final_weights"].copy(),
-    )
-
-
-def save_wfst(graph: CompiledWfst, path: PathLike) -> None:
-    """Write a compiled graph to ``path`` (npz format)."""
-    np.savez_compressed(
-        os.fspath(path),
-        version=np.int64(_FORMAT_VERSION),
-        **_graph_payload(graph),
-    )
-
-
-def load_wfst(path: PathLike) -> CompiledWfst:
-    """Load a compiled graph previously written by :func:`save_wfst`.
-
-    Raises:
-        GraphError: when the file does not exist or was written by an
-            unsupported format version.
-    """
-    with np.load(_resolve(path)) as data:
-        version = int(data["version"])
-        if version != _FORMAT_VERSION:
-            raise GraphError(f"unsupported graph format version {version}")
-        return _graph_from_archive(data)
-
-
-def save_graph_bundle(
-    graph: CompiledWfst,
-    path: PathLike,
-    *,
-    fingerprint: str,
-    recipe: Dict[str, Any],
-    passes: List[Dict[str, Any]],
-) -> None:
-    """Write a graph artifact bundle: packed arrays + compiler provenance.
-
-    ``recipe`` and ``passes`` are JSON-serialisable dicts/lists (the graph
-    compiler passes the recipe's field dict and the per-pass statistics).
-    """
-    meta = json.dumps(
-        {"fingerprint": fingerprint, "recipe": recipe, "passes": passes},
-        sort_keys=True,
-    )
-    np.savez_compressed(
-        os.fspath(path),
-        bundle_version=np.int64(BUNDLE_FORMAT_VERSION),
-        meta=np.frombuffer(meta.encode(), dtype=np.uint8),
-        **_graph_payload(graph),
-    )
-
-
-def load_graph_bundle(path: PathLike) -> Tuple[CompiledWfst, Dict]:
-    """Load a bundle written by :func:`save_graph_bundle`.
-
-    Returns the graph (with its stored content fingerprint already
-    stamped, so it is never recomputed) and the provenance dict
-    (``fingerprint`` / ``recipe`` / ``passes``).
-
-    Raises:
-        GraphError: on a missing file, a non-bundle archive, or a bundle
-            format version this build does not support.
-    """
-    resolved = _resolve(path)
-    with np.load(resolved) as data:
-        if "bundle_version" not in data:
-            raise GraphError(f"{resolved!r} is not a graph bundle")
-        version = int(data["bundle_version"])
-        if version != BUNDLE_FORMAT_VERSION:
-            raise GraphError(f"unsupported graph bundle version {version}")
-        meta = json.loads(bytes(data["meta"]).decode())
-        graph = _graph_from_archive(data)
-    graph._fingerprint = meta["fingerprint"]
-    return graph, meta
-
-
-def load_any_graph(path: PathLike) -> CompiledWfst:
-    """Load a plain graph, a bundle, or an mmap layout, whichever ``path``
-    holds (directories are treated as mmap layouts)."""
-    if os.path.isdir(os.fspath(path)):
-        return load_graph_mmap(path)
-    resolved = _resolve(path)
-    with np.load(resolved) as data:
-        is_bundle = "bundle_version" in data
-    if is_bundle:
-        graph, _ = load_graph_bundle(resolved)
-        return graph
-    return load_wfst(resolved)
-
-
-# ----------------------------------------------------------------------
-# Memory-mapped layout (the serving tier's shared-graph format)
-# ----------------------------------------------------------------------
-#: Version of the mmap directory layout.
-MMAP_FORMAT_VERSION = 1
+#: Version of the mmap directory layout.  Bumped when ``meta.json`` gained
+#: the compiler provenance, so that the graph cache recompiles and replaces
+#: an entry written without it instead of loading an artifact with no passes.
+MMAP_FORMAT_VERSION = 2
 
 _MMAP_META = "meta.json"
 _MMAP_ARRAYS = (
@@ -186,23 +57,32 @@ def save_graph_mmap(
     directory: PathLike,
     *,
     fingerprint: Optional[str] = None,
+    provenance: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """Materialise ``graph`` as an mmap layout directory; returns its path.
 
     Arrays are written as uncompressed ``.npy`` files so they can be
-    memory-mapped read-only by any number of processes.  The write is
-    atomic (temp directory + rename): a crashed or concurrent writer can
-    never leave a torn layout at the target path, and if another process
-    materialised the same directory first, its copy wins and the
-    temporary one is discarded (content-addressed layouts are
-    interchangeable).
+    memory-mapped read-only by any number of processes.  ``provenance``
+    (JSON-serialisable; the graph compiler passes ``recipe`` and
+    ``passes``) is stored in ``meta.json`` next to the fingerprint.
+
+    A loadable current-version layout of this very graph already at
+    ``directory`` is left untouched.  Otherwise the write is atomic (temp
+    directory + rename): a crashed or concurrent writer can never leave a
+    torn layout at the target path, a concurrent writer of the same graph
+    that got there first wins, and a layout of another graph or format
+    version (or a torn one) is moved aside and replaced.  Anything else at
+    the path is not a layout this function wrote, and is not removed: the
+    rename fails with :class:`OSError`.
     """
     directory = os.fspath(directory)
-    if _valid_mmap_dir(directory):
+    fingerprint = fingerprint or graph.fingerprint()
+    if _holds(directory, fingerprint):
         return directory
     parent = os.path.dirname(os.path.abspath(directory))
     os.makedirs(parent, exist_ok=True)
     tmp = f"{directory}.{os.getpid()}.tmp"
+    stale = f"{directory}.{os.getpid()}.stale"
     os.makedirs(tmp, exist_ok=True)
     try:
         for name in _MMAP_ARRAYS:
@@ -211,37 +91,44 @@ def save_graph_mmap(
                 np.ascontiguousarray(getattr(graph, name)),
             )
         meta = {
+            **(provenance or {}),
             "version": MMAP_FORMAT_VERSION,
             "start": graph.start,
-            "fingerprint": fingerprint or graph.fingerprint(),
+            "fingerprint": fingerprint,
         }
         with open(os.path.join(tmp, _MMAP_META), "w") as fh:
             json.dump(meta, fh, sort_keys=True)
+        if os.path.exists(os.path.join(directory, _MMAP_META)):
+            # A layout the shortcut above turned down: another graph or
+            # version, or torn.  A racing writer may move it aside first.
+            with contextlib.suppress(FileNotFoundError):
+                os.rename(directory, stale)
         try:
             os.rename(tmp, directory)
         except OSError:
-            if not _valid_mmap_dir(directory):
+            if not _holds(directory, fingerprint):
                 raise
     finally:
-        if os.path.isdir(tmp):
-            shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(stale, ignore_errors=True)
     return directory
 
 
-def _valid_mmap_dir(directory: str) -> bool:
-    return os.path.exists(os.path.join(directory, _MMAP_META))
+def _holds(directory: str, fingerprint: str) -> bool:
+    """Whether a loadable current-version layout of that graph is there."""
+    try:
+        return load_graph_mmap(directory).fingerprint() == fingerprint
+    except GraphError:
+        return False
 
 
-def load_graph_mmap(directory: PathLike) -> CompiledWfst:
-    """Load an mmap layout written by :func:`save_graph_mmap`.
-
-    The returned graph's arrays are read-only memory maps: constructing it
-    touches no array data, and concurrent loaders share the OS page cache
-    instead of each holding a private copy.
+def load_graph_meta(directory: PathLike) -> Dict[str, Any]:
+    """The ``meta.json`` of an mmap layout: ``version``, ``start``,
+    ``fingerprint`` and whatever provenance the writer stored.
 
     Raises:
-        GraphError: on a missing or torn layout, or one written by an
-            unsupported format version.
+        GraphError: on a missing layout, an unreadable ``meta.json``, or
+            one written by an unsupported format version.
     """
     directory = os.fspath(directory)
     meta_path = os.path.join(directory, _MMAP_META)
@@ -252,15 +139,32 @@ def load_graph_mmap(directory: PathLike) -> CompiledWfst:
             meta = json.load(fh)
     except (OSError, ValueError) as exc:
         raise GraphError(f"unreadable mmap layout meta: {exc}") from exc
-    version = meta.get("version")
+    version = meta.get("version") if isinstance(meta, dict) else None
     if version != MMAP_FORMAT_VERSION:
         raise GraphError(f"unsupported graph mmap layout version {version}")
+    return meta
+
+
+def load_graph_mmap(directory: PathLike) -> CompiledWfst:
+    """Load an mmap layout written by :func:`save_graph_mmap`.
+
+    The returned graph's arrays are read-only memory maps: constructing it
+    touches no array data, and concurrent loaders share the OS page cache
+    instead of each holding a private copy.  The stored content
+    fingerprint is stamped on the graph, so it is never recomputed.
+
+    Raises:
+        GraphError: on a missing or torn layout, or one written by an
+            unsupported format version.
+    """
+    directory = os.fspath(directory)
+    meta = load_graph_meta(directory)
     arrays = {}
     for name in _MMAP_ARRAYS:
         path = os.path.join(directory, f"{name}.npy")
         try:
             arrays[name] = np.load(path, mmap_mode="r")
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, EOFError) as exc:  # EOFError: empty file
             raise GraphError(
                 f"torn graph mmap layout {directory!r}: {exc}"
             ) from exc

@@ -246,8 +246,8 @@ class CompiledWfst:
 
         Covers every packed array plus the start state, so two graphs share
         a fingerprint iff they are bit-identical in memory.  Computed once
-        and cached on the instance; the graph compiler
-        (:mod:`repro.graph`) persists it in artifact bundles so cache-hit
+        and cached on the instance; the on-disk layout
+        (:mod:`repro.wfst.io`) persists it in ``meta.json`` so cache-hit
         loads skip the hash as well.  This is the single graph identity the
         trace/replay layer and the sweep caches key on.
         """

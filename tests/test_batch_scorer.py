@@ -291,12 +291,12 @@ class TestTierFeaturesMode:
         task = audio_task.task
 
         async def client(tier, utt):
-            sid = await tier.aopen_session(mode="features")
+            sid = await asyncio.to_thread(tier.open_session, mode="features")
             feats = utt.features
             for i in range(0, len(feats), 9):
-                await tier.apush_features(sid, feats[i: i + 9])
-            await tier.aclose_input(sid)
-            return await tier.aresult(sid, 60)
+                await asyncio.to_thread(tier.push_features, sid, feats[i: i + 9])
+            await asyncio.to_thread(tier.close_input, sid)
+            return await asyncio.to_thread(tier.result, sid, 60)
 
         async def main(tier):
             return await asyncio.gather(

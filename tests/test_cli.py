@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datasets import SyntheticGraphConfig, generate_kaldi_like_graph
+from repro.wfst import load_graph_meta, load_graph_mmap
 
 
 class TestParser:
@@ -27,13 +29,24 @@ class TestParser:
 
 class TestCommands:
     def test_build_task(self, capsys, tmp_path):
-        out = str(tmp_path / "graph.npz")
+        out = str(tmp_path / "graph.mmap")
         code = main(["build-task", "--vocab", "40", "--utterances", "2",
                      "--output", out])
         assert code == 0
         captured = capsys.readouterr().out
         assert "graph" in captured
-        assert (tmp_path / "graph.npz").exists()
+        assert load_graph_mmap(out).num_states > 0
+
+    def test_build_task_output_feeds_sweep(self, capsys, tmp_path):
+        out = str(tmp_path / "graph.mmap")
+        assert main(["build-task", "--vocab", "40", "--utterances", "2",
+                     "--graph-cache", "none", "--output", out]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--graph", out, "--frames", "4",
+                     "--max-active", "200", "--processes", "1",
+                     "--param", "arc_cache.size_bytes=128K,256K",
+                     "--graph-cache", "none", "--trace-cache", "none"]) == 0
+        assert "2 points" in capsys.readouterr().out
 
     def test_decode(self, capsys):
         code = main(["decode", "--vocab", "40", "--utterances", "2",
@@ -196,20 +209,35 @@ class TestCompile:
     def test_decode_precompiled_graph_is_word_identical(
         self, capsys, tmp_path
     ):
-        bundle = str(tmp_path / "graph.npz")
+        artifact = str(tmp_path / "graph.mmap")
         assert main(["compile", "--vocab", "40", "--corpus-sentences",
                      "2000", "--seed", "4", "--graph-cache", "none",
-                     "--output", bundle]) == 0
+                     "--output", artifact]) == 0
         capsys.readouterr()
+        meta = load_graph_meta(artifact)
+        assert meta["recipe"]["vocab_size"] == 40
+        assert [p["name"] for p in meta["passes"]][-1] == "pack"
         base = ["decode", "--vocab", "40", "--utterances", "2",
                 "--seed", "4", "--graph-cache", "none"]
         assert main(base) == 0
         fresh = capsys.readouterr().out
-        assert main(base + ["--graph", bundle]) == 0
+        assert main(base + ["--graph", artifact]) == 0
         cached = capsys.readouterr().out
         fresh_utts = [l for l in fresh.splitlines() if l.startswith("utt")]
         cached_utts = [l for l in cached.splitlines() if l.startswith("utt")]
         assert fresh_utts == cached_utts
+
+    def test_output_written_twice_holds_the_second_graph(self, tmp_path):
+        out = str(tmp_path / "graph.mmap")
+        for seed in ("3", "4"):
+            assert main(["compile", "--states", "300", "--seed", seed,
+                         "--graph-cache", "none", "--output", out]) == 0
+            assert load_graph_meta(out)["recipe"]["synthetic"]["seed"] == int(seed)
+        expected = generate_kaldi_like_graph(
+            SyntheticGraphConfig(num_states=300, num_phones=50, seed=4)
+        )
+        assert load_graph_mmap(out).arc_dest.tobytes() == \
+            expected.arc_dest.tobytes()
 
     def test_decode_trigram_lm_order(self, capsys):
         code = main(["decode", "--vocab", "40", "--utterances", "2",

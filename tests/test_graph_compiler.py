@@ -1,5 +1,10 @@
 """Tests for the staged graph compiler and its artifact cache."""
 
+import json
+import os
+import shutil
+import tempfile
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -13,8 +18,8 @@ from repro.graph import (
     GraphRecipe,
     compile_graph,
 )
-from repro.system import StreamingServer
-from repro.wfst import count_epsilon_arcs
+from repro.system import ServingTier, StreamingServer, TierConfig
+from repro.wfst import count_epsilon_arcs, load_graph_meta
 
 RECIPE = GraphRecipe.composed(vocab_size=60, corpus_sentences=300, seed=11)
 
@@ -158,31 +163,88 @@ class TestCache:
         loaded = fresh.get(RECIPE)
         assert fresh.compiles == 0 and fresh.hits == 1
         assert loaded.source == "disk"
-        assert loaded.graph.fingerprint() == compiled.graph.fingerprint()
-        assert (
-            loaded.graph.states_packed == compiled.graph.states_packed
-        ).all()
-        assert (loaded.graph.arc_weight == compiled.graph.arc_weight).all()
-        assert [p.name for p in loaded.passes] == \
-            [p.name for p in compiled.passes]
+        for name in (
+            "states_packed", "arc_dest", "arc_weight",
+            "arc_ilabel", "arc_olabel", "final_weights",
+        ):
+            got = getattr(loaded.graph, name)
+            assert got.tobytes() == getattr(compiled.graph, name).tobytes()
+            assert not got.flags.writeable  # a map of the one disk copy
+        assert loaded.graph.start == compiled.graph.start
+        assert [p.to_dict() for p in loaded.passes] == \
+            [p.to_dict() for p in compiled.passes]
+        # One entry per recipe, holding the provenance and the graph's
+        # content fingerprint, which the load stamps instead of hashing.
+        entry, = os.listdir(tmp_path)
+        meta = load_graph_meta(tmp_path / entry)
+        assert meta["recipe"] == RECIPE.to_dict()
+        assert meta["fingerprint"] == compiled.graph.fingerprint()
+        assert loaded.graph._fingerprint == meta["fingerprint"]
 
     @pytest.mark.parametrize("corruption", ["garbage", "truncated", "empty"])
     def test_corrupt_bundle_falls_back_to_compile(self, tmp_path, corruption):
+        """A damaged entry (the cache's bundle of graph and provenance) is
+        compiled once more, replaced, and a hit from then on."""
         cache = GraphCache(str(tmp_path))
-        cache.get(RECIPE)
-        path = cache._path(RECIPE.fingerprint())
+        entry = cache.mmap_dir(RECIPE)
         if corruption == "garbage":
-            payload = b"torn write"
+            with open(os.path.join(entry, "meta.json"), "wb") as fh:
+                fh.write(b"torn write")
         elif corruption == "truncated":
-            payload = open(path, "rb").read()[:100]  # BadZipFile on load
+            os.truncate(os.path.join(entry, "arc_dest.npy"), 200)
         else:
-            payload = b""  # EOFError on load
-        with open(path, "wb") as fh:
-            fh.write(payload)
+            os.truncate(os.path.join(entry, "meta.json"), 0)
         fresh = GraphCache(str(tmp_path))
         artifact = fresh.get(RECIPE)
         assert fresh.compiles == 1
         assert artifact.graph.num_states > 0
+        again = GraphCache(str(tmp_path))
+        assert again.get(RECIPE).source == "disk" and again.compiles == 0
+        assert os.listdir(tmp_path) == [os.path.basename(entry)]
+
+    def test_previous_format_entry_is_recompiled_once(
+        self, tmp_path, artifact
+    ):
+        """A version-1 layout at the content address (no provenance; a
+        restored CI cache may hold one) is a miss that gets replaced, not
+        one recompiled on every run."""
+        entry = GraphCache(str(tmp_path)).mmap_dir(RECIPE)
+        meta_path = os.path.join(entry, "meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        v1 = {k: meta[k] for k in ("start", "fingerprint")}
+        with open(meta_path, "w") as fh:
+            json.dump({**v1, "version": 1}, fh)
+        fresh = GraphCache(str(tmp_path))
+        assert fresh.get(RECIPE).source == "compiled"
+        assert fresh.compiles == 1
+        again = GraphCache(str(tmp_path))
+        loaded = again.get(RECIPE)
+        assert again.compiles == 0 and loaded.source == "disk"
+        assert [p.name for p in loaded.passes] == \
+            [p.name for p in artifact.passes]
+        assert os.listdir(tmp_path) == [os.path.basename(entry)]
+
+    def test_mmap_dir_is_the_cache_entry(self, tmp_path):
+        cache = GraphCache(str(tmp_path))
+        cache.get(RECIPE)
+        before = os.listdir(tmp_path)
+        entry = cache.mmap_dir(RECIPE)
+        assert os.listdir(tmp_path) == before == [os.path.basename(entry)]
+        # The cache directory may be deleted at any time; the entry a
+        # caller is handed exists all the same.
+        shutil.rmtree(entry)
+        assert cache.mmap_dir(RECIPE) == entry
+        assert GraphCache(str(tmp_path)).get(RECIPE).source == "disk"
+
+    def test_memory_only_cache_has_no_mmap_dir(self):
+        """... and makes (and leaks) no temporary directory for one."""
+        temp_root = tempfile.gettempdir()
+        before = set(os.listdir(temp_root))
+        with pytest.raises(ConfigError):
+            GraphCache().mmap_dir(RECIPE)
+        made = set(os.listdir(temp_root)) - before
+        assert not [n for n in made if n.startswith("repro-graph-mmap-")]
 
 
 class TestWorkloadConsumer:
@@ -259,6 +321,36 @@ class TestDecodeIdentity:
         fresh = decode_all(fresh_task.graph)
         cached = decode_all(cached_task.graph)
         assert fresh == cached
+
+    def test_tier_on_the_cache_entry_decodes_identically(self, tmp_path):
+        """Tier workers map the cache's own entry: same words and scores
+        as a tier handed the in-memory graph."""
+        cache = GraphCache(str(tmp_path))
+        task = generate_task(
+            TaskConfig(
+                vocab_size=60, corpus_sentences=300, num_utterances=3,
+                utterance_words=4, seed=11,
+            ),
+            graph_cache=cache,
+        )
+        scores = [u.scores for u in task.utterances]
+        decoder_config = DecoderConfig(beam=14.0)
+        results = []
+        for source in (
+            {"graph": task.graph},
+            {"graph_dir": cache.mmap_dir(task.artifact.recipe)},
+        ):
+            with ServingTier(
+                search_config=decoder_config,
+                tier_config=TierConfig(num_workers=2),
+                **source,
+            ) as tier:
+                results.append([
+                    (r.words, r.log_likelihood)
+                    for r in tier.decode_streaming(scores, chunk_frames=5)
+                ])
+        assert results[0] == results[1]
+        assert len(os.listdir(tmp_path)) == 1
 
     def test_task_axes_decode(self):
         """The new TaskConfig graph axes produce decodable graphs."""

@@ -85,18 +85,15 @@ class TestErrorHierarchy:
 
 class TestIoVersioning:
     def test_version_mismatch_rejected(self, tmp_path, small_graph):
-        import numpy as np
+        """A ``meta.json`` that parses but states no version at all."""
+        from repro.wfst import load_graph_mmap, save_graph_mmap
 
-        from repro.wfst import load_wfst, save_wfst
-
-        path = str(tmp_path / "g.npz")
-        save_wfst(small_graph, path)
-        # Corrupt the version field.
-        data = dict(np.load(path))
-        data["version"] = np.int64(999)
-        np.savez(path, **data)
-        with pytest.raises(GraphError):
-            load_wfst(path)
+        path = tmp_path / "g.mmap"
+        save_graph_mmap(small_graph, path)
+        for unversioned in ("{}", "[]", "null"):
+            (path / "meta.json").write_text(unversioned)
+            with pytest.raises(GraphError):
+                load_graph_mmap(path)
 
 
 class TestSortedLayoutEdgeCases:

@@ -441,14 +441,16 @@ class TestAsyncFrontDoor:
         async def main():
             with make_tier(small_task, config, num_workers=2) as tier:
                 utts = small_task.utterances
-                sids = [await tier.aopen_session() for _ in utts]
+                sids = [await asyncio.to_thread(tier.open_session) for _ in utts]
                 for sid, utt in zip(sids, utts):
                     matrix = utt.scores.matrix
                     for i in range(0, len(matrix), 4):
-                        await tier.apush(sid, matrix[i: i + 4])
+                        await asyncio.to_thread(tier.push, sid, matrix[i: i + 4])
                 for sid in sids:
-                    await tier.aclose_input(sid)
-                return [await tier.aresult(sid, 60) for sid in sids]
+                    await asyncio.to_thread(tier.close_input, sid)
+                return [
+                    await asyncio.to_thread(tier.result, sid, 60) for sid in sids
+                ]
 
         records = asyncio.run(main())
         for expected, record in zip(oneshot, records):
@@ -461,12 +463,12 @@ class TestAsyncFrontDoor:
         over one tier, as an asyncio gateway would."""
 
         async def client(tier, utt):
-            sid = await tier.aopen_session()
+            sid = await asyncio.to_thread(tier.open_session)
             matrix = utt.scores.matrix
             for i in range(0, len(matrix), 5):
-                await tier.apush(sid, matrix[i: i + 5])
-            await tier.aclose_input(sid)
-            return await tier.aresult(sid, 60)
+                await asyncio.to_thread(tier.push, sid, matrix[i: i + 5])
+            await asyncio.to_thread(tier.close_input, sid)
+            return await asyncio.to_thread(tier.result, sid, 60)
 
         async def main():
             with make_tier(small_task, config, num_workers=2) as tier:

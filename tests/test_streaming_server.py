@@ -39,17 +39,6 @@ class TestEquivalence:
             assert got.log_likelihood == expected.log_likelihood
             assert got.reached_final == expected.reached_final
 
-    def test_unfused_fallback_matches(self, small_task, config, oneshot):
-        server = StreamingServer(
-            small_task.graph, config, ServerConfig(fused=False)
-        )
-        results = server.decode_streaming(
-            [u.scores for u in small_task.utterances], chunk_frames=4
-        )
-        for expected, got in zip(oneshot, results):
-            assert got.words == expected.words
-            assert got.log_likelihood == expected.log_likelihood
-
     def test_sessions_join_and_leave_mid_flight(
         self, small_task, config, oneshot
     ):

@@ -1,119 +1,90 @@
-"""Tests for WFST serialisation: plain graphs and compiler artifact bundles."""
+"""Tests for WFST serialisation: the mmap layout directory, the one
+on-disk graph format (cache entries, CLI artifacts, the tier's shared
+graph)."""
 
+import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.common.errors import GraphError
-from repro.wfst import (
-    load_any_graph,
-    load_graph_bundle,
-    load_graph_mmap,
-    load_wfst,
-    save_graph_bundle,
-    save_graph_mmap,
-    save_wfst,
+from repro.datasets import SyntheticGraphConfig, generate_kaldi_like_graph
+from repro.wfst import load_graph_meta, load_graph_mmap, save_graph_mmap
+from repro.wfst.io import MMAP_FORMAT_VERSION
+
+ARRAYS = (
+    "states_packed", "arc_dest", "arc_weight",
+    "arc_ilabel", "arc_olabel", "final_weights",
 )
 
 
 def assert_graphs_bit_exact(loaded, graph):
     assert loaded.start == graph.start
-    assert (loaded.states_packed == graph.states_packed).all()
-    assert (loaded.arc_dest == graph.arc_dest).all()
-    assert (loaded.arc_weight == graph.arc_weight).all()
-    assert (loaded.arc_ilabel == graph.arc_ilabel).all()
-    assert (loaded.arc_olabel == graph.arc_olabel).all()
-    assert np.allclose(loaded.final_weights, graph.final_weights)
+    for name in ARRAYS:
+        got, want = getattr(loaded, name), getattr(graph, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def other_graph():
+    return generate_kaldi_like_graph(
+        SyntheticGraphConfig(num_states=80, num_phones=8, seed=5)
+    )
+
+
+def rewrite_meta(directory, **changes):
+    path = Path(directory) / "meta.json"
+    meta = json.loads(path.read_text())
+    meta.update(changes)
+    path.write_text(json.dumps(meta))
 
 
 def test_round_trip_is_bit_exact(tmp_path, small_graph):
-    path = str(tmp_path / "graph.npz")
-    save_wfst(small_graph, path)
-    assert_graphs_bit_exact(load_wfst(path), small_graph)
+    path = str(tmp_path / "graph.mmap")
+    save_graph_mmap(small_graph, path)
+    assert_graphs_bit_exact(load_graph_mmap(path), small_graph)
 
 
 def test_accepts_pathlib_path(tmp_path, small_graph):
-    path = tmp_path / "graph.npz"
+    path = tmp_path / "graph.mmap"
     assert isinstance(path, Path)
-    save_wfst(small_graph, path)
-    loaded = load_wfst(path)
-    assert loaded.num_states == small_graph.num_states
+    assert save_graph_mmap(small_graph, path) == str(path)
+    assert load_graph_mmap(path).num_states == small_graph.num_states
+    assert load_graph_meta(path)["start"] == small_graph.start
 
 
-def test_load_appends_npz_suffix(tmp_path, small_graph):
-    path = str(tmp_path / "graph2")
-    save_wfst(small_graph, path)
-    loaded = load_wfst(path)  # without .npz
-    assert loaded.num_states == small_graph.num_states
-
-
-def test_missing_file_raises_graph_error(tmp_path):
-    with pytest.raises(GraphError):
-        load_wfst(str(tmp_path / "nope.npz"))
-    with pytest.raises(GraphError):
-        load_graph_bundle(tmp_path / "nope.npz")
+def test_missing_file_raises_graph_error(tmp_path, small_graph):
+    absent = str(tmp_path / "nope.mmap")
+    # A file where the layout directory should be, e.g. an archive of the
+    # npz formats this one replaced.
+    archive = tmp_path / "graph.npz"
+    np.savez(archive, start=np.int64(small_graph.start))
+    for path in (absent, archive):
+        with pytest.raises(GraphError):
+            load_graph_mmap(path)
+        with pytest.raises(GraphError):
+            load_graph_meta(path)
 
 
 def test_version_mismatch_raises_graph_error(tmp_path, small_graph):
-    path = str(tmp_path / "graph.npz")
-    save_wfst(small_graph, path)
-    with np.load(path) as data:
-        payload = {name: data[name] for name in data.files}
-    payload["version"] = np.int64(999)
-    np.savez_compressed(path, **payload)
+    """A layout of the previous format version (no provenance) is refused,
+    not read as an artifact without passes."""
+    path = str(tmp_path / "graph.mmap")
+    save_graph_mmap(small_graph, path)
+    rewrite_meta(path, version=MMAP_FORMAT_VERSION - 1)
     with pytest.raises(GraphError, match="version"):
-        load_wfst(path)
+        load_graph_mmap(path)
+    with pytest.raises(GraphError, match="version"):
+        load_graph_meta(path)
 
 
-class TestBundles:
-    def test_round_trip_preserves_graph_and_meta(self, tmp_path, small_graph):
-        path = tmp_path / "graph.bundle.npz"
-        passes = [{"name": "pack", "seconds": 0.5}]
-        save_graph_bundle(
-            small_graph,
-            path,
-            fingerprint=small_graph.fingerprint(),
-            recipe={"kind": "composed", "seed": 11},
-            passes=passes,
-        )
-        loaded, meta = load_graph_bundle(path)
-        assert_graphs_bit_exact(loaded, small_graph)
-        assert meta["fingerprint"] == small_graph.fingerprint()
-        assert meta["recipe"]["seed"] == 11
-        assert meta["passes"] == passes
-        # The stored fingerprint is stamped, not recomputed.
-        assert loaded.fingerprint() == small_graph.fingerprint()
-
-    def test_bundle_version_mismatch_raises(self, tmp_path, small_graph):
-        path = str(tmp_path / "graph.bundle.npz")
-        save_graph_bundle(
-            small_graph, path,
-            fingerprint=small_graph.fingerprint(), recipe={}, passes=[],
-        )
-        with np.load(path) as data:
-            payload = {name: data[name] for name in data.files}
-        payload["bundle_version"] = np.int64(999)
-        np.savez_compressed(path, **payload)
-        with pytest.raises(GraphError, match="bundle version"):
-            load_graph_bundle(path)
-
-    def test_plain_graph_is_not_a_bundle(self, tmp_path, small_graph):
-        path = str(tmp_path / "plain.npz")
-        save_wfst(small_graph, path)
-        with pytest.raises(GraphError, match="not a graph bundle"):
-            load_graph_bundle(path)
-
-    def test_load_any_graph_handles_both(self, tmp_path, small_graph):
-        plain = tmp_path / "plain.npz"
-        bundle = tmp_path / "bundle.npz"
-        save_wfst(small_graph, plain)
-        save_graph_bundle(
-            small_graph, bundle,
-            fingerprint=small_graph.fingerprint(), recipe={}, passes=[],
-        )
-        for path in (plain, bundle):
-            assert_graphs_bit_exact(load_any_graph(path), small_graph)
+def _racing_writer(barrier, graph, directory):
+    barrier.wait(timeout=30)
+    save_graph_mmap(graph, directory)
 
 
 class TestMmapLayout:
@@ -122,9 +93,14 @@ class TestMmapLayout:
         assert save_graph_mmap(small_graph, directory) == directory
         loaded = load_graph_mmap(directory)
         assert_graphs_bit_exact(loaded, small_graph)
-        # The arrays really are memory-mapped, not materialised copies.
-        assert isinstance(loaded.arc_dest, np.memmap)
-        assert isinstance(loaded.states_packed, np.memmap)
+        # The arrays really are memory-mapped, not materialised copies,
+        # and nobody can write the shared pages through them.
+        for name in ARRAYS:
+            array = getattr(loaded, name)
+            assert isinstance(array, np.memmap), name
+            assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            loaded.arc_weight[0] = 0.0
 
     def test_save_is_idempotent(self, tmp_path, small_graph):
         directory = str(tmp_path / "g.mmap")
@@ -134,45 +110,135 @@ class TestMmapLayout:
         after = (tmp_path / "g.mmap" / "meta.json").stat().st_mtime_ns
         assert before == after
 
-    def test_fingerprint_is_stamped(self, tmp_path, small_graph):
+    def test_another_graph_replaces_the_layout(
+        self, tmp_path, small_graph, other_graph
+    ):
+        """'Already there' means this graph: a user-named directory written
+        twice holds the second graph, and nothing is left beside it."""
         directory = str(tmp_path / "g.mmap")
+        save_graph_mmap(small_graph, directory)
+        save_graph_mmap(other_graph, directory)
+        assert_graphs_bit_exact(load_graph_mmap(directory), other_graph)
+        assert os.listdir(tmp_path) == ["g.mmap"]
+
+    @pytest.mark.parametrize("damage", ["old-version", "missing-array"])
+    def test_unloadable_layout_is_replaced(
+        self, tmp_path, small_graph, damage
+    ):
+        directory = tmp_path / "g.mmap"
+        save_graph_mmap(small_graph, directory)
+        if damage == "old-version":
+            rewrite_meta(directory, version=MMAP_FORMAT_VERSION - 1)
+        else:
+            (directory / "arc_dest.npy").unlink()
+        save_graph_mmap(small_graph, directory)
+        assert_graphs_bit_exact(load_graph_mmap(directory), small_graph)
+        assert os.listdir(tmp_path) == ["g.mmap"]
+
+    def test_a_directory_that_is_no_layout_is_not_removed(
+        self, tmp_path, small_graph
+    ):
+        directory = tmp_path / "work"
+        directory.mkdir()
+        (directory / "notes.txt").write_text("keep me")
+        with pytest.raises(OSError):
+            save_graph_mmap(small_graph, directory)
+        assert os.listdir(directory) == ["notes.txt"]
+        assert os.listdir(tmp_path) == ["work"]
+
+    def test_fingerprint_is_stamped(self, tmp_path, small_graph):
+        """The stored fingerprint is handed back, never recomputed."""
+        directory = str(tmp_path / "g.mmap")
+        save_graph_mmap(small_graph, directory, fingerprint="stamped")
+        assert load_graph_mmap(directory).fingerprint() == "stamped"
+        # Unstamped writes store the content fingerprint.
+        other = str(tmp_path / "h.mmap")
+        save_graph_mmap(small_graph, other)
+        assert load_graph_meta(other)["fingerprint"] == small_graph.fingerprint()
+
+    def test_provenance_round_trips(self, tmp_path, small_graph):
+        directory = tmp_path / "g.mmap"
+        passes = [{"name": "pack", "seconds": 0.5}]
         save_graph_mmap(
-            small_graph, directory, fingerprint=small_graph.fingerprint()
+            small_graph,
+            directory,
+            provenance={
+                "recipe": {"kind": "composed", "seed": 11},
+                "passes": passes,
+                "version": "not the writer's to set",
+            },
         )
-        loaded = load_graph_mmap(directory)
-        assert loaded.fingerprint() == small_graph.fingerprint()
+        meta = load_graph_meta(directory)
+        assert meta["recipe"] == {"kind": "composed", "seed": 11}
+        assert meta["passes"] == passes
+        assert meta["version"] == MMAP_FORMAT_VERSION
+        assert meta["start"] == small_graph.start
+        assert meta["fingerprint"] == small_graph.fingerprint()
+        assert_graphs_bit_exact(load_graph_mmap(directory), small_graph)
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(GraphError):
             load_graph_mmap(tmp_path / "nope.mmap")
 
     def test_version_mismatch_raises(self, tmp_path, small_graph):
-        import json
-
         directory = tmp_path / "g.mmap"
         save_graph_mmap(small_graph, str(directory))
-        meta = json.loads((directory / "meta.json").read_text())
-        meta["version"] = 999
-        (directory / "meta.json").write_text(json.dumps(meta))
+        rewrite_meta(directory, version=999)
         with pytest.raises(GraphError, match="version"):
             load_graph_mmap(directory)
 
     def test_torn_layout_raises(self, tmp_path, small_graph):
-        directory = tmp_path / "g.mmap"
-        save_graph_mmap(small_graph, str(directory))
-        (directory / "arc_dest.npy").unlink()
-        with pytest.raises(GraphError):
-            load_graph_mmap(directory)
+        def missing_array(d):
+            (d / "arc_dest.npy").unlink()
 
-    def test_load_any_graph_dispatches_on_directory(
+        def truncated_array(d):
+            data = (d / "arc_weight.npy").read_bytes()
+            (d / "arc_weight.npy").write_bytes(data[: len(data) // 2])
+
+        def empty_array(d):
+            (d / "final_weights.npy").write_bytes(b"")
+
+        def garbage_meta(d):
+            (d / "meta.json").write_bytes(b"torn write")
+
+        def empty_meta(d):
+            (d / "meta.json").write_bytes(b"")
+
+        for tear in (missing_array, truncated_array, empty_array,
+                     garbage_meta, empty_meta):
+            directory = tmp_path / f"{tear.__name__}.mmap"
+            save_graph_mmap(small_graph, directory)
+            tear(directory)
+            with pytest.raises(GraphError):
+                load_graph_mmap(directory)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the writers inherit the graph and the barrier by fork",
+    )
+    def test_racing_writers_leave_one_valid_layout(
         self, tmp_path, small_graph
     ):
-        directory = tmp_path / "g.mmap"
-        save_graph_mmap(small_graph, str(directory))
-        assert_graphs_bit_exact(load_any_graph(directory), small_graph)
+        """More writers than cores released at once onto one target: the
+        atomic rename lets one win, the others discard their copy."""
+        ctx = multiprocessing.get_context("fork")
+        directory = str(tmp_path / "g.mmap")
+        barrier = ctx.Barrier(4)
+        writers = [
+            ctx.Process(
+                target=_racing_writer, args=(barrier, small_graph, directory)
+            )
+            for _ in range(4)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+            assert writer.exitcode == 0
+        assert_graphs_bit_exact(load_graph_mmap(directory), small_graph)
+        assert os.listdir(tmp_path) == ["g.mmap"]
 
     def test_cache_mmap_dir_is_content_addressed(self, tmp_path):
-        from repro.datasets import SyntheticGraphConfig
         from repro.graph import GraphCache, GraphRecipe
 
         cache = GraphCache(str(tmp_path / "cache"))
