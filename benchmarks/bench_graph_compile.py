@@ -10,7 +10,7 @@ paths on the same recipe, asserts the loaded graph is **bit-identical**
 to the freshly compiled one, and gates the warm load at >= 5x the cold
 compile.  The warm load reads ``meta.json`` and maps six ``.npy`` files
 without touching their pages (~0.6 ms), so it is far above the gate
-(measured: ~180-210x quick, ~600-1000x full).
+(measured: ~600-1000x).
 """
 
 import shutil
@@ -21,35 +21,27 @@ from benchmarks.common import format_table, report, write_json
 from repro.graph import GraphCache, GraphRecipe
 
 SPEEDUP_TARGET = 5.0
-QUICK_SPEEDUP_TARGET = 5.0
 
-QUICK_RECIPE = GraphRecipe.composed(
-    vocab_size=120, corpus_sentences=500, seed=19
-)
-FULL_RECIPE = GraphRecipe.composed(
-    vocab_size=400, corpus_sentences=2000, seed=19
-)
+RECIPE = GraphRecipe.composed(vocab_size=400, corpus_sentences=2000, seed=19)
 
 
-def run_graph_compile(quick: bool = False) -> dict:
-    recipe = QUICK_RECIPE if quick else FULL_RECIPE
+def run_graph_compile() -> dict:
     directory = tempfile.mkdtemp(prefix="repro-graph-bench-")
     try:
         # Cold: pipeline execution plus the write of the cache entry.
         cold_cache = GraphCache(directory)
         t0 = time.perf_counter()
-        cold = cold_cache.get(recipe)
+        cold = cold_cache.get(RECIPE)
         cold_seconds = time.perf_counter() - t0
 
         # Warm: a fresh cache instance (empty memory) hitting the entry.
-        # The quick graph loads in ~1 ms, where timer noise dominates:
-        # take the best of a few rounds, like the other quick benches.
-        rounds = 5 if quick else 3
+        # The load takes ~1 ms, where timer noise dominates: take the
+        # best of a few rounds.
         warm_seconds = float("inf")
-        for _ in range(rounds):
+        for _ in range(3):
             warm_cache = GraphCache(directory)
             t0 = time.perf_counter()
-            warm = warm_cache.get(recipe)
+            warm = warm_cache.get(RECIPE)
             warm_seconds = min(warm_seconds, time.perf_counter() - t0)
 
         # Compare every packed array (the loaded graph's *stamped*
@@ -70,16 +62,15 @@ def run_graph_compile(quick: bool = False) -> dict:
         shutil.rmtree(directory, ignore_errors=True)
 
     return {
-        "quick": quick,
-        "recipe": recipe.describe(),
-        "fingerprint": recipe.fingerprint(),
+        "recipe": RECIPE.describe(),
+        "fingerprint": RECIPE.fingerprint(),
         "states": cold.graph.num_states,
         "arcs": cold.graph.num_arcs,
         "passes": [p.name for p in cold.passes],
         "cold_compile_seconds": round(cold_seconds, 4),
         "warm_load_seconds": round(warm_seconds, 5),
         "speedup": round(cold_seconds / warm_seconds, 2),
-        "target": QUICK_SPEEDUP_TARGET if quick else SPEEDUP_TARGET,
+        "target": SPEEDUP_TARGET,
         "bit_identical": bit_identical,
     }
 
@@ -98,9 +89,8 @@ def _report(payload: dict) -> None:
             ["bit-identical", payload["bit_identical"]],
         ],
     )
-    suffix = "_quick" if payload["quick"] else ""
-    report(f"graph_compile{suffix}", text)
-    write_json(f"graph_compile{suffix}", payload)
+    report("graph_compile", text)
+    write_json("graph_compile", payload)
 
 
 def test_graph_compile(benchmark):

@@ -11,7 +11,8 @@ Both paths must agree word for word and bit for bit on path scores with
 one-shot ``BatchDecoder.decode_batch`` (streaming is lossless), and the
 concurrent server must sustain a higher aggregate frames/s than the
 sequential runs -- the continuous-batching win the paper's batched GPU
-pipeline is built around.  CI's smoke gate runs the ``--quick`` shape.
+pipeline is built around.  CI's bench-smoke job runs the quick shape
+(``-k quick``), nightly the full one.
 """
 
 import time
@@ -20,7 +21,7 @@ import pytest
 
 from benchmarks.common import GRAPH_CACHE, format_table, report, write_json
 from repro.datasets import SyntheticGraphConfig
-from repro.decoder import BatchDecoder, BeamSearchConfig
+from repro.decoder import BatchDecoder, DecoderConfig
 from repro.system import StreamingServer, make_memory_workload
 
 #: Serving-regime workload: production-style tightly pruned search (a few
@@ -68,7 +69,7 @@ def run_streaming_sessions(quick: bool = False, seed: int = 7) -> dict:
         ),
         graph_cache=GRAPH_CACHE,
     )
-    config = BeamSearchConfig(beam=workload.beam, max_active=workload.max_active)
+    config = DecoderConfig(beam=workload.beam, max_active=workload.max_active)
     chunk_frames = shape["chunk_frames"]
     oneshot = BatchDecoder(workload.graph, config).decode_batch(workload.scores)
 

@@ -89,18 +89,16 @@ def base_config() -> AcceleratorConfig:
 def sweep_runner(
     workload,
     base: Optional[AcceleratorConfig] = None,
-    processes: Optional[int] = 1,
 ) -> SweepRunner:
     """The shared design-space runner every parameter-sweep bench uses.
 
-    Serial by default (figure benches are small once traces are cached);
-    the throughput gate passes ``processes=None`` to exercise the fan-out.
+    Serial: figure benches are small once traces are cached.
     """
     return SweepRunner(
         workload,
         base_config=base or base_config(),
         trace_cache=_TRACE_CACHE,
-        processes=processes,
+        processes=1,
     )
 
 

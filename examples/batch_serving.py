@@ -18,7 +18,7 @@ Run:  python examples/batch_serving.py
 import time
 
 from repro.datasets import TaskConfig, generate_task
-from repro.decoder import BatchDecoder, BeamSearchConfig, ViterbiDecoder
+from repro.decoder import BatchDecoder, DecoderConfig, ViterbiDecoder
 from repro.system import (
     BatchedStreamConfig,
     max_realtime_streams,
@@ -37,7 +37,7 @@ def measure_engines():
     )
     scores = [u.scores for u in task.utterances]
     frames = sum(u.num_frames for u in task.utterances)
-    config = BeamSearchConfig(beam=BEAM)
+    config = DecoderConfig(beam=BEAM)
 
     reference = ViterbiDecoder(task.graph, config)
     t0 = time.perf_counter()

@@ -17,7 +17,7 @@ Run:  python examples/live_sessions.py
 """
 
 from repro.datasets import TaskConfig, generate_task
-from repro.decoder import BatchDecoder, BeamSearchConfig
+from repro.decoder import BatchDecoder, DecoderConfig
 from repro.system import StreamingServer
 
 BEAM = 12.0
@@ -31,11 +31,11 @@ def main() -> None:
                    seed=33)
     )
     matrices = [u.scores.matrix for u in task.utterances]
-    oneshot = BatchDecoder(task.graph, BeamSearchConfig(beam=BEAM)).decode_batch(
+    oneshot = BatchDecoder(task.graph, DecoderConfig(beam=BEAM)).decode_batch(
         [u.scores for u in task.utterances]
     )
 
-    server = StreamingServer(task.graph, BeamSearchConfig(beam=BEAM))
+    server = StreamingServer(task.graph, DecoderConfig(beam=BEAM))
     caller_of = {}
     last_partial = {}
 

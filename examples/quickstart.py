@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.datasets import TaskConfig, generate_task
-from repro.decoder import BeamSearchConfig, ViterbiDecoder, word_error_rate
+from repro.decoder import DecoderConfig, ViterbiDecoder, word_error_rate
 from repro.energy import AcceleratorEnergyModel
 from repro.wfst import sort_states_by_arc_count
 
@@ -31,7 +31,7 @@ def main() -> None:
         f"{100 * graph.epsilon_fraction():.1f}% epsilon arcs)"
     )
 
-    reference = ViterbiDecoder(graph, BeamSearchConfig(beam=BEAM))
+    reference = ViterbiDecoder(graph, DecoderConfig(beam=BEAM))
 
     config = AcceleratorConfig().with_both()  # prefetch + sorted layout
     accelerator = AcceleratorSimulator(

@@ -24,10 +24,10 @@ The package builds the paper's entire system in Python:
 Quickstart::
 
     from repro.datasets import generate_task, TaskConfig
-    from repro.decoder import ViterbiDecoder, BeamSearchConfig
+    from repro.decoder import ViterbiDecoder, DecoderConfig
 
     task = generate_task(TaskConfig(vocab_size=200))
-    decoder = ViterbiDecoder(task.graph, BeamSearchConfig(beam=14.0))
+    decoder = ViterbiDecoder(task.graph, DecoderConfig(beam=14.0))
     result = decoder.decode(task.utterances[0].scores)
 """
 
@@ -35,7 +35,7 @@ __version__ = "1.0.0"
 
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.datasets import AsrTask, TaskConfig, generate_task
-from repro.decoder import BeamSearchConfig, ViterbiDecoder, word_error_rate
+from repro.decoder import DecoderConfig, ViterbiDecoder, word_error_rate
 from repro.graph import GraphCache, GraphRecipe, compile_graph
 from repro.wfst import CompiledWfst, Fst, sort_states_by_arc_count
 
@@ -46,7 +46,7 @@ __all__ = [
     "AsrTask",
     "TaskConfig",
     "generate_task",
-    "BeamSearchConfig",
+    "DecoderConfig",
     "ViterbiDecoder",
     "word_error_rate",
     "CompiledWfst",

@@ -23,7 +23,6 @@ from repro.decoder.backends import (
 )
 from repro.decoder.kernel import (
     AdaptiveBeamPruning,
-    BeamSearchConfig,
     ClosureEvent,
     DecoderConfig,
     ExpandEvent,
@@ -47,7 +46,6 @@ __all__ = [
     "AdaptiveBeamPruning",
     "BackendFallbackWarning",
     "BatchDecoder",
-    "BeamSearchConfig",
     "ClosureEvent",
     "DecodeResult",
     "DecodeSession",

@@ -105,9 +105,6 @@ from repro.common.logmath import LOG_ZERO
 from repro.acoustic.scorer import AcousticScores
 from repro.decoder.backends import KERNEL_BACKENDS, KernelBackend, resolve_backend
 from repro.decoder.result import DecodeResult, SearchStats
-# The shared backpointer trace of the vectorized discipline lives in
-# repro.decoder.traceback (windowed compaction + committed-prefix
-# protocol); re-exported here to keep the historical import path.
 from repro.decoder.traceback import TokenTrace
 from repro.wfst.layout import CompiledWfst, FlatLayout
 
@@ -206,10 +203,6 @@ class DecoderConfig:
         if self.pruning == "adaptive":
             return AdaptiveBeamPruning(self)
         return FixedBeamPruning(self)
-
-
-#: Backwards-compatible alias: the pre-kernel name of the search config.
-BeamSearchConfig = DecoderConfig
 
 
 class PruningStrategy:

@@ -9,20 +9,16 @@ simulator's exact event order (dict-order token walks, first-wins
 relaxation, FIFO epsilon worklist).  ``ViterbiDecoder`` is kept as the
 oracle every other engine -- batch, sessions, lattice, GPU, accelerator
 -- is tested against.
-
-``BeamSearchConfig`` is the historical name of
-:class:`repro.decoder.kernel.DecoderConfig` and is re-exported here for
-compatibility; new code should import ``DecoderConfig``.
 """
 
 from __future__ import annotations
 
 from repro.acoustic.scorer import AcousticScores
-from repro.decoder.kernel import BeamSearchConfig, DecoderConfig, ReferenceKernel
+from repro.decoder.kernel import DecoderConfig, ReferenceKernel
 from repro.decoder.result import DecodeResult
 from repro.wfst.layout import CompiledWfst
 
-__all__ = ["BeamSearchConfig", "DecoderConfig", "ViterbiDecoder"]
+__all__ = ["DecoderConfig", "ViterbiDecoder"]
 
 
 class ViterbiDecoder:

@@ -35,7 +35,7 @@ from repro.accel.stats import SimStats
 from repro.accel.trace import DecodeTrace, TraceRecorder
 from repro.datasets.synthetic_graph import SyntheticGraphConfig
 from repro.decoder.result import SearchStats
-from repro.decoder.viterbi import BeamSearchConfig, ViterbiDecoder
+from repro.decoder.viterbi import DecoderConfig, ViterbiDecoder
 from repro.energy.components import AcceleratorEnergyModel
 from repro.energy.cpu_model import CpuTimingModel
 from repro.energy.report import EnergyReport, PlatformResult
@@ -207,7 +207,7 @@ def run_platform_comparison(
     if "CPU" in wanted or check_consistency:
         decoder = ViterbiDecoder(
             workload.graph,
-            BeamSearchConfig(
+            DecoderConfig(
                 beam=workload.beam, max_active=workload.max_active
             ),
         )

@@ -41,7 +41,7 @@ from repro.acoustic.scorer import DnnScorer
 from repro.decoder.batch import BatchDecoder
 from repro.decoder.result import DecodeResult
 from repro.decoder.session import Chunk, advance_sessions, chunk_matrix
-from repro.decoder.viterbi import BeamSearchConfig
+from repro.decoder.viterbi import DecoderConfig
 from repro.wfst.layout import CompiledWfst
 
 
@@ -57,8 +57,7 @@ class ServerConfig:
         max_sessions: admission limit on concurrently live sessions;
             :meth:`StreamingServer.open_session` load-sheds with a typed
             :class:`~repro.common.errors.AdmissionError` once this many
-            sessions are live (0 = unlimited).  The sharded tier uses it
-            to bound each worker's sweep queue.
+            sessions are live (0 = unlimited).
     """
 
     max_batch: int = 64
@@ -188,7 +187,7 @@ class StreamingServer:
     def __init__(
         self,
         graph: CompiledWfst,
-        search_config: BeamSearchConfig = BeamSearchConfig(),
+        search_config: DecoderConfig = DecoderConfig(),
         server_config: ServerConfig = ServerConfig(),
         clock: Callable[[], float] = time.perf_counter,
         scorer: Optional[DnnScorer] = None,

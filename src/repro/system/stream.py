@@ -100,7 +100,7 @@ class BatchedStreamConfig:
     vectorized sweep.  The marginal cost of each extra stream is a fraction
     of the single-stream cost (``*_batch_efficiency``; 1.0 = no benefit,
     0.0 = free), the regime measured by
-    ``benchmarks/bench_batch_throughput.py``.
+    ``benchmarks/bench_streaming_sessions.py`` (concurrent vs sequential).
     """
 
     num_streams: int = 8

@@ -40,8 +40,8 @@ server-workload discussion assumes around the accelerator:
 Because each session decodes on exactly one worker's ``StreamingServer``
 (bit-identical to one-shot decoding), the tier's per-session output is
 word-for-word identical to ``BatchDecoder.decode`` -- the correctness
-anchor of ``benchmarks/bench_serving_tier.py`` and
-``tests/test_serving_tier.py``.
+anchor of ``tests/test_serving_tier.py`` and of every tier workload of
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -110,9 +110,6 @@ class TierConfig:
             budget (``min(queue_depth, 8192)``), which makes the
             plane-flip stall unreachable.  Chunks larger than a plane
             are shipped as several descriptors.
-        start_method: multiprocessing start method; ``None`` picks
-            ``fork`` where available (workers then inherit the mapped
-            graph pages directly), ``spawn`` elsewhere.
     """
 
     num_workers: int = 2
@@ -120,7 +117,6 @@ class TierConfig:
     queue_depth: int = 4096
     max_batch: int = 64
     plane_frames: int = 0
-    start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -133,13 +129,6 @@ class TierConfig:
             raise ConfigError("max_batch must be >= 1")
         if self.plane_frames < 0:
             raise ConfigError("plane_frames must be >= 0 (0 = auto)")
-        if self.start_method is not None and (
-            self.start_method not in multiprocessing.get_all_start_methods()
-        ):
-            raise ConfigError(
-                f"unknown start method {self.start_method!r} (available: "
-                f"{multiprocessing.get_all_start_methods()})"
-            )
 
 
 @dataclass
@@ -532,9 +521,7 @@ class ServingTier:
         self._score_cv = threading.Condition(self._lock)
         self._score_thread: Optional[threading.Thread] = None
 
-        ctx = multiprocessing.get_context(
-            tier_config.start_method or _default_start_method()
-        )
+        ctx = multiprocessing.get_context(_default_start_method())
         shard_config = ServerConfig(max_batch=tier_config.max_batch)
         self._workers: List[_WorkerHandle] = []
         for index in range(tier_config.num_workers):

@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.datasets import AudioTaskConfig, generate_audio_task
-from repro.decoder import BeamSearchConfig, ViterbiDecoder, word_error_rate
+from repro.decoder import DecoderConfig, ViterbiDecoder, word_error_rate
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ class TestAcousticModelQuality:
 class TestEndToEndDecoding:
     def test_software_decoder_wer(self, audio_task):
         decoder = ViterbiDecoder(
-            audio_task.task.graph, BeamSearchConfig(beam=20.0)
+            audio_task.task.graph, DecoderConfig(beam=20.0)
         )
         total = 0.0
         for utt in audio_task.task.utterances:
@@ -42,7 +42,7 @@ class TestEndToEndDecoding:
     def test_accelerator_matches_reference(self, audio_task):
         """The hardware decodes real-DNN scores identically too."""
         graph = audio_task.task.graph
-        ref = ViterbiDecoder(graph, BeamSearchConfig(beam=20.0))
+        ref = ViterbiDecoder(graph, DecoderConfig(beam=20.0))
         sim = AcceleratorSimulator(graph, AcceleratorConfig(), beam=20.0)
         for utt in audio_task.task.utterances:
             assert sim.decode(utt.scores).words == ref.decode(utt.scores).words

@@ -14,7 +14,7 @@ import pytest
 
 from repro.common.errors import DecodeError
 from repro.acoustic.scorer import AcousticScores
-from repro.decoder import BatchDecoder, BeamSearchConfig, ViterbiDecoder
+from repro.decoder import BatchDecoder, DecoderConfig, ViterbiDecoder
 from repro.wfst import CompiledWfst, EPSILON, Fst
 
 L, OW, EH, S = 1, 2, 3, 4
@@ -74,7 +74,7 @@ class TestHandBuiltGraphs:
     def test_epsilon_merge_picks_likelier_route(self):
         graph = epsilon_heavy_graph()
         scores = scores_for([{L: 0.9}, {OW: 0.9}])
-        result = BatchDecoder(graph, BeamSearchConfig(beam=30.0)).decode(scores)
+        result = BatchDecoder(graph, DecoderConfig(beam=30.0)).decode(scores)
         # Route B (0.8 * 0.9 = 0.72) beats route A (0.3) and emits MORE.
         assert result.words == (LOW, MORE, LESS)
         assert result.log_likelihood == pytest.approx(
@@ -85,7 +85,7 @@ class TestHandBuiltGraphs:
     def test_epsilon_heavy_equivalence(self):
         graph = epsilon_heavy_graph()
         scores = scores_for([{L: 0.9, OW: 0.2}, {OW: 0.7, L: 0.1}])
-        assert_equivalent(graph, BeamSearchConfig(beam=30.0), [scores])
+        assert_equivalent(graph, DecoderConfig(beam=30.0), [scores])
 
     def test_multiple_arcs_one_destination(self):
         """The segment-max merge keeps the best incoming arc."""
@@ -98,7 +98,7 @@ class TestHandBuiltGraphs:
         fst.set_final(s2)
         graph = CompiledWfst.from_fst(fst)
         scores = scores_for([{L: 0.5}, {OW: 0.5}])
-        result = BatchDecoder(graph, BeamSearchConfig(beam=30.0)).decode(scores)
+        result = BatchDecoder(graph, DecoderConfig(beam=30.0)).decode(scores)
         assert result.words == (LOW,)
 
     def test_no_final_token_fallback(self):
@@ -112,8 +112,8 @@ class TestHandBuiltGraphs:
         graph = CompiledWfst.from_fst(fst)
         # One frame only: the final state is unreachable.
         scores = scores_for([{L: 0.8}])
-        assert_equivalent(graph, BeamSearchConfig(beam=30.0), [scores])
-        result = BatchDecoder(graph, BeamSearchConfig(beam=30.0)).decode(scores)
+        assert_equivalent(graph, DecoderConfig(beam=30.0), [scores])
+        result = BatchDecoder(graph, DecoderConfig(beam=30.0)).decode(scores)
         assert not result.reached_final
 
     def test_multi_round_epsilon_improvement(self):
@@ -140,7 +140,7 @@ class TestHandBuiltGraphs:
         fst.set_final(s5, 0.0)
         graph = CompiledWfst.from_fst(fst)
         scores = scores_for([{L: 0.9}, {OW: 0.9}])
-        config = BeamSearchConfig(beam=50.0)
+        config = DecoderConfig(beam=50.0)
         assert_equivalent(graph, config, [scores])
         result = BatchDecoder(graph, config).decode(scores)
         # The winning path runs through the whole chain (emitting MORE).
@@ -162,7 +162,7 @@ class TestHandBuiltGraphs:
         # Frame 1 finds only epsilon arcs out of {s1, s2}: no token can
         # consume it.
         scores = scores_for([{L: 0.8}, {L: 0.8}])
-        config = BeamSearchConfig(beam=30.0)
+        config = DecoderConfig(beam=30.0)
         with pytest.raises(DecodeError):
             ViterbiDecoder(graph, config).decode(scores)
         with pytest.raises(DecodeError):
@@ -194,7 +194,7 @@ class TestHandBuiltGraphs:
         fst.set_final(s2, 0.0)
         graph = CompiledWfst.from_fst(fst)
         scores = scores_for([{L: 0.8}, {OW: 0.8}])
-        assert_equivalent(graph, BeamSearchConfig(beam=30.0), [scores])
+        assert_equivalent(graph, DecoderConfig(beam=30.0), [scores])
 
 
 class TestTaskEquivalence:
@@ -202,7 +202,7 @@ class TestTaskEquivalence:
     def test_beam_sweep(self, small_task, beam):
         assert_equivalent(
             small_task.graph,
-            BeamSearchConfig(beam=beam),
+            DecoderConfig(beam=beam),
             [u.scores for u in small_task.utterances],
         )
 
@@ -210,7 +210,7 @@ class TestTaskEquivalence:
     def test_max_active_sweep(self, small_task, max_active):
         assert_equivalent(
             small_task.graph,
-            BeamSearchConfig(beam=14.0, max_active=max_active),
+            DecoderConfig(beam=14.0, max_active=max_active),
             [u.scores for u in small_task.utterances],
         )
 
@@ -225,13 +225,13 @@ class TestTaskEquivalence:
         assert task.graph.epsilon_fraction() > 0.05
         assert_equivalent(
             task.graph,
-            BeamSearchConfig(beam=12.0),
+            DecoderConfig(beam=12.0),
             [u.scores for u in task.utterances],
         )
 
     def test_core_counters_match_reference(self, small_task):
         """Same frontier per frame => same pruning/expansion counters."""
-        config = BeamSearchConfig(beam=12.0, max_active=50)
+        config = DecoderConfig(beam=12.0, max_active=50)
         ref_results, batch_results = assert_equivalent(
             small_task.graph,
             config,
@@ -260,14 +260,14 @@ class TestRaggedBatches:
             AcousticScores(base.matrix[:k])
             for k in (3, base.num_frames, 7, 1)
         ] + [u.scores for u in small_task.utterances]
-        decoder = BatchDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = BatchDecoder(small_task.graph, DecoderConfig(beam=14.0))
         together = decoder.decode_batch(ragged)
         alone = [decoder.decode(s) for s in ragged]
         for one, many in zip(alone, together):
             assert many.words == one.words
             assert many.log_likelihood == one.log_likelihood
         assert_equivalent(
-            small_task.graph, BeamSearchConfig(beam=14.0), ragged
+            small_task.graph, DecoderConfig(beam=14.0), ragged
         )
 
     def test_empty_batch(self, small_graph):
@@ -285,7 +285,7 @@ class TestRaggedBatches:
 
     def test_decoder_reusable_across_batches(self, small_task):
         """One decoder instance serves many decode_batch calls."""
-        decoder = BatchDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = BatchDecoder(small_task.graph, DecoderConfig(beam=14.0))
         scores = [u.scores for u in small_task.utterances]
         first = decoder.decode_batch(scores)
         second = decoder.decode_batch(scores)

@@ -16,7 +16,7 @@ import pytest
 from repro.common.errors import ConfigError, DecodeError
 from repro.acoustic import BatchScorer, Dnn, DnnConfig, DnnScorer
 from repro.datasets import AudioTaskConfig, generate_audio_task
-from repro.decoder import BeamSearchConfig
+from repro.decoder import DecoderConfig
 from repro.system import (
     ScorePlaneRing,
     ScorePlaneView,
@@ -45,7 +45,7 @@ def tiny_scorer():
 
 @pytest.fixture()
 def config():
-    return BeamSearchConfig(beam=14.0, max_active=80)
+    return DecoderConfig(beam=14.0, max_active=80)
 
 
 class TestBatchScorer:

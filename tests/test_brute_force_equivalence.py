@@ -14,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.acoustic.scorer import AcousticScores
 from repro.common.errors import DecodeError
-from repro.decoder import BeamSearchConfig, ViterbiDecoder
+from repro.decoder import DecoderConfig, ViterbiDecoder
 from repro.decoder.brute_force import brute_force_best_path
 from repro.gpu import GpuViterbiDecoder
 from repro.wfst import CompiledWfst, EPSILON, Fst
 
-WIDE_BEAM = BeamSearchConfig(beam=1e6)
+WIDE_BEAM = DecoderConfig(beam=1e6)
 NUM_PHONES = 4
 
 
@@ -113,7 +113,7 @@ def test_beam_search_is_admissible_when_wide(seed):
     wide = ViterbiDecoder(graph, WIDE_BEAM).decode(scores)
     assert wide.log_likelihood == pytest.approx(best, abs=1e-6)
     try:
-        narrow = ViterbiDecoder(graph, BeamSearchConfig(beam=1.0)).decode(
+        narrow = ViterbiDecoder(graph, DecoderConfig(beam=1.0)).decode(
             scores
         )
     except DecodeError:

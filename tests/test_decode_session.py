@@ -14,7 +14,7 @@ from repro.common.errors import DecodeError
 from repro.acoustic.scorer import AcousticScores
 from repro.decoder import (
     BatchDecoder,
-    BeamSearchConfig,
+    DecoderConfig,
     ViterbiDecoder,
     advance_sessions,
 )
@@ -42,7 +42,7 @@ class TestChunkedEquivalence:
     @pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (7,), (1000,),
                                        (1, 5, 2), (4, 1, 1, 9)])
     def test_any_chunking_matches_oneshot(self, small_task, sizes):
-        config = BeamSearchConfig(beam=14.0, max_active=60)
+        config = DecoderConfig(beam=14.0, max_active=60)
         decoder = BatchDecoder(small_task.graph, config)
         for utt in small_task.utterances:
             expected = decoder.decode(utt.scores)
@@ -56,7 +56,7 @@ class TestChunkedEquivalence:
             assert result.stats.frames == expected.stats.frames
 
     def test_push_accepts_acoustic_scores_objects(self, small_task):
-        decoder = BatchDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = BatchDecoder(small_task.graph, DecoderConfig(beam=14.0))
         utt = small_task.utterances[0]
         expected = decoder.decode(utt.scores)
         session = decoder.open_session()
@@ -64,7 +64,7 @@ class TestChunkedEquivalence:
         assert_same_result(expected, session.finalize())
 
     def test_matches_scalar_reference(self, small_task):
-        config = BeamSearchConfig(beam=12.0)
+        config = DecoderConfig(beam=12.0)
         reference = ViterbiDecoder(small_task.graph, config)
         decoder = BatchDecoder(small_task.graph, config)
         utt = small_task.utterances[1]
@@ -81,7 +81,7 @@ class TestChunkedEquivalence:
 
 class TestPartials:
     def test_partial_matches_prefix_decode(self, small_task):
-        config = BeamSearchConfig(beam=14.0)
+        config = DecoderConfig(beam=14.0)
         decoder = BatchDecoder(small_task.graph, config)
         utt = small_task.utterances[0]
         session = decoder.open_session()
@@ -91,7 +91,7 @@ class TestPartials:
             assert_same_result(decoder.decode(prefix), session.partial())
 
     def test_partial_does_not_disturb_the_search(self, small_task):
-        decoder = BatchDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = BatchDecoder(small_task.graph, DecoderConfig(beam=14.0))
         utt = small_task.utterances[2]
         expected = decoder.decode(utt.scores)
         session = decoder.open_session()
@@ -101,7 +101,7 @@ class TestPartials:
         assert_same_result(expected, session.finalize())
 
     def test_partial_stats_are_a_snapshot(self, small_task):
-        decoder = BatchDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = BatchDecoder(small_task.graph, DecoderConfig(beam=14.0))
         utt = small_task.utterances[0]
         session = decoder.open_session()
         session.push(utt.scores.matrix[:4])
@@ -118,7 +118,7 @@ class TestSessionLifecycle:
             session.finalize()
 
     def test_push_after_finalize_rejected(self, small_task):
-        decoder = BatchDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = BatchDecoder(small_task.graph, DecoderConfig(beam=14.0))
         session = decoder.open_session()
         session.push(small_task.utterances[0].scores)
         session.finalize()
@@ -134,7 +134,7 @@ class TestSessionLifecycle:
             session.push(np.zeros((2, 3, 4)))
 
     def test_frames_pushed_counts(self, small_task):
-        decoder = BatchDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = BatchDecoder(small_task.graph, DecoderConfig(beam=14.0))
         session = decoder.open_session()
         assert session.frames_pushed == 0
         session.push(small_task.utterances[0].scores.matrix[:6])
@@ -143,7 +143,7 @@ class TestSessionLifecycle:
 
 class TestFusedSweep:
     def test_fused_identical_to_solo_sessions(self, small_task):
-        config = BeamSearchConfig(beam=12.0, max_active=40)
+        config = DecoderConfig(beam=12.0, max_active=40)
         decoder = BatchDecoder(small_task.graph, config)
         utts = small_task.utterances
         solo = [decoder.decode(u.scores) for u in utts]
@@ -195,7 +195,7 @@ class TestFusedSweep:
     def test_ragged_widths_fall_back_to_solo_advances(self, small_task):
         """Mixed score widths cannot fuse, but still decode identically
         (decode_batch accepted ragged widths before the fused engine)."""
-        decoder = BatchDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = BatchDecoder(small_task.graph, DecoderConfig(beam=14.0))
         base = small_task.utterances[0].scores
         padded = AcousticScores(
             np.concatenate(
@@ -210,7 +210,7 @@ class TestFusedSweep:
 
     def test_empty_and_single_pairs(self, small_task):
         advance_sessions([])
-        decoder = BatchDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = BatchDecoder(small_task.graph, DecoderConfig(beam=14.0))
         utt = small_task.utterances[0]
         expected = decoder.decode(utt.scores)
         session = decoder.open_session()

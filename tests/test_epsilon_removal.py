@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import DecodeError, GraphError
 from repro.datasets import TaskConfig, generate_task
-from repro.decoder import BeamSearchConfig, ViterbiDecoder
+from repro.decoder import DecoderConfig, ViterbiDecoder
 from repro.decoder.brute_force import brute_force_best_path
 from repro.wfst import CompiledWfst, EPSILON, Fst
 from repro.wfst.epsilon_removal import count_epsilon_arcs, remove_epsilons
@@ -106,8 +106,8 @@ class TestEquivalence:
             remove_epsilons(task.graph.to_fst())
         )
         assert removed.epsilon_fraction() == 0.0
-        original = ViterbiDecoder(task.graph, BeamSearchConfig(beam=16.0))
-        epsfree = ViterbiDecoder(removed, BeamSearchConfig(beam=16.0))
+        original = ViterbiDecoder(task.graph, DecoderConfig(beam=16.0))
+        epsfree = ViterbiDecoder(removed, DecoderConfig(beam=16.0))
         for utt in task.utterances:
             a = original.decode(utt.scores)
             b = epsfree.decode(utt.scores)

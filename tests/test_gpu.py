@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.decoder import BeamSearchConfig, ViterbiDecoder
+from repro.decoder import DecoderConfig, ViterbiDecoder
 from repro.gpu import GTX980, GpuDnnModel, GpuTimingModel, GpuViterbiDecoder
 from repro.gpu.decoder import GpuWorkload
 from repro.gpu.model import dnn_flops_per_frame
@@ -11,7 +11,7 @@ from repro.gpu.model import dnn_flops_per_frame
 class TestGpuDecoderEquivalence:
     def test_likelihoods_match_reference(self, small_task):
         """The data-parallel decoder must find the same best-path score."""
-        ref = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        ref = ViterbiDecoder(small_task.graph, DecoderConfig(beam=14.0))
         gpu = GpuViterbiDecoder(small_task.graph, beam=14.0)
         for utt in small_task.utterances:
             r = ref.decode(utt.scores)
@@ -20,7 +20,7 @@ class TestGpuDecoderEquivalence:
             assert g.words == r.words
 
     def test_arc_counts_match_reference(self, small_task):
-        ref = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        ref = ViterbiDecoder(small_task.graph, DecoderConfig(beam=14.0))
         gpu = GpuViterbiDecoder(small_task.graph, beam=14.0)
         utt = small_task.utterances[0]
         r = ref.decode(utt.scores)

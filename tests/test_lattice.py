@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.decoder import BeamSearchConfig, ViterbiDecoder, word_error_rate
+from repro.decoder import DecoderConfig, ViterbiDecoder, word_error_rate
 from repro.decoder.lattice import LatticeDecoder
 
 
@@ -20,7 +20,7 @@ def lattice_task():
 
 @pytest.fixture(scope="module")
 def decoded(lattice_task):
-    config = BeamSearchConfig(beam=12.0)
+    config = DecoderConfig(beam=12.0)
     lattice_decoder = LatticeDecoder(
         lattice_task.graph, config, lattice_beam=6.0
     )
@@ -68,7 +68,7 @@ class TestLattice:
 
     def test_wider_lattice_beam_keeps_more(self, lattice_task):
         utt = lattice_task.utterances[1]
-        config = BeamSearchConfig(beam=12.0)
+        config = DecoderConfig(beam=12.0)
         narrow = LatticeDecoder(lattice_task.graph, config, lattice_beam=2.0)
         wide = LatticeDecoder(lattice_task.graph, config, lattice_beam=10.0)
         n = narrow.decode(utt.scores)
@@ -109,7 +109,7 @@ class TestLattice:
         matrix[0, 1] = math.log(0.8)
         scores = AcousticScores(matrix)
 
-        config = BeamSearchConfig(beam=30.0)
+        config = DecoderConfig(beam=30.0)
         reference = ViterbiDecoder(graph, config).decode(scores)
         assert not reference.reached_final
         lattice = LatticeDecoder(graph, config).decode(scores)

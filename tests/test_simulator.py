@@ -8,7 +8,7 @@ import pytest
 
 from repro.common.errors import ConfigError, DecodeError
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
-from repro.decoder import BeamSearchConfig, ViterbiDecoder
+from repro.decoder import DecoderConfig, ViterbiDecoder
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ class TestFunctionalEquivalence:
         self, small_task, small_sorted_graph, configs, name
     ):
         config = configs[name]
-        ref = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        ref = ViterbiDecoder(small_task.graph, DecoderConfig(beam=14.0))
         sim = AcceleratorSimulator(
             small_task.graph,
             config,
@@ -48,7 +48,7 @@ class TestFunctionalEquivalence:
 
     def test_max_active_matches_reference(self, small_task):
         ref = ViterbiDecoder(
-            small_task.graph, BeamSearchConfig(beam=14.0, max_active=25)
+            small_task.graph, DecoderConfig(beam=14.0, max_active=25)
         )
         sim = AcceleratorSimulator(
             small_task.graph, AcceleratorConfig(), beam=14.0, max_active=25
@@ -60,7 +60,7 @@ class TestFunctionalEquivalence:
             )
 
     def test_search_counters_match_reference(self, small_task):
-        ref = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        ref = ViterbiDecoder(small_task.graph, DecoderConfig(beam=14.0))
         sim = AcceleratorSimulator(small_task.graph, beam=14.0)
         utt = small_task.utterances[0]
         r = ref.decode(utt.scores)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from repro.common.errors import AdmissionError, ConfigError, DecodeError
-from repro.decoder import BatchDecoder, BeamSearchConfig
+from repro.decoder import BatchDecoder, DecoderConfig
 from repro.system import ServerConfig, StreamingServer
 
 
 @pytest.fixture()
 def config():
-    return BeamSearchConfig(beam=14.0, max_active=60)
+    return DecoderConfig(beam=14.0, max_active=60)
 
 
 @pytest.fixture()
@@ -211,7 +211,7 @@ class TestErrors:
         matrix = np.full((6, 3), -1e9)
         matrix[:, 1] = math.log(0.8)
 
-        server = StreamingServer(graph, BeamSearchConfig(beam=30.0))
+        server = StreamingServer(graph, DecoderConfig(beam=30.0))
         with pytest.raises(DecodeError) as exc:
             server.decode_streaming([matrix], chunk_frames=2)
         assert "beam emptied" in str(exc.value) or "no active tokens" in str(
@@ -239,7 +239,7 @@ class TestErrors:
         matrix = np.full((2, 3), -1e9)
         matrix[:, 1] = math.log(0.8)
 
-        server = StreamingServer(graph, BeamSearchConfig(beam=30.0))
+        server = StreamingServer(graph, DecoderConfig(beam=30.0))
         sid = server.open_session()
         server.push(sid, matrix)
         server.step()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.datasets import TaskConfig, generate_task
-from repro.decoder import BeamSearchConfig, ViterbiDecoder, word_error_rate
+from repro.decoder import DecoderConfig, ViterbiDecoder, word_error_rate
 
 
 class TestTaskStructure:
@@ -47,7 +47,7 @@ class TestDecodability:
     def test_low_wer_on_generated_utterances(self, small_task):
         """The synthetic task must be accurately decodable -- this is the
         functional sanity check of the whole front-to-back pipeline."""
-        decoder = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = ViterbiDecoder(small_task.graph, DecoderConfig(beam=14.0))
         total = 0.0
         for utt in small_task.utterances:
             result = decoder.decode(utt.scores)
@@ -55,6 +55,6 @@ class TestDecodability:
         assert total / len(small_task.utterances) < 0.25
 
     def test_results_reach_final_states(self, small_task):
-        decoder = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = ViterbiDecoder(small_task.graph, DecoderConfig(beam=14.0))
         result = decoder.decode(small_task.utterances[0].scores)
         assert result.reached_final

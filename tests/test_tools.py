@@ -32,99 +32,102 @@ check_docs = load_tool("check_docs")
 # ----------------------------------------------------------------------
 # perf_report
 # ----------------------------------------------------------------------
-def trajectory(path: Path, benches) -> str:
-    path.write_text(json.dumps({"benches": benches}))
-    return str(path)
+def committed(pr: int) -> dict:
+    return json.loads((REPO_ROOT / f"BENCH_{pr}.json").read_text())
 
 
-class TestLoadTrajectory:
-    def test_missing_file_is_empty(self, tmp_path):
-        assert perf_report.load_trajectory(str(tmp_path / "nope.json")) == {}
-
-    def test_corrupt_file_is_empty(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{torn write")
-        assert perf_report.load_trajectory(str(p)) == {}
-
-    def test_missing_benches_key_is_empty(self, tmp_path):
-        p = tmp_path / "t.json"
-        p.write_text(json.dumps({"other": 1}))
-        assert perf_report.load_trajectory(str(p)) == {}
-
-    def test_roundtrip(self, tmp_path):
-        benches = {"decode": {"frames_per_second": 100.0}}
-        p = trajectory(tmp_path / "t.json", benches)
-        assert perf_report.load_trajectory(p) == benches
+def table_rows(lines):
+    return [l for l in lines if l.startswith("| ") and "| metric |" not in l]
 
 
-class TestBuildReport:
-    def test_no_baseline_notes_first_run(self):
-        lines, warnings = perf_report.build_report(
-            {"decode": {"frames_per_second": 100.0}}, {}, 0.2
+class TestLoadRecords:
+    def test_empty_directory_has_no_records(self, tmp_path):
+        assert perf_report.load_records(str(tmp_path)) == ([], [])
+
+    def test_torn_file_is_named_and_skipped(self, tmp_path):
+        (tmp_path / "BENCH_3.json").write_text("{torn write")
+        (tmp_path / "BENCH_4.json").write_text(json.dumps({"pr": 4}))
+        records, notes = perf_report.load_records(str(tmp_path))
+        assert records == [{"pr": 4}]
+        assert len(notes) == 1 and "BENCH_3.json" in notes[0]
+
+    def test_other_json_files_are_not_records(self, tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({"paths": []}))
+        (tmp_path / "BENCH_notes.json").write_text("{}")
+        assert perf_report.load_records(str(tmp_path)) == ([], [])
+
+    def test_records_come_back_in_pr_order(self, tmp_path):
+        for pr in (16, 9, 101):
+            (tmp_path / f"BENCH_{pr}.json").write_text(json.dumps({"pr": pr}))
+        records, _ = perf_report.load_records(str(tmp_path))
+        assert [r["pr"] for r in records] == [9, 16, 101]
+
+
+class TestRenderRecord:
+    def test_heading_names_pr_machine_and_line_counts(self):
+        text = "\n".join(perf_report.render(committed(17)))
+        assert "## PR 17" in text
+        assert "cores 2" in text and "numba not installed" in text
+        assert "src 17507 lines, tests 9946 lines, benchmarks 6394 lines" in text
+        assert "tier-1 846 passed / 32 skipped" in text
+
+    @pytest.mark.parametrize("pr", [16, 17])
+    def test_one_row_per_workload_and_end_to_end_metric(self, pr):
+        record = committed(pr)
+        rows = table_rows(perf_report.render(record))
+        assert len(rows) == 6 * 3
+        for workload, metrics in record["end_to_end"].items():
+            for metric in metrics:
+                assert sum(f"| {workload} | {metric} |" in r for r in rows) == 1
+
+    def test_row_quotes_medians_ratio_and_verdict(self):
+        rows = table_rows(perf_report.render(committed(16)))
+        assert ("| accel_sweep | frames_per_s | 1,133 | 1,863 | 1.643 "
+                "| better |") in rows
+
+    def test_verdict_is_the_recorded_one_not_a_second_judgement(self):
+        record = committed(16)
+        record["end_to_end"]["accel_sweep"]["frames_per_s"]["verdict"] = (
+            "unresolved"
         )
-        assert any("No previous main-branch baseline" in l for l in lines)
-        assert not warnings
+        rows = table_rows(perf_report.render(record))
+        assert ("| accel_sweep | frames_per_s | 1,133 | 1,863 | 1.643 "
+                "| unresolved |") in rows
 
-    def test_regression_beyond_threshold_warns(self):
-        lines, warnings = perf_report.build_report(
-            {"decode": {"frames_per_second": 70.0}},
-            {"decode": {"frames_per_second": 100.0}},
-            0.2,
+    def test_missing_fields_read_as_dashes(self):
+        lines = perf_report.render(
+            {"pr": 3, "end_to_end": {"w": {"frames_per_s": {"ratio": 1.0}}}}
         )
-        assert len(warnings) == 1
-        assert "regressed" in warnings[0]
-        assert any(":warning:" in l for l in lines)
-
-    def test_small_regression_does_not_warn(self):
-        _, warnings = perf_report.build_report(
-            {"decode": {"frames_per_second": 90.0}},
-            {"decode": {"frames_per_second": 100.0}},
-            0.2,
-        )
-        assert not warnings
-
-    def test_improvement_does_not_warn(self):
-        lines, warnings = perf_report.build_report(
-            {"decode": {"speedup": 3.0}},
-            {"decode": {"speedup": 2.0}},
-            0.2,
-        )
-        assert not warnings
-        assert any("+50.0%" in l for l in lines)
-
-    def test_bench_only_in_baseline_still_listed(self):
-        lines, _ = perf_report.build_report(
-            {}, {"gone": {"frames_per_second": 50.0}}, 0.2
-        )
-        assert any("| gone |" in l for l in lines)
+        assert "## PR 3" in lines
+        assert table_rows(lines) == [
+            "| w | frames_per_s | -- | -- | 1.000 | -- |"
+        ]
 
 
 class TestPerfReportMain:
-    def test_no_current_trajectory_exits_zero(self, tmp_path, capsys):
-        rc = perf_report.main([
-            "--current", str(tmp_path / "missing.json"),
-            "--baseline", str(tmp_path / "missing2.json"),
-        ])
-        assert rc == 0
-        assert "no current trajectory" in capsys.readouterr().out
+    def test_no_records_exits_zero_with_a_note(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
+        assert perf_report.main(str(tmp_path)) == 0
+        assert "No BENCH_<n>.json record" in capsys.readouterr().out
 
     def test_writes_github_step_summary(self, tmp_path, capsys,
                                         monkeypatch):
-        current = trajectory(
-            tmp_path / "cur.json",
-            {"decode": {"frames_per_second": 60.0}},
-        )
-        baseline = trajectory(
-            tmp_path / "base.json",
-            {"decode": {"frames_per_second": 100.0}},
-        )
+        """The repo's own records, in one go: one section per committed
+        file, in the step summary when CI provides one."""
         summary = tmp_path / "summary.md"
         monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
-        rc = perf_report.main(["--current", current,
-                               "--baseline", baseline])
-        assert rc == 0  # warnings never fail the job
-        assert "# Perf trajectory" in summary.read_text()
-        assert "::warning" in capsys.readouterr().out
+        assert perf_report.main() == 0
+        text = summary.read_text()
+        committed_prs = sorted(
+            int(p.stem.split("_")[1]) for p in REPO_ROOT.glob("BENCH_*.json")
+        )
+        assert {16, 17} <= set(committed_prs)
+        assert [l for l in text.splitlines() if l.startswith("## PR ")] == [
+            f"## PR {pr}" for pr in committed_prs
+        ]
+        assert "unreadable" not in text
+        assert capsys.readouterr().out == ""
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +183,28 @@ class TestMarkdownLinks:
         ) == 0
 
 
+class TestRepoPaths:
+    def test_missing_path_reported(self, tmp_path):
+        page(tmp_path, "README.md", """
+            `benchmarks/bench_gone.py` gates it; see also `bench_lost.py`
+            and `tests/test_here.py::TestIt::test_case`.
+            """)
+        page(tmp_path, "tests/test_here.py", "")
+        failures = check_docs.check_repo_paths(str(tmp_path))
+        assert failures == [
+            "README.md: no such file -> bench_lost.py",
+            "README.md: no such file -> benchmarks/bench_gone.py",
+        ]
+
+    def test_matching_glob_and_bare_bench_name_ok(self, tmp_path):
+        page(tmp_path, "docs/GUIDE.md", """
+            The `benchmarks/bench_fig*.py` files, `bench_fig01_x.py` first;
+            `src/<package>/x.py` and `results/out.json` are not repo paths.
+            """)
+        page(tmp_path, "benchmarks/bench_fig01_x.py", "")
+        assert check_docs.check_repo_paths(str(tmp_path)) == []
+
+
 class TestPydocImportability:
     def test_real_package_renders(self):
         # The full check over the installed package: every repro module
@@ -188,6 +213,7 @@ class TestPydocImportability:
 
     def test_real_repo_links_resolve(self):
         assert check_docs.check_markdown_links(str(REPO_ROOT)) == []
+        assert check_docs.check_repo_paths(str(REPO_ROOT)) == []
 
 
 # ----------------------------------------------------------------------
@@ -204,4 +230,15 @@ class TestRunAllCommandLine:
             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert "--quick" in done.stdout
+        assert "--fast" in done.stdout
+
+    def test_quick_mode_is_gone(self, tmp_path):
+        """The second measuring system's entry point is refused by
+        argparse (exit 2) instead of silently running the full set."""
+        done = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "benchmarks" / "run_all.py"),
+             "--quick"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "unrecognized arguments: --quick" in done.stderr

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, DecodeError
+from repro.datasets import SyntheticGraphConfig
 from repro.decoder import (
     BatchDecoder,
     DecoderConfig,
@@ -33,6 +34,7 @@ from repro.decoder.traceback import (
     TokenTrace,
     trace_reachable_numpy,
 )
+from repro.system import make_memory_workload
 from repro.wfst import CompiledWfst, Fst
 
 #: Every backend importable in this environment ("numpy" always).
@@ -166,6 +168,34 @@ class TestCommittedPrefixProperty:
 
         assert peak(2) < peak(0)
 
+    def test_windowed_growth_is_flat_append_only_is_not(self):
+        """On a 400-frame stream the windowed buffer's high-water mark
+        at full length stays within 1.3x of its half-length mark, while
+        the append-only buffer keeps growing (>= 1.5x)."""
+        workload = make_memory_workload(
+            num_utterances=1, frames_per_utterance=400, beam=8.0,
+            max_active=100, seed=9,
+            graph_config=SyntheticGraphConfig(
+                num_states=2_000, num_phones=50, seed=9
+            ),
+        )
+        matrix = workload.scores[0].matrix
+
+        def growth(interval):
+            session = BatchDecoder(
+                workload.graph,
+                DecoderConfig(beam=workload.beam,
+                              max_active=workload.max_active,
+                              commit_interval=interval),
+            ).open_session()
+            session.push(matrix[:200])
+            half = session.trace_peak_bytes
+            session.push(matrix[200:])
+            return session.trace_peak_bytes / half
+
+        assert growth(25) <= 1.3
+        assert growth(0) >= 1.5
+
 
 class TestFusedSweepCommits:
     def test_fused_commits_match_solo_and_offline(self, small_task):
@@ -268,11 +298,6 @@ class TestTokenTraceUnit:
                 np.array([word], dtype=np.int64),
             )
         return int(tip)
-
-    def test_historical_import_path(self):
-        from repro.decoder.kernel import TokenTrace as KernelTokenTrace
-
-        assert KernelTokenTrace is TokenTrace
 
     def test_append_bulk_grows_once_per_resize(self):
         trace = TokenTrace()

@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.logmath import to_prob
 from repro.datasets import TaskConfig, generate_task
-from repro.decoder import BeamSearchConfig, ViterbiDecoder, word_error_rate
+from repro.decoder import DecoderConfig, ViterbiDecoder, word_error_rate
 from repro.lexicon import build_lexicon_fst
 from repro.lm import build_trigram_fst, train_trigram
 from repro.lm.ngram import BOS, EOS
@@ -127,7 +127,7 @@ class TestTrigramDecoding:
                 build_trigram_fst(trigram),
             )
         )
-        decoder = ViterbiDecoder(graph, BeamSearchConfig(beam=14.0))
+        decoder = ViterbiDecoder(graph, DecoderConfig(beam=14.0))
         total = 0.0
         for utt in task.utterances:
             result = decoder.decode(utt.scores)

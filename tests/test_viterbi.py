@@ -12,7 +12,7 @@ import pytest
 
 from repro.common.errors import ConfigError, DecodeError
 from repro.acoustic.scorer import AcousticScores
-from repro.decoder import BeamSearchConfig, ViterbiDecoder
+from repro.decoder import DecoderConfig, ViterbiDecoder
 from repro.wfst import CompiledWfst, EPSILON, Fst
 
 # Phone ids.
@@ -50,7 +50,7 @@ class TestFigure2Example:
         graph = figure2_graph()
         scores = scores_for([{L: 0.9, OW: 0.05, EH: 0.05, S: 0.05},
                              {L: 0.05, OW: 0.7, EH: 0.3, S: 0.05}])
-        result = ViterbiDecoder(graph, BeamSearchConfig(beam=20.0)).decode(scores)
+        result = ViterbiDecoder(graph, DecoderConfig(beam=20.0)).decode(scores)
         assert result.words == (LOW,)
         # Equation 1 by hand: 1.0 * 0.6 * 0.9 * 1.0 * 0.7.
         assert result.log_likelihood == pytest.approx(
@@ -65,7 +65,7 @@ class TestFigure2Example:
             {L: 0.05, OW: 0.1, EH: 0.8, S: 0.05},
             {L: 0.05, OW: 0.1, EH: 0.05, S: 0.8},
         ])
-        result = ViterbiDecoder(graph, BeamSearchConfig(beam=20.0)).decode(scores)
+        result = ViterbiDecoder(graph, DecoderConfig(beam=20.0)).decode(scores)
         assert result.words == (LESS,)
         assert result.log_likelihood == pytest.approx(
             math.log(0.4 * 0.9 * 0.8 * 0.8)
@@ -79,7 +79,7 @@ class TestFigure2Example:
         # At frame 2 the branches differ by log(0.6/0.4) = 0.405, so a
         # 0.3-wide beam prunes the "less" token (cf. the paper's frame-2
         # pruning of tokens 1 and 4).
-        tight = ViterbiDecoder(graph, BeamSearchConfig(beam=0.3)).decode(scores)
+        tight = ViterbiDecoder(graph, DecoderConfig(beam=0.3)).decode(scores)
         assert tight.words == (LOW,)
         assert tight.stats.tokens_pruned > 0
 
@@ -94,7 +94,7 @@ class TestFigure2Example:
         fst.set_final(s2)
         graph = CompiledWfst.from_fst(fst)
         scores = scores_for([{L: 0.5}, {OW: 0.5}])
-        result = ViterbiDecoder(graph, BeamSearchConfig(beam=30.0)).decode(scores)
+        result = ViterbiDecoder(graph, DecoderConfig(beam=30.0)).decode(scores)
         assert result.words == (LOW,)
 
 
@@ -110,7 +110,7 @@ class TestEpsilonHandling:
         fst.set_final(s3)
         graph = CompiledWfst.from_fst(fst)
         scores = scores_for([{L: 0.8}, {OW: 0.8}])
-        result = ViterbiDecoder(graph, BeamSearchConfig(beam=30.0)).decode(scores)
+        result = ViterbiDecoder(graph, DecoderConfig(beam=30.0)).decode(scores)
         assert result.words == (LOW,)
         assert result.log_likelihood == pytest.approx(math.log(0.8 * 0.5 * 0.8))
         assert result.stats.epsilon_arcs_processed >= 1
@@ -126,30 +126,30 @@ class TestEpsilonHandling:
         fst.set_final(states[4])
         graph = CompiledWfst.from_fst(fst)
         scores = scores_for([{L: 0.9}, {OW: 0.9}])
-        result = ViterbiDecoder(graph, BeamSearchConfig(beam=30.0)).decode(scores)
+        result = ViterbiDecoder(graph, DecoderConfig(beam=30.0)).decode(scores)
         assert result.reached_final
 
 
 class TestPruning:
     def test_max_active_caps_tokens(self, small_task):
         capped = ViterbiDecoder(
-            small_task.graph, BeamSearchConfig(beam=14.0, max_active=20)
+            small_task.graph, DecoderConfig(beam=14.0, max_active=20)
         )
         result = capped.decode(small_task.utterances[0].scores)
         assert max(result.stats.active_tokens_per_frame) <= 20
 
     def test_wider_beam_keeps_more_tokens(self, small_task):
         scores = small_task.utterances[0].scores
-        narrow = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=4.0))
-        wide = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=16.0))
+        narrow = ViterbiDecoder(small_task.graph, DecoderConfig(beam=4.0))
+        wide = ViterbiDecoder(small_task.graph, DecoderConfig(beam=16.0))
         n = narrow.decode(scores).stats.mean_active_tokens
         w = wide.decode(scores).stats.mean_active_tokens
         assert w >= n
 
     def test_wider_beam_never_worse_likelihood(self, small_task):
         scores = small_task.utterances[0].scores
-        narrow = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=6.0))
-        wide = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=18.0))
+        narrow = ViterbiDecoder(small_task.graph, DecoderConfig(beam=6.0))
+        wide = ViterbiDecoder(small_task.graph, DecoderConfig(beam=18.0))
         assert (
             wide.decode(scores).log_likelihood
             >= narrow.decode(scores).log_likelihood - 1e-9
@@ -164,14 +164,14 @@ class TestErrors:
 
     def test_invalid_beam_rejected(self):
         with pytest.raises(ConfigError):
-            BeamSearchConfig(beam=0.0)
+            DecoderConfig(beam=0.0)
         with pytest.raises(ConfigError):
-            BeamSearchConfig(beam=5.0, max_active=-1)
+            DecoderConfig(beam=5.0, max_active=-1)
 
 
 class TestStats:
     def test_counters_consistent(self, small_task):
-        decoder = ViterbiDecoder(small_task.graph, BeamSearchConfig(beam=14.0))
+        decoder = ViterbiDecoder(small_task.graph, DecoderConfig(beam=14.0))
         result = decoder.decode(small_task.utterances[0].scores)
         st = result.stats
         assert st.frames == small_task.utterances[0].num_frames

@@ -1,13 +1,18 @@
 #!/usr/bin/env python
 """Documentation gate (run by the CI docs job).
 
-Two checks:
+Three checks:
 
 1. **Link check** -- every relative markdown link in the repo-root
    ``*.md`` files and ``docs/`` must point at an existing file (external
    ``http(s)``/``mailto`` links and pure anchors are skipped; anchors on
    relative links are stripped before the existence check).
-2. **pydoc-importability** -- every module under the public ``repro``
+2. **Path check** -- every backticked repo path in ``README.md`` and
+   ``docs/*.md`` (``src/...``, ``tests/...``, ``benchmarks/...``,
+   ``tools/...``, ``examples/...``, ``docs/...``, or a bare ``bench_*.py``;
+   globs allowed, a ``::test`` suffix ignored) must name a file that
+   exists, so prose cannot keep citing a bench or test that was deleted.
+3. **pydoc-importability** -- every module under the public ``repro``
    package must import cleanly and render under :mod:`pydoc`, so
    ``python -m pydoc repro.<anything>`` always works and no module grows
    an import-time dependency on test/bench state.  Modules that wrap an
@@ -76,6 +81,35 @@ def check_markdown_links(root: str = REPO_ROOT) -> list:
     return failures
 
 
+_REPO_PATH = re.compile(
+    r"`((?:(?:benchmarks|tools|tests|examples|src|docs)/[\w./*-]+|bench_[\w*]+)"
+    r"\.(?:py|md|json|yml|toml))(?:::[^`]*)?`"
+)
+
+
+def check_repo_paths(root: str = REPO_ROOT) -> list:
+    failures = []
+    # Not the other root pages: CHANGES.md and ROADMAP.md are history and
+    # rightly name files that no longer exist.
+    pages = glob.glob(os.path.join(root, "README.md")) + sorted(
+        glob.glob(os.path.join(root, "docs", "*.md"))
+    )
+    paths = 0
+    for page in pages:
+        with open(page, encoding="utf-8") as fh:
+            targets = sorted(set(_REPO_PATH.findall(fh.read())))
+        paths += len(targets)
+        for target in targets:
+            # A bare ``bench_*.py`` is a file of ``benchmarks/``.
+            where = target if "/" in target else os.path.join("benchmarks", target)
+            if not glob.glob(os.path.join(root, where)):
+                failures.append(
+                    f"{os.path.relpath(page, root)}: no such file -> {target}"
+                )
+    print(f"[docs] path check: {paths} repo paths cited")
+    return failures
+
+
 #: Modules whose *only* job is wrapping an optional extra's dependency
 #: (pyproject ``[project.optional-dependencies]``): importable -- and
 #: then fully checked -- iff the named distribution is installed.
@@ -115,14 +149,15 @@ def check_pydoc_importability() -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=REPO_ROOT,
-                        help="tree whose markdown is link-checked "
+                        help="tree whose markdown is link- and path-checked "
                              "(default: this repo)")
     parser.add_argument("--skip-pydoc", action="store_true",
-                        help="run only the link check (used by tests "
-                             "over fixture trees)")
+                        help="run only the link and path checks (used by "
+                             "tests over fixture trees)")
     options = parser.parse_args(argv)
 
     failures = check_markdown_links(options.root)
+    failures += check_repo_paths(options.root)
     if not options.skip_pydoc:
         failures += check_pydoc_importability()
     for failure in failures:

@@ -1,138 +1,80 @@
 #!/usr/bin/env python
-"""Perf-trajectory report (run by the CI bench-smoke job).
+"""Render the committed ``BENCH_<n>.json`` records (CI's bench-smoke job).
 
-Diffs the quick gate's normalized ``trajectory.json`` (written by
-``benchmarks/run_all.py --quick``) against the previous main-branch
-baseline restored from the actions cache, and renders a before/after
-markdown table to ``$GITHUB_STEP_SUMMARY`` (stdout otherwise, so the
-tool is just as useful locally).
-
-Regressions beyond ``--threshold`` (default 20%) on any tracked metric
-(frames/s and speedup regress by falling; peak trace memory and
-partial latency by rising) emit a ``::warning::`` annotation but do **not**
-fail the job: the smoke gate's own per-bench floors are the hard line,
-this report only tracks the trajectory between commits.  No baseline
-(first run, expired cache) renders the current numbers alone and exits
-zero.
-
-Usage:
-    python tools/perf_report.py \\
-        --current benchmarks/results/trajectory.json \\
-        --baseline benchmarks/results/baseline-trajectory.json
+A record is what a PR that touches ``src/`` commits at the repo root:
+interleaved parent/change runs of ``benchmarks/e2e/run.py`` as judged by
+``benchmarks/e2e/compare.py``.  This tool measures and judges nothing:
+``python tools/perf_report.py [DIRECTORY]`` prints, per record, the PR, the
+machine, the line counts and, per workload x end-to-end metric, parent
+median -> change median, ratio and verdict as recorded -- to
+``$GITHUB_STEP_SUMMARY`` when set, to stdout otherwise.  An unreadable file
+is named and skipped, no record at all is a note; the exit code is zero.
 """
 
-from __future__ import annotations
-
-import argparse
+import glob
 import json
 import os
+import re
 import sys
 
-#: Metrics tracked per bench, in table order.
-METRICS = ("frames_per_second", "speedup", "peak_trace_kib",
-           "partial_latency_ms", "ipc_bytes_per_frame")
-
-#: Metrics where a *rise* is the regression (memory footprints,
-#: latencies, transport cost); everything else regresses by falling.
-LOWER_IS_BETTER = frozenset({"peak_trace_kib", "partial_latency_ms",
-                             "ipc_bytes_per_frame"})
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_trajectory(path: str) -> dict:
-    """The ``benches`` map of a trajectory file, or ``{}`` when absent
-    or unreadable (a torn cache restore must not fail the report)."""
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    benches = payload.get("benches")
-    return benches if isinstance(benches, dict) else {}
+def load_records(root: str = REPO_ROOT):
+    """``(records, notes)``: records under ``root`` in PR order, a note per unreadable file."""
+    records, notes = [], []
+    paths = glob.glob(os.path.join(root, "BENCH_[0-9]*.json"))
+    for path in sorted(paths, key=lambda p: int(re.findall(r"\d+", p)[-1])):
+        try:
+            with open(path) as handle:
+                records.append(json.load(handle))
+        except (OSError, ValueError):
+            notes.append(f"_{os.path.basename(path)}: unreadable, skipped._")
+    return records, notes
 
 
-def _fmt(value) -> str:
-    if value is None:
+def _num(value, spec: str = "") -> str:
+    if not isinstance(value, (int, float)):
         return "--"
-    return f"{value:,.1f}" if value >= 100 else f"{value:.3f}"
+    return format(value, spec or (",.0f" if value >= 100 else ".3g"))
 
 
-def _delta(before, after):
-    """Fractional change, or ``None`` when it cannot be computed."""
-    if before is None or after is None or before <= 0:
-        return None
-    return (after - before) / before
+def render(record: dict) -> list:
+    """Markdown lines of one record; a field it lacks reads ``--``."""
+    machine = record.get("descriptor", {})
+    counts, tier1 = machine.get("lines", {}), machine.get("tier1", {})
+    facts = [f"{key} {machine.get(key, '--')}" for key in (
+        "cores", "platform", "python", "numpy", "numba", "kernel_backend")]
+    facts += [f"{d} {counts.get(d, '--')} lines" for d in ("src", "tests", "benchmarks")]
+    facts.append(f"tier-1 {tier1.get('passed', '--')} passed / "
+                 f"{tier1.get('skipped', '--')} skipped in {tier1.get('wall_s', '--')} s")
+    out = [f"## PR {record.get('pr', '--')}", "", ", ".join(facts), "",
+           "| workload | metric | parent | change | change/parent | verdict |",
+           "|---|---|---:|---:|---:|---|"]
+    for workload, metrics in sorted(record.get("end_to_end", {}).items()):
+        for metric, row in metrics.items():
+            parent, change = (row.get(s, {}).get("median") for s in ("parent", "change"))
+            out.append(f"| {workload} | {metric} | {_num(parent)} | {_num(change)} "
+                       f"| {_num(row.get('ratio'), '.3f')} | {row.get('verdict', '--')} |")
+    return out + [""]
 
 
-def build_report(current: dict, baseline: dict, threshold: float):
-    """Markdown table lines plus the list of regression warnings."""
-    lines = ["# Perf trajectory", ""]
-    if not baseline:
-        lines.append("_No previous main-branch baseline (first run or "
-                     "expired cache); reporting current numbers only._")
-        lines.append("")
-    lines.append("| bench | metric | before | after | delta |")
-    lines.append("|---|---|---:|---:|---:|")
-
-    warnings = []
-    for bench in sorted(set(current) | set(baseline)):
-        for metric in METRICS:
-            before = baseline.get(bench, {}).get(metric)
-            after = current.get(bench, {}).get(metric)
-            if before is None and after is None:
-                continue
-            delta = _delta(before, after)
-            cell = "--" if delta is None else f"{delta:+.1%}"
-            regressed = delta is not None and (
-                delta > threshold
-                if metric in LOWER_IS_BETTER
-                else delta < -threshold
-            )
-            if regressed:
-                cell += " :warning:"
-                warnings.append(
-                    f"{bench} {metric} regressed {delta:+.1%} "
-                    f"({_fmt(before)} -> {_fmt(after)}), beyond the "
-                    f"{threshold:.0%} warning threshold"
-                )
-            lines.append(
-                f"| {bench} | {metric} | {_fmt(before)} | {_fmt(after)} "
-                f"| {cell} |"
-            )
-    return lines, warnings
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--current", required=True,
-                        help="trajectory.json of this run")
-    parser.add_argument("--baseline", required=True,
-                        help="previous main-branch trajectory.json "
-                             "(missing file = first run)")
-    parser.add_argument("--threshold", type=float, default=0.20,
-                        help="fractional slowdown that triggers a "
-                             "warning (default 0.20 = 20%%)")
-    options = parser.parse_args(argv)
-
-    current = load_trajectory(options.current)
-    if not current:
-        # The quick gate crashed before writing a trajectory; its own
-        # step already failed the job, nothing to report here.
-        print(f"perf_report: no current trajectory at {options.current}")
-        return 0
-    baseline = load_trajectory(options.baseline)
-
-    lines, warnings = build_report(current, baseline, options.threshold)
-    text = "\n".join(lines) + "\n"
+def main(root: str = REPO_ROOT) -> int:
+    records, notes = load_records(root)
+    if not records:
+        notes.append(f"_No BENCH_<n>.json record under {root}._")
+    lines = ["# Benchmark records (`benchmarks/e2e`, as committed)", ""]
+    for record in records:
+        lines += render(record)
+    text = "\n".join(lines + notes) + "\n"
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
         with open(summary_path, "a") as handle:
             handle.write(text)
-    print(text)
-    for warning in warnings:
-        # GitHub annotation: surfaces on the PR without failing the job.
-        print(f"::warning title=perf regression::{warning}")
+    else:
+        print(text)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(*sys.argv[1:2]))
