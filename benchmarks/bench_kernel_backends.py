@@ -21,12 +21,12 @@ and passes trivially -- the portable path is the product there, and the
 ``compiled-backend`` CI job is where the speedup gate actually bites.
 """
 
-import os
 import time
 
 import pytest
 
 from benchmarks.common import GRAPH_CACHE, format_table, report, write_json
+from repro.common.cpu import usable_cpus
 from repro.datasets import SyntheticGraphConfig
 from repro.decoder import BatchDecoder, DecoderConfig, numba_available
 from repro.system import make_memory_workload
@@ -43,13 +43,6 @@ QUICK_SHAPE = dict(num_states=8_000, num_phones=50, utterances=8,
 SPEEDUP_TARGET = 2.0
 #: Single-core floor: compiled dispatch must not collapse throughput.
 SINGLE_CORE_FLOOR = 0.9
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _summary(result):
@@ -109,7 +102,7 @@ def run_kernel_backends(quick: bool = False, seed: int = 7) -> dict:
     numpy_seconds, numpy_results = _time_fleet(base, fleet, shape["rounds"])
     numpy_fps = total_frames / numpy_seconds
 
-    cores = _usable_cores()
+    cores = usable_cpus()
     payload = {
         "workload": {**shape, "beam": workload.beam, "seed": seed,
                      "quick": quick},

@@ -382,10 +382,12 @@ def _serve_tier(args: argparse.Namespace, task, scorer=None) -> int:
               f"{s.mean_wait_s * 1e3:.2f} ms  "
               f"{' '.join(task.transcript(record.result))}")
     slo = stats.slo()
+    blas = (f"{stats.blas_threads} thread(s)" if stats.blas_threads
+            else "uncontrolled")
     print(f"tier: {args.workers} shards served {stats.sessions_finished} "
           f"sessions / {stats.frames_decoded} frames on the "
-          f"{stats.kernel_backend} kernel backend; aggregate "
-          f"{slo['aggregate_frames_per_second']:.0f} frames/s")
+          f"{stats.kernel_backend} kernel backend, BLAS pool {blas}; "
+          f"aggregate {slo['aggregate_frames_per_second']:.0f} frames/s")
     print(f"SLO: session latency p50 "
           f"{slo['p50_session_latency_s'] * 1e3:.1f} ms / p99 "
           f"{slo['p99_session_latency_s'] * 1e3:.1f} ms; frame wait p50 "
@@ -781,7 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "product). Default: the paper's four "
                         "configurations")
     p.add_argument("--processes", type=int, default=None,
-                   help="replay worker processes (default: CPU count)")
+                   help="replay worker processes (default: the cores "
+                        "this process may use)")
     p.add_argument("--graph", metavar="DIR",
                    help="sweep over a pre-compiled graph instead of "
                         "synthesizing one (mmap layout directory)")

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.common.cpu import usable_cpus
 from repro.common.errors import ConfigError
 from repro.accel.config import AcceleratorConfig
 from repro.accel.replay import TraceReplayer
@@ -227,9 +228,10 @@ class SweepRunner:
         trace_cache: shared trace store; pass one with a directory for a
             persistent on-disk cache.  A fresh in-memory cache otherwise.
         processes: worker processes for the replay fan-out.  ``None``
-            auto-sizes to the CPU count; values <= 1 run serially.  Fork
-            is required for the fan-out (the default on Linux); other
-            start methods fall back to serial execution.
+            auto-sizes to the cores this process may use
+            (:func:`repro.common.cpu.usable_cpus`); values <= 1 run
+            serially.  Fork is required for the fan-out (the default on
+            Linux); other start methods fall back to serial execution.
     """
 
     def __init__(
@@ -383,7 +385,7 @@ class SweepRunner:
     def _effective_processes(self, num_points: int) -> int:
         procs = self.processes
         if procs is None:
-            procs = os.cpu_count() or 1
+            procs = usable_cpus()
         procs = min(procs, num_points)
         if procs > 1 and "fork" not in multiprocessing.get_all_start_methods():
             procs = 1

@@ -36,6 +36,19 @@ server-workload discussion assumes around the accelerator:
   which releases the plane slot.  The same transport carries
   :meth:`ServingTier.push` score chunks, so the per-push pickled matrix
   copy is gone from the scores path too.
+* **core budget** -- the paper's system (Sec. III-A, Fig. 1) is a
+  two-stage pipeline in which the DNN and the Viterbi search each own a
+  compute resource and meet only at the Acoustic Likelihood Buffer.  On
+  a CPU the resources are cores: the ``num_workers`` search processes
+  take one each, so a scoring tier holds the DNN's BLAS thread pool to
+  the cores they leave, ``max(1, usable_cpus() - num_workers)``
+  (:mod:`repro.common.cpu`) -- lowered, never raised, before the workers
+  fork and for as long as the tier is up, restored by
+  :meth:`ServingTier.shutdown`.  It is not a knob: both inputs are
+  things the tier observes, and ``Dnn.forward`` is bit-identical at any
+  BLAS thread count, so no output depends on it.  With cores to spare,
+  with no ``scorer=``, or on a BLAS the handle does not control, nothing
+  changes; :attr:`TierStats.blas_threads` says which.
 
 Because each session decodes on exactly one worker's ``StreamingServer``
 (bit-identical to one-shot decoding), the tier's per-session output is
@@ -62,6 +75,7 @@ import numpy as np
 
 from repro.acoustic.batch_scorer import BatchScorer
 from repro.acoustic.scorer import DnnScorer
+from repro.common.cpu import BlasPool, usable_cpus
 from repro.common.errors import (
     AdmissionError,
     BackpressureError,
@@ -79,6 +93,7 @@ from repro.system.server import (
     ServerConfig,
     ServerStats,
     SessionRecord,
+    SessionStats,
     StreamingServer,
 )
 from repro.wfst.io import load_graph_mmap, save_graph_mmap
@@ -139,6 +154,10 @@ class TierStats:
     #: ("numpy"/"numba"); recorded at tier construction from the search
     #: config (workers resolve the same config, so the names agree).
     kernel_backend: str = ""
+    #: BLAS pool size in force while the tier is up -- what the scoring
+    #: thread's gemms run with, after the core budget was applied -- or
+    #: ``0`` when the BLAS is uncontrolled (:class:`repro.common.cpu.BlasPool`).
+    blas_threads: int = 0
     sessions_admitted: int = 0
     sessions_rejected: int = 0   #: joins shed at the admission limit
     pushes_shed: int = 0         #: pushes shed by shard backpressure
@@ -221,7 +240,7 @@ class _TierSession:
 
     __slots__ = (
         "sid", "worker", "opened_t", "closed", "record", "remote_error",
-        "mode", "feature_pending", "close_sent",
+        "mode", "unscored_frames", "close_sent",
     )
 
     def __init__(
@@ -238,10 +257,11 @@ class _TierSession:
         self.record: Optional[SessionRecord] = None
         self.remote_error: Optional[str] = None
         self.mode = mode
-        #: feature chunks accepted but not yet scored-and-shipped; a
+        #: feature frames accepted (and reserved against the shard's
+        #: backpressure budget) but not yet scored-and-shipped; a
         #: requested close is deferred until this drains so the worker
         #: sees every frame before end-of-stream.
-        self.feature_pending = 0
+        self.unscored_frames = 0
         self.close_sent = False
 
 
@@ -428,6 +448,15 @@ class ServingTier:
     The methods are thread-safe; an asyncio gateway serves many
     connections over one tier without blocking its loop by running them
     through ``asyncio.to_thread``.
+
+    A tier built with ``scorer=`` holds the process's BLAS thread pool
+    to the cores its workers leave while it is up (the module
+    docstring's *core budget*); every other BLAS user in the process
+    sees that size until :meth:`shutdown` restores the previous one.
+    If the scoring thread fails, every features session with unscored
+    frames retires at once with a failed record and the features front
+    door raises :class:`TierError` naming the cause from then on;
+    scores-mode sessions carry on.
     """
 
     def __init__(
@@ -444,10 +473,12 @@ class ServingTier:
             raise ConfigError(
                 "construct ServingTier with exactly one of graph= or graph_dir="
             )
-        # The mmap layout of an in-memory graph lives in a directory this
-        # tier makes and therefore removes: in shutdown(), or right here
-        # when start-up fails.
+        # What this tier makes it also undoes -- in shutdown(), or right
+        # here when start-up fails: the directory holding the mmap layout
+        # of an in-memory graph, and the BLAS pool size it lowered.
         self._graph_tmp: Optional[str] = None
+        self._blas = BlasPool()
+        self._blas_restore = 0  #: size to grow the pool back to; 0 = untouched
         if graph is not None:
             self._graph_tmp = tempfile.mkdtemp(prefix="repro-tier-graph-")
         try:
@@ -455,10 +486,12 @@ class ServingTier:
                 graph, search_config, tier_config, graph_dir, clock, scorer
             )
         except BaseException:
-            self._remove_graph_tmp()
+            self._release()
             raise
 
-    def _remove_graph_tmp(self) -> None:
+    def _release(self) -> None:
+        self._blas.restore(self._blas_restore)
+        self._blas_restore = 0
         if self._graph_tmp is not None:
             shutil.rmtree(self._graph_tmp, ignore_errors=True)
             self._graph_tmp = None
@@ -520,6 +553,22 @@ class ServingTier:
         self._pending_feats: List[Tuple[int, np.ndarray]] = []
         self._score_cv = threading.Condition(self._lock)
         self._score_thread: Optional[threading.Thread] = None
+        #: ``"Type: text"`` of the exception that stopped the scoring
+        #: thread; once set, the features front door is closed for good.
+        self._score_failure: Optional[str] = None
+
+        # Core budget (Sec. III-A: the DNN stage and the search stage each
+        # own a compute resource).  The workers about to be forked are
+        # CPU-bound on a core each, so the DNN's BLAS pool gets the cores
+        # they leave: a wider pool forks and joins helper threads that
+        # have no core to run on, once per 32-row gemm.  Lowered, never
+        # raised, before the fork so the workers inherit it too; a tier
+        # that scores nothing has no DNN stage and changes nothing.
+        if self._batch_scorer is not None:
+            self._blas_restore = self._blas.lower(
+                max(1, usable_cpus() - tier_config.num_workers)
+            )
+        self.stats.blas_threads = self._blas.threads()
 
         ctx = multiprocessing.get_context(_default_start_method())
         shard_config = ServerConfig(max_batch=tier_config.max_batch)
@@ -561,6 +610,8 @@ class ServingTier:
                 sessions; the join is load-shed, nobody else is affected.
             ConfigError: ``mode="features"`` on a tier built without a
                 ``scorer``, or an unknown mode.
+            TierError: ``mode="features"`` after the scoring thread
+                failed; the message names the original exception.
         """
         if mode not in ("scores", "features"):
             raise ConfigError(f"unknown session mode {mode!r}")
@@ -570,6 +621,8 @@ class ServingTier:
             )
         with self._lock:
             self._require_up()
+            if mode == "features":
+                self._require_scoring()
             self._pump()
             limit = self.tier_config.max_sessions
             live = sum(w.live for w in self._workers)
@@ -653,6 +706,8 @@ class ServingTier:
                 width).
             BackpressureError: the shard's bounded queue is saturated;
                 the push is load-shed and may be retried.
+            TierError: the scoring thread failed; the message names the
+                original exception.
         """
         if self._batch_scorer is None:
             raise DecodeError(
@@ -667,6 +722,7 @@ class ServingTier:
             )
         with self._score_cv:
             self._require_up()
+            self._require_scoring()
             self._pump()
             session = self._require_live(session_id)
             if session.mode != "features":
@@ -691,7 +747,7 @@ class ServingTier:
             # cannot shed -- and hand the chunk to the batcher.
             self._reserve(session.worker, len(matrix))
             session.worker.inflight_frames += len(matrix)
-            session.feature_pending += 1
+            session.unscored_frames += len(matrix)
             self._pending_feats.append((session_id, matrix))
             self.stats.frames_pushed += len(matrix)
             self._score_cv.notify()
@@ -802,9 +858,10 @@ class ServingTier:
     def _score_pump(self) -> None:
         """Scoring-thread main loop: grab everything the fleet has
         pushed since the last pass and score it as one batch.  A batch
-        failure (in practice: a dead worker detected mid-allocation)
-        poisons its sessions and stops the thread; healthy paths cannot
-        raise because chunks are validated at the door."""
+        failure (a dead worker detected mid-allocation, a scorer that
+        raises) ends scoring on this tier -- see :meth:`_fail_scoring`;
+        healthy paths cannot raise because chunks are validated at the
+        door."""
         while True:
             with self._score_cv:
                 while not self._pending_feats and not self._shut_down:
@@ -815,21 +872,44 @@ class ServingTier:
                 self._pending_feats = []
             try:
                 self._score_batch(batch)
-            # A thread must never die silently mid-batch: poison the
-            # batch's sessions with the error instead of hanging their
-            # result() callers.
+            # A thread must never die silently mid-batch: whatever the
+            # exception, its sessions' result() callers must hear of it.
             except Exception as exc:  # repro-lint: disable=REP002
-                with self._lock:
-                    for sid, _ in batch:
-                        session = self._sessions.get(sid)
-                        if session is None:
-                            continue
-                        session.feature_pending = 0
-                        if session.record is None:
-                            session.remote_error = (
-                                f"{type(exc).__name__}: {exc}"
-                            )
+                self._fail_scoring(exc)
                 return
+
+    def _fail_scoring(self, exc: Exception) -> None:
+        """The scoring thread is about to exit on ``exc``: make that
+        terminal and visible.  Every features session with unscored
+        frames retires *now* with a failed record (its ``result()``
+        returns, ``live_sessions`` drops), hands back the backpressure
+        budget those frames reserved, and is closed on its worker; the
+        features front door raises ``TierError`` from here on.  Scores-
+        mode sessions are untouched."""
+        with self._lock:
+            self._score_failure = f"{type(exc).__name__}: {exc}"
+            self._pending_feats = []
+            for session in self._sessions.values():
+                if not session.unscored_frames:
+                    continue
+                worker = session.worker
+                worker.inflight_frames = max(
+                    0, worker.inflight_frames - session.unscored_frames
+                )
+                session.unscored_frames = 0
+                if session.record is not None:
+                    continue
+                if not session.close_sent:
+                    session.closed = session.close_sent = True
+                    try:
+                        worker.conn.send(("close", session.sid))
+                    except (OSError, ValueError):
+                        pass  # the worker died; nothing left to retire
+                self._finish(session.sid, SessionRecord(
+                    session.sid, None,
+                    f"batched scoring failed: {self._score_failure}",
+                    SessionStats(session.sid, session.opened_t),
+                ))
 
     def _score_batch(self, batch: List[Tuple[int, np.ndarray]]) -> None:
         """One batched scoring pass over everything the fleet pushed.
@@ -849,16 +929,11 @@ class ServingTier:
         plane_frames = self.tier_config.plane_frames or min(
             self.tier_config.queue_depth, 8192
         )
-        # (sid, part, is the last part of its push_features chunk)
-        work: List[Tuple[int, np.ndarray, bool]] = []
-        for sid, matrix in batch:
-            starts = range(0, len(matrix), plane_frames)
-            for start in starts:
-                work.append((
-                    sid,
-                    matrix[start: start + plane_frames],
-                    start == starts[-1],
-                ))
+        work: List[Tuple[int, np.ndarray]] = [
+            (sid, matrix[start: start + plane_frames])
+            for sid, matrix in batch
+            for start in range(0, len(matrix), plane_frames)
+        ]
         index = 0
         while index < len(work):
             index = self._score_slice(scorer, work, index)
@@ -866,7 +941,7 @@ class ServingTier:
     def _score_slice(
         self,
         scorer: BatchScorer,
-        work: List[Tuple[int, np.ndarray, bool]],
+        work: List[Tuple[int, np.ndarray]],
         start: int,
     ) -> int:
         """Allocate, score, and ship one ring-capacity slice of
@@ -874,22 +949,20 @@ class ServingTier:
         part left for the next slice."""
         parts: List[np.ndarray] = []
         views: List[np.ndarray] = []
-        dests: List[Tuple[_WorkerHandle, int, int, int, int, bool]] = []
+        dests: List[Tuple[_TierSession, int, int, int]] = []
         index = start
         with self._lock:
             while index < len(work):
-                sid, part, last = work[index]
-                session = self._sessions.get(sid)
-                if session is None or session.record is not None:
+                sid, part = work[index]
+                session = self._sessions[sid]
+                if session.record is not None:
                     # Retired under us; this part's share of the
                     # reservation dies with it.
-                    if session is not None:
-                        session.worker.inflight_frames = max(
-                            0, session.worker.inflight_frames - len(part)
-                        )
+                    session.worker.inflight_frames = max(
+                        0, session.worker.inflight_frames - len(part)
+                    )
                     index += 1
-                    if last:
-                        self._finish_feature_push(sid)
+                    self._feature_frames_done(session, len(part))
                     continue
                 worker = session.worker
                 ring = self._ensure_ring(worker)
@@ -903,44 +976,48 @@ class ServingTier:
                 generation, offset, view = slot
                 parts.append(part)
                 views.append(view)
-                dests.append(
-                    (worker, sid, generation, offset, len(part), last)
-                )
+                dests.append((session, generation, offset, len(part)))
                 index += 1
         elapsed = 0.0
         if parts:
             t0 = time.perf_counter()
-            scorer.score_chunks(parts, out=views)
+            try:
+                scorer.score_chunks(parts, out=views)
+            except BaseException:
+                # No worker has heard of these slots, so no ack will ever
+                # free them: a plane left holding one could not be
+                # flipped back to, stalling every later push to the shard.
+                with self._lock:
+                    for session, generation, _, _ in dests:
+                        self._ensure_ring(session.worker).release(generation)
+                raise
             elapsed = time.perf_counter() - t0
         with self._lock:
             if parts:
                 self.stats.scored_frames += sum(len(p) for p in parts)
                 self.stats.score_seconds += elapsed
                 self.stats.score_batches += 1
-            for worker, sid, generation, offset, frames, last in dests:
+            for session, generation, offset, frames in dests:
                 self._send_descriptor(
-                    worker, sid, generation, offset, frames, reserved=True
+                    session.worker, session.sid, generation, offset, frames,
+                    reserved=True,
                 )
-                if last:
-                    self._finish_feature_push(sid)
+                self._feature_frames_done(session, frames)
         return index
 
-    def _finish_feature_push(self, session_id: int) -> None:
-        """The last part of one ``push_features`` chunk has shipped (or
-        died with its session): release the pending count and send any
-        deferred close (call with the lock held)."""
-        session = self._sessions.get(session_id)
-        if session is None:
-            return
-        session.feature_pending = max(0, session.feature_pending - 1)
+    def _feature_frames_done(self, session: _TierSession, frames: int) -> None:
+        """``frames`` feature frames of the session have shipped (or died
+        with it): once none is left unscored, send any deferred close
+        (call with the lock held)."""
+        session.unscored_frames = max(0, session.unscored_frames - frames)
         if (
             session.closed
-            and session.feature_pending == 0
+            and session.unscored_frames == 0
             and not session.close_sent
             and session.record is None
         ):
             session.close_sent = True
-            session.worker.conn.send(("close", session_id))
+            session.worker.conn.send(("close", session.sid))
 
     def close_input(self, session_id: int) -> None:
         """Mark end of stream; the shard retires the session after its
@@ -952,7 +1029,7 @@ class ServingTier:
             session = self._require_live(session_id)
             if not session.closed:
                 session.closed = True
-                if session.feature_pending == 0:
+                if session.unscored_frames == 0:
                     session.close_sent = True
                     session.worker.conn.send(("close", session_id))
 
@@ -1083,37 +1160,40 @@ class ServingTier:
         The scoring thread drains first (shipping any still-pending
         feature chunks and their deferred closes), then the workers are
         stopped, then the front door unlinks the score-plane segments it
-        owns and removes the graph directory it made, if any."""
+        owns, grows the BLAS pool back to the size it found and removes
+        the graph directory it made, if any."""
         with self._score_cv:
             if self._shut_down:
                 return
             self._shut_down = True
             self._score_cv.notify_all()
-        if self._score_thread is not None:
-            self._score_thread.join(timeout)
-        with self._lock:
-            for worker in self._workers:
-                try:
-                    worker.conn.send(("stop",))
-                except (OSError, ValueError):
-                    pass
-            deadline = time.monotonic() + timeout
-            for worker in self._workers:
-                while worker.server_stats is None and worker.process.is_alive():
-                    if time.monotonic() > deadline:
-                        break
-                    self._pump(block_worker=worker)
-                self._pump()
-            for worker in self._workers:
-                worker.process.join(max(0.1, deadline - time.monotonic()))
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(1.0)
-                worker.conn.close()
-                if worker.ring is not None:
-                    worker.ring.close()
-                    worker.ring = None
-        self._remove_graph_tmp()
+        try:
+            if self._score_thread is not None:
+                self._score_thread.join(timeout)
+            with self._lock:
+                for worker in self._workers:
+                    try:
+                        worker.conn.send(("stop",))
+                    except (OSError, ValueError):
+                        pass
+                deadline = time.monotonic() + timeout
+                for worker in self._workers:
+                    while worker.server_stats is None and worker.process.is_alive():
+                        if time.monotonic() > deadline:
+                            break
+                        self._pump(block_worker=worker)
+                    self._pump()
+                for worker in self._workers:
+                    worker.process.join(max(0.1, deadline - time.monotonic()))
+                    if worker.process.is_alive():
+                        worker.process.terminate()
+                        worker.process.join(1.0)
+                    worker.conn.close()
+                    if worker.ring is not None:
+                        worker.ring.close()
+                        worker.ring = None
+        finally:
+            self._release()
 
     def __enter__(self) -> "ServingTier":
         return self
@@ -1125,6 +1205,13 @@ class ServingTier:
     def _require_up(self) -> None:
         if self._shut_down:
             raise TierError("serving tier is shut down")
+
+    def _require_scoring(self) -> None:
+        if self._score_failure is not None:
+            raise TierError(
+                f"batched scoring stopped on {self._score_failure}; this "
+                f"tier accepts no more features"
+            )
 
     def _require_live(self, session_id: int) -> _TierSession:
         session = self._sessions.get(session_id)

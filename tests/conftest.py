@@ -3,6 +3,7 @@
 import pytest
 
 from repro.accel import AcceleratorConfig
+from repro.common import cpu
 from repro.datasets import (
     SyntheticGraphConfig,
     TaskConfig,
@@ -47,3 +48,27 @@ def synthetic_graph():
 @pytest.fixture(scope="session")
 def table1_config():
     return AcceleratorConfig()
+
+
+class FakeBlas:
+    """Stands in for OpenBLAS's two entry points; records every set."""
+
+    def __init__(self, threads: int) -> None:
+        self.threads = threads
+        self.sets = []
+
+    def get(self) -> int:
+        return self.threads
+
+    def put(self, threads: int) -> None:
+        self.sets.append(threads)
+        self.threads = threads
+
+
+@pytest.fixture()
+def fake_blas(monkeypatch):
+    """Every ``BlasPool`` built during the test drives an 8-thread fake,
+    so pool behaviour is testable whatever BLAS numpy runs on."""
+    fake = FakeBlas(8)
+    monkeypatch.setattr(cpu, "_find_openblas", lambda: (fake.get, fake.put))
+    return fake

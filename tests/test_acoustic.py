@@ -13,6 +13,7 @@ from repro.acoustic import (
     train_dnn,
 )
 from repro.acoustic.trainer import _backward
+from repro.common.cpu import BlasPool
 from repro.frontend import PhoneAlignment
 
 
@@ -169,6 +170,36 @@ class TestDnnEdgeCases:
                 for i in range(0, len(x), split)
             ]
             np.testing.assert_array_equal(np.vstack(parts), stacked)
+
+    def test_forward_identical_at_any_blas_pool_size(self):
+        """What the serving tier's core budget rests on: OpenBLAS splits
+        a gemm over output rows/columns, never over the reduction, so the
+        forward at one thread equals the forward at the default pool
+        size bit for bit."""
+        pool = BlasPool()
+        default = pool.threads()
+        if default == 0:
+            pytest.skip("BLAS pool is uncontrolled (numpy is not on an "
+                        "OpenBLAS that exports get/set_num_threads)")
+        if default == 1:
+            pytest.skip("default BLAS pool is already one thread: there "
+                        "is no wider forward to compare with")
+        # benchmarks/e2e's model shape: gemms large enough to be split.
+        dnn = Dnn(DnnConfig(195, (512, 512, 512), 41), seed=3)
+        rng = np.random.default_rng(13)
+        # One chunk, a stack crossing the GEMM_BLOCK_ROWS padding
+        # boundary, and a cross-session batch.
+        stacks = [rng.normal(size=(rows, 195)) for rows in (7, 45, 300)]
+        wide = [dnn.log_posteriors(x) for x in stacks]
+        previous = pool.lower(1)
+        try:
+            assert pool.threads() == 1
+            narrow = [dnn.log_posteriors(x) for x in stacks]
+        finally:
+            pool.restore(previous)
+        assert pool.threads() == default
+        for one, many in zip(narrow, wide):
+            np.testing.assert_array_equal(one, many)
 
     def test_scorer_batch_stability(self, tiny_dnn):
         priors = DnnScorer.priors_from_labels(np.arange(5), 5)

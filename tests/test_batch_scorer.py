@@ -9,11 +9,18 @@ chunks and pushing likelihood rows.
 """
 
 import asyncio
+import glob
+import os
+import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError, DecodeError
+from repro.common import cpu
+from repro.common.cpu import BlasPool
+from repro.common.errors import ConfigError, DecodeError, TierError
 from repro.acoustic import BatchScorer, Dnn, DnnConfig, DnnScorer
 from repro.datasets import AudioTaskConfig, generate_audio_task
 from repro.decoder import DecoderConfig
@@ -24,6 +31,7 @@ from repro.system import (
     StreamingServer,
     TierConfig,
 )
+from repro.system import tier as tier_module
 
 
 @pytest.fixture(scope="module")
@@ -322,3 +330,202 @@ class TestTierFeaturesMode:
             assert record.ok, record.error
             assert record.result.words == expected.words
             assert record.result.log_likelihood == expected.log_likelihood
+
+    def test_scoring_failure_is_terminal_and_visible(
+        self, audio_task, config, monkeypatch
+    ):
+        """A scorer that raises used to kill the scoring thread silently:
+        the batch's sessions never got a record, later pushes were
+        accepted into a queue nobody read.  Now every features session
+        with unscored frames fails at once, the features door closes
+        with a typed error, and scores-mode sessions carry on -- on the
+        same shard, through planes small enough that a ring slot or a
+        backpressure reservation left behind would stall them."""
+        task = audio_task.task
+        entered, gate = threading.Event(), threading.Event()
+
+        class ExplodingScorer(BatchScorer):
+            def score_chunks(self, chunks, out=None):
+                if entered.is_set():  # only the first call fails
+                    return super().score_chunks(chunks, out=out)
+                entered.set()
+                gate.wait(10)
+                raise RuntimeError("scorer exploded")
+
+        monkeypatch.setattr(tier_module, "BatchScorer", ExplodingScorer)
+        feats = task.utterances[0].features
+        tier = ServingTier(
+            graph=task.graph,
+            search_config=config,
+            tier_config=TierConfig(num_workers=1, plane_frames=16),
+            scorer=audio_task.scorer,
+        )
+        try:
+            in_batch = tier.open_session(mode="features")
+            queued = tier.open_session(mode="features")
+            idle = tier.open_session(mode="features")
+            scores_sid = tier.open_session()
+            tier.push_features(in_batch, feats[:7])
+            assert entered.wait(10)
+            # The scoring thread holds in_batch's chunk; this one waits
+            # in the queue behind it.
+            tier.push_features(queued, feats[:7])
+            tier.close_input(queued)
+            t0 = time.monotonic()
+            gate.set()
+            for sid in (in_batch, queued):
+                record = tier.result(sid, timeout=10)
+                assert not record.ok
+                assert "RuntimeError: scorer exploded" in record.error
+            assert time.monotonic() - t0 < 1.0
+            assert tier.live_sessions == 2  # idle and scores_sid
+            assert tier.stats.sessions_failed == 2
+
+            # The features door is shut, typed, naming the cause ...
+            with pytest.raises(TierError, match="RuntimeError: scorer exploded"):
+                tier.push_features(idle, feats[:7])
+            with pytest.raises(TierError, match="RuntimeError: scorer exploded"):
+                tier.open_session(mode="features")
+            # ... a session with nothing unscored still retires normally ...
+            tier.close_input(idle)
+            assert tier.result(idle, timeout=10).session_id == idle
+
+            # ... and the scores door is not.
+            utt = task.utterances[0]
+            for start in range(0, utt.num_frames, 7):
+                tier.push(scores_sid, utt.scores.matrix[start: start + 7])
+            tier.close_input(scores_sid)
+            record = tier.result(scores_sid, timeout=10)
+            assert record.ok, record.error
+            # Nothing the failed batch reserved is left behind (the
+            # last ack trails the record by one message).
+            shard = tier._workers[0]
+            deadline = time.monotonic() + 5.0
+            while shard.inflight_frames and time.monotonic() < deadline:
+                tier.poll()
+            assert shard.inflight_frames == 0
+            assert shard.ring.pending_chunks == 0
+            assert tier.live_sessions == 0
+        finally:
+            gate.set()
+            t0 = time.monotonic()
+            tier.shutdown()
+            assert time.monotonic() - t0 < 5.0
+
+    # -- core budget: the DNN stage's BLAS pool gets the cores the workers
+    # leave, max(1, usable_cpus() - num_workers), lowered for as long as
+    # a scoring tier is up and never raised.
+    @staticmethod
+    def tier(audio_task, config, workers=2, scores_only=False):
+        return ServingTier(
+            graph=audio_task.task.graph,
+            search_config=config,
+            tier_config=TierConfig(num_workers=workers),
+            scorer=None if scores_only else audio_task.scorer,
+        )
+
+    @staticmethod
+    def assert_matches_scores_path(task, config, got):
+        """``got`` equals decoding the task's own scores -- computed
+        outside any tier, at the default BLAS pool size."""
+        base = StreamingServer(task.graph, config).serve_staggered(
+            [u.scores for u in task.utterances], chunk_frames=7
+        )
+        for b, g in zip(base, got):
+            assert g.words == b.result.words
+            assert g.log_likelihood == b.result.log_likelihood
+
+    @pytest.fixture()
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(tier_module, "usable_cpus", lambda: 2)
+
+    def test_core_budget_real_pool_is_one_thread_while_up(
+        self, audio_task, config, two_cores
+    ):
+        """End to end on the BLAS numpy really runs on: decoded through a
+        one-thread pool, equal to scores computed outside the tier at
+        the default size."""
+        task = audio_task.task
+        pool = BlasPool()
+        default = pool.threads()
+        if default < 2:
+            pytest.skip(f"BLAS pool reads {default}: uncontrolled, or "
+                        f"already one thread")
+        with self.tier(audio_task, config) as tier:
+            assert pool.threads() == 1
+            assert tier.stats.blas_threads == 1
+            got = tier.decode_streaming(
+                [u.features for u in task.utterances],
+                chunk_frames=7, mode="features",
+            )
+        assert pool.threads() == default
+        self.assert_matches_scores_path(task, config, got)
+
+    def test_core_budget_restored_by_shutdown_and_exit_on_exception(
+        self, audio_task, config, two_cores, fake_blas
+    ):
+        tier = self.tier(audio_task, config)
+        assert fake_blas.threads == 1 and tier.stats.blas_threads == 1
+        tier.shutdown()
+        assert fake_blas.threads == 8
+        tier.shutdown()  # idempotent: nothing is restored twice
+        assert fake_blas.sets == [1, 8]
+        with pytest.raises(RuntimeError, match="caller bug"):
+            with self.tier(audio_task, config):
+                assert fake_blas.threads == 1
+                raise RuntimeError("caller bug")
+        assert fake_blas.threads == 8
+
+    def test_core_budget_restored_when_start_up_fails_after_lowering(
+        self, audio_task, config, two_cores, fake_blas, monkeypatch
+    ):
+        def no_processes(method):
+            raise OSError("cannot fork")
+
+        monkeypatch.setattr(
+            tier_module.multiprocessing, "get_context", no_processes
+        )
+        with pytest.raises(OSError, match="cannot fork"):
+            self.tier(audio_task, config)
+        assert fake_blas.sets == [1, 8]
+        leftovers = glob.glob(
+            os.path.join(tempfile.gettempdir(), "repro-tier-graph-*")
+        )
+        assert leftovers == []
+
+    def test_core_budget_spare_cores_or_no_scorer_never_touch_pool(
+        self, audio_task, config, fake_blas, monkeypatch
+    ):
+        monkeypatch.setattr(tier_module, "usable_cpus", lambda: 64)
+        with self.tier(audio_task, config) as tier:
+            assert tier.stats.blas_threads == 8
+        monkeypatch.setattr(tier_module, "usable_cpus", lambda: 2)
+        with self.tier(audio_task, config, scores_only=True) as tier:
+            assert tier.stats.blas_threads == 8
+        assert fake_blas.sets == []
+
+    @pytest.mark.parametrize("first_down", [0, 1])
+    def test_core_budget_two_tiers_shut_down_in_either_order(
+        self, audio_task, config, fake_blas, monkeypatch, first_down
+    ):
+        monkeypatch.setattr(tier_module, "usable_cpus", lambda: 4)
+        tiers = [self.tier(audio_task, config, workers=1)]  # 8 -> 3
+        assert fake_blas.threads == 3
+        tiers.append(self.tier(audio_task, config, workers=3))  # 3 -> 1
+        assert fake_blas.threads == 1
+        tiers.pop(first_down).shutdown()
+        tiers.pop().shutdown()
+        assert fake_blas.threads == 8
+
+    def test_core_budget_uncontrolled_blas_still_decodes(
+        self, audio_task, config, two_cores, monkeypatch
+    ):
+        monkeypatch.setattr(cpu, "_find_openblas", lambda: None)
+        task = audio_task.task
+        with self.tier(audio_task, config) as tier:
+            got = tier.decode_streaming(
+                [u.features for u in task.utterances],
+                chunk_frames=7, mode="features",
+            )
+            assert tier.stats.blas_threads == 0
+        self.assert_matches_scores_path(task, config, got)

@@ -208,6 +208,20 @@ class TestRunner:
             assert a.stats == b.stats
             assert a.energy_j == b.energy_j
 
+    def test_auto_sized_fan_out_respects_the_affinity_mask(
+        self, workload, monkeypatch
+    ):
+        """``taskset -c 0`` on a many-core box: one process, not one per
+        physical core piled onto the one core the sweep may use."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        result = SweepRunner(workload, processes=None).run(
+            ParameterGrid([("mem_latency_cycles", [25, 50])])
+        )
+        assert result.processes == 1
+
     def test_artifacts_json_and_csv(self, tmp_path, workload):
         result = run_sweep(
             workload, [("mem_latency_cycles", [25, 50])]
