@@ -85,7 +85,7 @@ class BatchScorer:
             packed[offset: offset + count] = matrix
             offset += count
 
-        loglik = self._log_likelihood_rows(packed)
+        loglik = self.scorer.log_likelihood_rows(packed)
 
         planes: List[np.ndarray]
         if out is None:
@@ -119,12 +119,3 @@ class BatchScorer:
                 f"got shape {matrix.shape}"
             )
         return matrix
-
-    def _log_likelihood_rows(self, features: np.ndarray) -> np.ndarray:
-        """Scaled log-likelihood rows for packed features -- the exact
-        arithmetic of :meth:`DnnScorer.score`, minus the plane layout."""
-        log_post = self.scorer.dnn.log_posteriors(features)
-        result: np.ndarray = (
-            (log_post - self.scorer.log_priors) * self.scorer.acoustic_scale
-        )
-        return result

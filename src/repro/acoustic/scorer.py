@@ -79,10 +79,17 @@ class DnnScorer:
         self.log_priors = np.asarray(log_priors, dtype=np.float64)
         self.acoustic_scale = acoustic_scale
 
+    def log_likelihood_rows(self, features: np.ndarray) -> np.ndarray:
+        """Scaled log-likelihood rows, one column per class: the one copy
+        of the arithmetic under :meth:`score` and ``BatchScorer``'s
+        stacked forward, which differ only in the plane layout."""
+        log_post = self.dnn.log_posteriors(features)
+        result: np.ndarray = (log_post - self.log_priors) * self.acoustic_scale
+        return result
+
     def score(self, features: np.ndarray) -> AcousticScores:
         """Convert a feature matrix into scaled log-likelihoods."""
-        log_post = self.dnn.log_posteriors(features)
-        loglik = (log_post - self.log_priors) * self.acoustic_scale
+        loglik = self.log_likelihood_rows(features)
         matrix = np.full(
             (len(loglik), self.dnn.config.num_classes + 1),
             _EPS_COLUMN_SCORE,

@@ -15,8 +15,8 @@ Seven subcommands cover the common workflows:
   strategy.
 * ``repro-asr serve``        -- continuous-batching serving demo: live
   sessions join mid-flight and stream chunks through one fused engine;
-  ``--workers N`` serves through the sharded multi-process tier over one
-  memory-mapped graph and reports p50/p99 SLO stats.
+  ``--workers N`` / ``--score-features`` serve through the multi-process
+  tier over one memory-mapped graph and report p50/p99 SLO stats.
 * ``repro-asr simulate``     -- decode on the cycle-accurate accelerator
   simulator in any of the paper's four configurations.
 * ``repro-asr compare``      -- run the six-platform comparison on a
@@ -417,10 +417,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise ConfigError("--stagger must be >= 0")
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
-    scorer = None
     if args.score_features:
         # Features mode needs a trained acoustic model and the MFCCs it
-        # was trained on -- the audio-backed task carries both.
+        # was trained on -- the audio-backed task carries both -- and the
+        # tier at any --workers: its DNN stage is where features enter.
         audio = generate_audio_task(
             AudioTaskConfig(
                 vocab_size=min(args.vocab, 60),
@@ -428,20 +428,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         )
-        task, scorer = audio.task, audio.scorer
         print(f"audio task: DNN frame accuracy "
               f"{audio.frame_accuracy:.3f}, score width "
-              f"{scorer.dnn.config.num_classes + 1}")
-    else:
-        task = _build_task(args)
+              f"{audio.scorer.dnn.config.num_classes + 1}")
+        return _serve_tier(args, audio.task, scorer=audio.scorer)
+    task = _build_task(args)
     if args.workers > 1:
-        return _serve_tier(args, task, scorer=scorer)
+        return _serve_tier(args, task)
     server = StreamingServer(
         task.graph,
         DecoderConfig(beam=args.beam, backend=args.kernel_backend,
                       commit_interval=args.commit_interval),
         ServerConfig(max_batch=args.max_batch),
-        scorer=scorer,
     )
 
     def announce_join(round_no: int, i: int, sid: int) -> None:
@@ -449,12 +447,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"({task.utterances[i].num_frames} frames)")
 
     records = server.serve_staggered(
-        [u.features if scorer is not None else u.scores
-         for u in task.utterances],
+        [u.scores for u in task.utterances],
         chunk_frames=args.chunk_frames,
         stagger=args.stagger,
         on_join=announce_join,
-        mode="features" if scorer is not None else "scores",
     )
 
     total_wer = 0.0
@@ -490,10 +486,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"traceback: peak trace memory {peak_trace / 1024:.1f} "
           f"KiB/session, {committed} committed frames "
           f"(commit interval {args.commit_interval})")
-    if scorer is not None:
-        print(f"scoring: {stats.scored_frames} frames in "
-              f"{stats.score_batches} cross-session batches, "
-              f"{stats.scored_frames_per_second:.0f} scored frames/s")
     if decoded:
         print(f"mean WER {total_wer / decoded:.3f}")
     return 0 if decoded == len(records) else 1
@@ -729,22 +721,24 @@ def build_parser() -> argparse.ArgumentParser:
                         "default 0)")
     p.add_argument("--stagger", type=int, default=3,
                    help="rounds between session arrivals; 0 admits every "
-                        "session up front (default 3)")
+                        "session up front (default 3; in-process "
+                        "scores server only, the tier admits all at once)")
     p.add_argument("--max-batch", type=int, default=64, dest="max_batch",
                    help="max sessions per lockstep sweep (default 64)")
     p.add_argument("--workers", type=int, default=1,
-                   help="decode worker processes; >= 2 serves through "
-                        "the sharded tier over one memory-mapped graph "
-                        "and prints p50/p99 SLO stats (default 1: "
-                        "in-process server)")
+                   help="decode worker processes; >= 2, or any count "
+                        "with --score-features, serves through the "
+                        "sharded tier over one memory-mapped graph and "
+                        "prints p50/p99 SLO stats (default 1)")
     p.add_argument("--score-features", action="store_true",
                    dest="score_features",
                    help="serve an audio-backed task in features mode: "
-                        "sessions push MFCC chunks and the server scores "
-                        "them in cross-session batched DNN forwards "
-                        "(bit-identical words to pushing scores); with "
-                        "--workers >= 2 the scored planes reach the "
-                        "shards over zero-copy shared memory")
+                        "sessions push MFCC chunks and the tier's DNN "
+                        "stage scores them in cross-session batched "
+                        "forwards (bit-identical words to pushing "
+                        "scores); always served by the tier -- "
+                        "--workers 1, the default, is one search "
+                        "process behind the DNN stage")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("simulate", help="decode on the accelerator simulator")

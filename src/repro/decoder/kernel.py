@@ -749,8 +749,7 @@ class SearchKernel:
         concatenation of all frontiers, keyed by ``session * num_states +
         state`` so sessions never mix; bit-identical per frontier to
         stepping each alone.  Callers guarantee non-empty frontiers and
-        uniform score widths; observers are not supported on this path
-        (``advance_sessions`` falls back to solo stepping when attached).
+        uniform score widths; observers are not supported on this path.
         """
         config = self.config
         flat = self.flat

@@ -42,7 +42,7 @@ bit-identical per-session results, as the backend contract requires.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +67,38 @@ def chunk_matrix(chunk: Chunk) -> np.ndarray:
     if matrix.ndim != 2:
         raise DecodeError("scores chunk must be 2-D (frames x phone scores)")
     return matrix
+
+
+def check_score_rows(
+    matrix: np.ndarray,
+    session_id: int,
+    input_closed: bool,
+    min_score_width: int,
+    pinned_width: Optional[int],
+) -> Optional[int]:
+    """The rules a :func:`chunk_matrix` result meets at every scores door
+    (``StreamingServer.push``, ``ServingTier.push``), or a later fused
+    sweep carrying other sessions' frames would abort: no push once the
+    session's input was closed, rows wide enough for every phone id on
+    the graph, one width across the door's sessions.  Returns the width
+    the door is pinned to from now on (this chunk's, if its first rows).
+    """
+    if input_closed:
+        raise DecodeError(f"input of session {session_id} is closed")
+    if not len(matrix):
+        return pinned_width
+    width = matrix.shape[1]
+    if width < min_score_width:
+        raise DecodeError(
+            f"score rows must have at least {min_score_width} entries "
+            f"(one per phone id on the graph), got {width}"
+        )
+    if pinned_width is not None and width != pinned_width:
+        raise DecodeError(
+            f"score rows must be {pinned_width} wide like every other "
+            f"session's (got {width}); one door serves one acoustic model"
+        )
+    return int(width)
 
 
 class DecodeSession:
@@ -218,12 +250,6 @@ def advance_sessions(
             )
     if len(sessions) == 1:
         sessions[0].push_frame(pairs[0][1])
-        return
-    if any(session._frontier.observers for session in sessions):
-        # Observers receive per-frontier events the fused sweep does not
-        # construct; advance each session alone instead (same results).
-        for session, row in pairs:
-            session.push_frame(row)
         return
     rows = [np.asarray(row) for _, row in pairs]
     shape = rows[0].shape

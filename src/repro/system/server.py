@@ -4,7 +4,8 @@ discussion, built on the software decoders).
 
 :mod:`repro.system.stream` *models* the latency of serving many live
 streams analytically; this module *executes* that serving shape.  A
-:class:`StreamingServer` multiplexes any number of live
+:class:`StreamingServer` is the search stage and nothing else --
+acoustic score rows in, words out -- multiplexing any number of live
 :class:`repro.decoder.session.DecodeSession` objects through one
 vectorized engine:
 
@@ -23,6 +24,12 @@ Because the fused sweep is bit-identical to per-session decoding, a
 server serving N streams produces exactly the words and path scores of N
 one-shot ``BatchDecoder.decode`` calls -- the correctness anchor tested
 in ``tests/test_streaming_server.py``.
+
+MFCC features enter the serving stack in one place, the DNN stage of
+:class:`repro.system.tier.ServingTier`, whose workers each run one of
+these servers.  To decode features in a single process, score each round
+of chunks with :mod:`repro.acoustic.batch_scorer` and push the planes
+here (two lines, in the README's "Batched in-tier scoring").
 """
 
 from __future__ import annotations
@@ -36,11 +43,14 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import AdmissionError, ConfigError, DecodeError
-from repro.acoustic.batch_scorer import BatchScorer
-from repro.acoustic.scorer import DnnScorer
 from repro.decoder.batch import BatchDecoder
 from repro.decoder.result import DecodeResult
-from repro.decoder.session import Chunk, advance_sessions, chunk_matrix
+from repro.decoder.session import (
+    Chunk,
+    advance_sessions,
+    check_score_rows,
+    chunk_matrix,
+)
 from repro.decoder.viterbi import DecoderConfig
 from repro.wfst.layout import CompiledWfst
 
@@ -118,13 +128,6 @@ class ServerStats:
     sessions_opened: int = 0
     sessions_finalized: int = 0
     max_occupancy: int = 0
-    #: Feature frames scored server-side (``mode="features"`` sessions),
-    #: the time spent inside the stacked forward, and how many batched
-    #: scoring calls covered them (scored_frames / score_batches = mean
-    #: cross-session batch height).
-    scored_frames: int = 0
-    score_seconds: float = 0.0
-    score_batches: int = 0
 
     @property
     def aggregate_frames_per_second(self) -> float:
@@ -132,13 +135,6 @@ class ServerStats:
         if self.busy_seconds <= 0.0:
             return 0.0
         return self.frames_decoded / self.busy_seconds
-
-    @property
-    def scored_frames_per_second(self) -> float:
-        """Feature frames scored per second spent in the stacked DNN."""
-        if self.score_seconds <= 0.0:
-            return 0.0
-        return self.scored_frames / self.score_seconds
 
     @property
     def mean_occupancy(self) -> float:
@@ -164,25 +160,20 @@ class SessionRecord:
 
 
 class _Live:
-    """A session plus its buffered, timestamped score frames (and, for
-    ``mode="features"`` sessions, the not-yet-scored feature chunks)."""
+    """A session plus its buffered, timestamped score frames."""
 
-    __slots__ = ("session", "buffer", "features", "mode", "input_closed",
-                 "stats")
+    __slots__ = ("session", "buffer", "input_closed", "stats")
 
-    def __init__(self, session, stats: SessionStats,
-                 mode: str = "scores") -> None:
+    def __init__(self, session, stats: SessionStats) -> None:
         self.session = session
         self.buffer: Deque[Tuple[np.ndarray, float]] = deque()
-        #: Pending feature chunks awaiting the next batched scoring pass.
-        self.features: Deque[Tuple[np.ndarray, float]] = deque()
-        self.mode = mode
         self.input_closed = False
         self.stats = stats
 
 
 class StreamingServer:
-    """Serve many live decode sessions through one vectorized engine."""
+    """Serve many live decode sessions through one vectorized engine:
+    score rows in (:meth:`push`), words out (:meth:`result`)."""
 
     def __init__(
         self,
@@ -190,7 +181,6 @@ class StreamingServer:
         search_config: DecoderConfig = DecoderConfig(),
         server_config: ServerConfig = ServerConfig(),
         clock: Callable[[], float] = time.perf_counter,
-        scorer: Optional[DnnScorer] = None,
     ) -> None:
         self.decoder = BatchDecoder(graph, search_config)
         self.server_config = server_config
@@ -199,22 +189,8 @@ class StreamingServer:
         self._live: "OrderedDict[int, _Live]" = OrderedDict()
         self._records: Dict[int, SessionRecord] = {}
         self._ids = itertools.count()
-        # All sessions must push rows of one width so any subset can be
-        # stacked into a fused sweep; pinned by the first push.
+        # One row width across all sessions, pinned by the first push.
         self._frame_width: Optional[int] = None
-        # Server-side acoustic scoring: feature-mode sessions push MFCC
-        # chunks, and every step scores the pending chunks of *all* such
-        # sessions in one stacked DNN forward (batch-stable, so the
-        # scores match client-side per-session scoring bit for bit).
-        self._batch_scorer = BatchScorer(scorer) if scorer is not None else None
-        if self._batch_scorer is not None and (
-            self._batch_scorer.width < self.decoder.min_score_width
-        ):
-            raise ConfigError(
-                f"scorer produces {self._batch_scorer.width}-wide score "
-                f"rows but the graph's phone ids need at least "
-                f"{self.decoder.min_score_width}"
-            )
 
     @property
     def kernel_backend(self) -> str:
@@ -225,27 +201,13 @@ class StreamingServer:
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
-    def open_session(self, mode: str = "scores") -> int:
+    def open_session(self) -> int:
         """Admit a new live stream; returns its session id.
-
-        Args:
-            mode: ``"scores"`` (the client pushes pre-scored likelihood
-                rows via :meth:`push`) or ``"features"`` (the client
-                pushes MFCC features via :meth:`push_features` and the
-                server scores them, batched across sessions).
 
         Raises:
             AdmissionError: when ``max_sessions`` live sessions already
                 exist -- the join is load-shed without touching them.
-            ConfigError: ``mode="features"`` on a server built without a
-                ``scorer``, or an unknown mode.
         """
-        if mode not in ("scores", "features"):
-            raise ConfigError(f"unknown session mode {mode!r}")
-        if mode == "features" and self._batch_scorer is None:
-            raise ConfigError(
-                "mode='features' needs a server constructed with scorer="
-            )
         limit = self.server_config.max_sessions
         if limit and len(self._live) >= limit:
             raise AdmissionError(
@@ -254,8 +216,7 @@ class StreamingServer:
             )
         sid = next(self._ids)
         self._live[sid] = _Live(
-            self.decoder.open_session(), SessionStats(sid, self._clock()),
-            mode=mode,
+            self.decoder.open_session(), SessionStats(sid, self._clock())
         )
         self.stats.sessions_opened += 1
         return sid
@@ -263,75 +224,19 @@ class StreamingServer:
     def push(self, session_id: int, chunk: Chunk) -> int:
         """Buffer a chunk of acoustic score frames for a live session.
 
-        Chunks are validated here -- wide enough for every phone id on
-        the graph, and one width across all sessions -- so a malformed
-        chunk is rejected at the door instead of aborting a later fused
-        sweep that other sessions' frames already entered.
+        A malformed chunk, or one for a session whose input is closed,
+        raises :class:`DecodeError` before anything is buffered
+        (:func:`~repro.decoder.session.check_score_rows`).
         """
         live = self._require_live(session_id)
-        if live.input_closed:
-            raise DecodeError(f"input of session {session_id} is closed")
-        if live.mode != "scores":
-            raise DecodeError(
-                f"session {session_id} is a features-mode session; "
-                f"push MFCC chunks via push_features"
-            )
         matrix = chunk_matrix(chunk)
-        if len(matrix):
-            width = matrix.shape[1]
-            if width < self.decoder.min_score_width:
-                raise DecodeError(
-                    f"score rows must have at least "
-                    f"{self.decoder.min_score_width} entries (one per phone "
-                    f"id on the graph), got {width}"
-                )
-            if self._frame_width is None:
-                self._frame_width = width
-            elif width != self._frame_width:
-                raise DecodeError(
-                    f"score rows must be {self._frame_width} wide like "
-                    f"every other session's (got {width}); one server "
-                    f"serves one acoustic model"
-                )
+        self._frame_width = check_score_rows(
+            matrix, session_id, live.input_closed,
+            self.decoder.min_score_width, self._frame_width,
+        )
         now = self._clock()
         for row in matrix:
             live.buffer.append((row, now))
-        live.stats.frames_pushed += len(matrix)
-        return len(matrix)
-
-    def push_features(self, session_id: int, features: np.ndarray) -> int:
-        """Buffer a chunk of MFCC feature rows for a features-mode session.
-
-        The chunk is scored server-side on the next :meth:`step`, stacked
-        with every other feature session's pending chunks into one DNN
-        forward -- bit-identical to the client scoring it alone.
-        """
-        live = self._require_live(session_id)
-        if live.input_closed:
-            raise DecodeError(f"input of session {session_id} is closed")
-        if live.mode != "features":
-            raise DecodeError(
-                f"session {session_id} is a scores-mode session; "
-                f"push likelihood rows via push"
-            )
-        scorer = self._batch_scorer
-        assert scorer is not None  # guaranteed by open_session
-        matrix = np.asarray(features, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != scorer.input_dim:
-            raise DecodeError(
-                f"feature chunks must be (frames, {scorer.input_dim}), "
-                f"got shape {matrix.shape}"
-            )
-        if self._frame_width is None:
-            self._frame_width = scorer.width
-        elif scorer.width != self._frame_width:
-            raise DecodeError(
-                f"scored rows would be {scorer.width} wide but the fleet "
-                f"pushes {self._frame_width}-wide rows; one server serves "
-                f"one acoustic model"
-            )
-        if len(matrix):
-            live.features.append((matrix, self._clock()))
         live.stats.frames_pushed += len(matrix)
         return len(matrix)
 
@@ -369,7 +274,6 @@ class StreamingServer:
         Served sessions rotate to the back of the queue, so when more
         than ``max_batch`` sessions are ready the cap round-robins over
         them instead of starving the newest arrivals."""
-        self._score_pending()
         ready: List[_Live] = []
         for live in list(self._live.values()):
             if not live.buffer:
@@ -426,35 +330,6 @@ class StreamingServer:
         while self.step():
             pass
 
-    def _score_pending(self) -> None:
-        """Batched scoring pass: pack the pending feature chunks of all
-        feature-mode sessions, run one stacked DNN forward, scatter the
-        score rows into the sessions' frame buffers (the in-process
-        score plane).  Original push timestamps are kept so queue-wait
-        accounting spans scoring time too."""
-        if self._batch_scorer is None:
-            return
-        owners: List[Tuple[_Live, float]] = []
-        chunks: List[np.ndarray] = []
-        for live in self._live.values():
-            while live.features:
-                matrix, t_enq = live.features.popleft()
-                owners.append((live, t_enq))
-                chunks.append(matrix)
-        if not chunks:
-            return
-        t0 = self._clock()
-        planes = self._batch_scorer.score_chunks(chunks)
-        elapsed = self._clock() - t0
-        total = 0
-        for (live, t_enq), plane in zip(owners, planes):
-            total += len(plane)
-            for row in plane:
-                live.buffer.append((row, t_enq))
-        self.stats.scored_frames += total
-        self.stats.score_seconds += elapsed
-        self.stats.score_batches += 1
-
     # ------------------------------------------------------------------
     # Convenience driver
     # ------------------------------------------------------------------
@@ -465,7 +340,6 @@ class StreamingServer:
         stagger: int = 0,
         on_join: Optional[Callable[[int, int, int], None]] = None,
         on_round: Optional[Callable[[int], None]] = None,
-        mode: str = "scores",
     ) -> List[SessionRecord]:
         """Serve whole utterances as concurrent chunked live sessions.
 
@@ -475,9 +349,7 @@ class StreamingServer:
         ``stagger > 0`` one session joins every ``stagger`` rounds
         (sessions join and leave mid-flight); ``stagger=0`` admits
         everyone up front.  ``on_join(round_no, index, session_id)`` and
-        ``on_round(round_no)`` let callers narrate progress.  With
-        ``mode="features"`` the inputs are MFCC feature matrices instead
-        of score chunks and the server scores them in batched passes.
+        ``on_round(round_no)`` let callers narrate progress.
         Returns each session's terminal :class:`SessionRecord` in input
         order -- a session that died mid-stream has its remaining audio
         dropped and its engine error recorded.
@@ -486,13 +358,12 @@ class StreamingServer:
             raise ConfigError("chunk_frames must be >= 1")
         if stagger < 0:
             raise ConfigError("stagger must be >= 0")
-        push = self.push_features if mode == "features" else self.push
         matrices = [chunk_matrix(scores) for scores in scores_batch]
         sids: List[Optional[int]] = [None] * len(matrices)
         offsets = [0] * len(matrices)
 
         def admit(i: int, round_no: int) -> None:
-            sids[i] = self.open_session(mode=mode)
+            sids[i] = self.open_session()
             if len(matrices[i]) == 0:
                 self.close_input(sids[i])
             if on_join is not None:
@@ -515,7 +386,7 @@ class StreamingServer:
                     offsets[i] = len(matrix)
                     continue
                 chunk = matrix[offsets[i]: offsets[i] + chunk_frames]
-                push(sid, chunk)
+                self.push(sid, chunk)
                 offsets[i] += len(chunk)
                 pushed += 1
                 if offsets[i] >= len(matrix):
@@ -568,12 +439,8 @@ class StreamingServer:
 
     @property
     def pending_frames(self) -> int:
-        """Buffered frames not yet decoded, across all live sessions
-        (scored rows plus feature frames awaiting the batched scorer)."""
-        return sum(
-            len(live.buffer) + sum(len(m) for m, _ in live.features)
-            for live in self._live.values()
-        )
+        """Buffered frames not yet decoded, across all live sessions."""
+        return sum(len(live.buffer) for live in self._live.values())
 
     def frames_decoded(self, session_id: int) -> int:
         """Frames decoded so far for a live *or* retired session (the
@@ -614,7 +481,7 @@ class StreamingServer:
         finished = [
             live
             for live in self._live.values()
-            if live.input_closed and not live.buffer and not live.features
+            if live.input_closed and not live.buffer
         ]
         for live in finished:
             try:

@@ -25,10 +25,13 @@ server-workload discussion assumes around the accelerator:
 * **SLO accounting** -- per-session end-to-end latency and queue-wait /
   decode-time records flow back with each retired session;
   :meth:`TierStats.slo` summarises server-level p50/p99.
-* **batched in-tier scoring** (``scorer=`` + ``mode="features"``) -- a
-  front-door scoring thread packs the pending MFCC chunks of *all* live
-  feature sessions into one stacked, batch-stable DNN forward per pass
-  (the paper's GPU batching half), writing the score rows straight into
+* **batched in-tier scoring** (``scorer=`` + ``mode="features"``) --
+  the one place MFCC features enter the serving stack, and the one loop
+  that drives :class:`~repro.acoustic.batch_scorer.BatchScorer` (the
+  shards' servers take score rows only).  A front-door scoring thread
+  packs the pending MFCC chunks of *all* live feature sessions into one
+  stacked, batch-stable DNN forward per pass (the paper's GPU batching
+  half), writing the score rows straight into
   each worker's double-buffered **shared-memory score planes**
   (:mod:`repro.system.score_ring` -- the Acoustic Likelihood Buffer
   analogue).  Pipes carry only ``(sid, generation, offset, frames)``
@@ -87,7 +90,7 @@ from repro.common.errors import (
 from repro.decoder.backends import resolve_backend
 from repro.decoder.kernel import DecoderConfig
 from repro.decoder.result import DecodeResult
-from repro.decoder.session import Chunk, chunk_matrix
+from repro.decoder.session import Chunk, check_score_rows, chunk_matrix
 from repro.system.score_ring import ScorePlaneRing, ScorePlaneView
 from repro.system.server import (
     ServerConfig,
@@ -169,8 +172,6 @@ class TierStats:
     session_latencies_s: List[float] = field(default_factory=list)
     #: per-session mean frame queue-wait seconds (from the shard server).
     session_mean_waits_s: List[float] = field(default_factory=list)
-    #: per-session attributed decode seconds.
-    session_decode_s: List[float] = field(default_factory=list)
     #: wall-clock of the serving window (first admission -> last record).
     serving_seconds: float = 0.0
     #: largest per-session traceback-buffer high-water mark, in bytes --
@@ -534,6 +535,10 @@ class ServingTier:
             else 1
         )
         self._frame_width: Optional[int] = None
+        # Rows per score plane; TierConfig.plane_frames == 0 sizes it here.
+        self._plane_frames = tier_config.plane_frames or min(
+            tier_config.queue_depth, 8192
+        )
 
         # Batched in-tier acoustic scoring (the paper's GPU half): a
         # scoring thread packs the pending feature chunks of *all* live
@@ -648,17 +653,16 @@ class ServingTier:
         """Validate a chunk at the door and ship it to the session's shard.
 
         Raises:
-            DecodeError: unknown/retired session, or a malformed chunk
-                (wrong rank, too narrow for the graph's phone ids, or a
-                width disagreeing with the fleet's established width) --
-                rejected here, before any IPC, so a bad chunk never
-                reaches a shard where other sessions' frames are in
-                flight.
+            DecodeError: unknown/retired/closed session, or a malformed
+                chunk (wrong rank, too narrow for the graph's phone ids,
+                or a width disagreeing with the fleet's established
+                width) -- rejected here, before any IPC or budget
+                reservation, so a bad chunk never reaches a shard where
+                other sessions' frames are in flight.
             BackpressureError: the shard's bounded queue is saturated;
                 the push is load-shed and may be retried.
         """
         matrix = chunk_matrix(chunk)
-        width = matrix.shape[1] if len(matrix) else None
         with self._lock:
             self._require_up()
             self._pump()
@@ -668,21 +672,10 @@ class ServingTier:
                     f"session {session_id} is a features-mode session; "
                     f"push MFCC chunks via push_features"
                 )
-            if width is not None:
-                if width < self._min_score_width:
-                    raise DecodeError(
-                        f"score rows must have at least "
-                        f"{self._min_score_width} entries (one per phone id "
-                        f"on the graph), got {width}"
-                    )
-                if self._frame_width is None:
-                    self._frame_width = width
-                elif width != self._frame_width:
-                    raise DecodeError(
-                        f"score rows must be {self._frame_width} wide like "
-                        f"every other session's (got {width}); one tier "
-                        f"serves one acoustic model"
-                    )
+            self._frame_width = check_score_rows(
+                matrix, session_id, session.closed,
+                self._min_score_width, self._frame_width,
+            )
             if not len(matrix):
                 return 0
             worker = session.worker
@@ -775,12 +768,11 @@ class ServingTier:
         and ``self._frame_width`` established."""
         if worker.ring is None:
             assert self._frame_width is not None
-            plane_frames = self.tier_config.plane_frames or min(
-                self.tier_config.queue_depth, 8192
+            worker.ring = ring = ScorePlaneRing(
+                self._plane_frames, self._frame_width
             )
-            worker.ring = ScorePlaneRing(plane_frames, self._frame_width)
             worker.conn.send(
-                ("ring", worker.ring.name, plane_frames, self._frame_width)
+                ("ring", ring.name, ring.plane_frames, self._frame_width)
             )
         return worker.ring
 
@@ -926,13 +918,10 @@ class ServingTier:
         """
         scorer = self._batch_scorer
         assert scorer is not None
-        plane_frames = self.tier_config.plane_frames or min(
-            self.tier_config.queue_depth, 8192
-        )
         work: List[Tuple[int, np.ndarray]] = [
-            (sid, matrix[start: start + plane_frames])
+            (sid, matrix[start: start + self._plane_frames])
             for sid, matrix in batch
-            for start in range(0, len(matrix), plane_frames)
+            for start in range(0, len(matrix), self._plane_frames)
         ]
         index = 0
         while index < len(work):
@@ -1266,7 +1255,6 @@ class ServingTier:
         stats.frames_decoded += record.stats.frames_decoded
         stats.session_latencies_s.append(max(0.0, now - session.opened_t))
         stats.session_mean_waits_s.append(record.stats.mean_wait_s)
-        stats.session_decode_s.append(record.stats.decode_seconds)
         stats.trace_peak_bytes = max(
             stats.trace_peak_bytes, record.stats.trace_peak_bytes
         )

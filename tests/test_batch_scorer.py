@@ -1,6 +1,7 @@
 """Tests for batched in-tier acoustic scoring: the BatchScorer packing
 stage, the double-buffered shared-memory score planes, and the
-features-mode front doors of StreamingServer and ServingTier.
+features-mode front door of ServingTier -- the one place features enter
+the serving stack.
 
 Correctness anchor: pushing MFCC features and letting the serving layer
 score them -- batched across sessions, shipped over shared memory --
@@ -155,41 +156,40 @@ class TestServerFeaturesMode:
     def test_features_path_bitwise_matches_scores_path(
         self, audio_task, config
     ):
+        """Features in one process: score each round's chunks of every
+        session in one ``BatchScorer`` call, push the planes -- the two
+        lines ``benchmarks/e2e``'s in-process replay is built on."""
         task = audio_task.task
         base = StreamingServer(task.graph, config).serve_staggered(
             [u.scores for u in task.utterances], chunk_frames=7
         )
-        server = StreamingServer(task.graph, config, scorer=audio_task.scorer)
-        got = server.serve_staggered(
-            [u.features for u in task.utterances],
-            chunk_frames=7,
-            mode="features",
-        )
-        for b, g in zip(base, got):
+        scorer = BatchScorer(audio_task.scorer)
+        server = StreamingServer(task.graph, config)
+        sids = [server.open_session() for _ in task.utterances]
+        longest = max(u.num_frames for u in task.utterances)
+        for start in range(0, longest, 7):
+            planes = scorer.score_chunks(
+                [u.features[start: start + 7] for u in task.utterances]
+            )
+            for sid, plane in zip(sids, planes):
+                server.push(sid, plane)
+            server.drain()
+        for sid in sids:
+            server.close_input(sid)
+        server.drain()
+        for sid, b in zip(sids, base):
+            g = server.result(sid)
             assert g.error is None
+            assert g.stats.frames_decoded == b.stats.frames_decoded
             assert g.result.words == b.result.words
             assert g.result.log_likelihood == b.result.log_likelihood
-        assert server.stats.scored_frames == sum(
-            u.num_frames for u in task.utterances
-        )
-        assert server.stats.score_batches >= 1
 
-    def test_mode_mismatch_rejected(self, audio_task, config):
-        task = audio_task.task
-        server = StreamingServer(task.graph, config, scorer=audio_task.scorer)
-        feat_sid = server.open_session(mode="features")
-        score_sid = server.open_session()
-        with pytest.raises(DecodeError):
-            server.push(feat_sid, task.utterances[0].scores)
-        with pytest.raises(DecodeError):
-            server.push_features(score_sid, task.utterances[0].features)
-
-    def test_features_mode_needs_scorer(self, audio_task, config):
-        server = StreamingServer(audio_task.task.graph, config)
-        with pytest.raises(ConfigError):
-            server.open_session(mode="features")
-        with pytest.raises(ConfigError):
-            server.open_session(mode="telepathy")
+    def test_server_is_scores_only(self, audio_task, config):
+        graph = audio_task.task.graph
+        with pytest.raises(TypeError):
+            StreamingServer(graph, config, scorer=audio_task.scorer)
+        with pytest.raises(TypeError):
+            StreamingServer(graph, config).open_session(mode="features")
 
 
 class TestTierFeaturesMode:

@@ -161,6 +161,34 @@ class TestCommands:
         assert len(joins) == 2
         assert all(ln.startswith("[round   0]") for ln in joins)
 
+    def test_serve_score_features_goes_through_the_tier_at_any_workers(
+        self, capsys
+    ):
+        """Features enter the serving stack through the tier only: one
+        worker (the default) is a DNN stage and one search process."""
+        argv = ["serve", "--vocab", "30", "--utterances", "3",
+                "--score-features"]
+        served = {}
+        for workers, extra in ((1, []), (2, ["--workers", "2"])):
+            assert main(argv + extra) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert any(ln.startswith(f"tier: {workers} shards") for ln in lines)
+            joined = [int(ln.split("(")[1].split()[0])
+                      for ln in lines if " joined -> shard " in ln]
+            assert len(joined) == 3
+            scoring = [ln for ln in lines if ln.startswith("scoring:")]
+            assert len(scoring) == 1
+            assert scoring[0].startswith(f"scoring: {sum(joined)} frames in ")
+            # "session N: WER w  F frames, mean wait T ms  <transcript>"
+            transcripts = [(ln.split(",")[0], ln.split(" ms  ")[1])
+                           for ln in lines if ln.startswith("session ")
+                           and ": WER " in ln]
+            assert len(transcripts) == 3
+            served[workers] = (
+                transcripts, [ln for ln in lines if ln.startswith("mean WER")]
+            )
+        assert served[1] == served[2]
+
     def test_simulate_all_configs(self, capsys):
         for config in ("base", "state", "arc", "both"):
             code = main(["simulate", "--vocab", "40", "--utterances", "1",

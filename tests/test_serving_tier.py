@@ -15,6 +15,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from repro.acoustic import AcousticScores
 from repro.common.errors import (
     AdmissionError,
     BackpressureError,
@@ -372,6 +373,40 @@ class TestErrors:
             tier.result(sid, timeout=60)
             with pytest.raises(DecodeError, match="retired"):
                 tier.push(sid, small_task.utterances[0].scores)
+
+    def test_push_after_close_input_bounces_at_the_door(
+        self, small_task, config, monkeypatch
+    ):
+        """The door used to accept the chunk, count it, reserve budget
+        for it and ship it behind the close; the worker's server refused
+        it, the error went to ``remote_error`` (surfaced only for a dead
+        worker) and the record came back clean without those frames."""
+        matrix = small_task.utterances[0].scores.matrix
+        before = BatchDecoder(small_task.graph, config).decode(
+            AcousticScores(matrix[:10])
+        )
+        with make_tier(small_task, config, num_workers=1) as tier:
+            sid = tier.open_session()
+            tier.push(sid, matrix[:10])
+            tier.close_input(sid)
+            stats = tier.stats
+            counters = (stats.frames_pushed, stats.frames_shipped,
+                        stats.descriptors_shipped)
+            with monkeypatch.context() as patch:
+                # Replies stay on the pipe, so the session cannot retire
+                # between the close and the pushes ("retired", not "closed").
+                patch.setattr(tier, "_pump", lambda block_worker=None: None)
+                with pytest.raises(DecodeError, match="closed"):
+                    tier.push(sid, matrix[10:20])
+                with pytest.raises(DecodeError, match="closed"):
+                    tier.push(sid, matrix[:0])
+            assert counters == (stats.frames_pushed, stats.frames_shipped,
+                                stats.descriptors_shipped) == (10, 10, 1)
+            record = tier.result(sid, timeout=60)
+            assert record.ok, record.error
+            assert record.stats.frames_decoded == 10
+            assert record.result.words == before.words
+            assert record.result.log_likelihood == before.log_likelihood
 
     def test_result_timeout_is_typed(self, small_task, config):
         with make_tier(small_task, config, num_workers=1) as tier:
