@@ -17,16 +17,22 @@ Because ``Dnn.forward`` is batch-stable (fixed-height gemm blocks, see
 identical** to what each session's own :meth:`DnnScorer.score` call
 would have produced: batching is purely a throughput optimisation and
 never changes a decode.
+
+The stage is single precision, as the paper's GPU is: chunks are packed
+straight into the deployed net's dtype (float32 -- one conversion for a
+float64 chunk, none for a float32 one), the forward runs in it, and the
+rows widen to float64 once, at the write into the caller's plane
+(:func:`repro.acoustic.scorer.write_score_plane`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.acoustic.scorer import _EPS_COLUMN_SCORE, DnnScorer
+from repro.acoustic.scorer import DnnScorer, write_score_plane
 
 
 class BatchScorer:
@@ -46,6 +52,12 @@ class BatchScorer:
         return int(self.scorer.dnn.config.input_dim)
 
     @property
+    def dtype(self) -> "np.dtype[Any]":
+        """Dtype the stacked forward computes in; chunks already in it
+        are packed without a conversion."""
+        return self.scorer.dnn.dtype
+
+    @property
     def width(self) -> int:
         """Score-row width (one column per phone id, plus epsilon)."""
         return int(self.scorer.dnn.config.num_classes) + 1
@@ -61,11 +73,11 @@ class BatchScorer:
         Args:
             chunks: per-session feature chunks, each ``(frames_i,
                 input_dim)`` (``frames_i`` may be 0 -- ragged is the
-                normal case).
+                normal case), of any real dtype.
             out: optional per-chunk destination score planes, each
-                ``(frames_i, width)`` -- e.g. views into a shared-memory
-                plane ring.  When omitted the rows are scattered into
-                one freshly allocated plane.
+                float64 ``(frames_i, width)`` -- e.g. views into a
+                shared-memory plane ring.  When omitted the rows are
+                scattered into one freshly allocated float64 plane.
 
         Returns:
             One ``(frames_i, width)`` score matrix per chunk (the ``out``
@@ -79,7 +91,7 @@ class BatchScorer:
             )
         counts = [m.shape[0] for m in matrices]
         total = sum(counts)
-        packed = np.empty((total, self.input_dim), dtype=np.float64)
+        packed = np.empty((total, self.input_dim), dtype=self.dtype)
         offset = 0
         for matrix, count in zip(matrices, counts):
             packed[offset: offset + count] = matrix
@@ -105,14 +117,13 @@ class BatchScorer:
                     )
         offset = 0
         for plane, count in zip(planes, counts):
-            plane[:, 0] = _EPS_COLUMN_SCORE
-            plane[:, 1:] = loglik[offset: offset + count]
+            write_score_plane(plane, loglik[offset: offset + count])
             offset += count
         return planes
 
     # ------------------------------------------------------------------
     def _chunk(self, index: int, chunk: np.ndarray) -> np.ndarray:
-        matrix = np.asarray(chunk, dtype=np.float64)
+        matrix = np.asarray(chunk)
         if matrix.ndim != 2 or matrix.shape[1] != self.input_dim:
             raise ConfigError(
                 f"feature chunk {index} must be (frames, {self.input_dim}), "

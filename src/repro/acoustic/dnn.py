@@ -10,14 +10,23 @@ The forward pass is **batch-stable**: scoring frames stacked with other
 sessions' frames yields bitwise the same rows as scoring them alone
 (see :func:`_affine`), which is what lets the serving tier batch
 acoustic scoring across sessions without changing a single decode.
+
+It is also **dtype-generic**: a net computes in the dtype of its
+weights.  A freshly built net is float64 and the trainer keeps it so
+(the master copy); :meth:`Dnn.astype` returns the single-precision copy
+``DnnScorer`` deploys -- the GPU of the paper's Figure 1 evaluates the
+DNN in single precision and the accelerator's Acoustic Likelihood
+Buffer holds 32-bit likelihoods.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
@@ -59,10 +68,31 @@ class Dnn:
     def num_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
+    @property
+    def dtype(self) -> "np.dtype[Any]":
+        """The dtype the forward pass computes and returns in."""
+        return self.weights[0].dtype
+
+    def astype(self, dtype: DTypeLike) -> "Dnn":
+        """A copy of this net that computes in ``dtype``: C-contiguous
+        weights and biases, and the input normalisation, all cast once."""
+
+        def cast(array: np.ndarray) -> np.ndarray:
+            return np.array(array, dtype=dtype, order="C")
+
+        net = copy.copy(self)
+        net.weights = [cast(w) for w in self.weights]
+        net.biases = [cast(b) for b in self.biases]
+        net.input_mean = cast(self.input_mean)
+        net.input_std = cast(self.input_std)
+        return net
+
     def set_normalization(self, mean: np.ndarray, std: np.ndarray) -> None:
-        """Set per-dimension input standardisation (fitted on train data)."""
-        self.input_mean = np.asarray(mean, dtype=np.float64)
-        self.input_std = np.maximum(np.asarray(std, dtype=np.float64), 1e-6)
+        """Set per-dimension input standardisation (fitted on train data),
+        in the net's own dtype -- a wider mean would promote every
+        activation out of the dtype :func:`_affine` computes in."""
+        self.input_mean = np.asarray(mean, dtype=self.dtype)
+        self.input_std = np.maximum(np.asarray(std, dtype=self.dtype), 1e-6)
 
     # ------------------------------------------------------------------
     def forward(
@@ -73,7 +103,8 @@ class Dnn:
         Batch-stable: row ``i`` of the output depends only on row ``i``
         of ``x``, bit for bit -- stacking the frames of many sessions
         into one call returns exactly the rows that per-session calls
-        would (pinned by ``tests/test_acoustic.py``).
+        would (pinned by ``tests/test_acoustic.py``).  Computed, and
+        returned, in :attr:`dtype`; ``x`` is cast to it on entry.
 
         Args:
             x: ``(batch, input_dim)`` features.
@@ -83,7 +114,7 @@ class Dnn:
             ``(log_posteriors, activations)`` -- log-softmax outputs of
             shape ``(batch, num_classes)``.
         """
-        h = (np.asarray(x, dtype=np.float64) - self.input_mean) / self.input_std
+        h = (np.asarray(x, dtype=self.dtype) - self.input_mean) / self.input_std
         activations: List[np.ndarray] = [h]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             h = np.maximum(_affine(h, w, b), 0.0)
@@ -106,12 +137,14 @@ class Dnn:
 #: Fixed gemm height of :func:`_affine`.  Every matmul the forward pass
 #: issues has exactly this many rows (the tail block is zero-padded), so
 #: BLAS always picks the same kernel/reduction split regardless of how
-#: many frames were stacked into the call.
+#: many frames were stacked into the call -- dgemm for a float64 net,
+#: sgemm for a float32 one, the argument is the same for both.
 GEMM_BLOCK_ROWS = 32
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b`` computed in fixed :data:`GEMM_BLOCK_ROWS`-row blocks.
+    """``x @ w + b`` computed in fixed :data:`GEMM_BLOCK_ROWS`-row blocks,
+    in the dtype of ``w`` (``x`` must already be in it).
 
     A plain ``x @ w`` is *not* bitwise row-stable under batching: BLAS
     chooses its blocking/reduction order from the operand shapes, so the
@@ -124,16 +157,15 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     path rely on.
     """
     n = x.shape[0]
-    out = np.empty((n, w.shape[1]), dtype=np.float64)
-    pad = np.zeros((GEMM_BLOCK_ROWS, x.shape[1]), dtype=np.float64)
-    for start in range(0, n, GEMM_BLOCK_ROWS):
-        stop = min(start + GEMM_BLOCK_ROWS, n)
-        rows = stop - start
-        if rows == GEMM_BLOCK_ROWS:
-            np.matmul(x[start:stop], w, out=out[start:stop])
-        else:
-            pad[:rows] = x[start:stop]
-            out[start:stop] = np.matmul(pad, w)[:rows]
+    out = np.empty((n, w.shape[1]), dtype=w.dtype)
+    whole = n - n % GEMM_BLOCK_ROWS
+    for start in range(0, whole, GEMM_BLOCK_ROWS):
+        stop = start + GEMM_BLOCK_ROWS
+        np.matmul(x[start:stop], w, out=out[start:stop])
+    if whole < n:
+        pad = np.zeros((GEMM_BLOCK_ROWS, x.shape[1]), dtype=w.dtype)
+        pad[: n - whole] = x[whole:]
+        out[whole:] = np.matmul(pad, w)[: n - whole]
     out += b
     return out
 

@@ -64,8 +64,26 @@ class AcousticScores:
 _EPS_COLUMN_SCORE = -1.0e9
 
 
+def write_score_plane(plane: np.ndarray, loglik: np.ndarray) -> None:
+    """Fill a float64 score plane from single-precision likelihood rows:
+    column 0 the loud epsilon score, the rest ``loglik``.  This
+    assignment is the one place the acoustic stage's float32 values
+    widen to the float64 the search adds to its path costs (exactly:
+    every float32 is a float64)."""
+    plane[:, 0] = _EPS_COLUMN_SCORE
+    plane[:, 1:] = loglik
+
+
 class DnnScorer:
-    """Score frames with a trained DNN (hybrid posterior/prior convention)."""
+    """Score frames with a trained DNN (hybrid posterior/prior convention).
+
+    The scorer deploys a **single-precision copy** of the net it is
+    given (:attr:`dnn`, ``dnn.astype(np.float32)``) -- the arithmetic of
+    the paper's GPU stage, whose likelihoods the accelerator's Acoustic
+    Likelihood Buffer holds in 32 bits.  The caller's net, the trainer's
+    float64 master, is left untouched; the planes handed to the search
+    are float64.
+    """
 
     def __init__(
         self,
@@ -75,14 +93,16 @@ class DnnScorer:
     ) -> None:
         if len(log_priors) != dnn.config.num_classes:
             raise ConfigError("log_priors length must match DNN classes")
-        self.dnn = dnn
-        self.log_priors = np.asarray(log_priors, dtype=np.float64)
-        self.acoustic_scale = acoustic_scale
+        self.dnn = dnn.astype(np.float32)
+        self.log_priors = np.asarray(log_priors, dtype=self.dnn.dtype)
+        # A plain float: a numpy float64 scalar would promote the rows.
+        self.acoustic_scale = float(acoustic_scale)
 
     def log_likelihood_rows(self, features: np.ndarray) -> np.ndarray:
-        """Scaled log-likelihood rows, one column per class: the one copy
-        of the arithmetic under :meth:`score` and ``BatchScorer``'s
-        stacked forward, which differ only in the plane layout."""
+        """Scaled log-likelihood rows, one column per class, in the
+        deployed net's dtype: the one copy of the arithmetic under
+        :meth:`score` and ``BatchScorer``'s stacked forward, which differ
+        only in the plane layout."""
         log_post = self.dnn.log_posteriors(features)
         result: np.ndarray = (log_post - self.log_priors) * self.acoustic_scale
         return result
@@ -90,11 +110,8 @@ class DnnScorer:
     def score(self, features: np.ndarray) -> AcousticScores:
         """Convert a feature matrix into scaled log-likelihoods."""
         loglik = self.log_likelihood_rows(features)
-        matrix = np.full(
-            (len(loglik), self.dnn.config.num_classes + 1),
-            _EPS_COLUMN_SCORE,
-        )
-        matrix[:, 1:] = loglik
+        matrix = np.empty((len(loglik), self.dnn.config.num_classes + 1))
+        write_score_plane(matrix, loglik)
         return AcousticScores(matrix)
 
     @staticmethod

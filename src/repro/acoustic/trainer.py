@@ -49,6 +49,11 @@ def train_dnn(
 ) -> List[float]:
     """Train ``dnn`` in place; returns the per-epoch mean cross-entropy.
 
+    ``dnn`` is the float64 master (what ``Dnn(...)`` builds); the
+    single-precision net that serves is a copy ``DnnScorer`` takes of it
+    afterwards, so training arithmetic does not depend on how the net is
+    deployed.
+
     Args:
         features: ``(num_frames, input_dim)``.
         labels: ``(num_frames,)`` 0-based class ids.

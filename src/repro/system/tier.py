@@ -707,7 +707,7 @@ class ServingTier:
                 "this tier scores nothing; construct it with scorer= "
                 "and open sessions with mode='features'"
             )
-        matrix = np.array(features, dtype=np.float64)
+        matrix = np.array(features, dtype=self._batch_scorer.dtype)
         if matrix.ndim != 2 or matrix.shape[1] != self._batch_scorer.input_dim:
             raise DecodeError(
                 f"feature chunks must be (frames, "

@@ -1,5 +1,8 @@
 """Shared fixtures: small tasks and graphs reused across the test suite."""
 
+import faulthandler
+import os
+
 import pytest
 
 from repro.accel import AcceleratorConfig
@@ -11,6 +14,37 @@ from repro.datasets import (
     generate_task,
 )
 from repro.wfst import sort_states_by_arc_count
+
+#: Seconds one test may run.  The slowest test takes under 5 s on a quiet
+#: two-core box; a tier test that waits on a thread or a worker that
+#: will never answer takes for ever.
+TEST_DEADLINE_S = 30
+
+_REAL_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Output capture is suspended while pytest configures; inside a test
+    # fd 2 is the capture file, which a process that exits on the spot
+    # never gets to print.
+    config.stash[_REAL_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_REAL_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def per_test_deadline(request):
+    """A hung test prints every thread's stack and fails the run after
+    ``TEST_DEADLINE_S`` instead of stalling it for as long as someone
+    waits (stdlib only: the watchdog is ``faulthandler``'s C thread, so
+    it fires whatever the Python threads are blocked on)."""
+    faulthandler.dump_traceback_later(
+        TEST_DEADLINE_S, exit=True, file=request.config.stash[_REAL_STDERR]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

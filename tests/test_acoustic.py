@@ -12,9 +12,14 @@ from repro.acoustic import (
     TrainConfig,
     train_dnn,
 )
+from repro.acoustic.dnn import GEMM_BLOCK_ROWS, _affine
 from repro.acoustic.trainer import _backward
 from repro.common.cpu import BlasPool
 from repro.frontend import PhoneAlignment
+
+
+# benchmarks/e2e's model shape: gemms large enough for BLAS to split.
+E2E_SHAPE = DnnConfig(195, (512, 512, 512), 41)
 
 
 @pytest.fixture()
@@ -184,8 +189,7 @@ class TestDnnEdgeCases:
         if default == 1:
             pytest.skip("default BLAS pool is already one thread: there "
                         "is no wider forward to compare with")
-        # benchmarks/e2e's model shape: gemms large enough to be split.
-        dnn = Dnn(DnnConfig(195, (512, 512, 512), 41), seed=3)
+        dnn = Dnn(E2E_SHAPE, seed=3)
         rng = np.random.default_rng(13)
         # One chunk, a stack crossing the GEMM_BLOCK_ROWS padding
         # boundary, and a cross-session batch.
@@ -210,6 +214,148 @@ class TestDnnEdgeCases:
             [scorer.score(feats[:17]).matrix, scorer.score(feats[17:]).matrix]
         )
         np.testing.assert_array_equal(whole, halves)
+
+
+def _float64_affine_reference(x, w, b):
+    """``_affine`` as it read before it became dtype-generic: float64
+    throughout, the pad allocated on every call."""
+    n = x.shape[0]
+    out = np.empty((n, w.shape[1]), dtype=np.float64)
+    pad = np.zeros((GEMM_BLOCK_ROWS, x.shape[1]), dtype=np.float64)
+    for start in range(0, n, GEMM_BLOCK_ROWS):
+        stop = min(start + GEMM_BLOCK_ROWS, n)
+        rows = stop - start
+        if rows == GEMM_BLOCK_ROWS:
+            np.matmul(x[start:stop], w, out=out[start:stop])
+        else:
+            pad[:rows] = x[start:stop]
+            out[start:stop] = np.matmul(pad, w)[:rows]
+    out += b
+    return out
+
+
+class TestSinglePrecision:
+    """One forward, two dtypes: the trainer's float64 master and the
+    float32 copy ``DnnScorer`` deploys."""
+
+    def test_astype_copies_everything_contiguous(self, tiny_dnn):
+        rng = np.random.default_rng(21)
+        tiny_dnn.set_normalization(rng.normal(size=8), rng.uniform(0.5, 2, 8))
+        tiny_dnn.weights[0] = np.asfortranarray(tiny_dnn.weights[0])
+        net = tiny_dnn.astype(np.float32)
+        assert net.dtype == np.float32 and tiny_dnn.dtype == np.float64
+        assert net.config is tiny_dnn.config
+        pairs = list(zip(net.weights + net.biases, tiny_dnn.weights + tiny_dnn.biases))
+        pairs += [(net.input_mean, tiny_dnn.input_mean),
+                  (net.input_std, tiny_dnn.input_std)]
+        for copy, master in pairs:
+            assert copy.dtype == np.float32 and master.dtype == np.float64
+            assert copy.flags.c_contiguous
+            np.testing.assert_array_equal(copy, master.astype(np.float32))
+        # A copy even when there is nothing to cast.
+        same = tiny_dnn.astype(np.float64)
+        assert not np.shares_memory(same.weights[0], tiny_dnn.weights[0])
+        assert not np.shares_memory(same.input_mean, tiny_dnn.input_mean)
+
+    def test_set_normalization_keeps_the_nets_dtype(self, tiny_dnn):
+        """A float64 mean on a float32 net used to promote every
+        activation and fail inside ``_affine``'s ``matmul(out=)``."""
+        net = tiny_dnn.astype(np.float32)
+        x = np.random.default_rng(22).normal(size=(40, 8))
+        net.set_normalization(x.mean(axis=0), np.zeros(8))  # float64 in
+        assert net.input_mean.dtype == np.float32
+        assert net.input_std.dtype == np.float32
+        assert (net.input_std == np.float32(1e-6)).all()  # the std floor
+        net.set_normalization(x.mean(axis=0), x.std(axis=0))
+        log_post = net.log_posteriors(x)
+        assert log_post.dtype == np.float32
+        tiny_dnn.set_normalization(x.mean(axis=0), x.std(axis=0))
+        np.testing.assert_allclose(
+            log_post, tiny_dnn.log_posteriors(x), rtol=0, atol=1e-5
+        )
+
+    def test_float64_affine_is_the_reference_bit_for_bit(self):
+        """The master's arithmetic did not move: same blocks, same pad,
+        so ``train_dnn`` returns the weights it always did."""
+        rng = np.random.default_rng(23)
+        w, b = rng.normal(size=(24, 17)), rng.normal(size=17)
+        for n in (0, 1, 31, 32, 33, 64, 71, 96):
+            x = rng.normal(size=(n, 24))
+            np.testing.assert_array_equal(
+                _affine(x, w, b), _float64_affine_reference(x, w, b)
+            )
+
+    def test_training_stays_float64_and_deploying_leaves_it_alone(self):
+        rng = np.random.default_rng(24)
+        feats = rng.normal(size=(300, 10))
+        labels = rng.integers(0, 4, size=300)
+
+        def trained():
+            dnn = Dnn(DnnConfig(10, (16,), 4), seed=0)
+            train_dnn(dnn, feats, labels, TrainConfig(epochs=3, seed=0))
+            return dnn
+
+        def state(dnn):
+            arrays = dnn.weights + dnn.biases + [dnn.input_mean, dnn.input_std]
+            assert all(a.dtype == np.float64 for a in arrays)
+            return b"".join(a.tobytes() for a in arrays)
+
+        dnn = trained()
+        before = state(dnn)
+        assert before == state(trained())  # same seed, same bytes
+        scorer = DnnScorer(dnn, DnnScorer.priors_from_labels(labels, 4))
+        scorer.score(feats)
+        assert scorer.dnn is not dnn and scorer.dnn.dtype == np.float32
+        assert state(dnn) == before
+
+    def test_float32_forward_stability_fuzz(self):
+        """sgemm blocks are as stable as dgemm ones: 200 gathers of rows
+        (repeats included, 1-400 rows, across and exactly on block
+        boundaries), half at the default BLAS pool size and half at one
+        thread, each score every row to the bits the whole-matrix
+        forward gave it."""
+        net = Dnn(E2E_SHAPE, seed=3).astype(np.float32)
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(400, 195)).astype(np.float32)
+        net.set_normalization(x.mean(axis=0), x.std(axis=0))
+        whole = net.log_posteriors(x)
+        assert whole.dtype == np.float32
+
+        def check_gathers(count):
+            sizes = [1, 31, 32, 33, 64, 320, 400]
+            sizes += rng.integers(1, 401, size=count - len(sizes)).tolist()
+            for size in sizes:
+                rows = rng.integers(0, 400, size=size)
+                assert np.array_equal(net.log_posteriors(x[rows]), whole[rows])
+
+        check_gathers(100)
+        # A no-op where the pool is one thread already (CI's
+        # OPENBLAS_NUM_THREADS=1 step) or the BLAS is uncontrolled.
+        pool = BlasPool()
+        previous = pool.lower(1)
+        try:
+            check_gathers(100)
+        finally:
+            pool.restore(previous)
+
+    def test_scorer_deploys_float32_into_float64_scores(self, tiny_dnn):
+        priors = DnnScorer.priors_from_labels(np.arange(5), 5)
+        scorer = DnnScorer(tiny_dnn, priors, acoustic_scale=0.7)
+        feats = np.random.default_rng(26).normal(size=(9, 8))
+        rows = scorer.log_likelihood_rows(feats)
+        assert rows.dtype == np.float32
+        matrix = scorer.score(feats).matrix
+        assert matrix.dtype == np.float64
+        # Widening is exact: the plane holds float32 values, which is
+        # what AcousticScores.frame_bytes_on_chip charges for.
+        np.testing.assert_array_equal(matrix[:, 1:], rows)
+        np.testing.assert_array_equal(
+            matrix, matrix.astype(np.float32).astype(np.float64)
+        )
+        # A float32 copy of the features is the same input.
+        np.testing.assert_array_equal(
+            scorer.score(feats.astype(np.float32)).matrix, matrix
+        )
 
 
 class TestScoresFootprint:

@@ -22,9 +22,10 @@ import pytest
 from repro.common import cpu
 from repro.common.cpu import BlasPool
 from repro.common.errors import ConfigError, DecodeError, TierError
-from repro.acoustic import BatchScorer, Dnn, DnnConfig, DnnScorer
+from repro.acoustic import AcousticScores, BatchScorer, Dnn, DnnConfig, DnnScorer
+from repro.acoustic.scorer import _EPS_COLUMN_SCORE
 from repro.datasets import AudioTaskConfig, generate_audio_task
-from repro.decoder import DecoderConfig
+from repro.decoder import BatchDecoder, DecoderConfig
 from repro.system import (
     ScorePlaneRing,
     ScorePlaneView,
@@ -88,6 +89,60 @@ class TestBatchScorer:
         np.testing.assert_array_equal(
             out[0], tiny_scorer.score(np.ones((4, 6))).matrix
         )
+
+    def test_float64_planes_from_float32_scoring(self, tiny_scorer):
+        """The stacked forward is single precision; what the search
+        reads is not.  Ring-slot-like float64 views (and the fresh
+        plane) come back float64, column 0 the epsilon score exactly,
+        rows bit-equal to ``DnnScorer.score`` whatever dtype the chunk
+        arrived in."""
+        batch = BatchScorer(tiny_scorer)
+        assert batch.dtype == np.float32
+        rng = np.random.default_rng(6)
+        chunks = [rng.normal(size=(n, 6)) for n in (5, 0, 33, 12)]
+        chunks[2] = chunks[2].astype(np.float32)
+        ring = np.zeros((64, batch.width))
+        views, offset = [], 0
+        for chunk in chunks:
+            views.append(ring[offset: offset + len(chunk)])
+            offset += len(chunk)
+        for planes in (batch.score_chunks(chunks, out=views),
+                       batch.score_chunks(chunks)):
+            for chunk, plane in zip(chunks, planes):
+                assert plane.dtype == np.float64
+                assert (plane[:, 0] == _EPS_COLUMN_SCORE).all()
+                np.testing.assert_array_equal(
+                    plane, tiny_scorer.score(chunk).matrix
+                )
+        np.testing.assert_array_equal(ring[offset:], 0.0)  # nothing past the slots
+
+    def test_float32_scores_within_contract_of_float64_reference(
+        self, audio_task, config
+    ):
+        """The precision contract, against the plain float64 formula on
+        the trained master: every likelihood within 1e-3, no frame's
+        best phone moved, every utterance the same words."""
+        scorer, master = audio_task.scorer, audio_task.dnn
+        assert master.dtype == np.float64 and scorer.dnn.dtype == np.float32
+        log_priors = scorer.log_priors.astype(np.float64)
+        decoder = BatchDecoder(audio_task.task.graph, config)
+        for utt in audio_task.task.utterances:
+            reference = (
+                master.log_posteriors(utt.features) - log_priors
+            ) * scorer.acoustic_scale
+            rows = scorer.log_likelihood_rows(utt.features)
+            assert rows.dtype == np.float32
+            assert np.abs(rows - reference).max() < 1e-3
+            np.testing.assert_array_equal(
+                rows.argmax(axis=1), reference.argmax(axis=1)
+            )
+            plane = np.full((len(reference), reference.shape[1] + 1),
+                            _EPS_COLUMN_SCORE)
+            plane[:, 1:] = reference
+            assert (
+                decoder.decode(utt.scores).words
+                == decoder.decode(AcousticScores(plane)).words
+            )
 
     def test_rejects_bad_shapes(self, tiny_scorer):
         batch = BatchScorer(tiny_scorer)
@@ -224,6 +279,22 @@ class TestTierFeaturesMode:
         assert stats.scored_frames == total
         assert stats.frames_shipped == total
         assert stats.score_batches >= 1
+
+    def test_float64_and_float32_features_are_the_same_input(
+        self, audio_task, config
+    ):
+        """``push_features`` casts a chunk once, to the scorer's dtype: a
+        float32 copy of a chunk is the same chunk."""
+        feats = [u.features for u in audio_task.task.utterances]
+        assert all(f.dtype == np.float64 for f in feats)
+        with self.tier(audio_task, config) as tier:
+            got = tier.decode_streaming(
+                feats + [f.astype(np.float32) for f in feats],
+                chunk_frames=7, mode="features",
+            )
+        for wide, narrow in zip(got[:len(feats)], got[len(feats):]):
+            assert wide.words == narrow.words and wide.words
+            assert wide.log_likelihood == narrow.log_likelihood
 
     def test_descriptor_transport_is_cheap(self, audio_task, config):
         """The pipe carries descriptors, not score matrices: well under
