@@ -51,8 +51,8 @@ def run(task):
     return rows
 
 
-def test_ablation_beam(benchmark, task):
-    rows = benchmark.pedantic(run, args=(task,), rounds=1, iterations=1)
+def test_ablation_beam(task):
+    rows = run(task)
     text = format_table(
         "Ablation -- beam width vs accuracy and work",
         ["beam", "WER", "active tokens/frame", "arcs", "cycles"],

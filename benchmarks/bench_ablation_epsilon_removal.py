@@ -57,10 +57,8 @@ def run(task):
     return rows, likelihoods
 
 
-def test_ablation_epsilon_removal(benchmark, task):
-    rows, likelihoods = benchmark.pedantic(
-        run, args=(task,), rounds=1, iterations=1
-    )
+def test_ablation_epsilon_removal(task):
+    rows, likelihoods = run(task)
     text = format_table(
         "Ablation -- epsilon arcs vs epsilon-free graph "
         "(paper keeps 11.5% epsilon arcs)",

@@ -38,10 +38,8 @@ def run(workload):
     ]
 
 
-def test_ablation_memory_latency(benchmark, swp_workload):
-    rows = benchmark.pedantic(
-        run, args=(swp_workload,), rounds=1, iterations=1
-    )
+def test_ablation_memory_latency(swp_workload):
+    rows = run(swp_workload)
     text = format_table(
         "Ablation -- DRAM latency sensitivity (Table I models 50 cycles)",
         ["latency (cycles)", "base cycles", "prefetch cycles",

@@ -26,10 +26,8 @@ def run(workload):
     ]
 
 
-def test_ablation_prefetch_depth(benchmark, swp_workload):
-    rows = benchmark.pedantic(
-        run, args=(swp_workload,), rounds=1, iterations=1
-    )
+def test_ablation_prefetch_depth(swp_workload):
+    rows = run(swp_workload)
     text = format_table(
         "Ablation -- prefetch FIFO/ROB depth (paper: 64 entries)",
         ["entries", "cycles", "speedup vs 4"],

@@ -46,10 +46,8 @@ def run(workload):
     return rows
 
 
-def test_ablation_state_direct_n(benchmark, swp_workload):
-    rows = benchmark.pedantic(
-        run, args=(swp_workload,), rounds=1, iterations=1
-    )
+def test_ablation_state_direct_n(swp_workload):
+    rows = run(swp_workload)
     text = format_table(
         "Ablation -- comparator count N for direct state lookup "
         "(paper: N = 16 covers >95% static / >97% dynamic)",

@@ -78,10 +78,8 @@ def compute(comparison):
     return _paper_scale_split(), _measured_split(comparison)
 
 
-def test_fig01_pipeline_breakdown(benchmark, std_comparison):
-    (cpu_pct, gpu_pct), (cpu_small, gpu_small) = benchmark.pedantic(
-        compute, args=(std_comparison,), rounds=1, iterations=1
-    )
+def test_fig01_pipeline_breakdown(std_comparison):
+    (cpu_pct, gpu_pct), (cpu_small, gpu_small) = compute(std_comparison)
     text = format_table(
         "Figure 1 -- Viterbi search share of ASR execution time",
         ["platform", "paper (%)", "model @ paper scale (%)",

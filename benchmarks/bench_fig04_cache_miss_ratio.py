@@ -41,10 +41,8 @@ def run_sweep(workload):
     return rows
 
 
-def test_fig04_cache_miss_ratio(benchmark, std_workload):
-    rows = benchmark.pedantic(
-        run_sweep, args=(std_workload,), rounds=1, iterations=1
-    )
+def test_fig04_cache_miss_ratio(std_workload):
+    rows = run_sweep(std_workload)
     text = format_table(
         "Figure 4 -- miss ratio (%) vs cache capacity "
         "(paper at Table I sizes: State ~28%, Arc ~40%, Token ~10%)",

@@ -26,10 +26,8 @@ def run_sweep(workload):
     ]
 
 
-def test_fig05_hash_entries(benchmark, swp_workload):
-    rows = benchmark.pedantic(
-        run_sweep, args=(swp_workload,), rounds=1, iterations=1
-    )
+def test_fig05_hash_entries(swp_workload):
+    rows = run_sweep(swp_workload)
     text = format_table(
         "Figure 5 -- avg cycles per hash request and speedup vs entries "
         "(paper: ~1.0 cycles and saturation at 32K)",

@@ -20,10 +20,8 @@ def compute(comparison):
     return rows, int(np.flatnonzero(histogram)[-1])
 
 
-def test_fig07_state_arcs_cdf(benchmark, std_comparison):
-    rows, max_degree = benchmark.pedantic(
-        compute, args=(std_comparison,), rounds=1, iterations=1
-    )
+def test_fig07_state_arcs_cdf(std_comparison):
+    rows, max_degree = compute(std_comparison)
     text = format_table(
         f"Figure 7 -- cumulative %% of dynamically fetched states vs arcs "
         f"(paper: 97% <= 15 arcs; max degree here {max_degree})",

@@ -33,10 +33,8 @@ def compute(comparison):
     return rows
 
 
-def test_fig09_decode_time(benchmark, std_comparison):
-    rows = benchmark.pedantic(
-        compute, args=(std_comparison,), rounds=1, iterations=1
-    )
+def test_fig09_decode_time(std_comparison):
+    rows = compute(std_comparison)
     text = format_table(
         "Figure 9 -- decode time per second of speech",
         ["platform", "paper (s/s)", "measured (s/s)", "real-time"],

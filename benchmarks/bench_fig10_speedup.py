@@ -26,10 +26,8 @@ def compute(comparison):
     ]
 
 
-def test_fig10_speedup_vs_gpu(benchmark, std_comparison):
-    rows = benchmark.pedantic(
-        compute, args=(std_comparison,), rounds=1, iterations=1
-    )
+def test_fig10_speedup_vs_gpu(std_comparison):
+    rows = compute(std_comparison)
     text = format_table(
         "Figure 10 -- speedup over the GPU",
         ["platform", "paper (x)", "measured (x)"],

@@ -23,10 +23,8 @@ def compute(comparison):
     ]
 
 
-def test_fig11_energy_reduction(benchmark, std_comparison):
-    rows = benchmark.pedantic(
-        compute, args=(std_comparison,), rounds=1, iterations=1
-    )
+def test_fig11_energy_reduction(std_comparison):
+    rows = compute(std_comparison)
     text = format_table(
         "Figure 11 -- energy reduction vs the GPU",
         ["configuration", "paper (x)", "measured (x)"],

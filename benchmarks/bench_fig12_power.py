@@ -28,10 +28,8 @@ def compute(comparison):
     return rows
 
 
-def test_fig12_power(benchmark, std_comparison):
-    rows = benchmark.pedantic(
-        compute, args=(std_comparison,), rounds=1, iterations=1
-    )
+def test_fig12_power(std_comparison):
+    rows = compute(std_comparison)
     text = format_table(
         "Figure 12 -- average power dissipation (W)",
         ["platform", "paper (W)", "measured (W)"],

@@ -35,10 +35,8 @@ def compute(comparison):
     return rows, state_share, reduction
 
 
-def test_fig13_mem_traffic(benchmark, std_comparison):
-    rows, state_share, reduction = benchmark.pedantic(
-        compute, args=(std_comparison,), rounds=1, iterations=1
-    )
+def test_fig13_mem_traffic(std_comparison):
+    rows, state_share, reduction = compute(std_comparison)
     text = format_table(
         "Figure 13 -- off-chip traffic (MB) per data type: "
         f"state share {state_share:.1f}% (paper {PAPER_STATE_SHARE_PCT}%), "

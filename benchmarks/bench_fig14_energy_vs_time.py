@@ -34,10 +34,8 @@ def compute(comparison):
     return rows, anchors
 
 
-def test_fig14_energy_vs_time(benchmark, std_comparison):
-    rows, anchors = benchmark.pedantic(
-        compute, args=(std_comparison,), rounds=1, iterations=1
-    )
+def test_fig14_energy_vs_time(std_comparison):
+    rows, anchors = compute(std_comparison)
     scatter = format_table(
         "Figure 14 -- energy vs decode time per second of speech",
         ["platform", "time (s/s)", "energy (J/s)"],

@@ -44,8 +44,8 @@ def compute():
     ]
 
 
-def test_intext_area_and_overheads(benchmark):
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_intext_area_and_overheads():
+    rows = compute()
     text = format_table(
         "In-text (Sec. VI) -- area and technique overheads",
         ["metric", "paper", "measured"],

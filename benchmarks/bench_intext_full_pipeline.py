@@ -35,10 +35,8 @@ def compute(comparison):
     return speedup, search_only
 
 
-def test_intext_full_pipeline(benchmark, std_comparison):
-    speedup, search_only = benchmark.pedantic(
-        compute, args=(std_comparison,), rounds=1, iterations=1
-    )
+def test_intext_full_pipeline(std_comparison):
+    speedup, search_only = compute(std_comparison)
     text = format_table(
         "In-text (Sec. VI) -- hybrid GPU+accelerator system vs GPU-only",
         ["metric", "paper (x)", "measured (x)"],

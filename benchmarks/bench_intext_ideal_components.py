@@ -42,10 +42,8 @@ def run_all(workload):
     ]
 
 
-def test_intext_ideal_components(benchmark, swp_workload):
-    rows = benchmark.pedantic(
-        run_all, args=(swp_workload,), rounds=1, iterations=1
-    )
+def test_intext_ideal_components(swp_workload):
+    rows = run_all(swp_workload)
     text = format_table(
         "In-text (Sec. IV) -- speedup from idealised components",
         ["idealisation", "paper (x)", "measured (x)"],

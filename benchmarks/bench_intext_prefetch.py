@@ -24,10 +24,8 @@ def run(workload):
     }
 
 
-def test_intext_prefetch(benchmark, swp_workload):
-    results = benchmark.pedantic(
-        run, args=(swp_workload,), rounds=1, iterations=1
-    )
+def test_intext_prefetch(swp_workload):
+    results = run(swp_workload)
     base_cycles, base_traffic = results["baseline"]
     pref_cycles, pref_traffic = results["prefetch"]
     perf_cycles, _ = results["perfect Arc cache"]

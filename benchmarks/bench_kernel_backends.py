@@ -188,16 +188,14 @@ def _gate(result: dict) -> None:
         )
 
 
-def test_kernel_backends(benchmark):
-    result = benchmark.pedantic(run_kernel_backends, rounds=1, iterations=1)
+def test_kernel_backends():
+    result = run_kernel_backends()
     _report(result)
     _gate(result)
 
 
 @pytest.mark.parametrize("quick", [True])
-def test_kernel_backends_quick(benchmark, quick):
-    result = benchmark.pedantic(
-        run_kernel_backends, kwargs={"quick": quick}, rounds=1, iterations=1
-    )
+def test_kernel_backends_quick(quick):
+    result = run_kernel_backends(quick=quick)
     _report(result)
     _gate(result)

@@ -1,28 +1,23 @@
-"""Benchmark: kernel-observer lattice decoder vs the seed scalar one.
+"""Benchmark: what a lattice costs on top of the 1-best decode.
 
-The seed ``LatticeDecoder`` ran its own dict-based beam search and added
-every surviving arc to the networkx DAG one ``add_edge`` at a time.  The
-kernel refactor replaced that with the shared vectorized
-``SearchKernel`` plus a lattice-capture observer that materialises the
-edge DAG in bulk.  This benchmark decodes the same workload with a
-frozen copy of the seed implementation (kept here as the baseline) and
-with the current decoder, checks that both lattices agree with the
-reference decoder's 1-best path, and gates the vectorized engine at
->= 3x the seed's frames/second.
+``LatticeDecoder`` runs the same vectorized ``SearchKernel`` as
+``BatchDecoder`` plus a capture observer, a backward sweep and the edge
+assembly; ``Lattice.nbest`` then walks the edge arrays best first.  This
+benchmark decodes one workload with both engines, checks that every
+lattice's 1-best is the 1-best decode's answer, and gates the two costs a
+caller pays for alternatives: the lattice decode at <= 4x the 1-best
+decode (measured 1.6-2.4x) and ``nbest(10)`` over the decoded lattices
+cheaper than decoding them.
 """
 
 import math
 import time
-from typing import Dict
 
-import networkx as nx
 import pytest
 
 from benchmarks.common import GRAPH_CACHE, format_table, report, write_json
-from repro.common.logmath import LOG_ZERO
 from repro.datasets import SyntheticGraphConfig
-from repro.decoder import DecoderConfig, LatticeDecoder, ViterbiDecoder
-from repro.decoder.lattice import _SINK, _SOURCE, Lattice
+from repro.decoder import BatchDecoder, DecoderConfig, LatticeDecoder
 from repro.system import make_memory_workload
 
 #: Standard-size workload: search-dominated, like the evaluation figures.
@@ -30,111 +25,13 @@ FULL_SHAPE = dict(num_states=8_000, utterances=3, frames=20, max_active=900)
 #: Tiny workload for the CI smoke gate: seconds, not minutes.
 QUICK_SHAPE = dict(num_states=2_000, utterances=2, frames=10, max_active=350)
 
-SPEEDUP_TARGET = 3.0
-#: The smoke-gate shape measures ~2.8-3.9x depending on machine load;
-#: gate with real headroom for shared CI runners (the full shape,
-#: measured ~18x, keeps the 3x target and catches regressions).
-QUICK_SPEEDUP_TARGET = 2.0
-
-
-def _seed_scalar_lattice(graph, config, lattice_beam, scores) -> Lattice:
-    """The seed repository's scalar lattice decode, frozen as the baseline.
-
-    Dict-based token passing with per-arc ``add_edge`` calls -- the
-    implementation the kernel-observer decoder replaced (PR 4).  Kept
-    verbatim (minus the class wrapper) so the speedup gate always
-    measures against the same code.
-    """
-    lat = nx.DiGraph()
-    lat.add_node(_SOURCE)
-    lat.add_node(_SINK)
-
-    def epsilon_closure(tokens: Dict[int, float], frame: int) -> None:
-        worklist = list(tokens.keys())
-        while worklist:
-            state = worklist.pop()
-            score = tokens[state]
-            first, n_non_eps, n_eps = graph.arc_range(state)
-            for a in range(first + n_non_eps, first + n_non_eps + n_eps):
-                dest = int(graph.arc_dest[a])
-                weight = float(graph.arc_weight[a])
-                lat.add_edge(
-                    (frame, state), (frame, dest),
-                    cost=-weight, word=int(graph.arc_olabel[a]),
-                )
-                new = score + weight
-                if new > tokens.get(dest, LOG_ZERO):
-                    tokens[dest] = new
-                    worklist.append(dest)
-
-    tokens: Dict[int, float] = {graph.start: 0.0}
-    lat.add_edge(_SOURCE, (0, graph.start), cost=0.0, word=0)
-    epsilon_closure(tokens, 0)
-
-    for frame in range(scores.num_frames):
-        frame_scores = scores.frame(frame)
-        best = max(tokens.values())
-        threshold = best - config.beam
-        survivors = {
-            s: score for s, score in tokens.items() if score >= threshold
-        }
-        if config.max_active and len(survivors) > config.max_active:
-            keep = sorted(
-                survivors, key=lambda s: survivors[s], reverse=True
-            )[: config.max_active]
-            survivors = {s: survivors[s] for s in keep}
-
-        next_tokens: Dict[int, float] = {}
-        for state, score in survivors.items():
-            first, n_non_eps, _ = graph.arc_range(state)
-            for a in range(first, first + n_non_eps):
-                arc_score = (
-                    float(graph.arc_weight[a])
-                    + float(frame_scores[graph.arc_ilabel[a]])
-                )
-                dest = int(graph.arc_dest[a])
-                new = score + arc_score
-                if new > next_tokens.get(dest, LOG_ZERO):
-                    next_tokens[dest] = new
-                lat.add_edge(
-                    (frame, state), (frame + 1, dest),
-                    cost=-arc_score, word=int(graph.arc_olabel[a]),
-                )
-        epsilon_closure(next_tokens, frame + 1)
-        tokens = next_tokens
-
-    finals = {s for s in tokens if graph.is_final(s)}
-    if finals:
-        for state in finals:
-            lat.add_edge(
-                (scores.num_frames, state), _SINK,
-                cost=-graph.final_weight(state), word=0,
-            )
-    else:
-        for state in tokens:
-            lat.add_edge((scores.num_frames, state), _SINK, cost=0.0, word=0)
-
-    # The seed's networkx lattice-beam pruning (two Dijkstras + node
-    # removal) -- the step the current decoder replaces with vectorized
-    # forward/backward sweeps before the graph is even built.
-    fwd = nx.shortest_path_length(lat, source=_SOURCE, weight="cost")
-    bwd = nx.shortest_path_length(
-        lat.reverse(copy=False), source=_SINK, weight="cost"
-    )
-    best = fwd[_SINK]
-    cut = best + lattice_beam
-    doomed = [
-        n
-        for n in list(lat.nodes)
-        if n not in (_SOURCE, _SINK)
-        and (n not in fwd or n not in bwd or fwd[n] + bwd[n] > cut)
-    ]
-    lat.remove_nodes_from(doomed)
-    return Lattice(lat, scores.num_frames)
+#: Lattice decode time over 1-best decode time, at most.
+DECODE_RATIO_LIMIT = 4.0
+NBEST_K = 10
 
 
 def run_lattice_throughput(quick: bool = False, seed: int = 3) -> dict:
-    """Measure both implementations on one workload; returns the payload."""
+    """Time both engines and the N-best walk on one workload."""
     shape = QUICK_SHAPE if quick else FULL_SHAPE
     workload = make_memory_workload(
         num_utterances=shape["utterances"],
@@ -148,109 +45,95 @@ def run_lattice_throughput(quick: bool = False, seed: int = 3) -> dict:
         graph_cache=GRAPH_CACHE,
     )
     config = DecoderConfig(beam=workload.beam, max_active=workload.max_active)
-    lattice_beam = 5.0
-    # The quick workload decodes in milliseconds, so one-shot timings are
-    # at the mercy of scheduler noise: take the best of a few rounds.
-    rounds = 3 if quick else 1
+    onebest = BatchDecoder(workload.graph, config)
+    lattice = LatticeDecoder(workload.graph, config, lattice_beam=5.0)
+    # Warm the flat layout and caches both engines share.
+    onebest.decode(workload.scores[0])
+    lattice.decode(workload.scores[0])
 
     def best_of(func):
-        best_seconds, result = None, None
-        for _ in range(rounds):
+        # The decodes take milliseconds, so one-shot timings are at the
+        # mercy of scheduler noise: take the best of a few rounds.
+        best_seconds, result = math.inf, None
+        for _ in range(5):
             t0 = time.perf_counter()
             result = func()
-            elapsed = time.perf_counter() - t0
-            if best_seconds is None or elapsed < best_seconds:
-                best_seconds = elapsed
+            best_seconds = min(best_seconds, time.perf_counter() - t0)
         return best_seconds, result
 
-    seed_seconds, seed_lattices = best_of(lambda: [
-        _seed_scalar_lattice(workload.graph, config, lattice_beam, s)
-        for s in workload.scores
-    ])
-
-    decoder = LatticeDecoder(workload.graph, config, lattice_beam=lattice_beam)
-    decoder.decode(workload.scores[0])  # warm the flat layout + caches
-    kernel_seconds, kernel_lattices = best_of(
-        lambda: [decoder.decode(s) for s in workload.scores]
+    onebest_seconds, results = best_of(
+        lambda: [onebest.decode(s) for s in workload.scores]
+    )
+    lattice_seconds, lattices = best_of(
+        lambda: [lattice.decode(s) for s in workload.scores]
+    )
+    nbest_seconds, nbests = best_of(
+        lambda: [lat.nbest(NBEST_K) for lat in lattices]
     )
 
-    # Consistency gate: both lattices' 1-best must match the reference.
-    reference = ViterbiDecoder(workload.graph, config)
-    for i, (scores, old, new) in enumerate(
-        zip(workload.scores, seed_lattices, kernel_lattices)
-    ):
-        ref = reference.decode(scores)
-        new_best = new.best_path()
-        if new_best.words != ref.words:
+    # Consistency gate (raises): every lattice's 1-best is the 1-best
+    # decode.
+    for i, (result, entries) in enumerate(zip(results, nbests)):
+        if entries[0].words != result.words:
             raise AssertionError(
-                f"kernel lattice 1-best diverged from the reference on "
+                f"lattice 1-best diverged from the 1-best decode on "
                 f"utterance {i}"
             )
         if not math.isclose(
-            new_best.log_likelihood, ref.log_likelihood, abs_tol=1e-6
+            entries[0].log_likelihood, result.log_likelihood, abs_tol=1e-6
         ):
             raise AssertionError(
-                f"kernel lattice 1-best score diverged on utterance {i}"
-            )
-        if old.best_path().words != ref.words:
-            raise AssertionError(
-                f"seed lattice 1-best diverged from the reference on "
-                f"utterance {i}"
+                f"lattice 1-best score diverged on utterance {i}"
             )
 
-    frames = workload.total_frames
-    seed_fps = frames / seed_seconds
-    kernel_fps = frames / kernel_seconds
     return {
         "workload": {**shape, "beam": workload.beam, "seed": seed,
                      "quick": quick},
-        "total_frames": frames,
-        "lattice_edges": kernel_lattices[0].num_edges,
-        "seed_seconds": seed_seconds,
-        "kernel_seconds": kernel_seconds,
-        "seed_frames_per_second": seed_fps,
-        "kernel_frames_per_second": kernel_fps,
-        "speedup": kernel_fps / seed_fps,
-        "onebest_matches": True,
-        "speedup_target": QUICK_SPEEDUP_TARGET if quick else SPEEDUP_TARGET,
+        "total_frames": workload.total_frames,
+        "lattice_edges": sum(lat.num_edges for lat in lattices),
+        "hypotheses": sum(len(entries) for entries in nbests),
+        "onebest_seconds": onebest_seconds,
+        "lattice_seconds": lattice_seconds,
+        "nbest_seconds": nbest_seconds,
+        "decode_ratio": lattice_seconds / onebest_seconds,
+        "decode_ratio_limit": DECODE_RATIO_LIMIT,
     }
 
 
-def _report(result: dict) -> None:
+def _check(result: dict) -> None:
     name = (
         "lattice_throughput_quick"
         if result["workload"]["quick"]
         else "lattice_throughput"
     )
+    frames = result["total_frames"]
     rows = [
-        ["seed scalar (dict + add_edge)", result["total_frames"],
-         result["seed_seconds"], result["seed_frames_per_second"]],
-        ["kernel observer (vectorized)", result["total_frames"],
-         result["kernel_seconds"], result["kernel_frames_per_second"]],
+        [label, result[key], frames / result[key]]
+        for label, key in (
+            ("1-best decode (BatchDecoder)", "onebest_seconds"),
+            ("lattice decode", "lattice_seconds"),
+            (f"nbest({NBEST_K}) over the lattices", "nbest_seconds"),
+        )
     ]
     text = format_table(
-        f"Lattice decoding throughput -- speedup {result['speedup']:.1f}x "
-        f"(target >= {result['speedup_target']:.1f}x), 1-best identical",
-        ["implementation", "frames", "seconds", "frames/s"],
+        f"Lattice decoding -- {result['decode_ratio']:.1f}x the 1-best "
+        f"decode (limit {DECODE_RATIO_LIMIT:.0f}x), "
+        f"{result['lattice_edges']} edges, {result['hypotheses']} "
+        f"hypotheses, 1-best identical",
+        ["stage", "seconds", "frames/s"],
         rows,
     )
     report(name, text)
     write_json(name, result)
+    assert result["decode_ratio"] <= DECODE_RATIO_LIMIT
+    assert result["nbest_seconds"] < result["lattice_seconds"]
 
 
-def test_lattice_throughput(benchmark):
-    result = benchmark.pedantic(run_lattice_throughput, rounds=1, iterations=1)
-    _report(result)
-    assert result["onebest_matches"]
-    assert result["speedup"] >= SPEEDUP_TARGET
+def test_lattice_throughput():
+    _check(run_lattice_throughput())
 
 
 @pytest.mark.parametrize("quick", [True])
-def test_lattice_throughput_quick(benchmark, quick):
-    """The CI smoke-gate shape: tiny graph, still must agree and win."""
-    result = benchmark.pedantic(
-        run_lattice_throughput, kwargs={"quick": quick}, rounds=1, iterations=1
-    )
-    _report(result)
-    assert result["onebest_matches"]
-    assert result["speedup"] >= QUICK_SPEEDUP_TARGET
+def test_lattice_throughput_quick(quick):
+    """The CI smoke-gate shape: tiny graph, same two gates."""
+    _check(run_lattice_throughput(quick=quick))

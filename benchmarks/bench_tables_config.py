@@ -60,8 +60,8 @@ def compute():
     return t1, t2, t3
 
 
-def test_tables_1_2_3(benchmark):
-    t1, t2, t3 = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_tables_1_2_3():
+    t1, t2, t3 = compute()
     text = "\n\n".join(
         [
             format_table("Table I -- accelerator parameters",

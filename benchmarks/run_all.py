@@ -32,13 +32,6 @@ from benchmarks import common
 from repro.system import run_platform_comparison
 
 
-class _NullBenchmark:
-    """Stand-in for pytest-benchmark's fixture."""
-
-    def pedantic(self, func, args=(), kwargs=None, rounds=1, iterations=1):
-        return func(*args, **(kwargs or {}))
-
-
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--fast", action="store_true",
@@ -77,39 +70,38 @@ def main() -> int:
         bench_ablation_state_direct_n as abl_n,
     )
 
-    bench = _NullBenchmark()
-    tables.test_tables_1_2_3(bench)
-    fig01.test_fig01_pipeline_breakdown(bench, std_comparison)
-    fig07.test_fig07_state_arcs_cdf(bench, std_comparison)
-    fig09.test_fig09_decode_time(bench, std_comparison)
-    fig10.test_fig10_speedup_vs_gpu(bench, std_comparison)
-    fig11.test_fig11_energy_reduction(bench, std_comparison)
-    fig12.test_fig12_power(bench, std_comparison)
-    fig13.test_fig13_mem_traffic(bench, std_comparison)
-    fig14.test_fig14_energy_vs_time(bench, std_comparison)
-    area.test_intext_area_and_overheads(bench)
-    pipeline.test_intext_full_pipeline(bench, std_comparison)
+    tables.test_tables_1_2_3()
+    fig01.test_fig01_pipeline_breakdown(std_comparison)
+    fig07.test_fig07_state_arcs_cdf(std_comparison)
+    fig09.test_fig09_decode_time(std_comparison)
+    fig10.test_fig10_speedup_vs_gpu(std_comparison)
+    fig11.test_fig11_energy_reduction(std_comparison)
+    fig12.test_fig12_power(std_comparison)
+    fig13.test_fig13_mem_traffic(std_comparison)
+    fig14.test_fig14_energy_vs_time(std_comparison)
+    area.test_intext_area_and_overheads()
+    pipeline.test_intext_full_pipeline(std_comparison)
 
     if not options.fast:
-        fig04.test_fig04_cache_miss_ratio(bench, std_workload)
-        fig05.test_fig05_hash_entries(bench, swp_workload)
-        ideal.test_intext_ideal_components(bench, swp_workload)
-        prefetch.test_intext_prefetch(bench, swp_workload)
-        abl_depth.test_ablation_prefetch_depth(bench, swp_workload)
-        abl_latency.test_ablation_memory_latency(bench, swp_workload)
-        abl_n.test_ablation_state_direct_n(bench, swp_workload)
+        fig04.test_fig04_cache_miss_ratio(std_workload)
+        fig05.test_fig05_hash_entries(swp_workload)
+        ideal.test_intext_ideal_components(swp_workload)
+        prefetch.test_intext_prefetch(swp_workload)
+        abl_depth.test_ablation_prefetch_depth(swp_workload)
+        abl_latency.test_ablation_memory_latency(swp_workload)
+        abl_n.test_ablation_state_direct_n(swp_workload)
         from repro.datasets import TaskConfig, generate_task
         eps_task = generate_task(
             TaskConfig(vocab_size=150, corpus_sentences=700,
                        num_utterances=3, seed=41)
         )
-        abl_eps.test_ablation_epsilon_removal(bench, eps_task)
+        abl_eps.test_ablation_epsilon_removal(eps_task)
         beam_task = generate_task(
             TaskConfig(vocab_size=200, corpus_sentences=900,
                        num_utterances=4, score_separation=3.0,
                        score_noise=1.6, seed=51)
         )
-        abl_beam.test_ablation_beam(bench, beam_task)
+        abl_beam.test_ablation_beam(beam_task)
 
     print(f"\nAll benchmarks done in {time.time() - t0:.1f}s; reports in "
           f"{common.RESULTS_DIR}")

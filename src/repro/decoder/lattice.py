@@ -7,21 +7,20 @@ backtracking), which is what its evaluation measures.  Production
 recognisers usually also want alternatives; this module provides them on
 the same search: a :class:`Lattice` is the DAG of all tokens that survived
 the beam, with one node per (frame, state) and one edge per surviving arc
-relaxation, from which N-best word sequences are extracted by k-shortest
-paths.
+relaxation, from which N-best word sequences are read best first.
 
-Since the kernel refactor the beam search runs on the shared vectorized
-:class:`~repro.decoder.kernel.SearchKernel`; lattice-arc capture is a
-:class:`~repro.decoder.kernel.KernelObserver` (:class:`_LatticeBuilder`)
-that receives each frame's expansion and epsilon-closure arc streams as
-numpy arrays.  Lattice-beam pruning is vectorized too: the forward
-(source-to-node) costs are exactly the kernel's token scores, the
-backward costs are swept frame-by-frame with ``np.minimum.at``
-relaxations, and only edges on paths within ``lattice_beam`` of the best
-ever reach networkx.  Together this removes all per-arc Python work from
-the decode hot path -- an order of magnitude over the former
-dict-over-networkx search loop
-(``benchmarks/bench_lattice_throughput.py`` gates the win at >= 3x).
+Everything is numpy arrays end to end.  The beam search runs on the
+shared vectorized :class:`~repro.decoder.kernel.SearchKernel`;
+lattice-arc capture is a :class:`~repro.decoder.kernel.KernelObserver`
+(:class:`_LatticeBuilder`) that receives each frame's expansion and
+epsilon-closure arc streams as arrays.  Lattice-beam pruning needs two
+costs per node: the forward (source-to-node) costs are exactly the
+kernel's token scores, the backward (node-to-sink) costs are swept
+frame-by-frame with ``np.minimum.at`` relaxations.  Edges on paths within
+``lattice_beam`` of the best become the lattice's edge arrays, and the
+backward costs of their endpoints stay with it: they are the exact
+remaining cost of every path prefix, which is all a best-first N-best
+walk needs (:meth:`Lattice.nbest`).
 
 The 1-best lattice path is exactly the Viterbi decoder's output (tested),
 so the lattice is a strict generalisation of the trace the hardware writes
@@ -30,15 +29,16 @@ to main memory.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.common.errors import ConfigError, DecodeError
 from repro.common.logmath import LOG_ZERO
 from repro.acoustic.scorer import AcousticScores
+from repro.decoder.backends.numpy_backend import segment_best
 from repro.decoder.kernel import (
     ClosureEvent,
     DecoderConfig,
@@ -48,12 +48,6 @@ from repro.decoder.kernel import (
 )
 from repro.decoder.result import SearchStats
 from repro.wfst.layout import CompiledWfst, FlatLayout
-
-#: Synthetic source/sink node ids (frame, state) cannot collide with.
-_SOURCE = ("source",)
-_SINK = ("sink",)
-
-_INF = np.inf
 
 
 @dataclass(frozen=True)
@@ -66,9 +60,22 @@ class NBestEntry:
 
 @dataclass
 class Lattice:
-    """A pruned token DAG over (frame, state) nodes."""
+    """A pruned token DAG as parallel edge arrays.
 
-    graph: "nx.DiGraph"
+    Nodes are dense ids: 0 is the source, the last is the sink, the
+    (frame, state) nodes lie between in (frame, state) order.  Edges are
+    grouped by source node: node ``n``'s edges are the slice
+    ``edge_start[n]:edge_start[n + 1]`` of ``edge_dest`` / ``edge_cost``
+    (negated log-likelihood) / ``edge_word`` (0 = no word), at most one
+    edge per (source, destination) pair.
+    """
+
+    edge_start: np.ndarray
+    edge_dest: np.ndarray
+    edge_cost: np.ndarray
+    edge_word: np.ndarray
+    #: Cost of the best path from each node to the sink (0 at the sink).
+    cost_to_sink: np.ndarray
     num_frames: int
     #: Functional counters of the underlying kernel search (shared
     #: semantics with every other engine); None for hand-built lattices.
@@ -79,11 +86,11 @@ class Lattice:
 
     @property
     def num_nodes(self) -> int:
-        return self.graph.number_of_nodes() - 2  # minus source/sink
+        return len(self.cost_to_sink) - 2  # minus source/sink
 
     @property
     def num_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return len(self.edge_dest)
 
     def best_path(self) -> NBestEntry:
         """The Viterbi path through the lattice."""
@@ -92,44 +99,53 @@ class Lattice:
             raise DecodeError("lattice contains no complete path")
         return entries[0]
 
-    def nbest(self, k: int, max_paths: Optional[int] = None) -> List[NBestEntry]:
+    def nbest(self, k: int) -> List[NBestEntry]:
         """Up to ``k`` highest-likelihood distinct word sequences.
 
-        Distinct paths can share a word sequence (the same words with a
-        different time alignment), so path enumeration is capped at
-        ``max_paths`` (default ``50 * k``) to bound the search.
+        A best-first walk over path prefixes, keyed on ``cost so far +
+        cost_to_sink[node]``.  That bound is the cost of the prefix's best
+        completion exactly, so complete paths leave the heap best first
+        and each costs only its own length in pops.  Distinct paths can
+        share a word sequence (the same words with a different time
+        alignment); a prefix that reaches a (node, words so far) pair a
+        second time is dropped -- the likelier alignment of those words
+        got there first, and the two have the same completions -- so
+        every arrival at the sink is a new word sequence carrying its
+        best alignment's score.  Equal costs resolve by insertion order.
         """
         if k < 1:
             raise ConfigError("k must be >= 1")
-        if max_paths is None:
-            max_paths = 50 * k
-        elif max_paths < 1:
-            raise ConfigError("max_paths must be >= 1")
+        sink = len(self.cost_to_sink) - 1
         entries: List[NBestEntry] = []
-        seen_words = set()
-        paths = nx.shortest_simple_paths(
-            self.graph, _SOURCE, _SINK, weight="cost"
-        )
-        examined = 0
-        for path in paths:
-            examined += 1
-            if examined > max_paths:
-                break
-            words: List[int] = []
-            score = 0.0
-            for u, v in zip(path[:-1], path[1:]):
-                data = self.graph.edges[u, v]
-                score -= data["cost"]
-                word = data.get("word", 0)
-                if word:
-                    words.append(word)
-            key = tuple(words)
-            if key in seen_words:
+        seen: Set[Tuple[int, Tuple[int, ...]]] = set()
+        # (bound, insertion order, cost so far, node, words so far)
+        heap = [(float(self.cost_to_sink[0]), 0, 0.0, 0, ())]
+        pushed = 1
+        while heap and len(entries) < k:
+            _bound, _order, cost, node, words = heapq.heappop(heap)
+            if (node, words) in seen:
                 continue
-            seen_words.add(key)
-            entries.append(NBestEntry(key, score))
-            if len(entries) >= k:
-                break
+            seen.add((node, words))
+            if node == sink:
+                entries.append(NBestEntry(words, -cost))
+                continue
+            edges = slice(self.edge_start[node], self.edge_start[node + 1])
+            dests = self.edge_dest[edges]
+            for dest, remaining, edge_cost, word in zip(
+                dests.tolist(),
+                self.cost_to_sink[dests].tolist(),
+                self.edge_cost[edges].tolist(),
+                self.edge_word[edges].tolist(),
+            ):
+                reached = cost + edge_cost
+                heapq.heappush(heap, (
+                    reached + remaining, pushed,
+                    reached, dest, words + (word,) if word else words,
+                ))
+                pushed += 1
+        # The bound sums right to left and a path left to right, so two
+        # near-equal paths can leave the heap an ulp out of order.
+        entries.sort(key=lambda entry: -entry.log_likelihood)
         return entries
 
     def oracle_wer(self, reference: Tuple[int, ...], k: int = 50) -> float:
@@ -164,65 +180,37 @@ class _LatticeBuilder(KernelObserver):
     dest)`` edge per processed non-epsilon arc (cost ``-(arc weight +
     acoustic score)``, bit-identical to the scalar formulation); each
     :class:`ClosureEvent` round contributes ``(pass, src) -> (pass,
-    dest)`` edges for its epsilon arcs.  Re-relaxation rounds re-emit
-    identical edges and parallel arcs between one (src, dest) pair keep
-    only the likeliest arc -- the cost the Viterbi recurrence itself
-    uses -- so the edge relation matches the search exactly.
+    dest)`` edges for its epsilon arcs.  Streams are kept as they come:
+    re-relaxation rounds re-emit identical edges and a graph can hold
+    parallel arcs between one (src, dest) pair, which the backward sweep
+    does not mind and the edge assembly resolves once.
     """
 
     def __init__(self, flat: FlatLayout) -> None:
         self._flat = flat
         self.groups: List[_EdgeGroup] = []
 
-    def _append(self, u_frame, v_frame, srcs, dests, costs, words) -> None:
-        # Parallel arcs between one (src, dest) pair keep the likeliest
-        # arc (min cost; ties keep the earlier arc, like the kernel's
-        # first-wins relaxation).
-        combined = srcs * np.int64(self._flat.num_states + 1) + dests
-        order = np.lexsort((costs, combined))
-        sorted_key = combined[order]
-        keep = np.empty(order.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = sorted_key[1:] != sorted_key[:-1]
-        winners = order[keep]
-        winners.sort()
+    def _capture(self, u_frame: int, v_frame: int, event, costs) -> None:
         self.groups.append(_EdgeGroup(
             u_frame, v_frame,
-            srcs[winners], dests[winners], costs[winners],
-            np.asarray(words)[winners],
+            event.states[event.arc_src], event.arc_dest,
+            costs, self._flat.arc_olabel[event.arc_idx],
         ))
 
     def on_expand(self, event: ExpandEvent) -> None:
-        if len(event.arc_idx) == 0:
-            return
-        flat = self._flat
-        arc_idx = event.arc_idx
-        costs = -(
-            flat.arc_weight64[arc_idx]
-            + event.frame_scores[flat.arc_ilabel[arc_idx]]
-        )
-        self._append(
-            event.frame,
-            event.frame + 1,
-            event.states[event.arc_src],
-            event.arc_dest,
-            costs,
-            flat.arc_olabel[arc_idx],
-        )
+        if len(event.arc_idx):
+            flat, arc_idx = self._flat, event.arc_idx
+            self._capture(event.frame, event.frame + 1, event, -(
+                flat.arc_weight64[arc_idx]
+                + event.frame_scores[flat.arc_ilabel[arc_idx]]
+            ))
 
     def on_closure(self, event: ClosureEvent) -> None:
-        if len(event.arc_idx) == 0:
-            return
-        flat = self._flat
-        arc_idx = event.arc_idx
-        self._append(
-            event.pass_index,
-            event.pass_index,
-            event.states[event.arc_src],
-            event.arc_dest,
-            -flat.arc_weight64[arc_idx],
-            flat.arc_olabel[arc_idx],
-        )
+        if len(event.arc_idx):
+            self._capture(
+                event.pass_index, event.pass_index, event,
+                -self._flat.arc_weight64[event.arc_idx],
+            )
 
 
 class LatticeDecoder:
@@ -263,13 +251,11 @@ class LatticeDecoder:
             frontier.stats.frames += 1
             boundaries.append((frontier.states.copy(), frontier.scores.copy()))
 
-        lat, reached_final = self._build_pruned(
+        lattice = self._build_pruned(
             builder.groups, boundaries, scores.num_frames
         )
-        return Lattice(
-            lat, scores.num_frames,
-            stats=frontier.stats, reached_final=reached_final,
-        )
+        lattice.stats = frontier.stats
+        return lattice
 
     # ------------------------------------------------------------------
     def _build_pruned(
@@ -277,8 +263,8 @@ class LatticeDecoder:
         groups: List[_EdgeGroup],
         boundaries: List[Tuple[np.ndarray, np.ndarray]],
         num_frames: int,
-    ) -> Tuple["nx.DiGraph", bool]:
-        """Lattice-beam pruning + graph build, all before networkx.
+    ) -> Lattice:
+        """Lattice-beam pruning and edge-array assembly.
 
         A node survives when its best complete path cost ``fwd + bwd``
         is within ``lattice_beam`` of the best path; an edge survives
@@ -287,13 +273,15 @@ class LatticeDecoder:
         is swept backwards one frame boundary at a time -- non-epsilon
         edges in one vectorized relaxation, within-frame epsilon edges
         iterated to fixpoint (the epsilon subgraph is acyclic, so the
-        iterations converge in at most its depth).
+        iterations converge in at most its depth).  A surviving node's
+        best path to the sink runs through survivors only, so its
+        ``bwd`` is its ``cost_to_sink`` in the pruned lattice too.
         """
         flat = self.kernel.flat
         num_states = flat.num_states
         shape = (num_frames + 1, num_states)
 
-        fwd = np.full(shape, _INF)
+        fwd = np.full(shape, np.inf)
         for f, (states, token_scores) in enumerate(boundaries):
             fwd[f, states] = -token_scores
 
@@ -306,15 +294,20 @@ class LatticeDecoder:
             else:
                 expand[group.u_frame] = group
 
-        # Terminal costs, per the shared finalize policy.
-        bwd = np.full(shape, _INF)
+        # Terminal costs, per the shared finalize policy: final weights,
+        # or -- when no token reached a final state -- the live tokens at
+        # zero cost, so the 1-best lattice path is then the reference
+        # decoders' best-live-token hypothesis.
         end_states, _ = boundaries[num_frames]
         finals = flat.final_weights[end_states]
         final_mask = finals > LOG_ZERO / 2
-        if final_mask.any():
-            bwd[num_frames, end_states[final_mask]] = -finals[final_mask]
+        reached_final = bool(final_mask.any())
+        if reached_final:
+            end_states, end_costs = end_states[final_mask], -finals[final_mask]
         else:
-            bwd[num_frames, end_states] = 0.0
+            end_costs = np.zeros(len(end_states))
+        bwd = np.full(shape, np.inf)
+        bwd[num_frames, end_states] = end_costs
 
         # Backward sweep: expand edges first, then the frame boundary's
         # epsilon edges (all closure rounds of the pass combined) to
@@ -342,46 +335,50 @@ class LatticeDecoder:
             raise DecodeError("lattice has no source-to-sink path")
         keep = total <= best + self.lattice_beam
 
-        # Materialise only the surviving edges.
-        lat = nx.DiGraph()
-        lat.add_node(_SOURCE)
-        lat.add_node(_SINK)
+        # The surviving edges as (src key, dest key, cost, word) columns,
+        # a node's key being frame * num_states + state; the source lies
+        # below and the sink above every such key.
         start = self.graph.start
-        if keep[0, start]:
-            lat.add_edge(_SOURCE, (0, start), cost=0.0, word=0)
+        ended = keep[num_frames, end_states]
+        num_ended = int(ended.sum())
+        edges = [
+            (np.array([-1]), np.array([start]),
+             np.zeros(1), np.zeros(1, dtype=np.int64)),
+            (num_frames * num_states + end_states[ended],
+             np.full(num_ended, (num_frames + 1) * num_states),
+             end_costs[ended], np.zeros(num_ended, dtype=np.int64)),
+        ]
         for group in groups:
             mask = keep[group.u_frame, group.srcs] & keep[
                 group.v_frame, group.dests
             ]
-            if not mask.any():
-                continue
-            u_frame, v_frame = group.u_frame, group.v_frame
-            lat.add_edges_from(
-                ((u_frame, s), (v_frame, d), {"cost": c, "word": w})
-                for s, d, c, w in zip(
-                    group.srcs[mask].tolist(),
-                    group.dests[mask].tolist(),
-                    group.costs[mask].tolist(),
-                    group.words[mask].tolist(),
-                )
-            )
-        if final_mask.any():
-            for state, weight in zip(
-                end_states[final_mask].tolist(),
-                finals[final_mask].tolist(),
-            ):
-                if keep[num_frames, state]:
-                    lat.add_edge(
-                        (num_frames, state), _SINK, cost=-weight, word=0
-                    )
-        else:
-            # No token reached a final state: fall back to the live
-            # tokens at zero cost, mirroring every engine's finalize --
-            # the 1-best lattice path is then the reference decoders'
-            # best-live-token hypothesis.
-            for state in end_states.tolist():
-                if keep[num_frames, state]:
-                    lat.add_edge(
-                        (num_frames, state), _SINK, cost=0.0, word=0
-                    )
-        return lat, bool(final_mask.any())
+            edges.append((
+                group.u_frame * num_states + group.srcs[mask],
+                group.v_frame * num_states + group.dests[mask],
+                group.costs[mask],
+                group.words[mask],
+            ))
+        src_key, dest_key, cost, word = (
+            np.concatenate(column) for column in zip(*edges)
+        )
+
+        # Dense node ids in key order, then one edge per (src, dest)
+        # pair in (src, dest) order: the likeliest of parallel arcs (the
+        # cost the Viterbi recurrence itself uses), ties to the earlier
+        # arc -- the kernel's own merge, keyed on the pair.
+        keys, ids = np.unique(
+            np.concatenate((src_key, dest_key)), return_inverse=True
+        )
+        src, dest = ids[:cost.size], ids[cost.size:]
+        _pairs, order = segment_best(src * keys.size + dest, -cost)
+        return Lattice(
+            edge_start=np.searchsorted(src[order], np.arange(keys.size + 1)),
+            edge_dest=dest[order],
+            edge_cost=cost[order],
+            edge_word=word[order],
+            cost_to_sink=np.concatenate(
+                ([bwd[0, start]], bwd.ravel()[keys[1:-1]], [0.0])
+            ),
+            num_frames=num_frames,
+            reached_final=reached_final,
+        )

@@ -1079,9 +1079,7 @@ class ServingTier:
     def live_sessions(self) -> int:
         """Sessions admitted whose terminal record has not arrived yet."""
         with self._lock:
-            return sum(
-                1 for s in self._sessions.values() if s.record is None
-            )
+            return sum(w.live for w in self._workers)
 
     def worker_of(self, session_id: int) -> int:
         """Shard index the session is (or was) pinned to."""

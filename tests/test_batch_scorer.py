@@ -431,11 +431,22 @@ class TestTierFeaturesMode:
             tier_config=TierConfig(num_workers=1, plane_frames=16),
             scorer=audio_task.scorer,
         )
+
+        def live_is_the_unrecorded(expected):
+            # live_sessions is the shards' counters, not a scan: hold it
+            # to the scan it replaced.
+            unrecorded = sum(
+                1 for s in tier._sessions.values() if s.record is None
+            )
+            assert tier.live_sessions == unrecorded == expected
+
         try:
+            live_is_the_unrecorded(0)
             in_batch = tier.open_session(mode="features")
             queued = tier.open_session(mode="features")
             idle = tier.open_session(mode="features")
             scores_sid = tier.open_session()
+            live_is_the_unrecorded(4)
             tier.push_features(in_batch, feats[:7])
             assert entered.wait(10)
             # The scoring thread holds in_batch's chunk; this one waits
@@ -449,7 +460,7 @@ class TestTierFeaturesMode:
                 assert not record.ok
                 assert "RuntimeError: scorer exploded" in record.error
             assert time.monotonic() - t0 < 1.0
-            assert tier.live_sessions == 2  # idle and scores_sid
+            live_is_the_unrecorded(2)  # idle and scores_sid
             assert tier.stats.sessions_failed == 2
 
             # The features door is shut, typed, naming the cause ...
@@ -460,6 +471,7 @@ class TestTierFeaturesMode:
             # ... a session with nothing unscored still retires normally ...
             tier.close_input(idle)
             assert tier.result(idle, timeout=10).session_id == idle
+            live_is_the_unrecorded(1)
 
             # ... and the scores door is not.
             utt = task.utterances[0]
@@ -476,7 +488,7 @@ class TestTierFeaturesMode:
                 tier.poll()
             assert shard.inflight_frames == 0
             assert shard.ring.pending_chunks == 0
-            assert tier.live_sessions == 0
+            live_is_the_unrecorded(0)
         finally:
             gate.set()
             t0 = time.monotonic()
