@@ -3,12 +3,14 @@
 
 The paper's accelerator serves a *live* pipeline -- audio arrives 10 ms
 at a time and the search runs batch by batch behind the GPU.  This
-example drives that traffic shape in software:
+example drives that traffic shape in software, on the public session
+API of one :class:`StreamingServer`:
 
-1. users call in at different times (sessions join mid-flight);
-2. each pushes small chunks of acoustic scores as they are "spoken";
-3. one :class:`StreamingServer` advances every live session in fused
-   lockstep sweeps, emitting partial hypotheses as words appear;
+1. users call in at different times (``open_session`` mid-flight);
+2. each pushes small chunks of acoustic scores as they are "spoken"
+   (``push``; ``close_input`` after the last one);
+3. ``drain`` advances every live session in fused lockstep sweeps, and
+   ``partial`` shows each caller's words as they appear;
 4. sessions retire the moment their input ends, and the final words are
    checked against one-shot offline decoding -- streaming costs nothing
    in accuracy, by construction.
@@ -22,7 +24,7 @@ from repro.system import StreamingServer
 
 BEAM = 12.0
 CHUNK_FRAMES = 10  # 100 ms of audio per push
-STAGGER_ROUNDS = 4  # rounds between arrivals
+JOIN_EVERY = 4  # rounds between arrivals
 
 
 def main() -> None:
@@ -36,40 +38,41 @@ def main() -> None:
     )
 
     server = StreamingServer(task.graph, DecoderConfig(beam=BEAM))
-    caller_of = {}
+    sids = []  # caller i's session id
+    offsets = []  # frames of caller i's audio pushed so far
     last_partial = {}
 
-    def on_join(round_no, i, sid):
-        caller_of[sid] = i
-        print(f"[round {round_no:3d}] caller {i} joined "
-              f"({len(matrices[i])} frames of audio)")
-
-    def on_round(round_no):
-        # Report partial hypotheses as new words appear.
-        for sid in server.live_session_ids:
-            i = caller_of[sid]
-            hypothesis = server.partial(sid)
-            if hypothesis is None:  # beam emptied; error surfaces at the end
-                continue
-            words = hypothesis.words
-            if words != last_partial.get(i):
-                last_partial[i] = words
-                text = " ".join(task.lexicon.word_of(w) for w in words)
-                print(f"[round {round_no:3d}] caller {i} so far: "
-                      f"\"{text}\"")
-
     print(f"{len(matrices)} callers, {CHUNK_FRAMES}-frame chunks, one "
-          f"caller joining every {STAGGER_ROUNDS} rounds\n")
-    records = server.serve_staggered(
-        [u.scores for u in task.utterances],
-        chunk_frames=CHUNK_FRAMES,
-        stagger=STAGGER_ROUNDS,
-        on_join=on_join,
-        on_round=on_round,
-    )
+          f"caller joining every {JOIN_EVERY} rounds\n")
+    round_no = 0
+    while len(sids) < len(matrices) or server.live_session_ids:
+        if round_no % JOIN_EVERY == 0 and len(sids) < len(matrices):
+            sids.append(server.open_session())
+            offsets.append(0)
+            print(f"[round {round_no:3d}] caller {len(sids) - 1} joined "
+                  f"({len(matrices[len(sids) - 1])} frames of audio)")
+        for i, sid in enumerate(sids):
+            if offsets[i] >= len(matrices[i]) or not server.is_live(sid):
+                continue  # all spoken, or the beam emptied: error kept
+            chunk = matrices[i][offsets[i]: offsets[i] + CHUNK_FRAMES]
+            server.push(sid, chunk)
+            offsets[i] += len(chunk)
+            if offsets[i] >= len(matrices[i]):
+                server.close_input(sid)
+        server.drain()
+        # Report partial hypotheses as new words appear.
+        for i, sid in enumerate(sids):
+            hypothesis = server.partial(sid) if server.is_live(sid) else None
+            if hypothesis is None or hypothesis.words == last_partial.get(i):
+                continue
+            last_partial[i] = hypothesis.words
+            text = " ".join(task.lexicon.word_of(w) for w in hypothesis.words)
+            print(f"[round {round_no:3d}] caller {i} so far: \"{text}\"")
+        round_no += 1
 
     print("\nFinal hypotheses (streamed == one-shot offline):")
-    for i, record in enumerate(records):
+    for i, sid in enumerate(sids):
+        record = server.result(sid)
         assert record.result.words == oneshot[i].words
         assert record.result.log_likelihood == oneshot[i].log_likelihood
         s = record.stats

@@ -5,18 +5,16 @@ Seven subcommands cover the common workflows:
 * ``repro-asr compile``      -- run the staged graph compiler on a recipe
   (composed lexicon ∘ LM or synthetic Kaldi-like graph), print the
   per-pass report and cache/save the packed artifact.
-* ``repro-asr build-task``   -- generate a synthetic ASR task and save its
-  decoding graph.
 * ``repro-asr decode``       -- decode a task's utterances on any engine
   of the shared search kernel: ``--engine reference`` (scalar oracle),
   ``batch`` (vectorized), ``lattice`` (N-best summaries) or ``gpu``
   (workload summaries); ``--streaming`` for chunked live sessions and
   ``--pruning adaptive --target-active N`` for the adaptive-beam
   strategy.
-* ``repro-asr serve``        -- continuous-batching serving demo: live
-  sessions join mid-flight and stream chunks through one fused engine;
-  ``--workers N`` / ``--score-features`` serve through the multi-process
-  tier over one memory-mapped graph and report p50/p99 SLO stats.
+* ``repro-asr serve``        -- serve a task's utterances as concurrent
+  chunked sessions through the multi-process tier (``--workers N``
+  search processes over one memory-mapped graph) and report p50/p99 SLO
+  stats; ``--score-features`` pushes MFCC features through its DNN stage.
 * ``repro-asr simulate``     -- decode on the cycle-accurate accelerator
   simulator in any of the paper's four configurations.
 * ``repro-asr compare``      -- run the six-platform comparison on a
@@ -24,6 +22,8 @@ Seven subcommands cover the common workflows:
 * ``repro-asr sweep``        -- design-space sweep over accelerator
   parameters (trace-once/replay-many with an on-disk trace cache),
   with JSON/CSV artifacts; the engine behind the paper's Figures 4-5.
+* ``repro-asr lint``         -- the invariant linter over the source tree
+  (``docs/INVARIANTS.md``).
 
 Run ``python -m repro.cli --help`` for details.
 """
@@ -34,6 +34,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from typing import List, Optional
 
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
@@ -64,48 +65,53 @@ from repro.graph import (
     compile_graph,
 )
 from repro.system import (
-    ServerConfig,
     ServingTier,
     StreamingServer,
     TierConfig,
     make_memory_workload,
     run_platform_comparison,
 )
+from repro.system.experiment import ASIC_CONFIG_NAMES, accelerator_configs
 from repro.wfst import load_graph_mmap, save_graph_mmap, sort_states_by_arc_count
 
+#: ``--config`` names of the paper's four accelerator configurations, in
+#: the order of :data:`~repro.system.experiment.ASIC_CONFIG_NAMES`.
 CONFIG_NAMES = ("base", "state", "arc", "both")
 
 
 def _accel_config(name: str) -> AcceleratorConfig:
-    base = AcceleratorConfig()
-    return {
-        "base": base,
-        "state": base.with_state_direct(),
-        "arc": base.with_prefetch(),
-        "both": base.with_both(),
-    }[name]
+    configs = accelerator_configs(AcceleratorConfig())
+    return configs[ASIC_CONFIG_NAMES[CONFIG_NAMES.index(name)]]
 
 
-def _add_task_args(parser: argparse.ArgumentParser) -> None:
+# Each input is declared once, in one ``_add_*`` helper; a command that
+# needs another default passes it in.
+def _add_seed_arg(parser: argparse.ArgumentParser, default: int = 0) -> None:
+    parser.add_argument("--seed", type=int, default=default,
+                        help="seed of everything synthetic: corpus, graph, "
+                             "utterances, scores (default %(default)s)")
+
+
+def _add_recipe_args(parser: argparse.ArgumentParser) -> None:
+    """The composed L ∘ G recipe: ``compile`` and every task command."""
     parser.add_argument("--vocab", type=int, default=200,
                         help="vocabulary size (default 200)")
-    parser.add_argument("--utterances", type=int, default=5,
-                        help="number of test utterances (default 5)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--beam", type=float, default=14.0)
     parser.add_argument("--lm-order", type=int, choices=(2, 3), default=2,
                         dest="lm_order",
                         help="grammar transducer order: 2 = bigram, "
                              "3 = trigram (default 2)")
+    _add_seed_arg(parser)
 
 
-def _add_graph_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", metavar="DIR",
-                        help="decode a pre-compiled graph (the mmap "
-                             "layout directory 'repro compile --output' "
-                             "writes) instead of the task's own; must "
-                             "have been compiled from the same recipe for "
-                             "meaningful WER")
+def _add_graph_args(parser: argparse.ArgumentParser,
+                    precompiled: bool = True) -> None:
+    """``--graph-cache``, and unless ``precompiled`` is off, ``--graph``."""
+    if precompiled:
+        parser.add_argument("--graph", metavar="DIR",
+                            help="use the mmap layout directory 'repro "
+                                 "compile --output' wrote instead of building "
+                                 "a graph (compiled from the same recipe for "
+                                 "a meaningful WER)")
     parser.add_argument("--graph-cache", default=DEFAULT_GRAPH_CACHE,
                         dest="graph_cache", metavar="DIR|none",
                         help=f"on-disk compiled-graph artifact cache "
@@ -113,29 +119,54 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
                              f"'none' disables)")
 
 
-def _graph_cache(args: argparse.Namespace) -> Optional[GraphCache]:
-    directory = getattr(args, "graph_cache", None)
-    if directory is None or directory == "none":
-        return GraphCache()
-    return GraphCache(directory)
+def _add_task_args(parser: argparse.ArgumentParser) -> None:
+    """A synthetic ASR task (:func:`_build_task`): recipe, utterances,
+    beam and graph source."""
+    _add_recipe_args(parser)
+    parser.add_argument("--utterances", type=int, default=5,
+                        help="number of test utterances (default 5)")
+    parser.add_argument("--beam", type=float, default=14.0)
+    _add_graph_args(parser)
 
 
-def _task_config(args: argparse.Namespace) -> TaskConfig:
-    return TaskConfig(
-        vocab_size=args.vocab,
-        num_utterances=args.utterances,
-        seed=args.seed,
-        lm_order=getattr(args, "lm_order", 2),
-    )
+def _add_max_active_arg(parser: argparse.ArgumentParser,
+                        default: int = 0) -> None:
+    parser.add_argument("--max-active", type=int, default=default,
+                        dest="max_active",
+                        help="histogram cap on tokens per frame "
+                             "(0 disables; default %(default)s)")
 
 
-def _build_task(args: argparse.Namespace):
-    """The task of ``args``: compiled through the cache, or, with
-    ``--graph``, generated around a pre-compiled graph (no compile)."""
-    graph = load_graph_mmap(args.graph) if getattr(args, "graph", None) else None
-    return generate_task(
-        _task_config(args), graph_cache=_graph_cache(args), graph=graph
-    )
+def _add_memory_workload_args(parser: argparse.ArgumentParser, states: int,
+                              frames: int, max_active: int,
+                              seed: int = 0) -> None:
+    """The synthetic memory-system workload of ``compare`` and ``sweep``
+    (:func:`_memory_workload`)."""
+    parser.add_argument("--states", type=int, default=states,
+                        help="workload graph states (default %(default)s)")
+    parser.add_argument("--frames", type=int, default=frames,
+                        help="frames decoded (default %(default)s)")
+    _add_max_active_arg(parser, max_active)
+    _add_seed_arg(parser, seed)
+
+
+def _add_streaming_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--chunk-frames", type=int, default=10,
+                        dest="chunk_frames",
+                        help="frames per streamed chunk (default 10)")
+    parser.add_argument("--commit-interval", type=int, default=0,
+                        dest="commit_interval",
+                        help="frames between committed-prefix traceback "
+                             "commits: bounds per-session trace memory and "
+                             "keeps partial output stable (0 disables, "
+                             "default 0)")
+
+
+def _add_config_arg(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--config", choices=CONFIG_NAMES, default=default,
+                        help="accelerator configuration: the paper's ASIC, "
+                             "+State, +Arc, or both techniques (default "
+                             "%(default)s)")
 
 
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
@@ -156,14 +187,42 @@ def _add_pruning_args(parser: argparse.ArgumentParser) -> None:
                         help="pruning strategy: fixed 'beam' window or "
                              "'adaptive' (tracks --target-active tokens "
                              "per frame; default: beam)")
-    parser.add_argument("--max-active", type=int, default=0,
-                        dest="max_active",
-                        help="histogram cap on tokens per frame "
-                             "(0 disables; default 0)")
+    _add_max_active_arg(parser)
     parser.add_argument("--target-active", type=int, default=0,
                         dest="target_active",
                         help="adaptive-beam target active-token count "
                              "(required with --pruning adaptive)")
+
+
+def _graph_cache(args: argparse.Namespace) -> GraphCache:
+    directory = getattr(args, "graph_cache", "none")
+    return GraphCache(None if directory == "none" else directory)
+
+
+def _precompiled_graph(args: argparse.Namespace):
+    """The graph ``--graph`` names, or None: build one."""
+    path = getattr(args, "graph", None)
+    return load_graph_mmap(path) if path else None
+
+
+def _build_task(args: argparse.Namespace):
+    """The task of ``args``: compiled through the cache, or, with
+    ``--graph``, generated around a pre-compiled graph (no compile)."""
+    config = TaskConfig(vocab_size=args.vocab, num_utterances=args.utterances,
+                        seed=args.seed, lm_order=args.lm_order)
+    return generate_task(
+        config, graph_cache=_graph_cache(args), graph=_precompiled_graph(args)
+    )
+
+
+def _memory_workload(args: argparse.Namespace):
+    synthetic = SyntheticGraphConfig(num_states=args.states, num_phones=50,
+                                     seed=args.seed)
+    return make_memory_workload(
+        num_utterances=1, frames_per_utterance=args.frames, beam=8.0,
+        max_active=args.max_active, seed=args.seed, graph_config=synthetic,
+        graph=_precompiled_graph(args), graph_cache=_graph_cache(args),
+    )
 
 
 def _decoder_config(args: argparse.Namespace) -> DecoderConfig:
@@ -215,17 +274,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.output:
         save_graph_mmap(graph, args.output, provenance=artifact.provenance())
         print(f"artifact written to {args.output}")
-    return 0
-
-
-def cmd_build_task(args: argparse.Namespace) -> int:
-    task = _build_task(args)
-    print(f"task: vocab {task.lexicon.vocab_size}, graph "
-          f"{task.graph.num_states} states / {task.graph.num_arcs} arcs "
-          f"({task.graph.total_size_bytes / 1024:.0f} KB)")
-    if args.output:
-        save_graph_mmap(task.graph, args.output)
-        print(f"graph written to {args.output}")
     return 0
 
 
@@ -324,22 +372,17 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def _serve_tier(args: argparse.Namespace, task, scorer=None) -> int:
     """Serve the task through the sharded multi-process tier.
 
-    With ``scorer`` (``--score-features``) sessions run in features
-    mode: the front door's scoring thread batches every live session's
-    MFCC chunks into stacked DNN forwards and ships the scored planes to
-    the shards over zero-copy shared memory."""
+    Every session is admitted up front and pushes ``--chunk-frames``
+    chunks round by round.  With ``scorer`` (``--score-features``)
+    sessions run in features mode: the front door's scoring thread
+    batches every live session's MFCC chunks into stacked DNN forwards
+    and ships the scored planes to the shards over zero-copy shared
+    memory."""
     mode = "features" if scorer is not None else "scores"
-    tier = ServingTier(
-        graph=task.graph,
-        search_config=DecoderConfig(
-            beam=args.beam, backend=args.kernel_backend,
-            commit_interval=args.commit_interval,
-        ),
-        tier_config=TierConfig(
-            num_workers=args.workers, max_batch=args.max_batch
-        ),
-        scorer=scorer,
-    )
+    tier_config = TierConfig(num_workers=args.workers,
+                             max_batch=args.max_batch)
+    tier = ServingTier(graph=task.graph, search_config=_decoder_config(args),
+                       tier_config=tier_config, scorer=scorer)
     with tier:
         if mode == "features":
             matrices = [u.features for u in task.utterances]
@@ -348,38 +391,29 @@ def _serve_tier(args: argparse.Namespace, task, scorer=None) -> int:
             matrices = [u.scores.matrix for u in task.utterances]
             push = tier.push
         sids = []
-        for i, matrix in enumerate(matrices):
-            sid = tier.open_session(mode=mode)
-            sids.append(sid)
-            print(f"session {sid} joined -> shard {tier.worker_of(sid)} "
-                  f"({len(matrix)} frames)")
-        offsets = [0] * len(matrices)
-        while any(o < len(m) for o, m in zip(offsets, matrices)):
-            for i, (sid, matrix) in enumerate(zip(sids, matrices)):
-                if offsets[i] >= len(matrix):
-                    continue
-                chunk = matrix[offsets[i]: offsets[i] + args.chunk_frames]
-                push(sid, chunk)
-                offsets[i] += len(chunk)
-                if offsets[i] >= len(matrix):
-                    tier.close_input(sid)
+        for matrix in matrices:
+            sids.append(tier.open_session(mode=mode))
+            print(f"session {sids[-1]} joined -> shard "
+                  f"{tier.worker_of(sids[-1])} ({len(matrix)} frames)")
+        step = args.chunk_frames
+        for offset in range(0, max(map(len, matrices), default=0), step):
+            for sid, matrix in zip(sids, matrices):
+                if offset < len(matrix):
+                    push(sid, matrix[offset: offset + step])
+                    if offset + step >= len(matrix):
+                        tier.close_input(sid)
         records = [tier.result(sid) for sid in sids]
         stats = tier.stats
 
-    total_wer = 0.0
-    decoded = 0
-    for i, record in enumerate(records):
+    wers = []
+    for utt, record in zip(task.utterances, records):
         if record.error is not None:
             print(f"session {record.session_id}: FAILED ({record.error})")
             continue
-        utt = task.utterances[i]
-        wer = word_error_rate(utt.words, record.result.words)
-        total_wer += wer
-        decoded += 1
-        s = record.stats
-        print(f"session {record.session_id}: WER {wer:.2f}  "
-              f"{s.frames_decoded} frames, mean wait "
-              f"{s.mean_wait_s * 1e3:.2f} ms  "
+        wers.append(word_error_rate(utt.words, record.result.words))
+        print(f"session {record.session_id}: WER {wers[-1]:.2f}  "
+              f"{record.stats.frames_decoded} frames, mean wait "
+              f"{record.stats.mean_wait_s * 1e3:.2f} ms  "
               f"{' '.join(task.transcript(record.result))}")
     slo = stats.slo()
     blas = (f"{stats.blas_threads} thread(s)" if stats.blas_threads
@@ -404,91 +438,31 @@ def _serve_tier(args: argparse.Namespace, task, scorer=None) -> int:
               f"transport {stats.descriptors_shipped} descriptors, "
               f"{stats.ipc_bytes_per_frame:.1f} pipe bytes/frame "
               f"({stats.ring_stalls} plane stalls)")
-    if decoded:
-        print(f"mean WER {total_wer / decoded:.3f}")
-    return 0 if decoded == len(records) else 1
+    if wers:
+        print(f"mean WER {sum(wers) / len(wers):.3f}")
+    return 0 if len(wers) == len(records) else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Continuous-batching demo: staggered live sessions, chunked input."""
+    """Serve the task's utterances as concurrent chunked sessions through
+    the tier, at any ``--workers``."""
     if args.chunk_frames < 1:
         raise ConfigError("--chunk-frames must be >= 1")
-    if args.stagger < 0:
-        raise ConfigError("--stagger must be >= 0")
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
-    if args.score_features:
-        # Features mode needs a trained acoustic model and the MFCCs it
-        # was trained on -- the audio-backed task carries both -- and the
-        # tier at any --workers: its DNN stage is where features enter.
-        audio = generate_audio_task(
-            AudioTaskConfig(
-                vocab_size=min(args.vocab, 60),
-                num_utterances=args.utterances,
-                seed=args.seed,
-            )
+    if not args.score_features:
+        return _serve_tier(args, _build_task(args))
+    # Features mode needs a trained acoustic model and the MFCCs it was
+    # trained on -- the audio-backed task carries both.
+    audio = generate_audio_task(
+        AudioTaskConfig(
+            vocab_size=min(args.vocab, 60),
+            num_utterances=args.utterances,
+            seed=args.seed,
         )
-        print(f"audio task: DNN frame accuracy "
-              f"{audio.frame_accuracy:.3f}, score width "
-              f"{audio.scorer.dnn.config.num_classes + 1}")
-        return _serve_tier(args, audio.task, scorer=audio.scorer)
-    task = _build_task(args)
-    if args.workers > 1:
-        return _serve_tier(args, task)
-    server = StreamingServer(
-        task.graph,
-        DecoderConfig(beam=args.beam, backend=args.kernel_backend,
-                      commit_interval=args.commit_interval),
-        ServerConfig(max_batch=args.max_batch),
     )
-
-    def announce_join(round_no: int, i: int, sid: int) -> None:
-        print(f"[round {round_no:3d}] session {sid} joined "
-              f"({task.utterances[i].num_frames} frames)")
-
-    records = server.serve_staggered(
-        [u.scores for u in task.utterances],
-        chunk_frames=args.chunk_frames,
-        stagger=args.stagger,
-        on_join=announce_join,
-    )
-
-    total_wer = 0.0
-    decoded = 0
-    for i, record in enumerate(records):
-        if record.error is not None:
-            print(f"session {record.session_id}: FAILED ({record.error})")
-            continue
-        utt = task.utterances[i]
-        wer = word_error_rate(utt.words, record.result.words)
-        total_wer += wer
-        decoded += 1
-        s = record.stats
-        print(f"session {record.session_id}: WER {wer:.2f}  "
-              f"{s.frames_decoded} frames in "
-              f"{s.sweeps} sweeps, {s.frames_per_second:.0f} frames/s, "
-              f"mean wait {s.mean_wait_s * 1e3:.2f} ms  "
-              f"{' '.join(task.transcript(record.result))}")
-    stats = server.stats
-    print(f"kernel backend: {server.kernel_backend}")
-    print(f"served {stats.sessions_finalized} sessions / "
-          f"{stats.frames_decoded} frames in {stats.sweeps} sweeps "
-          f"(mean occupancy {stats.mean_occupancy:.1f}, "
-          f"max {stats.max_occupancy}); aggregate "
-          f"{stats.aggregate_frames_per_second:.0f} frames/s")
-    peak_trace = max(
-        (r.stats.trace_peak_bytes for r in records if r.error is None),
-        default=0,
-    )
-    committed = sum(
-        r.stats.committed_frames for r in records if r.error is None
-    )
-    print(f"traceback: peak trace memory {peak_trace / 1024:.1f} "
-          f"KiB/session, {committed} committed frames "
-          f"(commit interval {args.commit_interval})")
-    if decoded:
-        print(f"mean WER {total_wer / decoded:.3f}")
-    return 0 if decoded == len(records) else 1
+    print(f"audio task: DNN frame accuracy "
+          f"{audio.frame_accuracy:.3f}, score width "
+          f"{audio.scorer.dnn.config.num_classes + 1}")
+    return _serve_tier(args, audio.task, scorer=audio.scorer)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -527,17 +501,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    workload = make_memory_workload(
-        num_utterances=1,
-        frames_per_utterance=args.frames,
-        beam=8.0,
-        max_active=args.max_active,
-        seed=args.seed,
-        graph_config=SyntheticGraphConfig(
-            num_states=args.states, num_phones=50, seed=args.seed
-        ),
-    )
-    comparison = run_platform_comparison(workload)
+    comparison = run_platform_comparison(_memory_workload(args))
     report = comparison.report()
     print(f"{'platform':16s} {'decode s/s':>12s} {'power W':>10s} "
           f"{'energy J/s':>12s}")
@@ -563,31 +527,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Design-space sweep via the trace-once/replay-many runner."""
     from repro.explore import ParameterGrid, SweepRunner, TraceCache
 
-    workload = make_memory_workload(
-        num_utterances=1,
-        frames_per_utterance=args.frames,
-        beam=8.0,
-        max_active=args.max_active,
-        seed=args.seed,
-        graph_config=SyntheticGraphConfig(
-            num_states=args.states, num_phones=50, seed=args.seed
-        ),
-        graph=load_graph_mmap(args.graph) if args.graph else None,
-        graph_cache=_graph_cache(args),
-    )
+    workload = _memory_workload(args)
     if args.param:
-        grid = ParameterGrid.from_specs(args.param)
-        points = grid.points()
+        points = ParameterGrid.from_specs(args.param).points()
         labels = None
     else:
-        # Default: the paper's four accelerator configurations.
+        # Default: the paper's four accelerator configurations, each as
+        # what it changes in the plain ASIC, applied on top of --config.
+        plain = AcceleratorConfig()
+        configs = accelerator_configs(plain)
         points = [
-            {},
-            {"state_direct_enabled": True},
-            {"prefetch_enabled": True},
-            {"state_direct_enabled": True, "prefetch_enabled": True},
+            {f.name: getattr(c, f.name) for f in fields(c)
+             if getattr(c, f.name) != getattr(plain, f.name)}
+            for c in configs.values()
         ]
-        labels = ["ASIC", "ASIC+State", "ASIC+Arc", "ASIC+State&Arc"]
+        labels = list(configs)
 
     cache_dir = None if args.trace_cache == "none" else args.trace_cache
     runner = SweepRunner(
@@ -635,15 +589,11 @@ def build_parser() -> argparse.ArgumentParser:
         "compile",
         help="run the staged graph compiler (recipe -> packed artifact)",
     )
-    p.add_argument("--vocab", type=int, default=200,
-                   help="composed recipe: vocabulary size (default 200)")
+    _add_recipe_args(p)
     p.add_argument("--corpus-sentences", type=int, default=2000,
                    dest="corpus_sentences",
                    help="composed recipe: LM training sentences "
                         "(default 2000)")
-    p.add_argument("--lm-order", type=int, choices=(2, 3), default=2,
-                   dest="lm_order",
-                   help="grammar order: 2 = bigram, 3 = trigram (default 2)")
     p.add_argument("--silence-prob", type=float, default=0.2,
                    dest="silence_prob")
     p.add_argument("--remove-epsilons", action="store_true",
@@ -658,26 +608,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "many states instead of composing L ∘ G")
     p.add_argument("--phones", type=int, default=50,
                    help="synthetic recipe: phone inventory (default 50)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--graph-cache", default=DEFAULT_GRAPH_CACHE,
-                   dest="graph_cache", metavar="DIR|none",
-                   help=f"artifact cache directory (default "
-                        f"{DEFAULT_GRAPH_CACHE}; 'none' disables)")
+    _add_graph_args(p, precompiled=False)
     p.add_argument("--output", metavar="DIR",
                    help="write the artifact (mmap layout directory with "
                         "the recipe and pass statistics in its meta.json)")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("build-task", help="generate a synthetic ASR task")
-    _add_task_args(p)
-    _add_graph_args(p)
-    p.add_argument("--output", metavar="DIR",
-                   help="write the compiled graph (mmap layout directory)")
-    p.set_defaults(func=cmd_build_task)
-
     p = sub.add_parser("decode", help="decode with the software decoder")
     _add_task_args(p)
-    _add_graph_args(p)
     _add_pruning_args(p)
     _add_backend_arg(p)
     p.add_argument("--engine",
@@ -694,65 +632,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decode through chunked live sessions on the "
                         "continuous-batching server (word-identical to "
                         "the offline engines)")
-    p.add_argument("--chunk-frames", type=int, default=10,
-                   dest="chunk_frames",
-                   help="frames per streamed chunk (default 10)")
-    p.add_argument("--commit-interval", type=int, default=0,
-                   dest="commit_interval",
-                   help="with --streaming: frames between committed-"
-                        "prefix traceback commits (bounds trace memory "
-                        "and makes partials stable; 0 disables, "
-                        "default 0)")
+    _add_streaming_args(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("serve",
-                       help="continuous-batching live serving demo")
+                       help="serve concurrent chunked sessions through the "
+                            "multi-process tier")
     _add_task_args(p)
-    _add_graph_args(p)
     _add_backend_arg(p)
-    p.add_argument("--chunk-frames", type=int, default=10,
-                   dest="chunk_frames",
-                   help="frames per streamed chunk (default 10)")
-    p.add_argument("--commit-interval", type=int, default=0,
-                   dest="commit_interval",
-                   help="frames between committed-prefix traceback "
-                        "commits: bounds per-session trace memory and "
-                        "keeps partial output stable (0 disables, "
-                        "default 0)")
-    p.add_argument("--stagger", type=int, default=3,
-                   help="rounds between session arrivals; 0 admits every "
-                        "session up front (default 3; in-process "
-                        "scores server only, the tier admits all at once)")
+    _add_streaming_args(p)
     p.add_argument("--max-batch", type=int, default=64, dest="max_batch",
                    help="max sessions per lockstep sweep (default 64)")
     p.add_argument("--workers", type=int, default=1,
-                   help="decode worker processes; >= 2, or any count "
-                        "with --score-features, serves through the "
-                        "sharded tier over one memory-mapped graph and "
-                        "prints p50/p99 SLO stats (default 1)")
+                   help="search worker processes of the tier, sharing one "
+                        "memory-mapped graph (default 1)")
     p.add_argument("--score-features", action="store_true",
                    dest="score_features",
                    help="serve an audio-backed task in features mode: "
                         "sessions push MFCC chunks and the tier's DNN "
                         "stage scores them in cross-session batched "
-                        "forwards (bit-identical words to pushing "
-                        "scores); always served by the tier -- "
-                        "--workers 1, the default, is one search "
-                        "process behind the DNN stage")
+                        "forwards (bit-identical words to pushing scores)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("simulate", help="decode on the accelerator simulator")
     _add_task_args(p)
-    _add_graph_args(p)
-    p.add_argument("--config", choices=CONFIG_NAMES, default="both",
-                   help="accelerator configuration (default: both)")
+    _add_config_arg(p, "both")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="six-platform comparison")
-    p.add_argument("--states", type=int, default=50_000)
-    p.add_argument("--frames", type=int, default=20)
-    p.add_argument("--max-active", type=int, default=2000, dest="max_active")
-    p.add_argument("--seed", type=int, default=0)
+    _add_memory_workload_args(p, states=50_000, frames=20, max_active=2000)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
@@ -760,13 +668,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="design-space sweep over accelerator parameters "
              "(trace-once/replay-many)",
     )
-    p.add_argument("--states", type=int, default=20_000,
-                   help="workload graph size (default 20000 states)")
-    p.add_argument("--frames", type=int, default=15)
-    p.add_argument("--max-active", type=int, default=1200, dest="max_active")
-    p.add_argument("--seed", type=int, default=5)
-    p.add_argument("--config", choices=CONFIG_NAMES, default="base",
-                   help="base configuration the sweep starts from")
+    _add_memory_workload_args(p, states=20_000, frames=15, max_active=1200,
+                              seed=5)
+    _add_graph_args(p)
+    _add_config_arg(p, "base")
     p.add_argument("--param", action="append", metavar="PATH=V1,V2,...",
                    help="sweep dimension over a config field path, e.g. "
                         "'arc_cache.size_bytes=256K,1M' or "
@@ -775,17 +680,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "'target_active=500,1000' (re-traced per value); "
                         "repeatable (dimensions combine as a cartesian "
                         "product). Default: the paper's four "
-                        "configurations")
+                        "configurations on top of --config")
     p.add_argument("--processes", type=int, default=None,
                    help="replay worker processes (default: the cores "
                         "this process may use)")
-    p.add_argument("--graph", metavar="DIR",
-                   help="sweep over a pre-compiled graph instead of "
-                        "synthesizing one (mmap layout directory)")
-    p.add_argument("--graph-cache", default=DEFAULT_GRAPH_CACHE,
-                   dest="graph_cache", metavar="DIR|none",
-                   help=f"compiled-graph artifact cache (default "
-                        f"{DEFAULT_GRAPH_CACHE}; 'none' disables)")
     p.add_argument("--trace-cache", default=DEFAULT_TRACE_CACHE,
                    metavar="DIR|none",
                    help=f"on-disk trace cache directory (default "

@@ -42,7 +42,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.errors import AdmissionError, ConfigError, DecodeError
+from repro.common.errors import ConfigError, DecodeError
 from repro.decoder.batch import BatchDecoder
 from repro.decoder.result import DecodeResult
 from repro.decoder.session import (
@@ -64,20 +64,13 @@ class ServerConfig:
             sessions beyond the cap wait for the next sweep, and served
             sessions rotate to the back of the queue (round-robin, so
             nobody starves).
-        max_sessions: admission limit on concurrently live sessions;
-            :meth:`StreamingServer.open_session` load-sheds with a typed
-            :class:`~repro.common.errors.AdmissionError` once this many
-            sessions are live (0 = unlimited).
     """
 
     max_batch: int = 64
-    max_sessions: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
-        if self.max_sessions < 0:
-            raise ConfigError("max_sessions must be >= 0")
 
 
 @dataclass
@@ -202,18 +195,7 @@ class StreamingServer:
     # Session lifecycle
     # ------------------------------------------------------------------
     def open_session(self) -> int:
-        """Admit a new live stream; returns its session id.
-
-        Raises:
-            AdmissionError: when ``max_sessions`` live sessions already
-                exist -- the join is load-shed without touching them.
-        """
-        limit = self.server_config.max_sessions
-        if limit and len(self._live) >= limit:
-            raise AdmissionError(
-                f"server at its admission limit ({limit} live sessions); "
-                f"retry after a session retires"
-            )
+        """Admit a new live stream; returns its session id."""
         sid = next(self._ids)
         self._live[sid] = _Live(
             self.decoder.open_session(), SessionStats(sid, self._clock())
@@ -333,92 +315,47 @@ class StreamingServer:
     # ------------------------------------------------------------------
     # Convenience driver
     # ------------------------------------------------------------------
-    def serve_staggered(
-        self,
-        scores_batch: Sequence[Chunk],
-        chunk_frames: int = 10,
-        stagger: int = 0,
-        on_join: Optional[Callable[[int, int, int], None]] = None,
-        on_round: Optional[Callable[[int], None]] = None,
-    ) -> List[SessionRecord]:
-        """Serve whole utterances as concurrent chunked live sessions.
-
-        Each utterance becomes a session pushing ``chunk_frames``-sized
-        chunks, all live sessions advancing in lockstep sweeps between
-        chunk rounds -- the continuous-batching traffic shape.  With
-        ``stagger > 0`` one session joins every ``stagger`` rounds
-        (sessions join and leave mid-flight); ``stagger=0`` admits
-        everyone up front.  ``on_join(round_no, index, session_id)`` and
-        ``on_round(round_no)`` let callers narrate progress.
-        Returns each session's terminal :class:`SessionRecord` in input
-        order -- a session that died mid-stream has its remaining audio
-        dropped and its engine error recorded.
-        """
-        if chunk_frames < 1:
-            raise ConfigError("chunk_frames must be >= 1")
-        if stagger < 0:
-            raise ConfigError("stagger must be >= 0")
-        matrices = [chunk_matrix(scores) for scores in scores_batch]
-        sids: List[Optional[int]] = [None] * len(matrices)
-        offsets = [0] * len(matrices)
-
-        def admit(i: int, round_no: int) -> None:
-            sids[i] = self.open_session()
-            if len(matrices[i]) == 0:
-                self.close_input(sids[i])
-            if on_join is not None:
-                on_join(round_no, i, sids[i])
-
-        round_no = 0
-        while True:
-            if stagger == 0:
-                while None in sids:
-                    admit(sids.index(None), round_no)
-            elif round_no % stagger == 0 and None in sids:
-                admit(sids.index(None), round_no)
-            pushed = 0
-            for i, (sid, matrix) in enumerate(zip(sids, matrices)):
-                if sid is None or offsets[i] >= len(matrix):
-                    continue
-                if not self.is_live(sid):
-                    # The session died mid-stream (beam emptied); drop its
-                    # remaining audio and keep the recorded error.
-                    offsets[i] = len(matrix)
-                    continue
-                chunk = matrix[offsets[i]: offsets[i] + chunk_frames]
-                self.push(sid, chunk)
-                offsets[i] += len(chunk)
-                pushed += 1
-                if offsets[i] >= len(matrix):
-                    self.close_input(sid)
-            self.drain()
-            if on_round is not None:
-                on_round(round_no)
-            round_no += 1
-            if pushed == 0 and None not in sids:
-                break
-        self.drain()
-        return [self.result(sid) for sid in sids]
-
     def decode_streaming(
         self,
         scores_batch: Sequence[Chunk],
         chunk_frames: int = 10,
     ) -> List[DecodeResult]:
-        """Chunk-serve whole utterances; results in input order.
+        """Serve whole utterances as concurrent chunked live sessions;
+        results in input order.
 
-        Convenience wrapper over :meth:`serve_staggered` (all sessions
-        admitted up front) that unwraps the records: output matches
-        ``BatchDecoder.decode_batch`` exactly, and any session failure
-        raises its ``DecodeError``.
+        Every utterance is admitted up front as a session pushing
+        ``chunk_frames``-sized chunks, all live sessions advancing in
+        lockstep sweeps between chunk rounds -- the continuous-batching
+        traffic shape.  Output matches ``BatchDecoder.decode_batch``
+        exactly, and any session failure raises its ``DecodeError``.
         """
-        records = self.serve_staggered(scores_batch, chunk_frames=chunk_frames)
+        if chunk_frames < 1:
+            raise ConfigError("chunk_frames must be >= 1")
+        matrices = [chunk_matrix(scores) for scores in scores_batch]
+        sids = []
+        for matrix in matrices:
+            sids.append(self.open_session())
+            if not len(matrix):
+                self.close_input(sids[-1])
+        for offset in itertools.count(0, chunk_frames):
+            pushed = 0
+            for sid, matrix in zip(sids, matrices):
+                if offset >= len(matrix) or not self.is_live(sid):
+                    # Fully pushed, or died mid-stream (beam emptied):
+                    # its remaining audio is dropped, its error kept.
+                    continue
+                self.push(sid, matrix[offset: offset + chunk_frames])
+                pushed += 1
+                if offset + chunk_frames >= len(matrix):
+                    self.close_input(sid)
+            self.drain()
+            if not pushed:
+                break
         results = []
-        for record in records:
+        for sid in sids:
+            record = self.result(sid)
             if record.error is not None:
-                raise DecodeError(
-                    f"session {record.session_id}: {record.error}"
-                )
+                raise DecodeError(f"session {sid}: {record.error}")
             results.append(record.result)
         return results
 

@@ -616,7 +616,9 @@ class ServingTier:
             ConfigError: ``mode="features"`` on a tier built without a
                 ``scorer``, or an unknown mode.
             TierError: ``mode="features"`` after the scoring thread
-                failed; the message names the original exception.
+                failed (the message names the original exception), or
+                the chosen shard's pipe is gone (the message names the
+                session and the worker; nothing is counted).
         """
         if mode not in ("scores", "features"):
             raise ConfigError(f"unknown session mode {mode!r}")
@@ -640,10 +642,18 @@ class ServingTier:
             worker = min(self._workers, key=lambda w: (w.live, w.index))
             sid = self._next_sid
             self._next_sid += 1
+            # Nothing is counted until the shard has the open: a session
+            # it never received would hold admission budget for ever.
+            try:
+                worker.conn.send(("open", sid))
+            except (OSError, ValueError) as exc:
+                raise TierError(
+                    f"session {sid}: worker {worker.index} did not take "
+                    f"the open ({type(exc).__name__}: {exc})"
+                ) from exc
             now = self._clock()
             self._sessions[sid] = _TierSession(sid, worker, now, mode=mode)
             worker.live += 1
-            worker.conn.send(("open", sid))
             self.stats.sessions_admitted += 1
             if self._first_open_t is None:
                 self._first_open_t = now

@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.datasets import SyntheticGraphConfig, generate_kaldi_like_graph
 from repro.wfst import load_graph_meta, load_graph_mmap
@@ -12,12 +16,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_known_subcommands(self):
-        parser = build_parser()
-        for cmd in ("compile", "build-task", "decode", "serve", "simulate",
-                    "compare"):
-            args = parser.parse_args([cmd] if cmd != "simulate" else [cmd])
-            assert hasattr(args, "func")
+    def test_every_subcommand_answers_help(self, capsys):
+        """Walks the parser's own sub-commands, so none can be missed;
+        each is also listed in the module docstring."""
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == ["compare", "compile", "decode",
+                                       "lint", "serve", "simulate", "sweep"]
+        for cmd in sub.choices:
+            assert f"``repro-asr {cmd}``" in repro.cli.__doc__
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--help"])
+            assert exc.value.code == 0
+            assert "usage: repro-asr " + cmd in capsys.readouterr().out
 
     def test_simulate_config_choices(self):
         parser = build_parser()
@@ -27,27 +38,17 @@ class TestParser:
             parser.parse_args(["simulate", "--config", "nonsense"])
 
 
+def _served(lines):
+    """Per-session ``(session, transcript)`` pairs and the ``mean WER``
+    line of a ``repro serve`` run; a session line reads
+    "session N: WER w  F frames, mean wait T ms  <transcript>"."""
+    transcripts = [(ln.split(",")[0], ln.split(" ms  ")[1])
+                   for ln in lines
+                   if ln.startswith("session ") and ": WER " in ln]
+    return transcripts, [ln for ln in lines if ln.startswith("mean WER")]
+
+
 class TestCommands:
-    def test_build_task(self, capsys, tmp_path):
-        out = str(tmp_path / "graph.mmap")
-        code = main(["build-task", "--vocab", "40", "--utterances", "2",
-                     "--output", out])
-        assert code == 0
-        captured = capsys.readouterr().out
-        assert "graph" in captured
-        assert load_graph_mmap(out).num_states > 0
-
-    def test_build_task_output_feeds_sweep(self, capsys, tmp_path):
-        out = str(tmp_path / "graph.mmap")
-        assert main(["build-task", "--vocab", "40", "--utterances", "2",
-                     "--graph-cache", "none", "--output", out]) == 0
-        capsys.readouterr()
-        assert main(["sweep", "--graph", out, "--frames", "4",
-                     "--max-active", "200", "--processes", "1",
-                     "--param", "arc_cache.size_bytes=128K,256K",
-                     "--graph-cache", "none", "--trace-cache", "none"]) == 0
-        assert "2 points" in capsys.readouterr().out
-
     def test_decode(self, capsys):
         code = main(["decode", "--vocab", "40", "--utterances", "2",
                      "--seed", "4"])
@@ -137,29 +138,38 @@ class TestCommands:
 
     def test_serve(self, capsys):
         code = main(["serve", "--vocab", "40", "--utterances", "3",
-                     "--seed", "4", "--stagger", "2", "--chunk-frames", "5"])
+                     "--seed", "4", "--chunk-frames", "5"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert out.count("joined") == 3
-        assert "served 3 sessions" in out
-        assert "mean WER" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(" joined -> shard 0 " in ln for ln in lines) == 3
+        assert any(ln.startswith("tier: 1 shards served 3 sessions ")
+                   for ln in lines)
+        assert len(_served(lines)[0]) == 3
+        assert "mean WER 0.000" in lines
 
     def test_serve_rejects_bad_knobs(self):
         from repro.common.errors import ConfigError
 
         for argv in (["serve", "--chunk-frames", "0"],
-                     ["serve", "--stagger", "-1"]):
+                     ["serve", "--workers", "0"]):
             with pytest.raises(ConfigError):
                 main(argv + ["--vocab", "40", "--utterances", "1"])
 
-    def test_serve_stagger_zero_admits_all_up_front(self, capsys):
-        code = main(["serve", "--vocab", "40", "--utterances", "2",
-                     "--seed", "4", "--stagger", "0"])
-        assert code == 0
-        out = capsys.readouterr().out
-        joins = [ln for ln in out.splitlines() if "joined" in ln]
-        assert len(joins) == 2
-        assert all(ln.startswith("[round   0]") for ln in joins)
+    def test_serve_scores_goes_through_the_tier_at_any_workers(self, capsys):
+        """Scores enter the serving stack through the tier at every
+        ``--workers``, with the same words at each."""
+        argv = ["serve", "--vocab", "40", "--utterances", "3", "--seed", "4",
+                "--chunk-frames", "5"]
+        served = {}
+        for workers in (1, 2):
+            assert main(argv + ["--workers", str(workers)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert any(ln.startswith(f"tier: {workers} shards served 3 ")
+                       for ln in lines)
+            assert not any(ln.startswith("scoring:") for ln in lines)
+            served[workers] = _served(lines)
+            assert len(served[workers][0]) == 3
+        assert served[1] == served[2]
 
     def test_serve_score_features_goes_through_the_tier_at_any_workers(
         self, capsys
@@ -179,14 +189,8 @@ class TestCommands:
             scoring = [ln for ln in lines if ln.startswith("scoring:")]
             assert len(scoring) == 1
             assert scoring[0].startswith(f"scoring: {sum(joined)} frames in ")
-            # "session N: WER w  F frames, mean wait T ms  <transcript>"
-            transcripts = [(ln.split(",")[0], ln.split(" ms  ")[1])
-                           for ln in lines if ln.startswith("session ")
-                           and ": WER " in ln]
-            assert len(transcripts) == 3
-            served[workers] = (
-                transcripts, [ln for ln in lines if ln.startswith("mean WER")]
-            )
+            served[workers] = _served(lines)
+            assert len(served[workers][0]) == 3
         assert served[1] == served[2]
 
     def test_simulate_all_configs(self, capsys):
@@ -233,6 +237,34 @@ class TestCompile:
         assert code == 0
         out = capsys.readouterr().out
         assert "synthesize" in out
+
+    def test_compile_output_feeds_sweep(self, capsys, tmp_path):
+        out = str(tmp_path / "graph.mmap")
+        assert main(["compile", "--vocab", "40", "--graph-cache", "none",
+                     "--output", out]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--graph", out, "--frames", "4",
+                     "--max-active", "200", "--processes", "1",
+                     "--param", "arc_cache.size_bytes=128K,256K",
+                     "--graph-cache", "none", "--trace-cache", "none"]) == 0
+        assert "2 points" in capsys.readouterr().out
+
+    def test_sweep_default_grid_is_the_paper_configurations(
+        self, capsys, tmp_path
+    ):
+        assert main(["sweep", "--states", "2000", "--frames", "4",
+                     "--max-active", "200", "--processes", "1",
+                     "--graph-cache", "none", "--trace-cache", "none",
+                     "--json", str(tmp_path / "sweep.json")]) == 0
+        capsys.readouterr()
+        points = json.loads((tmp_path / "sweep.json").read_text())["points"]
+        assert [(p["label"], p["overrides"]) for p in points] == [
+            ("ASIC", {}),
+            ("ASIC+State", {"state_direct_enabled": True}),
+            ("ASIC+Arc", {"prefetch_enabled": True}),
+            ("ASIC+State&Arc",
+             {"prefetch_enabled": True, "state_direct_enabled": True}),
+        ]
 
     def test_decode_precompiled_graph_is_word_identical(
         self, capsys, tmp_path

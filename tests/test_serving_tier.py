@@ -9,6 +9,7 @@ of the fleet undisturbed.
 
 import asyncio
 import os
+import signal
 import tempfile
 from collections import deque
 
@@ -262,6 +263,24 @@ class TestAdmissionAndBackpressure:
             tier.close_input(sid)
             tier.result(sid, timeout=60)
             tier.open_session()  # slot freed by the retirement
+
+    def test_open_routed_to_a_killed_worker_is_typed_and_counts_nothing(
+        self, small_task, config
+    ):
+        """An open the dead shard never received used to raise a raw
+        ``BrokenPipeError`` after it was counted: a phantom session
+        holding admission budget for ever."""
+        with make_tier(small_task, config, num_workers=2) as tier:
+            for _ in range(4):
+                tier.open_session()
+            dead = tier._workers[0]
+            os.kill(dead.process.pid, signal.SIGKILL)
+            dead.process.join(10)
+            with pytest.raises(TierError, match=r"session 4: worker 0"):
+                tier.open_session()  # ties go to the lowest index
+            assert tier.live_sessions == 4
+            assert [w.live for w in tier._workers] == [2, 2]
+            assert tier.stats.sessions_admitted == 4
 
     def test_backpressure_sheds_typed_and_retryable(
         self, small_task, config

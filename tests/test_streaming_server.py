@@ -8,7 +8,7 @@ path scores of one-shot ``BatchDecoder.decode_batch``.
 import numpy as np
 import pytest
 
-from repro.common.errors import AdmissionError, ConfigError, DecodeError
+from repro.common.errors import ConfigError, DecodeError
 from repro.decoder import BatchDecoder, DecoderConfig
 from repro.system import ServerConfig, StreamingServer
 
@@ -335,26 +335,6 @@ class TestErrorIsolation:
         with pytest.raises(DecodeError, match="closed"):
             server.push(victim, utts[0].scores.matrix[3:6])
         self._serve_out(server, sids, utts, oneshot)
-
-    def test_join_at_admission_limit_leaves_others_undisturbed(
-        self, small_task, config, oneshot
-    ):
-        """A join while the sweep queue is saturated (every admission
-        slot holds a live session with buffered frames) sheds with a
-        typed AdmissionError; the saturated fleet is untouched."""
-        utts = small_task.utterances
-        server = StreamingServer(
-            small_task.graph, config, ServerConfig(max_sessions=len(utts))
-        )
-        sids = {i: server.open_session() for i in range(len(utts))}
-        for i, sid in sids.items():
-            server.push(sid, utts[i].scores.matrix[:4])
-        with pytest.raises(AdmissionError, match="admission limit"):
-            server.open_session()
-        assert server.stats.sessions_opened == len(utts)
-        self._serve_out(
-            server, sids, utts, oneshot, offsets={i: 4 for i in sids}
-        )
 
     def test_mid_stream_width_mismatch_leaves_others_undisturbed(
         self, small_task, config, oneshot
