@@ -57,14 +57,11 @@ import numpy as np
 from repro.common.errors import ConfigError, SimulationError
 from repro.accel.config import AcceleratorConfig, CacheConfig
 from repro.accel.hashtable import HASH_MULTIPLIER, OVERFLOW_ENTRY_BYTES
-from repro.accel.simulator import (
-    TOKEN_RECORD_BYTES,
-    AcceleratorResult,
-    address_map,
-)
+from repro.accel.simulator import AcceleratorResult, address_map
 from repro.accel.stats import SimStats
 from repro.accel.trace import DecodeTrace, layout_fingerprint
 from repro.decoder.result import SearchStats
+from repro.decoder.traceback import TRACE_RECORD_BYTES
 from repro.wfst.layout import ARC_BYTES, STATE_BYTES, CompiledWfst
 from repro.wfst.sorted_layout import SortedWfst
 
@@ -322,7 +319,7 @@ class TraceReplayer:
             token = memo[key] = _price_cache(
                 tcc,
                 self._tokens_base
-                + np.arange(n_improve, dtype=np.int64) * TOKEN_RECORD_BYTES,
+                + np.arange(n_improve, dtype=np.int64) * TRACE_RECORD_BYTES,
                 arc_at, improved,
             )
 
@@ -622,8 +619,8 @@ class TraceReplayer:
                     else:
                         retained = tb_walk_counts[F - 1] if F else 0
                     cycle += (reads + retained) * tb_cpr
-                    r_traceback += reads * TOKEN_RECORD_BYTES
-                    w_traceback += retained * TOKEN_RECORD_BYTES
+                    r_traceback += reads * TRACE_RECORD_BYTES
+                    w_traceback += retained * TRACE_RECORD_BYTES
                     tb_pending = 0
                     tb_retained = retained
             frame_cycles.append(cycle - fb)

@@ -44,12 +44,9 @@ from repro.accel.memory import MemoryController, Region
 from repro.accel.pipeline import RollingWindow, ThroughputGate
 from repro.accel.stats import SimStats
 from repro.decoder.result import SearchStats
+from repro.decoder.traceback import TRACE_RECORD_BYTES
 from repro.wfst.layout import ARC_BYTES, STATE_BYTES, CompiledWfst
 from repro.wfst.sorted_layout import SortedWfst
-
-#: Bytes per backpointer record in the main-memory token trace region
-#: (source token index + word index, 32 bits each).
-TOKEN_RECORD_BYTES = 8
 
 
 def address_map(graph: CompiledWfst) -> Tuple[int, int, int]:
@@ -343,7 +340,7 @@ class AcceleratorSimulator:
                     rec_addr = (
                         self._tokens_base
                         + (search.tokens_created + search.tokens_updated - 1)
-                        * TOKEN_RECORD_BYTES
+                        * TRACE_RECORD_BYTES
                     )
                     done, _hit = token_cache.access(
                         write_slot, rec_addr, write=True
@@ -428,7 +425,7 @@ class AcceleratorSimulator:
                     rec_addr = (
                         self._tokens_base
                         + (search.tokens_created + search.tokens_updated - 1)
-                        * TOKEN_RECORD_BYTES
+                        * TRACE_RECORD_BYTES
                     )
                     done, _hit = token_cache.access(
                         write_slot, rec_addr, write=True

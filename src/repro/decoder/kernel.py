@@ -105,7 +105,7 @@ from repro.common.logmath import LOG_ZERO
 from repro.acoustic.scorer import AcousticScores
 from repro.decoder.backends import KERNEL_BACKENDS, KernelBackend, resolve_backend
 from repro.decoder.result import DecodeResult, SearchStats
-from repro.decoder.traceback import TokenTrace
+from repro.decoder.traceback import TRACE_FIELD_DTYPE, TokenTrace
 from repro.wfst.layout import CompiledWfst, FlatLayout
 
 #: Pruning strategies selectable through :class:`DecoderConfig`.
@@ -475,6 +475,14 @@ class SearchKernel:
         self.graph = graph
         self.config = config
         self.flat: FlatLayout = graph.flat()
+        # Every word a decode records must fit the trace's 32-bit field.
+        max_word = int(np.iinfo(TRACE_FIELD_DTYPE).max)
+        top = int(self.flat.arc_olabel.max()) if self.flat.num_arcs else 0
+        if top > max_word:
+            raise ConfigError(
+                f"graph output label {top} does not fit the token trace's "
+                f"32-bit word field (max {max_word})"
+            )
         #: The array backend running the inner sweeps, resolved once per
         #: kernel from ``config.backend`` (see repro.decoder.backends).
         self.backend: KernelBackend = resolve_backend(config.backend)

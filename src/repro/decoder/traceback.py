@@ -4,7 +4,8 @@ The accelerator does not keep unbounded per-utterance history: token
 records live in a bounded buffer and hypotheses are recovered by
 backtracking a *window* of backpointers.  This module is the software
 analogue.  :class:`TokenTrace` stores one ``(predecessor index, word)``
-record per token write -- the token array in main memory -- and, when
+record per token write -- the token array in main memory, at the
+hardware's 8 bytes a record (two int32 arrays) -- and, when
 constructed with a ``commit_interval``, periodically **commits** the
 prefix every live hypothesis already agrees on and garbage-collects
 every record the live frontier can no longer reach:
@@ -43,11 +44,22 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, DecodeError
 from repro.decoder.backends import KernelBackend
 
-#: Bytes per trace record: two int64 fields (predecessor index, word).
-TRACE_RECORD_BYTES = 16
+#: dtype of both record fields.  The accelerator's backpointer record
+#: (Section III) is a 32-bit source-token index plus a 32-bit word id.
+TRACE_FIELD_DTYPE = np.int32
+
+#: Bytes per trace record (predecessor index, word) -- the one size both
+#: the software trace and the cycle model's token region
+#: (:mod:`repro.accel.simulator`) use.
+TRACE_RECORD_BYTES = 2 * np.dtype(TRACE_FIELD_DTYPE).itemsize
+
+#: Most records a trace may hold, so every predecessor index fits its
+#: signed 32-bit field (word ids are held to the same bound when a
+#: :class:`~repro.decoder.kernel.SearchKernel` is built).
+MAX_TRACE_RECORDS = int(np.iinfo(TRACE_FIELD_DTYPE).max)
 
 #: Smallest record capacity a trace allocates.
 _MIN_CAPACITY = 64
@@ -102,8 +114,8 @@ class TokenTrace:
     ) -> None:
         if commit_interval < 0:
             raise ConfigError("commit_interval must be >= 0")
-        self._prev = np.empty(_MIN_CAPACITY, dtype=np.int64)
-        self._word = np.empty(_MIN_CAPACITY, dtype=np.int64)
+        self._prev = np.empty(_MIN_CAPACITY, dtype=TRACE_FIELD_DTYPE)
+        self._word = np.empty(_MIN_CAPACITY, dtype=TRACE_FIELD_DTYPE)
         self._size = 0
         self.commit_interval = commit_interval
         self._backend = backend
@@ -120,16 +132,27 @@ class TokenTrace:
     # Append / backtrack (the historical append-only surface)
     # ------------------------------------------------------------------
     def append_bulk(self, prev: np.ndarray, word: np.ndarray) -> np.ndarray:
-        """Append records; returns their trace indices."""
+        """Append records; returns their trace indices (int64).
+
+        Raises :class:`DecodeError` when the trace would pass
+        :data:`MAX_TRACE_RECORDS`, rather than wrap an index.  Word ids
+        are not checked here: :class:`~repro.decoder.kernel.SearchKernel`
+        refuses a graph whose output labels do not fit the field.
+        """
         new_size = self._size + len(prev)
+        if new_size > MAX_TRACE_RECORDS:
+            raise DecodeError(
+                f"token trace full: {new_size} records exceed the "
+                f"32-bit record limit of {MAX_TRACE_RECORDS}"
+            )
         if new_size > len(self._prev):
-            capacity = max(new_size, 2 * len(self._prev))
+            capacity = min(max(new_size, 2 * len(self._prev)), MAX_TRACE_RECORDS)
             # One preallocated resize per array: the live prefix is
             # copied exactly once into the new buffer.
-            grown = np.empty(capacity, dtype=np.int64)
+            grown = np.empty(capacity, dtype=TRACE_FIELD_DTYPE)
             grown[: self._size] = self._prev[: self._size]
             self._prev = grown
-            grown = np.empty(capacity, dtype=np.int64)
+            grown = np.empty(capacity, dtype=TRACE_FIELD_DTYPE)
             grown[: self._size] = self._word[: self._size]
             self._word = grown
             nbytes = capacity * TRACE_RECORD_BYTES
@@ -228,8 +251,8 @@ class TokenTrace:
         capacity = _MIN_CAPACITY
         while capacity < new_size:
             capacity *= 2
-        new_prev = np.empty(capacity, dtype=np.int64)
-        new_word = np.empty(capacity, dtype=np.int64)
+        new_prev = np.empty(capacity, dtype=TRACE_FIELD_DTYPE)
+        new_word = np.empty(capacity, dtype=TRACE_FIELD_DTYPE)
         old_prev = prev[keep]
         new_prev[:new_size] = idx_map[np.maximum(old_prev, 0)]
         new_word[:new_size] = self._word[: self._size][keep]

@@ -181,6 +181,8 @@ class StreamingServer:
         self._clock = clock
         self._live: "OrderedDict[int, _Live]" = OrderedDict()
         self._records: Dict[int, SessionRecord] = {}
+        # Ids retired since the last take_retired(), in retirement order.
+        self._retired: List[int] = []
         self._ids = itertools.count()
         # One row width across all sessions, pinned by the first push.
         self._frame_width: Optional[int] = None
@@ -370,9 +372,12 @@ class StreamingServer:
     def live_session_ids(self) -> List[int]:
         return list(self._live.keys())
 
-    @property
-    def finished_session_ids(self) -> List[int]:
-        return list(self._records.keys())
+    def take_retired(self) -> List[int]:
+        """Ids of the sessions retired since the last call, in retirement
+        order: each retired id is returned exactly once, and the call
+        costs the new retirements only, not every session ever served."""
+        retired, self._retired = self._retired, []
+        return retired
 
     @property
     def pending_frames(self) -> int:
@@ -412,6 +417,7 @@ class StreamingServer:
             stats.session_id, result=result, error=error, stats=stats
         )
         del self._live[stats.session_id]
+        self._retired.append(stats.session_id)
         self.stats.sessions_finalized += 1
 
     def _retire_finished(self) -> None:

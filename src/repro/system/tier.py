@@ -314,7 +314,6 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
     server = StreamingServer(graph, search_config, server_config)
     to_internal: Dict[int, int] = {}
     to_external: Dict[int, int] = {}
-    shipped = set()
     running = True
     ring: Optional[ScorePlaneView] = None
     # Ack-after-decode ledger: per external sid, cumulative frames the
@@ -325,20 +324,13 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
     ledger: Dict[int, Deque[Tuple[int, int, int]]] = {}
 
     def ship_finished() -> None:
-        # Records are kept in retirement order and each is shipped once,
-        # so only the tail past the shipped count is new; walking the
-        # whole list after every message would cost time that grows with
-        # every session the worker has ever finished.
-        if server.stats.sessions_finalized == len(shipped):
-            return
-        for isid in server.finished_session_ids[len(shipped):]:
-            ext = to_external.get(isid)
-            if ext is None or ext in shipped:
-                continue
+        # The server hands each retirement over once, so this costs the
+        # new records only, however many sessions the worker has served.
+        for isid in server.take_retired():
+            ext = to_external[isid]
             record = server.result(isid)
             record.stats.session_id = ext
             conn.send(("record", ext, dataclasses.replace(record, session_id=ext)))
-            shipped.add(ext)
 
     def release_consumed() -> None:
         for ext in list(ledger):

@@ -121,16 +121,19 @@ class TestWorkerLoop:
     def test_shipping_records_does_not_rewalk_finished_sessions(
         self, tmp_path, small_task, config, oneshot, monkeypatch
     ):
-        """The loop looked for records to ship by walking every session
-        the worker had ever finished, after every message, so a shard
-        slowed down for as long as it lived.  It may list the finished
-        sessions only when one has retired since it last shipped."""
-        listings = []
-        listing = StreamingServer.finished_session_ids
-        monkeypatch.setattr(
-            StreamingServer, "finished_session_ids",
-            property(lambda self: listings.append(1) or listing.fget(self)),
-        )
+        """The loop looked for records to ship by listing every session
+        the worker had ever finished, so a shard slowed down for as long
+        as it lived.  It drains the server's retirement cursor instead:
+        across the whole run it walks one id per record it ships."""
+        walked = []
+        take_retired = StreamingServer.take_retired
+
+        def counting(self):
+            ids = take_retired(self)
+            walked.extend(ids)
+            return ids
+
+        monkeypatch.setattr(StreamingServer, "take_retired", counting)
         directory = save_graph_mmap(small_task.graph, str(tmp_path / "g.mmap"))
         matrix = small_task.utterances[0].scores.matrix
         frames, width = matrix.shape
@@ -156,7 +159,7 @@ class TestWorkerLoop:
             assert message[2].session_id == message[1]
             assert message[2].result.words == oneshot[0].words
             assert message[2].result.log_likelihood == oneshot[0].log_likelihood
-        assert len(listings) <= sessions
+        assert len(walked) == len(set(walked)) == len(records) == sessions
 
 
 class TestEquivalence:

@@ -169,7 +169,8 @@ class TestScheduling:
         server.close_input(sid)
         server.drain()
         assert server.live_session_ids == []
-        assert server.finished_session_ids == [sid]
+        assert server.take_retired() == [sid]
+        assert server.take_retired() == []  # each retirement handed over once
 
 
 class TestErrors:
@@ -218,7 +219,7 @@ class TestErrors:
             exc.value
         )
         # Pushing to the retired session explains what happened to it.
-        sid = server.finished_session_ids[0]
+        (sid,) = server.take_retired()
         with pytest.raises(DecodeError, match="retired"):
             server.push(sid, matrix[:1])
 

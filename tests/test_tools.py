@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -102,6 +103,32 @@ class TestRenderRecord:
         assert table_rows(lines) == [
             "| w | frames_per_s | -- | -- | 1.000 | -- |"
         ]
+
+
+class TestPlatformChange:
+    def test_record_on_a_new_platform_is_marked(self):
+        text = "\n".join(perf_report.render(committed(25), committed(24)))
+        assert "**Platform changed** from Linux-6.18.44-fc-v50" in text
+        assert "(PR 24)" in text
+
+    def test_same_platform_and_first_record_are_not(self):
+        assert not any("Platform changed" in l
+                       for l in perf_report.render(committed(24), committed(21)))
+        assert not any("Platform changed" in l for l in perf_report.render(committed(16)))
+
+
+class TestReadmeTable:
+    def test_caption_names_record_pr_and_platform(self):
+        lines = perf_report.readme_table(committed(25))
+        assert lines[0] == perf_report.TABLE_BEGIN and lines[-1] == perf_report.TABLE_END
+        assert "`BENCH_25.json` (PR 25, 10 interleaved" in lines[1]
+        assert "Linux-6.18.44-fc-v130-x86_64-with-glibc2.36, 2 cores" in lines[1]
+
+    def test_rows_are_the_change_side_medians(self):
+        rows = [l for l in perf_report.readme_table(committed(25)) if l.startswith("| `")]
+        assert [r.split("`")[1] for r in rows] == [
+            name for name, _ in perf_report.README_WORKLOADS]
+        assert rows[0].endswith("| 1,182 | 97 MiB |")  # search_wide_server
 
 
 class TestPerfReportMain:
@@ -203,6 +230,40 @@ class TestRepoPaths:
             """)
         page(tmp_path, "benchmarks/bench_fig01_x.py", "")
         assert check_docs.check_repo_paths(str(tmp_path)) == []
+
+
+class TestE2eTable:
+    @staticmethod
+    def tree(tmp_path):
+        """A temp copy of README and the newest record."""
+        newest = max(REPO_ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+        shutil.copy(newest, tmp_path)
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        (tmp_path / "README.md").write_text(readme, encoding="utf-8")
+        return readme
+
+    def test_repo_readme_is_the_rendering(self, tmp_path):
+        self.tree(tmp_path)
+        assert check_docs.check_e2e_table(str(tmp_path)) == []
+
+    def test_one_edited_cell_fails_the_check(self, tmp_path):
+        readme = self.tree(tmp_path)
+        row = next(l for l in readme.splitlines() if l.startswith("| `search_wide_server`"))
+        cells = row.split(" | ")
+        cells[1] = "9,999"
+        (tmp_path / "README.md").write_text(
+            readme.replace(row, " | ".join(cells)), encoding="utf-8")
+        failures = check_docs.check_e2e_table(str(tmp_path))
+        assert len(failures) == 1 and "9,999" in failures[0]
+        assert check_docs.main(["--root", str(tmp_path), "--skip-pydoc"]) == 1
+
+    def test_missing_table_fails_and_no_record_skips(self, tmp_path):
+        self.tree(tmp_path)
+        (tmp_path / "README.md").write_text("no table", encoding="utf-8")
+        assert "no e2e table block" in check_docs.check_e2e_table(str(tmp_path))[0]
+        for record in tmp_path.glob("BENCH_*.json"):
+            record.unlink()
+        assert check_docs.check_e2e_table(str(tmp_path)) == []
 
 
 class TestPydocImportability:

@@ -12,14 +12,18 @@ backend,
   fused multi-session sweep.
 
 Plus unit pins for the buffer itself (append growth, backtrack,
-commit/compaction arithmetic) and the ``_PrefixView`` stats snapshot.
+commit/compaction arithmetic, the 32-bit record and its limits), a
+differential test against a list-of-tuples reference trace, and the
+``_PrefixView`` stats snapshot.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.common.errors import ConfigError, DecodeError
 from repro.datasets import SyntheticGraphConfig
 from repro.decoder import (
@@ -28,6 +32,8 @@ from repro.decoder import (
     advance_sessions,
     numba_available,
 )
+from repro.decoder import traceback as trace_module
+from repro.decoder.kernel import SearchKernel
 from repro.decoder.result import _PrefixView
 from repro.decoder.traceback import (
     TRACE_RECORD_BYTES,
@@ -371,6 +377,142 @@ class TestTokenTraceUnit:
             prev, 4, np.array([2], dtype=np.int64), anchor=0
         )
         assert keep.tolist() == [True, True, True, False]
+
+
+class TestThirtyTwoBitRecord:
+    def test_trace_record_is_the_cycle_models_token_record(self, small_task):
+        """The software trace holds exactly the 8-byte record the cycle
+        model writes: sequential token records miss the Token cache once
+        per line at that size."""
+        config = AcceleratorConfig()
+        sim = AcceleratorSimulator(small_task.graph, config)
+        stats = sim.decode(small_task.utterances[0].scores).stats
+        line = config.token_cache.line_bytes
+        lines_written = -(-stats.tokens_written * TRACE_RECORD_BYTES // line)
+        assert stats.token_cache.misses == lines_written
+
+        trace = TokenTrace()
+        trace.append_bulk(
+            np.full(stats.tokens_written, -1, dtype=np.int64),
+            np.zeros(stats.tokens_written, dtype=np.int64),
+        )
+        held = trace._prev.nbytes + trace._word.nbytes
+        assert held == trace.nbytes == len(trace._prev) * TRACE_RECORD_BYTES
+        assert TRACE_RECORD_BYTES == 8
+
+    def test_append_past_the_record_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_TRACE_RECORDS", 100)
+        trace = TokenTrace()
+        trace.append_bulk(np.full(60, -1, dtype=np.int64), np.ones(60, dtype=np.int64))
+        with pytest.raises(DecodeError, match="32-bit record limit"):
+            trace.append_bulk(
+                np.full(41, 59, dtype=np.int64), np.ones(41, dtype=np.int64)
+            )
+        assert len(trace) == 60  # nothing half-written
+        (last,) = trace.append_bulk(
+            np.array([59], dtype=np.int64), np.array([7], dtype=np.int64)
+        )
+        assert last == 60 and trace.backtrack(int(last)) == [1, 7]
+
+    @staticmethod
+    def _one_word_graph(word):
+        fst = Fst()
+        s0, s1 = fst.add_states(2)
+        fst.set_start(s0)
+        fst.add_arc(s0, 1, word, math.log(0.9), s1)
+        fst.set_final(s1, 0.0)
+        return CompiledWfst.from_fst(fst)
+
+    def test_output_label_past_31_bits_is_refused(self):
+        with pytest.raises(ConfigError, match="32-bit word field"):
+            SearchKernel(self._one_word_graph(2**31))
+        with pytest.raises(ConfigError, match="32-bit word field"):
+            BatchDecoder(self._one_word_graph(2**32 - 1))
+
+    def test_largest_output_label_round_trips(self):
+        top = 2**31 - 1
+        decoder = BatchDecoder(self._one_word_graph(top), DecoderConfig(beam=20.0))
+        frame = np.full((1, 3), -50.0)
+        frame[0, 1] = -0.1
+        session = decoder.open_session()
+        session.push(frame)
+        assert session.finalize().words == (top,)
+
+
+class ListTrace:
+    """The plain reference trace: a list of ``(prev, word)`` tuples whose
+    commit walks every live chain to find the anchor and the survivors."""
+
+    def __init__(self):
+        self.records, self.committed = [(-1, 0)], []
+
+    def append(self, prevs, words):
+        self.records += zip(prevs, words)
+        return list(range(len(self.records) - len(prevs), len(self.records)))
+
+    def chain(self, i):
+        out = []
+        while i >= 0:
+            out.append(i)
+            i = self.records[i][0]
+        return out
+
+    def path(self, i):
+        return [self.records[j][1] for j in reversed(self.chain(i)) if self.records[j][1]]
+
+    def commit(self, bps):
+        chains = [self.chain(b) for b in bps]
+        anchor = max(set.intersection(*map(set, chains)))
+        keep = sorted({j for chain in chains for j in chain if j >= anchor})
+        rank = {old: new for new, old in enumerate(keep)}
+        self.committed += self.path(anchor)
+        self.records = [(-1, 0)] + [
+            (rank[self.records[j][0]], self.records[j][1]) for j in keep[1:]
+        ]
+        return [rank[b] for b in bps]
+
+
+#: Word ids over the whole 32-bit field, epsilon (0) often.
+WORDS = st.one_of(st.just(0), st.integers(1, 2**31 - 1))
+
+
+class TestTraceAgainstListReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_appends_and_commits(self, data):
+        trace, ref = TokenTrace(commit_interval=1), ListTrace()
+        live = trace.append_bulk(
+            np.array([-1], dtype=np.int64), np.array([0], dtype=np.int64)
+        ).tolist()
+        for frame in range(data.draw(st.integers(1, 12))):
+            if data.draw(st.booleans()):
+                hypotheses = [
+                    list(trace.committed) + trace.backtrack(bp) for bp in live
+                ]
+                renumbered = trace.commit(np.array(live, dtype=np.int64), frame)
+                assert renumbered.tolist() == ref.commit(live)
+                live = renumbered.tolist()
+                # Compaction is invisible: every live hypothesis survives.
+                assert hypotheses == [
+                    list(trace.committed) + trace.backtrack(bp) for bp in live
+                ]
+            else:
+                n = data.draw(st.integers(1, 6))
+                prevs = data.draw(st.lists(st.sampled_from(live), min_size=n, max_size=n))
+                words = data.draw(st.lists(WORDS, min_size=n, max_size=n))
+                idx = trace.append_bulk(
+                    np.array(prevs, dtype=np.int64), np.array(words, dtype=np.int64)
+                )
+                assert idx.dtype == np.int64
+                assert idx.tolist() == ref.append(prevs, words)
+                pool = live + idx.tolist()
+                live = data.draw(
+                    st.lists(st.sampled_from(pool), min_size=1, unique=True)
+                )
+            assert len(trace) == len(ref.records)
+            assert list(trace.committed) == ref.committed
+            for bp in live:
+                assert trace.backtrack(bp) == ref.path(bp)
 
 
 class TestPrefixView:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation gate (run by the CI docs job).
 
-Three checks:
+Four checks:
 
 1. **Link check** -- every relative markdown link in the repo-root
    ``*.md`` files and ``docs/`` must point at an existing file (external
@@ -18,6 +18,10 @@ Three checks:
    an import-time dependency on test/bench state.  Modules that wrap an
    *optional* extra (``_OPTIONAL_MODULES``) are skipped -- not failed --
    when that extra is absent, and still checked when it is installed.
+4. **Numbers from records** -- when the tree holds ``BENCH_<n>.json``
+   records, ``README.md``'s end-to-end table must be exactly what
+   ``python tools/perf_report.py --readme-table`` renders from the newest
+   one, so the headline numbers cannot drift from the measurements.
 
 Exits non-zero with a per-failure report.
 """
@@ -110,6 +114,37 @@ def check_repo_paths(root: str = REPO_ROOT) -> list:
     return failures
 
 
+def _perf_report():
+    spec = importlib.util.spec_from_file_location(
+        "perf_report", os.path.join(os.path.dirname(os.path.abspath(__file__)), "perf_report.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def check_e2e_table(root: str = REPO_ROOT) -> list:
+    perf_report = _perf_report()
+    records, _ = perf_report.load_records(root)
+    if not records:
+        print("[docs] e2e table check: no BENCH_<n>.json record, skipped")
+        return []
+    want = perf_report.readme_table(records[-1])
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    print(f"[docs] e2e table check: against BENCH_{records[-1].get('pr')}.json")
+    if perf_report.TABLE_BEGIN not in lines or perf_report.TABLE_END not in lines:
+        return ["README.md: no e2e table block; paste in "
+                "`python tools/perf_report.py --readme-table`"]
+    begin = lines.index(perf_report.TABLE_BEGIN)
+    have = lines[begin: lines.index(perf_report.TABLE_END, begin) + 1]
+    if have == want:
+        return []
+    got, expected = next(((g, w) for g, w in zip(have, want) if g != w),
+                         (f"{len(have)} lines", f"{len(want)} lines"))
+    return [f"README.md: e2e table differs from the record: {got!r}, rendered {expected!r}"]
+
+
 #: Modules whose *only* job is wrapping an optional extra's dependency
 #: (pyproject ``[project.optional-dependencies]``): importable -- and
 #: then fully checked -- iff the named distribution is installed.
@@ -158,6 +193,7 @@ def main(argv=None) -> int:
 
     failures = check_markdown_links(options.root)
     failures += check_repo_paths(options.root)
+    failures += check_e2e_table(options.root)
     if not options.skip_pydoc:
         failures += check_pydoc_importability()
     for failure in failures:
