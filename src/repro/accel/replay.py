@@ -15,8 +15,8 @@ cycle-identical (and statistics-identical) to
 Why it is fast: only the cycle an access is *issued* depends on the whole
 configuration; what the access *does* depends on far less, and the trace
 fixes the order of every unit's accesses.  The replay therefore runs in
-three layers, the first two memoised on the trace under exactly the
-parameters they read (``DecodeTrace._replay_memo``; the key rule is
+three layers, each memoised on the trace under exactly the parameters
+it reads (``DecodeTrace._replay_memo``; the key rule is
 REP003's, see ``docs/INVARIANTS.md``):
 
 * a **vectorized prologue** -- each unit's accesses merged into issue
@@ -35,15 +35,22 @@ REP003's, see ``docs/INVARIANTS.md``):
 * a **timing core** that carries only what is genuinely time-dependent --
   one flat fill-time list per cache, the memory controller's in-flight
   window and the pipeline timestamp recurrences -- in one tight loop per
-  frame.
+  frame.  It is memoised too: it reads the outcome codes and, of the
+  configuration, everything but the cache geometries.
 
 Grid points that differ only in prefetching, DRAM latency, issuer depths
-or *another* cache's geometry share every outcome pass: the 24-point Arc
-size x prefetch x State size grid of ``benchmarks/e2e`` runs 6 + 2 + 1 LRU
-simulations per trace, not 72.  A multi-point design-space sweep then
-costs one functional search, one outcome pass per distinct cache geometry
-and one cheap timing pass per configuration; :mod:`repro.explore` builds
-on this.
+or *another* cache's geometry share every outcome pass.  Two points share
+a timing pass when each unit's outcome codes are equal (a geometry whose
+codes equal an earlier one's reuses that code object) and their
+configurations differ in nothing but cache geometry -- e.g. Arc caches
+that all hold the trace's working set, missing once per line in the same
+order.  The 24-point Arc size x prefetch x State size grid of
+``benchmarks/e2e`` runs 6 + 2 + 1 LRU simulations and 16 timing passes
+per trace for 24 points: its 1, 2 and 4 MiB Arc caches behave
+identically.  A multi-point design-space sweep then costs one functional
+search, one outcome pass per distinct cache geometry and one cheap timing
+pass per distinct behaviour (:func:`timing_passes` counts them);
+:mod:`repro.explore` builds on this.
 """
 
 from __future__ import annotations
@@ -131,6 +138,34 @@ class _CachePricing(NamedTuple):
     #: Lines evicted plus lines resident at the end: the write-backs of a
     #: cache whose every access is a write (the Token cache).
     writebacks: int
+    #: Ordinal of ``emit`` / ``eps`` among the unit's distinct code streams
+    #: on this trace: two geometries with equal codes share the lists and
+    #: the ordinal, so they share every timing pass too.
+    behaviour: int
+
+
+class _Timing(NamedTuple):
+    """What one timing pass adds to the outcome passes' counters."""
+
+    cycles: int
+    frame_cycles: Tuple[int, ...]
+    overflow_bytes: int
+    hash_extra_cycles: int
+    traceback_read_bytes: int
+    traceback_write_bytes: int
+
+
+#: :meth:`TraceReplayer._hash_schedule`'s result.
+_HashSchedule = Tuple[
+    List[int], List[int], List[int], List[Optional[Dict[int, int]]],
+    int, int, int,
+]
+
+
+#: A cache in a timing key: its geometry has already acted through the
+#: outcome codes, and ``perfect`` (which seeds the fill list) is all the
+#: timing core reads of it.
+_ANY_GEOMETRY = CacheConfig(64, 1)
 
 
 def _issue_positions(
@@ -182,6 +217,7 @@ def _price_cache(
     cache: CacheConfig,
     addresses: np.ndarray,
     positions: Tuple[np.ndarray, np.ndarray],
+    behaviours: List[Tuple[np.ndarray, List[int], List[int]]],
     active: Optional[np.ndarray] = None,
 ) -> _CachePricing:
     """Run the outcome pass of one cache and split it per trace stream.
@@ -189,7 +225,9 @@ def _price_cache(
     ``addresses`` are the byte addresses the cache sees, in issue order;
     ``positions`` map the emit / epsilon stream slots into issue order and
     ``active`` (issue order, all slots when ``None``) marks the slots that
-    access the cache at all.
+    access the cache at all.  ``behaviours`` holds the unit's distinct
+    code streams priced so far on this trace, as ``(codes, emit, eps)``; a
+    new one is appended, an equal one is reused.
     """
     if cache.perfect:
         outcome = LruOutcome(np.zeros(len(addresses), dtype=np.int64), 0, 0, 0)
@@ -202,11 +240,24 @@ def _price_cache(
     else:
         codes = np.full(len(active), _SKIP, dtype=np.int64)
         codes[active] = outcome.src
-    emit_at, eps_at = positions
+    for ordinal, (known, emit, eps) in enumerate(behaviours):
+        if np.array_equal(known, codes):
+            break
+    else:
+        emit_at, eps_at = positions
+        ordinal = len(behaviours)
+        emit, eps = codes[emit_at].tolist(), codes[eps_at].tolist()
+        behaviours.append((codes, emit, eps))
     return _CachePricing(
-        codes[emit_at].tolist(), codes[eps_at].tolist(), len(addresses),
-        outcome.misses, outcome.evictions + outcome.resident,
+        emit, eps, len(addresses),
+        outcome.misses, outcome.evictions + outcome.resident, ordinal,
     )
+
+
+def timing_passes(trace: DecodeTrace) -> int:
+    """Timing passes :class:`TraceReplayer` has run on ``trace`` so far:
+    one per distinct (cache behaviours, timing configuration)."""
+    return len(trace._replay_memo.get("timing", ()))
 
 
 class TraceReplayer:
@@ -294,7 +345,8 @@ class TraceReplayer:
         arc = memo.get(key)
         if arc is None:
             arc = memo[key] = _price_cache(
-                acc, self._arcs_base + arc_idx * ARC_BYTES, arc_at
+                acc, self._arcs_base + arc_idx * ARC_BYTES, arc_at,
+                memo.setdefault("arc-behaviours", []),
             )
         # Section IV-B: states below the boundary are located by the
         # comparator tree and never reach the State cache.
@@ -308,7 +360,7 @@ class TraceReplayer:
             fetched = states >= boundary
             state = memo[key] = _price_cache(
                 scc, self._states_base + states[fetched] * STATE_BYTES,
-                state_at, fetched,
+                state_at, memo.setdefault("state-behaviours", []), fetched,
             )
         # Token records are appended in improvement order: the j-th
         # backpointer write of the decode lands on record j.
@@ -320,8 +372,107 @@ class TraceReplayer:
                 tcc,
                 self._tokens_base
                 + np.arange(n_improve, dtype=np.int64) * TRACE_RECORD_BYTES,
-                arc_at, improved,
+                arc_at, memo.setdefault("token-behaviours", []), improved,
             )
+
+        # --- hash-table chain behaviour --------------------------------
+        hcfg = cfg.hash_table
+        key = ("hash", hcfg.num_entries, hcfg.backup_entries, hcfg.perfect)
+        schedule = memo.get(key)
+        if schedule is None:
+            schedule = memo[key] = self._hash_schedule(trace)
+        hash_collisions, hash_overflows, hash_base_cycles = schedule[4:]
+
+        # --- timing core, once per distinct behaviour ------------------
+        # Given the three units' outcome codes, the timing core reads only
+        # the configuration: of each cache, just ``perfect``.  Points
+        # whose caches behave identically (e.g. Arc caches that all hold
+        # the working set) share one pass; every other field, the hash
+        # table's included, stays in the key.
+        key = (
+            arc.behaviour, state.behaviour, token.behaviour,
+            replace(
+                cfg,
+                arc_cache=replace(_ANY_GEOMETRY, perfect=acc.perfect),
+                state_cache=replace(_ANY_GEOMETRY, perfect=scc.perfect),
+                token_cache=replace(_ANY_GEOMETRY, perfect=tcc.perfect),
+            ),
+        )
+        timings = memo.setdefault("timing", {})
+        timing = timings.get(key)
+        if timing is None:
+            timing = timings[key] = self._timing_pass(
+                trace, state, arc, token, schedule
+            )
+
+        # --- assemble statistics ---------------------------------------
+        stats = SimStats(frames=F)
+        stats.cycles = timing.cycles
+        stats.frame_cycles = list(timing.frame_cycles)
+        n_reads = len(trace.read_states)
+        stats.tokens_read = n_reads
+        stats.tokens_written = token.accesses
+        stats.arcs_processed = ne
+        stats.epsilon_arcs_processed = nz
+        stats.states_fetched = state.accesses
+        stats.states_direct = len(states) - state.accesses
+        stats.fp_adds = 2 * ne + nz
+        stats.fp_compares = n_reads + ne + nz
+        stats.acoustic_lookups = ne
+        stats.state_cache.accesses = state.accesses
+        stats.state_cache.misses = state.misses
+        stats.arc_cache.accesses = ne + nz
+        stats.arc_cache.misses = arc.misses
+        stats.token_cache.accesses = token.accesses
+        stats.token_cache.misses = token.misses
+        # Every token-record line is written, so each one evicted during
+        # the decode or flushed at its end (the CPU reads them to
+        # backtrack) is one write-back.
+        stats.token_cache.writebacks = token.writebacks
+        stats.hash.requests = ne + nz
+        stats.hash.total_cycles = hash_base_cycles + timing.hash_extra_cycles
+        stats.hash.collisions = hash_collisions
+        stats.hash.overflows = hash_overflows
+        for region, nbytes in (
+            ("states", state.misses * scc.line_bytes),
+            ("arcs", arc.misses * acc.line_bytes),
+            ("tokens", token.misses * tcc.line_bytes),
+            ("overflow", timing.overflow_bytes),
+            ("traceback", timing.traceback_read_bytes),
+        ):
+            if nbytes:
+                stats.traffic.add(region, nbytes, write=False)
+        if token.writebacks:
+            stats.traffic.add(
+                "tokens", token.writebacks * tcc.line_bytes, write=True
+            )
+        if timing.traceback_write_bytes:
+            stats.traffic.add(
+                "traceback", timing.traceback_write_bytes, write=True
+            )
+
+        return AcceleratorResult(
+            words=trace.words,
+            log_likelihood=trace.log_likelihood,
+            reached_final=trace.reached_final,
+            stats=stats,
+            search=_copy_search(trace.search),
+        )
+
+    # ------------------------------------------------------------------
+    def _timing_pass(
+        self,
+        trace: DecodeTrace,
+        state: _CachePricing,
+        arc: _CachePricing,
+        token: _CachePricing,
+        schedule: _HashSchedule,
+    ) -> _Timing:
+        """Run the pipeline timestamp recurrences over the whole decode."""
+        cfg = self.config
+        memo = trace._replay_memo
+        F = trace.num_frames
+        ehc, zhc, end_backup, posmaps = schedule[:4]
 
         # --- traceback-buffer commit schedule --------------------------
         # Windowed-traceback pricing (the design axis of
@@ -359,18 +510,6 @@ class TraceReplayer:
         else:
             tb_group_writes = tb_walk_counts = None
 
-        # --- hash-table chain behaviour --------------------------------
-        hcfg = cfg.hash_table
-        key = ("hash", hcfg.num_entries, hcfg.backup_entries, hcfg.perfect)
-        cached = memo.get(key)
-        if cached is None:
-            cached = self._hash_schedule(trace)
-            memo[key] = cached
-        (
-            ehc, zhc, end_backup, posmaps,
-            hash_collisions, hash_overflows, hash_base_cycles,
-        ) = cached
-
         # --- per-event payload lists (config-independent) --------------
         cached = memo.get("payload")
         if cached is None:
@@ -397,9 +536,9 @@ class TraceReplayer:
         escode, zscode = state.emit, state.eps
         eacode, zacode = arc.emit, arc.eps
         etcode, ztcode = token.emit, token.eps
-        sfill: List[int] = [0] if scc.perfect else []
-        afill: List[int] = [0] if acc.perfect else []
-        tfill: List[int] = [0] if tcc.perfect else []
+        sfill: List[int] = [0] if cfg.state_cache.perfect else []
+        afill: List[int] = [0] if cfg.arc_cache.perfect else []
+        tfill: List[int] = [0] if cfg.token_cache.perfect else []
         sfill_append = sfill.append
         afill_append = afill.append
         tfill_append = tfill.append
@@ -625,62 +764,13 @@ class TraceReplayer:
                     tb_retained = retained
             frame_cycles.append(cycle - fb)
 
-        # --- assemble statistics ---------------------------------------
-        stats = SimStats(frames=F)
-        stats.cycles = cycle
-        stats.frame_cycles = frame_cycles
-        n_reads = len(trace.read_states)
-        stats.tokens_read = n_reads
-        stats.tokens_written = token.accesses
-        stats.arcs_processed = ne
-        stats.epsilon_arcs_processed = nz
-        stats.states_fetched = state.accesses
-        stats.states_direct = len(states) - state.accesses
-        stats.fp_adds = 2 * ne + nz
-        stats.fp_compares = n_reads + ne + nz
-        stats.acoustic_lookups = ne
-        stats.state_cache.accesses = state.accesses
-        stats.state_cache.misses = state.misses
-        stats.arc_cache.accesses = ne + nz
-        stats.arc_cache.misses = arc.misses
-        stats.token_cache.accesses = token.accesses
-        stats.token_cache.misses = token.misses
-        # Every token-record line is written, so each one evicted during
-        # the decode or flushed at its end (the CPU reads them to
-        # backtrack) is one write-back.
-        stats.token_cache.writebacks = token.writebacks
-        stats.hash.requests = ne + nz
-        stats.hash.total_cycles = hash_base_cycles + hash_extra_cycles
-        stats.hash.collisions = hash_collisions
-        stats.hash.overflows = hash_overflows
-        for region, nbytes in (
-            ("states", state.misses * scc.line_bytes),
-            ("arcs", arc.misses * acc.line_bytes),
-            ("tokens", token.misses * tcc.line_bytes),
-            ("overflow", r_overflow),
-            ("traceback", r_traceback),
-        ):
-            if nbytes:
-                stats.traffic.add(region, nbytes, write=False)
-        if token.writebacks:
-            stats.traffic.add(
-                "tokens", token.writebacks * tcc.line_bytes, write=True
-            )
-        if w_traceback:
-            stats.traffic.add("traceback", w_traceback, write=True)
-
-        return AcceleratorResult(
-            words=trace.words,
-            log_likelihood=trace.log_likelihood,
-            reached_final=trace.reached_final,
-            stats=stats,
-            search=_copy_search(trace.search),
+        return _Timing(
+            cycle, tuple(frame_cycles), r_overflow, hash_extra_cycles,
+            r_traceback, w_traceback,
         )
 
     # ------------------------------------------------------------------
-    def _hash_schedule(
-        self, trace: DecodeTrace
-    ) -> Tuple[List[int], List[int], List[int], List[Optional[Dict[int, int]]], int, int, int]:
+    def _hash_schedule(self, trace: DecodeTrace) -> _HashSchedule:
         """Precompute the hash tables' chain behaviour for this config.
 
         The two per-frame tables alternate; "group" ``g`` is the insertion

@@ -555,6 +555,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"{len(result)} points in {result.elapsed_seconds:.2f}s "
           f"({result.trace_recordings} trace(s) recorded, "
           f"{result.trace_cache_hits} cache hit(s), "
+          f"{result.timing_passes} timing pass(es), "
           f"{result.processes} process(es))")
     header = (f"{'point':40s} {'cycles':>12s} {'decode s/s':>11s} "
               f"{'arc miss':>9s} {'hash c/r':>9s} {'power mW':>9s} "

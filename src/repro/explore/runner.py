@@ -11,10 +11,11 @@ returns rows ready for tables, JSON and CSV artifacts.
 This is the engine behind the ``bench_fig*`` / ``bench_ablation_*``
 parameter sweeps, ``examples/design_space.py`` and ``repro sweep``; a
 multi-point sweep costs one search, one LRU outcome pass per distinct
-cache geometry and one cheap timing pass per point instead of one full
-simulation per point (the ``accel_sweep`` workload of ``benchmarks/e2e``
-measures how fast; ``tests/test_explore.py`` holds a sweep to ten
-independent simulator runs, cycle for cycle).
+cache geometry and one cheap timing pass per distinct cache behaviour
+(``SweepResult.timing_passes``) instead of one full simulation per point
+(the ``accel_sweep`` workload of ``benchmarks/e2e`` measures how fast;
+``tests/test_explore.py`` holds a sweep to ten independent simulator
+runs, cycle for cycle).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.common.cpu import usable_cpus
 from repro.common.errors import ConfigError
 from repro.accel.config import AcceleratorConfig
-from repro.accel.replay import TraceReplayer
+from repro.accel.replay import TraceReplayer, timing_passes
 from repro.accel.stats import SimStats
 from repro.accel.trace import DecodeTrace
 from repro.acoustic.scorer import AcousticScores
@@ -131,6 +132,9 @@ class SweepResult:
     elapsed_seconds: float
     trace_recordings: int  #: functional searches run (vs. cache hits)
     trace_cache_hits: int
+    #: Timing passes run, over every trace and worker process: points
+    #: whose caches behave identically on a trace share one.
+    timing_passes: int
     processes: int
 
     def __len__(self) -> int:
@@ -152,6 +156,7 @@ class SweepResult:
             "elapsed_seconds": self.elapsed_seconds,
             "trace_recordings": self.trace_recordings,
             "trace_cache_hits": self.trace_cache_hits,
+            "timing_passes": self.timing_passes,
             "processes": self.processes,
             "points": self.rows(),
         }
@@ -194,25 +199,28 @@ def _evaluate(
     config: AcceleratorConfig,
     traces: Sequence[DecodeTrace],
     energy_model: AcceleratorEnergyModel,
-) -> Tuple[SimStats, SearchStats, float]:
+) -> Tuple[SimStats, SearchStats, float, int]:
+    """Price one point; also returns the timing passes this ran (0 when
+    every trace had already been timed under an equivalent point)."""
+    passes = -sum(timing_passes(t) for t in traces)
     replayer = TraceReplayer(graph, config, sorted_graph=sorted_graph)
     results = [replayer.replay(t) for t in traces]
+    passes += sum(timing_passes(t) for t in traces)
     stats = SimStats.merge([r.stats for r in results])
     search = SearchStats.merge([r.search for r in results])
     energy = sum(
         energy_model.energy(config, r.stats).total_j for r in results
     )
-    return stats, search, energy
+    return stats, search, energy, passes
 
 
 def _worker_evaluate(task):
     index, config, layout_id, trace_key = task
     graph, sorted_graph = _WORKER_STATE["layouts"][layout_id]
     traces = _WORKER_STATE["traces"][trace_key]
-    stats, search, energy = _evaluate(
+    return index, _evaluate(
         graph, sorted_graph, config, traces, _WORKER_STATE["energy_model"]
     )
-    return index, stats, search, energy
 
 
 class SweepRunner:
@@ -349,7 +357,7 @@ class SweepRunner:
         result_points = []
         for i, (overrides, label) in enumerate(zip(points, labels)):
             config, _layout_id, trace_key = plans[i]
-            stats, search, energy = outcomes[i]
+            stats, search, energy, _passes = outcomes[i]
             seconds = stats.seconds(config.frequency_hz)
             result_points.append(
                 SweepPoint(
@@ -378,6 +386,7 @@ class SweepRunner:
             elapsed_seconds=time.perf_counter() - t_start,
             trace_recordings=self.trace_cache.recordings - rec_before,
             trace_cache_hits=self.trace_cache.hits - hits_before,
+            timing_passes=sum(outcome[3] for outcome in outcomes),
             processes=self._effective_processes(len(points)),
         )
 
@@ -414,15 +423,15 @@ class SweepRunner:
             (i, config, layout_id, trace_key)
             for i, (config, layout_id, trace_key) in enumerate(plans)
         ]
-        outcomes: List[Optional[Tuple[SimStats, SearchStats, float]]]
+        outcomes: List[Optional[Tuple[SimStats, SearchStats, float, int]]]
         outcomes = [None] * len(plans)
         ctx = multiprocessing.get_context("fork")
         try:
             with ctx.Pool(processes=procs) as pool:
-                for index, stats, search, energy in pool.imap_unordered(
+                for index, outcome in pool.imap_unordered(
                     _worker_evaluate, tasks
                 ):
-                    outcomes[index] = (stats, search, energy)
+                    outcomes[index] = outcome
         finally:
             _WORKER_STATE = {}
         return outcomes

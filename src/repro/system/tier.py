@@ -270,7 +270,7 @@ class _WorkerHandle:
     """One shard: its process, duplex pipe, and load accounting."""
 
     __slots__ = (
-        "index", "process", "conn", "live", "inflight_frames",
+        "index", "process", "conn", "up", "live", "inflight_frames",
         "server_stats", "ring",
     )
 
@@ -278,6 +278,9 @@ class _WorkerHandle:
         self.index = index
         self.process = process
         self.conn = conn
+        #: False once the front door saw the shard refuse an open; a
+        #: down shard is never routed to again.
+        self.up = True
         self.live = 0                 #: sessions currently routed here
         self.inflight_frames = 0      #: shipped frames not yet acked
         self.server_stats: Optional[ServerStats] = None
@@ -608,9 +611,11 @@ class ServingTier:
             ConfigError: ``mode="features"`` on a tier built without a
                 ``scorer``, or an unknown mode.
             TierError: ``mode="features"`` after the scoring thread
-                failed (the message names the original exception), or
-                the chosen shard's pipe is gone (the message names the
-                session and the worker; nothing is counted).
+                failed (the message names the original exception), the
+                chosen shard's pipe is gone (the message names the
+                session and the worker; nothing is counted, and the
+                shard is marked down so the next open goes elsewhere), or
+                every shard is down.
         """
         if mode not in ("scores", "features"):
             raise ConfigError(f"unknown session mode {mode!r}")
@@ -631,7 +636,10 @@ class ServingTier:
                     f"serving tier at its admission limit ({limit} live "
                     f"sessions); retry after a session retires"
                 )
-            worker = min(self._workers, key=lambda w: (w.live, w.index))
+            up = [w for w in self._workers if w.up]
+            if not up:
+                raise TierError("no serving worker is up")
+            worker = min(up, key=lambda w: (w.live, w.index))
             sid = self._next_sid
             self._next_sid += 1
             # Nothing is counted until the shard has the open: a session
@@ -639,6 +647,7 @@ class ServingTier:
             try:
                 worker.conn.send(("open", sid))
             except (OSError, ValueError) as exc:
+                worker.up = False
                 raise TierError(
                     f"session {sid}: worker {worker.index} did not take "
                     f"the open ({type(exc).__name__}: {exc})"

@@ -208,6 +208,27 @@ class TestRunner:
             assert a.stats == b.stats
             assert a.energy_j == b.energy_j
 
+    def test_timing_passes_counted_across_the_fan_out(self, workload):
+        """Both Arc caches hold the working set, so each trace times once
+        per memory latency: 2 traces x 2 latencies, not 8.  Forked
+        children each keep their own memo, so they may repeat a pass, and
+        every pass any of them ran is counted."""
+        grid = ParameterGrid([
+            ("arc_cache.size_bytes", [256 * 1024, 1024 * 1024]),
+            ("mem_latency_cycles", [25, 50]),
+        ])
+        runner = SweepRunner(workload, trace_cache=TraceCache(), processes=1)
+        serial = runner.run(grid)
+        assert serial.timing_passes == 4
+        assert runner.run(grid).timing_passes == 0  # memo already warm
+        forked = SweepRunner(
+            workload, trace_cache=TraceCache(), processes=2
+        ).run(grid)
+        assert forked.processes == 2
+        assert 4 <= forked.timing_passes <= 8
+        for a, b in zip(serial.points, forked.points):
+            assert a.stats == b.stats
+
     def test_auto_sized_fan_out_respects_the_affinity_mask(
         self, workload, monkeypatch
     ):

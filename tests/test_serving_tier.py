@@ -272,7 +272,9 @@ class TestAdmissionAndBackpressure:
     ):
         """An open the dead shard never received used to raise a raw
         ``BrokenPipeError`` after it was counted: a phantom session
-        holding admission budget for ever."""
+        holding admission budget for ever.  The refusing shard then
+        stayed routable, so on a balanced tier every later open failed
+        with worker 1 healthy."""
         with make_tier(small_task, config, num_workers=2) as tier:
             for _ in range(4):
                 tier.open_session()
@@ -284,6 +286,30 @@ class TestAdmissionAndBackpressure:
             assert tier.live_sessions == 4
             assert [w.live for w in tier._workers] == [2, 2]
             assert tier.stats.sessions_admitted == 4
+
+            sid = tier.open_session()
+            assert tier.worker_of(sid) == 1
+            assert [w.live for w in tier._workers] == [2, 3]
+            scores = small_task.utterances[0].scores
+            tier.push(sid, scores)
+            tier.close_input(sid)
+            record = tier.result(sid, timeout=60)
+            expected = BatchDecoder(small_task.graph, config).decode(scores)
+            assert record.ok
+            assert record.result.words == expected.words
+            assert record.result.log_likelihood == expected.log_likelihood
+
+    def test_open_with_every_worker_down_is_typed(self, small_task, config):
+        with make_tier(small_task, config, num_workers=1) as tier:
+            dead = tier._workers[0]
+            os.kill(dead.process.pid, signal.SIGKILL)
+            dead.process.join(10)
+            with pytest.raises(TierError, match=r"session 0: worker 0"):
+                tier.open_session()
+            with pytest.raises(TierError, match="no serving worker is up"):
+                tier.open_session()
+            assert tier.live_sessions == 0
+            assert tier.stats.sessions_admitted == 0
 
     def test_backpressure_sheds_typed_and_retryable(
         self, small_task, config

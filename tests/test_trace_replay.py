@@ -26,9 +26,11 @@ from repro.accel import (
     TraceRecorder,
     TraceReplayer,
 )
+from repro.accel.replay import MISS, _issue_order, lru_outcomes, timing_passes
+from repro.accel.simulator import address_map
 from repro.datasets import SyntheticGraphConfig
 from repro.system import make_memory_workload
-from repro.wfst import sort_states_by_arc_count
+from repro.wfst import ARC_BYTES, STATE_BYTES, sort_states_by_arc_count
 
 BASE = AcceleratorConfig()
 
@@ -242,10 +244,36 @@ class TestTraceContract:
             DecodeTrace.load(path)
 
 
+def distinct_behaviours(workload, trace, configs):
+    """How many timing passes pricing ``configs`` on ``trace`` needs,
+    from the tag stores alone: one per distinct (Arc miss stream, State
+    miss stream, configuration without cache geometry).  A unit's line
+    stream is fixed by the trace, so its miss flags name its codes.
+    Flat layout, non-perfect caches and one Token cache only."""
+    states_base, arcs_base, _ = address_map(workload.graph)
+    _, _, states, arc_idx, _ = _issue_order(trace)
+
+    def misses(addresses, cache):
+        lines = addresses // cache.line_bytes
+        src = lru_outcomes(lines, cache.num_sets, cache.assoc).src
+        return (src == MISS).tobytes()
+
+    assert len({c.token_cache for c in configs}) == 1
+    return len({
+        (
+            misses(arcs_base + arc_idx * ARC_BYTES, c.arc_cache),
+            misses(states_base + states * STATE_BYTES, c.state_cache),
+            replace(c, arc_cache=BASE.arc_cache, state_cache=BASE.state_cache),
+        )
+        for c in configs
+    })
+
+
 class TestSharedTraceMemo:
     """Everything the replayer memoises on a trace is keyed by all of its
     inputs (REP003): a trace priced under many configurations, in any
-    order, prices each exactly as a freshly recorded trace would."""
+    order, prices each exactly as a freshly recorded trace would, and
+    runs one timing pass per distinct cache behaviour."""
 
     #: Shaped like ``benchmarks/e2e``'s ``ACCEL_GRID`` (6 Arc-cache sizes
     #: x prefetch off/on x 2 State-cache sizes), scaled to this graph.
@@ -260,8 +288,6 @@ class TestSharedTraceMemo:
         for prefetch in (False, True)
         for state_kib in (1, 4)
     ]
-    #: Smallest / largest Arc cache x prefetch off / on.
-    ORACLE_POINTS = (0, 2, 20, 22)
     #: Branches the grid does not reach, kept covered on the shared trace.
     EXTRAS = [
         replace(BASE, arc_cache=replace(BASE.arc_cache, perfect=True)),
@@ -293,11 +319,15 @@ class TestSharedTraceMemo:
             # SimStats equality covers frame_cycles, every traffic region
             # and token_cache.writebacks.
             assert_results_identical(alone[index], result)
+        # The perfect Arc cache and the small hash table time apart from
+        # every grid point.
+        assert timing_passes(shared) == distinct_behaviours(
+            workload, shared, self.GRID
+        ) + len(self.EXTRAS)
 
     def test_priced_alone_matches_the_simulator(self, workload, alone):
         configs = self.GRID + self.EXTRAS
-        extras = range(len(self.GRID), len(configs))
-        for index in (*self.ORACLE_POINTS, *extras):
+        for index in range(len(configs)):
             sim = AcceleratorSimulator(
                 workload.graph, configs[index], beam=workload.beam,
                 max_active=workload.max_active,
@@ -308,6 +338,57 @@ class TestSharedTraceMemo:
         overflowing = alone[-1].stats
         assert overflowing.hash.overflows > 0
         assert overflowing.traffic.region_bytes("overflow") > 0
+
+    def test_one_timing_pass_per_distinct_behaviour(self, workload):
+        """The Arc caches that hold the trace's working set miss once per
+        line, all in the same order: they share every timing pass, and
+        the grid runs fewer passes than it has points."""
+        trace = fresh_recorder(workload).record(workload.scores[0])
+        results = [
+            TraceReplayer(workload.graph, config).replay(trace)
+            for config in self.GRID
+        ]
+        lines = len(np.unique(
+            (address_map(workload.graph)[1] + _issue_order(trace)[3]
+             * ARC_BYTES) // 64
+        ))
+        holding = {
+            config.arc_cache.size_bytes
+            for config, result in zip(self.GRID, results)
+            if result.stats.arc_cache.misses == lines
+        }
+        assert len(holding) >= 2
+        expected = distinct_behaviours(workload, trace, self.GRID)
+        assert timing_passes(trace) == expected < len(self.GRID)
+
+    @pytest.mark.parametrize("change", [
+        {"mem_latency_cycles": 80},
+        {"prefetch_enabled": True},
+        {"frame_overhead_cycles": 0},
+        {"traceback_window_frames": 3},
+    ])
+    def test_a_timing_field_never_shares_a_pass(self, workload, change):
+        """Equal caches, one timing field apart: two passes, and the
+        second point prices as it would alone and in the simulator (which
+        prices only the append-only traceback buffer)."""
+        config = replace(BASE, **change)
+        recorder = fresh_recorder(workload)
+        shared = recorder.record(workload.scores[0])
+        TraceReplayer(workload.graph, BASE).replay(shared)
+        result = TraceReplayer(workload.graph, config).replay(shared)
+        assert timing_passes(shared) == 2
+        assert_results_identical(
+            TraceReplayer(workload.graph, config).replay(
+                recorder.record(workload.scores[0])
+            ),
+            result,
+        )
+        if not config.traceback_window_frames:
+            sim = AcceleratorSimulator(
+                workload.graph, config, beam=workload.beam,
+                max_active=workload.max_active,
+            )
+            assert_results_identical(sim.decode(workload.scores[0]), result)
 
     def test_equal_sets_and_lines_but_different_ways(self, workload):
         """32 sets of 64-byte lines, 2 against 4 ways: the outcome memo
