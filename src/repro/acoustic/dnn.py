@@ -125,9 +125,18 @@ class Dnn:
         return log_post, activations
 
     def log_posteriors(self, x: np.ndarray) -> np.ndarray:
-        """Log P(class | frame) for a batch of frames."""
-        log_post, _ = self.forward(x)
-        return log_post
+        """Log P(class | frame) for a batch of frames.
+
+        Evaluated :data:`EVAL_BLOCK_ROWS` rows at a time, so a pass over
+        a whole dataset holds one block's activations, not the dataset's;
+        bit-identical to one :meth:`forward` over every row, because the
+        forward pass is batch-stable."""
+        x = np.asarray(x)
+        out = np.empty((len(x), self.config.num_classes), dtype=self.dtype)
+        for start in range(0, len(x), EVAL_BLOCK_ROWS):
+            stop = start + EVAL_BLOCK_ROWS
+            out[start:stop] = self.forward(x[start:stop])[0]
+        return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Most likely class id (0-based) per frame."""
@@ -140,6 +149,10 @@ class Dnn:
 #: many frames were stacked into the call -- dgemm for a float64 net,
 #: sgemm for a float32 one, the argument is the same for both.
 GEMM_BLOCK_ROWS = 32
+
+#: Rows per block of :meth:`Dnn.log_posteriors` (and so of ``predict``
+#: and ``DnnScorer``): a whole multiple of :data:`GEMM_BLOCK_ROWS`.
+EVAL_BLOCK_ROWS = 32 * GEMM_BLOCK_ROWS
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

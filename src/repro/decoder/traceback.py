@@ -11,11 +11,12 @@ prefix every live hypothesis already agrees on and garbage-collects
 every record the live frontier can no longer reach:
 
 1. **Convergence** -- the lowest common ancestor of all live
-   backpointers in the prev-tree is found by the classic max-climb
-   (repeatedly replace the highest-indexed member with its predecessor;
-   parent indices are strictly smaller, so the climb terminates at the
-   LCA).  Every live path passes through that anchor, so the words on
-   the root-to-anchor path can never be retracted by any future frame.
+   backpointers in the prev-tree is found by a vectorised climb
+   (repeatedly replace every member but the lowest with its
+   predecessor; parent indices are strictly smaller, so the climb
+   terminates at the LCA).  Every live path passes through that
+   anchor, so the words on the root-to-anchor path can never be
+   retracted by any future frame.
 2. **Emit** -- those words are appended to the committed prefix exactly
    once (:attr:`TokenTrace.committed`).
 3. **Compact** -- records not reachable from the live frontier are
@@ -39,7 +40,6 @@ compaction preserves every record on every live path.
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -270,20 +270,20 @@ class TokenTrace:
         return idx_map[bps]
 
     def _lca(self, bps: np.ndarray) -> int:
-        """Lowest common ancestor of ``bps`` in the prev-tree.
+        """Lowest common ancestor of ``bps`` in the prev-tree, or ``-1``
+        when their chains reach distinct roots.
 
-        Max-climb on a heap: predecessor indices are strictly smaller
-        than their records' (append order), so repeatedly replacing the
-        highest member with its predecessor converges on the deepest
-        record every live path shares -- at worst the root (index 0).
+        Each step keeps the lowest member and replaces every other one
+        with its predecessor.  Predecessor indices are strictly smaller
+        than their records' (append order), so the lowest member is never
+        below the LCA and a member at the LCA is always the lowest: the
+        set shrinks to the deepest record every live path shares -- at
+        worst the root (index 0) -- in one vectorised step per level.
         """
-        heap = [-int(i) for i in np.unique(bps)]
-        heapq.heapify(heap)
+        members = np.unique(bps)
         prev = self._prev
-        while True:
-            top = heapq.heappop(heap)
-            while heap and heap[0] == top:
-                heapq.heappop(heap)  # lazy dedup of converged climbs
-            if not heap:
-                return -top
-            heapq.heappush(heap, -int(prev[-top]))
+        while len(members) > 1:
+            members = np.unique(
+                np.concatenate((members[:1], prev[members[1:]]))
+            )
+        return int(members[0])

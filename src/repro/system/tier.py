@@ -39,6 +39,11 @@ server-workload discussion assumes around the accelerator:
   which releases the plane slot.  The same transport carries
   :meth:`ServingTier.push` score chunks, so the per-push pickled matrix
   copy is gone from the scores path too.
+* **pipes** -- POSIX only: workers are forked, and each pipe end is a
+  :class:`_Pipe` polled through a ``select.poll`` object.  A worker
+  drains its pipe, sweeps once and sends **one reply per pass** (the
+  ALB's one handoff per buffer flip).  Every fork closes the front
+  door's pipe ends in the child, so workers exit with the front door.
 * **core budget** -- the paper's system (Sec. III-A, Fig. 1) is a
   two-stage pipeline in which the DNN and the Viterbi search each own a
   compute resource and meet only at the Acoustic Likelihood Buffer.  On
@@ -64,8 +69,10 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.util
 import os
 import pickle
+import select
 import shutil
 import tempfile
 import threading
@@ -101,11 +108,6 @@ from repro.system.server import (
 )
 from repro.wfst.io import load_graph_mmap, save_graph_mmap
 from repro.wfst.layout import CompiledWfst
-
-
-def _default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
 
 
 @dataclass(frozen=True)
@@ -266,18 +268,50 @@ class _TierSession:
         self.close_sent = False
 
 
+class _Pipe:
+    """One pipe end: a connection polled through a ``select.poll`` object
+    registered once (``Connection.poll`` builds a selector per call).  A
+    poll object refuses concurrent ``poll()`` calls, so one thread polls
+    an end: the worker's loop, or ``_pump`` under the tier lock.  A peer's
+    close polls ready, and ``recv`` then raises ``EOFError``."""
+
+    __slots__ = ("conn", "_poller")
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self._poller = select.poll()
+        self._poller.register(conn.fileno(), select.POLLIN)
+
+    def poll(self, timeout: Optional[float] = 0.0) -> bool:
+        """Wait up to ``timeout`` seconds (``None``: for ever) for input."""
+        return bool(self._poller.poll(None if timeout is None else int(timeout * 1e3)))
+
+    def send(self, obj) -> None:
+        self.conn.send(obj)
+
+    def send_bytes(self, payload: bytes) -> None:
+        self.conn.send_bytes(payload)
+
+    def recv(self):
+        return self.conn.recv()
+
+    def close(self) -> None:
+        self.conn.close()
+
+
 class _WorkerHandle:
     """One shard: its process, duplex pipe, and load accounting."""
 
     __slots__ = (
-        "index", "process", "conn", "up", "live", "inflight_frames",
+        "index", "process", "pipe", "conn", "up", "live", "inflight_frames",
         "server_stats", "ring",
     )
 
-    def __init__(self, index: int, process, conn) -> None:
+    def __init__(self, index: int, process, pipe: _Pipe) -> None:
         self.index = index
         self.process = process
-        self.conn = conn
+        self.pipe = pipe
+        self.conn = pipe.conn  #: polled only by result()'s unlocked wait
         #: False once the front door saw the shard refuse an open; a
         #: down shard is never routed to again.
         self.up = True
@@ -295,23 +329,20 @@ class _WorkerHandle:
 def _worker_main(conn, graph_dir, search_config, server_config) -> None:
     """Shard main loop: a StreamingServer fed by the front-door pipe.
 
-    Commands: ``("open", sid)``, ``("ring", name, plane_frames, width)``
-    (once, before the first push -- the worker attaches the front door's
-    shared-memory score planes), ``("push", sid, generation, offset,
-    frames)`` (a descriptor naming rows of the mapped segment; the score
-    matrix itself never crosses the pipe), ``("close", sid)``, and
-    ``("stop",)``.  Replies: ``("ack", sid, frames, generation)`` once a
-    chunk's rows have been *decoded* -- the ack releases both the front
-    door's backpressure budget and the chunk's ring slot, so a plane is
-    never overwritten under a zero-copy read -- ``("error", sid, type,
-    text)`` when a command fails (followed by an immediate ack, since the
-    rejected rows will never decode), ``("record", sid, SessionRecord)``
-    when a session retires, and one final ``("stats", ServerStats)``
-    before exit.
-
-    The loop blocks on the pipe only when no frames are buffered;
-    otherwise it polls and sweeps, so decode proceeds while the front
-    door is busy elsewhere.
+    ``conn`` is anything with ``poll``/``recv``/``send`` (a
+    :class:`_Pipe` in the worker process).  Commands: ``("open", sid)``,
+    ``("ring", name, plane_frames, width)`` (once, before the first push:
+    the front door's shared-memory score planes), ``("push", sid,
+    generation, offset, frames)`` (a descriptor naming rows of the mapped
+    segment), ``("close", sid)``, and ``("stop",)``.  Each pass drains
+    every queued command, steps the server once and sends at most one
+    ``("reply", errors, acks, records)``: ``(sid, type, text)`` per failed
+    command, ``(sid, frames, generation)`` per chunk *decoded* or rejected
+    -- releasing its backpressure budget and ring slot, so a plane is
+    never overwritten under a zero-copy read -- and ``(sid,
+    SessionRecord)`` per retired session.  ``("stats", ServerStats)``
+    comes last.  The loop blocks on the pipe only when no frames are
+    buffered, and ends quietly if the front door is gone.
     """
     graph = load_graph_mmap(graph_dir)
     server = StreamingServer(graph, search_config, server_config)
@@ -325,6 +356,48 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
     # count reaches its threshold (or the session retired).
     accepted: Dict[int, int] = {}
     ledger: Dict[int, Deque[Tuple[int, int, int]]] = {}
+    # This pass's reply.
+    errors: List[Tuple[int, str, str]] = []
+    acks: List[Tuple[int, int, int]] = []
+    records: List[Tuple[int, SessionRecord]] = []
+
+    def command(msg) -> None:
+        nonlocal ring, running
+        op = msg[0]
+        if op == "open":
+            ext = msg[1]
+            try:
+                isid = server.open_session()
+            except ReproError as exc:
+                errors.append((ext, type(exc).__name__, str(exc)))
+            else:
+                to_internal[ext] = isid
+                to_external[isid] = ext
+        elif op == "ring":
+            ring = ScorePlaneView(msg[1], msg[2], msg[3])
+        elif op == "push":
+            ext, generation, offset, frames = msg[1], msg[2], msg[3], msg[4]
+            try:
+                if ring is None:
+                    raise TierError("push descriptor before ring announcement")
+                server.push(to_internal[ext], ring.rows(generation, offset, frames))
+            except (KeyError, ReproError) as exc:
+                errors.append((ext, type(exc).__name__, str(exc)))
+                acks.append((ext, frames, generation))
+            else:
+                accepted[ext] = accepted.get(ext, 0) + frames
+                ledger.setdefault(ext, deque()).append(
+                    (generation, frames, accepted[ext])
+                )
+        elif op == "close":
+            try:
+                server.close_input(to_internal[msg[1]])
+            except (KeyError, ReproError):
+                pass  # already retired; its record is shipped below
+        elif op == "stop":
+            running = False  # every admitted session still gets a record
+            for isid in server.live_session_ids:
+                server.close_input(isid)
 
     def ship_finished() -> None:
         # The server hands each retirement over once, so this costs the
@@ -333,7 +406,7 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
             ext = to_external[isid]
             record = server.result(isid)
             record.stats.session_id = ext
-            conn.send(("record", ext, dataclasses.replace(record, session_id=ext)))
+            records.append((ext, dataclasses.replace(record, session_id=ext)))
 
     def release_consumed() -> None:
         for ext in list(ledger):
@@ -348,83 +421,35 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
                 if not done and server.is_live(isid):
                     break
                 queue.popleft()
-                conn.send(("ack", ext, frames, generation))
+                acks.append((ext, frames, generation))
             if not queue:
                 del ledger[ext]
 
-    while True:
-        idle = server.pending_frames == 0
-        if conn.poll(None if (idle and running) else 0):
-            try:
-                msg = conn.recv()
-            except EOFError:
-                break
-            op = msg[0]
-            if op == "open":
-                ext = msg[1]
-                try:
-                    isid = server.open_session()
-                except ReproError as exc:
-                    conn.send(("error", ext, type(exc).__name__, str(exc)))
-                else:
-                    to_internal[ext] = isid
-                    to_external[isid] = ext
-            elif op == "ring":
-                ring = ScorePlaneView(msg[1], msg[2], msg[3])
-            elif op == "push":
-                ext, generation, offset, frames = msg[1], msg[2], msg[3], msg[4]
-                if ring is None:
-                    conn.send((
-                        "error", ext, "TierError",
-                        "push descriptor before ring announcement",
-                    ))
-                    conn.send(("ack", ext, frames, generation))
-                    continue
-                matrix = ring.rows(generation, offset, frames)
-                try:
-                    server.push(to_internal[ext], matrix)
-                except (KeyError, ReproError) as exc:
-                    conn.send(("error", ext, type(exc).__name__, str(exc)))
-                    conn.send(("ack", ext, frames, generation))
-                else:
-                    accepted[ext] = accepted.get(ext, 0) + frames
-                    ledger.setdefault(ext, deque()).append(
-                        (generation, frames, accepted[ext])
-                    )
-            elif op == "close":
-                ext = msg[1]
-                try:
-                    server.close_input(to_internal[ext])
-                except (KeyError, ReproError):
-                    pass  # already retired; its record is shipped below
-                if not server.pending_frames:
-                    # The buffer drained before the close arrived, so no
-                    # sweep is due -- and sessions retire only inside
-                    # step(): without this one the loop would block on
-                    # the pipe holding a closed, never-retired session.
-                    server.step()
-            elif op == "stop":
-                running = False
-        elif server.pending_frames:
-            server.step()
+    while running or server.pending_frames:
+        wait = None if running and not server.pending_frames else 0
+        try:
+            while conn.poll(wait):
+                command(conn.recv())
+                wait = 0
+        except EOFError:
+            break  # the front door is gone
+        # Sessions retire only inside step(): a pass steps even with no
+        # frames buffered, so a close that found them decoded retires.
+        server.step()
         ship_finished()
         release_consumed()
-        if not running and not server.pending_frames:
-            # Shutdown: close whatever input is still open so every
-            # admitted session gets a terminal record.
-            for isid in list(to_external):
-                if server.is_live(isid):
-                    try:
-                        server.close_input(isid)
-                    except ReproError:
-                        pass
-            server.drain()
-            ship_finished()
-            release_consumed()
-            break
+        if errors or acks or records:
+            try:
+                conn.send(("reply", errors, acks, records))
+            except OSError:
+                break  # the front door is gone
+            errors, acks, records = [], [], []
     if ring is not None:
         ring.close()
-    conn.send(("stats", server.stats))
+    try:
+        conn.send(("stats", server.stats))
+    except OSError:
+        pass  # nobody is left to read them
     conn.close()
 
 
@@ -570,20 +595,23 @@ class ServingTier:
             )
         self.stats.blas_threads = self._blas.threads()
 
-        ctx = multiprocessing.get_context(_default_start_method())
+        ctx = multiprocessing.get_context("fork")
         shard_config = ServerConfig(max_batch=tier_config.max_batch)
         self._workers: List[_WorkerHandle] = []
         for index in range(tier_config.num_workers):
             parent_conn, child_conn = ctx.Pipe()
+            # A child would inherit this end, its own peer's included, and
+            # outlive the front door waiting on it: every later fork closes it.
+            multiprocessing.util.register_after_fork(parent_conn, type(parent_conn).close)
             process = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, graph_dir, search_config, shard_config),
+                args=(_Pipe(child_conn), graph_dir, search_config, shard_config),
                 daemon=True,
                 name=f"repro-tier-worker-{index}",
             )
             process.start()
             child_conn.close()
-            self._workers.append(_WorkerHandle(index, process, parent_conn))
+            self._workers.append(_WorkerHandle(index, process, _Pipe(parent_conn)))
 
         if self._batch_scorer is not None:
             self._score_thread = threading.Thread(
@@ -645,7 +673,7 @@ class ServingTier:
             # Nothing is counted until the shard has the open: a session
             # it never received would hold admission budget for ever.
             try:
-                worker.conn.send(("open", sid))
+                worker.pipe.send(("open", sid))
             except (OSError, ValueError) as exc:
                 worker.up = False
                 raise TierError(
@@ -782,7 +810,7 @@ class ServingTier:
             worker.ring = ring = ScorePlaneRing(
                 self._plane_frames, self._frame_width
             )
-            worker.conn.send(
+            worker.pipe.send(
                 ("ring", ring.name, ring.plane_frames, self._frame_width)
             )
         return worker.ring
@@ -851,7 +879,7 @@ class ServingTier:
             ("push", session_id, generation, offset, frames),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        worker.conn.send_bytes(payload)
+        worker.pipe.send_bytes(payload)
         if not reserved:
             worker.inflight_frames += frames
         self.stats.frames_shipped += frames
@@ -905,7 +933,7 @@ class ServingTier:
                 if not session.close_sent:
                     session.closed = session.close_sent = True
                     try:
-                        worker.conn.send(("close", session.sid))
+                        worker.pipe.send(("close", session.sid))
                     except (OSError, ValueError):
                         pass  # the worker died; nothing left to retire
                 self._finish(session.sid, SessionRecord(
@@ -1017,7 +1045,7 @@ class ServingTier:
             and session.record is None
         ):
             session.close_sent = True
-            session.worker.conn.send(("close", session.sid))
+            session.worker.pipe.send(("close", session.sid))
 
     def close_input(self, session_id: int) -> None:
         """Mark end of stream; the shard retires the session after its
@@ -1031,7 +1059,7 @@ class ServingTier:
                 session.closed = True
                 if session.unscored_frames == 0:
                     session.close_sent = True
-                    session.worker.conn.send(("close", session_id))
+                    session.worker.pipe.send(("close", session_id))
 
     def result(self, session_id: int, timeout: Optional[float] = None) -> SessionRecord:
         """Block until the session's terminal record arrives back.
@@ -1068,7 +1096,9 @@ class ServingTier:
             # Wait for the shard's next reply with the lock released: a
             # caller that slept on the pipe while holding it re-took the
             # (unfair) lock every 50 ms and starved the scoring thread
-            # and every other front-door caller for minutes.
+            # and every other front-door caller for minutes.  It polls the
+            # connection itself: the pipe's poll object is _pump's, and
+            # refuses a poll() concurrent with one under the lock.
             try:
                 conn.poll(0.05)
             except OSError:
@@ -1171,7 +1201,7 @@ class ServingTier:
             with self._lock:
                 for worker in self._workers:
                     try:
-                        worker.conn.send(("stop",))
+                        worker.pipe.send(("stop",))
                     except (OSError, ValueError):
                         pass
                 deadline = time.monotonic() + timeout
@@ -1186,7 +1216,7 @@ class ServingTier:
                     if worker.process.is_alive():
                         worker.process.terminate()
                         worker.process.join(1.0)
-                    worker.conn.close()
+                    worker.pipe.close()
                     if worker.ring is not None:
                         worker.ring.close()
                         worker.ring = None
@@ -1226,27 +1256,28 @@ class ServingTier:
             timeout = 0.05 if worker is block_worker else 0
             while True:
                 try:
-                    if not worker.conn.poll(timeout):
+                    if not worker.pipe.poll(timeout):
                         break
-                    msg = worker.conn.recv()
+                    msg = worker.pipe.recv()
                 except (EOFError, OSError):
                     break
                 timeout = 0
-                kind = msg[0]
-                if kind == "ack":
+                if msg[0] == "stats":
+                    worker.server_stats = msg[1]
+                    continue
+                _, errors, acks, records = msg
+                for sid, kind, text in errors:
+                    session = self._sessions.get(sid)
+                    if session is not None and session.record is None:
+                        session.remote_error = f"{kind}: {text}"
+                for _, frames, generation in acks:
                     worker.inflight_frames = max(
-                        0, worker.inflight_frames - msg[2]
+                        0, worker.inflight_frames - frames
                     )
                     if worker.ring is not None:
-                        worker.ring.release(msg[3])
-                elif kind == "record":
-                    self._finish(msg[1], msg[2])
-                elif kind == "error":
-                    session = self._sessions.get(msg[1])
-                    if session is not None and session.record is None:
-                        session.remote_error = f"{msg[2]}: {msg[3]}"
-                elif kind == "stats":
-                    worker.server_stats = msg[1]
+                        worker.ring.release(generation)
+                for sid, record in records:
+                    self._finish(sid, record)
 
     def _finish(self, session_id: int, record: SessionRecord) -> None:
         session = self._sessions.get(session_id)

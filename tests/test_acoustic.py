@@ -1,5 +1,7 @@
 """Tests for the DNN acoustic model, trainer, and scorers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.acoustic import (
     TrainConfig,
     train_dnn,
 )
-from repro.acoustic.dnn import GEMM_BLOCK_ROWS, _affine
+from repro.acoustic.dnn import EVAL_BLOCK_ROWS, GEMM_BLOCK_ROWS, _affine
 from repro.acoustic.trainer import _backward
 from repro.common.cpu import BlasPool
 from repro.frontend import PhoneAlignment
@@ -47,6 +49,41 @@ class TestDnnForward:
             DnnConfig(input_dim=0, hidden_dims=(4,), num_classes=3)
         with pytest.raises(ConfigError):
             DnnConfig(input_dim=4, hidden_dims=(0,), num_classes=3)
+
+
+class TestBlockedEvaluation:
+    """``log_posteriors`` walks the rows in fixed blocks; a dataset-wide
+    ``predict`` held every layer's activations for every row at once."""
+
+    ROWS = 3 * EVAL_BLOCK_ROWS + 77  # several blocks plus a tail
+
+    def test_blocked_equals_one_forward_bitwise(self):
+        assert EVAL_BLOCK_ROWS % GEMM_BLOCK_ROWS == 0
+        net = Dnn(DnnConfig(24, (64, 64), 9), seed=5)
+        x = np.random.default_rng(1).normal(size=(self.ROWS, 24))
+        for model in (net, net.astype(np.float32)):
+            whole, _ = model.forward(x)
+            blocked = model.log_posteriors(x)
+            assert blocked.dtype == whole.dtype
+            np.testing.assert_array_equal(blocked, whole)
+            np.testing.assert_array_equal(
+                model.predict(x), np.argmax(whole, axis=1)
+            )
+
+    def test_predict_holds_one_block_of_activations(self):
+        net = Dnn(DnnConfig(40, (256, 256), 40), seed=2)
+        rows = 8 * EVAL_BLOCK_ROWS + 77
+        x = np.random.default_rng(3).normal(size=(rows, 40))
+        # One hidden layer's activations for every row: less than a
+        # single forward over the whole batch holds at once.
+        one_layer = rows * 256 * x.itemsize
+        tracemalloc.start()
+        try:
+            net.predict(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_layer
 
 
 class TestGradients:

@@ -8,14 +8,21 @@ of the fleet undisturbed.
 """
 
 import asyncio
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import repro
 from repro.acoustic import AcousticScores
 from repro.common.errors import (
     AdmissionError,
@@ -29,7 +36,7 @@ from repro.system import ServingTier, TierConfig
 from repro.system import tier as tier_module
 from repro.system.score_ring import ScorePlaneRing
 from repro.system.server import ServerConfig, StreamingServer
-from repro.system.tier import _worker_main
+from repro.system.tier import _Pipe, _worker_main
 from repro.wfst import save_graph_mmap
 
 
@@ -83,6 +90,49 @@ class _ScriptedConn:
         pass
 
 
+class TestPipe:
+    @pytest.fixture()
+    def ends(self):
+        a, b = multiprocessing.Pipe()
+        ends = _Pipe(a), _Pipe(b)
+        yield ends
+        for end in ends:
+            end.close()
+
+    def test_poll_zero_reports_what_is_waiting(self, ends):
+        a, b = ends
+        assert not b.poll(0)
+        a.send(("open", 1))
+        assert b.poll(0)
+        assert b.recv() == ("open", 1)
+        assert not b.poll(0)
+
+    def test_poll_none_returns_on_data(self, ends):
+        a, b = ends
+        timer = threading.Timer(0.1, a.send, (("stop",),))
+        timer.start()
+        try:
+            assert b.poll(None)
+            assert b.recv() == ("stop",)
+        finally:
+            timer.join()
+
+    def test_peer_close_reads_ready_then_end_of_file(self, ends):
+        a, b = ends
+        a.close()
+        assert b.poll(0)
+        assert b.poll(None)
+        with pytest.raises(EOFError):
+            b.recv()
+
+
+def replied(messages, part):
+    """The ``part`` entries (``"errors"``, ``"acks"`` or ``"records"``)
+    of every ``("reply", errors, acks, records)`` in ``messages``."""
+    index = ("errors", "acks", "records").index(part) + 1
+    return [e for m in messages if m[0] == "reply" for e in m[index]]
+
+
 class TestWorkerLoop:
     def test_close_arriving_after_the_buffer_drained_retires_the_session(
         self, tmp_path, small_task, config, oneshot
@@ -110,12 +160,12 @@ class TestWorkerLoop:
         finally:
             ring.close()
         # Every frame was decoded and acked before the close was delivered...
-        assert ("ack", 7, frames, generation) in conn.sent_before["close"]
+        assert (7, frames, generation) in replied(conn.sent_before["close"], "acks")
         # ... and its record left before anything else arrived.
-        records = [m for m in conn.sent_before["stop"] if m[0] == "record"]
-        assert [m[1] for m in records] == [7]
-        assert records[0][2].result.words == oneshot[0].words
-        assert records[0][2].result.log_likelihood == oneshot[0].log_likelihood
+        records = replied(conn.sent_before["stop"], "records")
+        assert [sid for sid, _ in records] == [7]
+        assert records[0][1].result.words == oneshot[0].words
+        assert records[0][1].result.log_likelihood == oneshot[0].log_likelihood
         assert conn.sent[-1][0] == "stats"
 
     def test_shipping_records_does_not_rewalk_finished_sessions(
@@ -153,13 +203,42 @@ class TestWorkerLoop:
             _worker_main(conn, directory, config, ServerConfig())
         finally:
             ring.close()
-        records = [m for m in conn.sent if m[0] == "record"]
-        assert sorted(m[1] for m in records) == list(range(sessions))
-        for message in records:
-            assert message[2].session_id == message[1]
-            assert message[2].result.words == oneshot[0].words
-            assert message[2].result.log_likelihood == oneshot[0].log_likelihood
+        records = replied(conn.sent, "records")
+        assert sorted(sid for sid, _ in records) == list(range(sessions))
+        for sid, record in records:
+            assert record.session_id == sid
+            assert record.result.words == oneshot[0].words
+            assert record.result.log_likelihood == oneshot[0].log_likelihood
         assert len(walked) == len(set(walked)) == len(records) == sessions
+
+    def test_queued_pushes_share_one_sweep_and_one_reply(
+        self, tmp_path, small_task, config
+    ):
+        """The loop handled one command per iteration and sent one ack
+        message per chunk.  It drains the pipe first: pushes queued
+        before a pass decode in one sweep and come back as one reply
+        holding their acks in push order."""
+        directory = save_graph_mmap(small_task.graph, str(tmp_path / "g.mmap"))
+        row = small_task.utterances[0].scores.matrix[:1]
+        sessions = 5
+        ring = ScorePlaneRing(plane_frames=sessions, width=row.shape[1])
+        try:
+            script = [("ring", ring.name, sessions, row.shape[1])]
+            script += [("open", sid) for sid in range(sessions)]
+            acks = []
+            for sid in (3, 1, 4, 0, 2):
+                generation, offset, rows = ring.try_alloc(1)
+                rows[:] = row
+                script.append(("push", sid, generation, offset, 1))
+                acks.append((sid, 1, generation))
+            conn = _ScriptedConn(now=script, when_idle=[("stop",)])
+            _worker_main(conn, directory, config, ServerConfig())
+        finally:
+            ring.close()
+        assert conn.sent_before["stop"] == [("reply", [], acks, [])]
+        stats = conn.sent[-1][1]
+        assert (stats.sweeps, stats.frames_decoded) == (1, sessions)
+        assert len(replied(conn.sent, "records")) == sessions
 
 
 class TestEquivalence:
@@ -366,6 +445,34 @@ class TestAdmissionAndBackpressure:
             assert spy.held_while_waiting  # it did wait on the pipe ...
             assert not any(spy.held_while_waiting)  # ... never under the lock
 
+    def test_concurrent_result_waits_while_another_thread_pushes(
+        self, small_task, config, oneshot
+    ):
+        """The pipe's poll object refuses concurrent ``poll()`` calls,
+        and ``result()`` waits outside the lock, so its wait must not go
+        through that object: two callers wait on one shard while a third
+        pushes, and every wait ends in its session's record."""
+        utts = small_task.utterances[:2]
+        with make_tier(small_task, config, num_workers=1) as tier:
+            sids = [tier.open_session() for _ in utts]
+
+            def feed():
+                for sid, utt in zip(sids, utts):
+                    matrix = utt.scores.matrix
+                    for start in range(0, len(matrix), 4):
+                        tier.push(sid, matrix[start: start + 4])
+                        time.sleep(0.002)
+                    tier.close_input(sid)
+
+            with ThreadPoolExecutor(3) as pool:
+                waits = [pool.submit(tier.result, sid, 20) for sid in sids]
+                pool.submit(feed).result()
+                records = [wait.result() for wait in waits]
+        for expected, record in zip(oneshot, records):
+            assert record.ok, record.error
+            assert record.result.words == expected.words
+            assert record.result.log_likelihood == expected.log_likelihood
+
 
 class TestErrors:
     def test_requires_exactly_one_graph_source(self, small_task):
@@ -475,6 +582,62 @@ class TestErrors:
         with pytest.raises(TierError, match="shut down"):
             tier.open_session()
         tier.shutdown()  # idempotent
+
+
+def _running(pid):
+    """Whether ``pid`` is a process that has not exited (an unreaped
+    zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestFrontDoorDeath:
+    def test_workers_exit_when_the_front_door_is_killed(
+        self, small_task, tmp_path
+    ):
+        """Worker k was forked while the front door held the parent ends
+        of pipes 0..k, its own peer's included, so a killed front door
+        left every worker blocked on a pipe that never reached end of
+        file.  Each fork now closes those ends in the child."""
+        graph_dir = save_graph_mmap(small_task.graph, str(tmp_path / "g.mmap"))
+        script = (
+            "import sys, time\n"
+            "from repro.system import ServingTier, TierConfig\n"
+            "tier = ServingTier(graph_dir=sys.argv[1],"
+            " tier_config=TierConfig(num_workers=2))\n"
+            "print(*(w.process.pid for w in tier._workers), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        front = subprocess.Popen(
+            [sys.executable, "-c", script, graph_dir],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in front.stdout.readline().split()]
+            assert len(pids) == 2
+            front.kill()
+            front.wait(10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+            # Every writer of the front door's stderr is gone, so this
+            # reads to end of file: the workers exited without a word.
+            assert "Traceback" not in front.stderr.read()
+        finally:
+            front.kill()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
+            front.wait(10)
+            front.stdout.close()
+            front.stderr.close()
 
 
 class TestGraphDirectory:

@@ -13,10 +13,12 @@ backend,
 
 Plus unit pins for the buffer itself (append growth, backtrack,
 commit/compaction arithmetic, the 32-bit record and its limits), a
-differential test against a list-of-tuples reference trace, and the
-``_PrefixView`` stats snapshot.
+differential test against a list-of-tuples reference trace, the commit
+anchor against the heap max-climb, and the ``_PrefixView`` stats
+snapshot.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -513,6 +515,52 @@ class TestTraceAgainstListReference:
             assert list(trace.committed) == ref.committed
             for bp in live:
                 assert trace.backtrack(bp) == ref.path(bp)
+
+
+def heap_lca(prev, bps):
+    """The reference anchor: the max-climb on a heap -- pop the highest
+    member, push its predecessor, until one member is left (``-1`` once
+    distinct roots' chains have climbed past them)."""
+    heap = [-int(i) for i in np.unique(bps)]
+    heapq.heapify(heap)
+    while True:
+        top = heapq.heappop(heap)
+        while heap and heap[0] == top:
+            heapq.heappop(heap)  # climbs that met
+        if not heap:
+            return -top
+        heapq.heappush(heap, -int(prev[-top]))
+
+
+class TestLcaAgainstHeapClimb:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_appends_and_commits(self, data):
+        """Any subset of the live frontier, on one root or several,
+        before and after compactions, anchors where the heap climb
+        does."""
+        trace = TokenTrace(commit_interval=1)
+        roots = data.draw(st.integers(1, 3))
+        live = trace.append_bulk(
+            np.full(roots, -1, dtype=np.int64), np.zeros(roots, dtype=np.int64)
+        ).tolist()
+        for frame in range(data.draw(st.integers(1, 12))):
+            bps = np.array(
+                data.draw(st.lists(st.sampled_from(live), min_size=1, max_size=8)),
+                dtype=np.int64,
+            )
+            assert trace._lca(bps) == heap_lca(trace._prev, bps)
+            if data.draw(st.booleans()):
+                live = trace.commit(np.array(live, dtype=np.int64), frame).tolist()
+                continue
+            n = data.draw(st.integers(1, 6))
+            prevs = data.draw(st.lists(st.sampled_from(live), min_size=n, max_size=n))
+            idx = trace.append_bulk(
+                np.array(prevs, dtype=np.int64), np.ones(n, dtype=np.int64)
+            )
+            live = data.draw(
+                st.lists(st.sampled_from(live + idx.tolist()), min_size=1, unique=True)
+            )
 
 
 class TestPrefixView:
