@@ -560,7 +560,7 @@ class TestTierFeaturesMode:
         assert fake_blas.threads == 8
 
     def test_core_budget_restored_when_start_up_fails_after_lowering(
-        self, audio_task, config, two_cores, fake_blas, monkeypatch
+        self, audio_task, config, two_cores, fake_blas, monkeypatch, tmp_path
     ):
         def no_processes(method):
             raise OSError("cannot fork")
@@ -568,6 +568,9 @@ class TestTierFeaturesMode:
         monkeypatch.setattr(
             tier_module.multiprocessing, "get_context", no_processes
         )
+        # A temp root of its own: directories other processes left in the
+        # shared one say nothing about this tier.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with pytest.raises(OSError, match="cannot fork"):
             self.tier(audio_task, config)
         assert fake_blas.sets == [1, 8]
