@@ -102,18 +102,20 @@ class TokenHashTable:
         self.stats.total_cycles += cycles
         return done, cycles
 
-    def read_cost(self, time: int, state: int) -> Tuple[int, int]:
+    def read_cost(self, time: int, state: int) -> Tuple[int, bool]:
         """Cost of the State Issuer reading this token next frame.
 
         Walking the global linked list is one cycle per token; entries that
-        overflowed to memory pay the DRAM latency again.
+        overflowed to memory pay the DRAM latency again.  Returns
+        ``(done_time, spilled)``: ``spilled`` marks a read that went to the
+        Overflow Buffer in main memory.
         """
         if self.config.perfect:
-            return time + 1, 1
+            return time + 1, False
         pos = self._chain_pos.get(state, 0)
         if pos > 0 and self._backup_used > self.config.backup_entries:
             done = self.memory.request(
                 time, Region.OVERFLOW, OVERFLOW_ENTRY_BYTES
             )
-            return done, done - time
-        return time + 1, 1
+            return done, True
+        return time + 1, False

@@ -31,26 +31,35 @@ REP003's, see ``docs/INVARIANTS.md``):
   stores are simulated once per ``(line_bytes, num_sets, assoc)`` (plus
   the Section IV-B direct boundary for the State cache, which decides
   which states reach it at all) and yield, per access, "miss" or the miss
-  whose fill the hit waits on;
-* a **timing core** that carries only what is genuinely time-dependent --
-  one flat fill-time list per cache, the memory controller's in-flight
-  window and the pipeline timestamp recurrences -- in one tight loop per
-  frame.  It is memoised too: it reads the outcome codes and, of the
-  configuration, everything but the cache geometries.
+  whose fill the hit waits on.  A cache no set of which ever sees more
+  lines than it has ways is priced with numpy alone, and otherwise only
+  the first access of each run to one line is simulated;
+* a **timing core** that prices one **pipeline pass** at a time: epsilon
+  pass 0, then each frame's emit pass and epsilon pass.  A pass ends only
+  once the pipeline has drained (the two hash tables swap between frames;
+  :func:`repro.accel.simulator._pass_end`), so no pass inherits a request
+  in flight: a hit on a line filled before the pass is a plain hit, and
+  the memory controller's window starts empty.  A pass's cycles, overflow
+  bytes and extra hash cycles therefore depend only on the configuration
+  without its caches, the pass index and the pass's three
+  pass-relative code lists, and are memoised under exactly that key; a
+  decode's cycles are its passes' sum plus frame overhead and traceback
+  commits.
 
 Grid points that differ only in prefetching, DRAM latency, issuer depths
-or *another* cache's geometry share every outcome pass.  Two points share
-a timing pass when each unit's outcome codes are equal (a geometry whose
-codes equal an earlier one's reuses that code object) and their
-configurations differ in nothing but cache geometry -- e.g. Arc caches
-that all hold the trace's working set, missing once per line in the same
-order.  The 24-point Arc size x prefetch x State size grid of
-``benchmarks/e2e`` runs 6 + 2 + 1 LRU simulations and 16 timing passes
-per trace for 24 points: its 1, 2 and 4 MiB Arc caches behave
-identically.  A multi-point design-space sweep then costs one functional
-search, one outcome pass per distinct cache geometry and one cheap timing
-pass per distinct behaviour (:func:`timing_passes` counts them);
-:mod:`repro.explore` builds on this.
+or *another* cache's geometry share every outcome pass.  Points whose
+caches behave identically (each unit's issue-order codes equal, e.g. Arc
+caches that all hold the trace's working set) and whose configurations
+differ in nothing but their caches share every pipeline pass, and points
+that differ only in a cache still share each pass on which its codes
+agree.  The 24-point Arc size x prefetch x State size grid
+of ``benchmarks/e2e`` runs 6 + 2 + 1 LRU simulations per trace (5 of them
+without an eviction) and 16 distinct behaviours (:func:`timing_passes`
+counts them; its 1, 2 and 4 MiB Arc caches behave identically), which
+look up 16 x 49 pipeline passes and price about 380-430 of them.  A
+multi-point design-space sweep then costs one functional search, one
+outcome pass per distinct cache geometry and one cheap timing pass per
+distinct pipeline pass; :mod:`repro.explore` builds on this.
 """
 
 from __future__ import annotations
@@ -73,11 +82,14 @@ from repro.wfst.layout import ARC_BYTES, STATE_BYTES, CompiledWfst
 from repro.wfst.sorted_layout import SortedWfst
 
 #: Outcome code of an access that misses (its fill time is appended to the
-#: cache's fill list; every other non-negative code indexes that list).
+#: pass's fill list; every non-negative code indexes that list).
 MISS = -1
 #: Outcome code of an issue slot that never reaches the cache: a Section
 #: IV-B direct-lookup state, or an arc whose relaxation wrote no token.
 _SKIP = -2
+#: Outcome code of a hit on a line filled before the pass began, whose fill
+#: has therefore landed: every access of a perfect cache.
+_RESIDENT = -3
 
 
 class LruOutcome(NamedTuple):
@@ -101,13 +113,34 @@ def lru_outcomes(lines: np.ndarray, num_sets: int, assoc: int) -> LruOutcome:
     (:mod:`repro.accel.cache`) depend only on that order, so the result is
     valid under every timing configuration; all a timed replay still needs
     per hit is *which* miss filled the line (the hit waits for that fill).
+
+    Two exact shortcuts: when no set ever receives more than ``assoc``
+    distinct lines nothing is evicted, so first touches miss in
+    first-touch order and every later access hits its line's fill; and
+    otherwise only the head of each run of equal lines is simulated -- a
+    repeat of the line just touched is a hit on its set's most recent way
+    and changes nothing.
     """
+    if not len(lines):
+        return LruOutcome(np.zeros(0, dtype=np.int64), 0, 0, 0)
+    uniq, first, inverse = np.unique(
+        lines, return_index=True, return_inverse=True
+    )
+    if np.bincount(uniq % num_sets).max() <= assoc:
+        fill = np.empty(len(uniq), dtype=np.int64)
+        fill[np.argsort(first)] = np.arange(len(uniq))
+        src = fill[inverse]
+        src[first] = MISS
+        return LruOutcome(src, len(uniq), 0, len(uniq))
+
+    heads = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
+    head_lines = lines[heads]
     # Per set: line -> ordinal of the miss that filled it, in LRU order.
     sets: Dict[int, Dict[int, int]] = defaultdict(dict)
-    src: List[int] = []
-    append = src.append
+    head_src: List[int] = []
+    append = head_src.append
     misses = evictions = 0
-    for line, index in zip(lines.tolist(), (lines % num_sets).tolist()):
+    for line, index in zip(head_lines.tolist(), (head_lines % num_sets).tolist()):
         ways = sets[index]
         fill = ways.pop(line, MISS)
         append(fill)
@@ -119,33 +152,43 @@ def lru_outcomes(lines: np.ndarray, num_sets: int, assoc: int) -> LruOutcome:
             misses += 1
         ways[line] = fill
     resident = sum(len(ways) for ways in sets.values())
-    return LruOutcome(np.array(src, dtype=np.int64), misses, evictions, resident)
+    hits = np.array(head_src, dtype=np.int64)
+    missed = hits == MISS
+    # A run's repeats hit the fill its head hit or made.
+    src = np.repeat(
+        np.where(missed, np.cumsum(missed) - 1, hits),
+        np.diff(np.append(heads, len(lines))),
+    )
+    src[heads] = hits
+    return LruOutcome(src, misses, evictions, resident)
 
 
 class _CachePricing(NamedTuple):
     """One cache's outcome pass, laid out the way the timing core reads it.
 
-    ``emit`` / ``eps`` hold one code per slot of the trace's emit / epsilon
-    stream (states for the State cache, arcs for the Arc and Token caches):
-    :data:`_SKIP`, :data:`MISS` or a fill ordinal.  A perfect cache is all
-    hits on fill 0 of a fill list seeded with cycle 0.
+    ``passes`` holds one code list per pipeline pass (epsilon pass 0,
+    frame 0, epsilon pass 1, ...), one code per slot of the pass's stream
+    (states for the State cache, arcs for the Arc and Token caches):
+    :data:`_SKIP`, :data:`MISS`, :data:`_RESIDENT` or the index of the
+    pass's own fill the hit waits on.  ``keys`` holds the same codes as
+    bytes, for the pass memo.
     """
 
-    emit: List[int]
-    eps: List[int]
+    passes: List[List[int]]
+    keys: List[bytes]
     accesses: int
     misses: int
     #: Lines evicted plus lines resident at the end: the write-backs of a
     #: cache whose every access is a write (the Token cache).
     writebacks: int
-    #: Ordinal of ``emit`` / ``eps`` among the unit's distinct code streams
-    #: on this trace: two geometries with equal codes share the lists and
-    #: the ordinal, so they share every timing pass too.
+    #: Ordinal of the unit's issue-order code stream among its distinct
+    #: streams on this trace: two geometries with equal codes share the
+    #: pricing and the ordinal (:func:`timing_passes` counts with it).
     behaviour: int
 
 
 class _Timing(NamedTuple):
-    """What one timing pass adds to the outcome passes' counters."""
+    """What the timing core adds to the outcome passes' counters."""
 
     cycles: int
     frame_cycles: Tuple[int, ...]
@@ -162,10 +205,9 @@ _HashSchedule = Tuple[
 ]
 
 
-#: A cache in a timing key: its geometry has already acted through the
-#: outcome codes, and ``perfect`` (which seeds the fill list) is all the
-#: timing core reads of it.
-_ANY_GEOMETRY = CacheConfig(64, 1)
+#: A cache in a timing key: its geometry and ``perfect`` act through the
+#: outcome codes (a perfect cache's are all :data:`_RESIDENT`).
+_ANY_CACHE = CacheConfig(64, 1)
 
 
 def _issue_positions(
@@ -183,54 +225,89 @@ def _issue_positions(
     return emit_at, eps_at
 
 
+def _pass_bounds(
+    frame_offsets: np.ndarray, pass_offsets: np.ndarray
+) -> np.ndarray:
+    """Issue-order offsets of the pipeline passes: pass ``2p`` is epsilon
+    pass ``p``, pass ``2f + 1`` is frame ``f``'s emit pass."""
+    bounds = np.empty(2 * len(frame_offsets), dtype=np.int64)
+    bounds[0::2] = frame_offsets + pass_offsets[:-1]
+    bounds[1::2] = frame_offsets + pass_offsets[1:]
+    return bounds
+
+
 def _issue_order(
     trace: DecodeTrace,
-) -> Tuple[
-    Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray],
-    np.ndarray, np.ndarray, np.ndarray,
-]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Merge the trace's emit and epsilon streams into issue order.
 
-    Returns the issue positions of the state visits and of the arc fetches
-    (see :func:`_issue_positions`), and in issue order: every visited
+    Returns the pipeline-pass bounds of the state visits and of the arc
+    fetches (see :func:`_pass_bounds`), and in issue order: every visited
     state, every fetched arc's index and whether its relaxation won (one
     token-record write).
     """
-    state_at = _issue_positions(trace.emit_offsets, trace.eps_offsets)
-    arc_at = _issue_positions(trace.emit_arc_offsets, trace.eps_arc_offsets)
-
-    def merged(at, emit_values, eps_values):
+    def merged(offsets, emit_values, eps_values):
+        emit_at, eps_at = _issue_positions(*offsets)
         out = np.empty(len(emit_values) + len(eps_values), emit_values.dtype)
-        out[at[0]] = emit_values
-        out[at[1]] = eps_values
+        out[emit_at] = emit_values
+        out[eps_at] = eps_values
         return out
 
+    states = (trace.emit_offsets, trace.eps_offsets)
+    arcs = (trace.emit_arc_offsets, trace.eps_arc_offsets)
     return (
-        state_at, arc_at,
-        merged(state_at, trace.emit_states, trace.eps_states),
-        merged(arc_at, trace.emit_arc_idx, trace.eps_arc_idx),
-        merged(arc_at, trace.emit_improved, trace.eps_improved),
+        _pass_bounds(*states), _pass_bounds(*arcs),
+        merged(states, trace.emit_states, trace.eps_states),
+        merged(arcs, trace.emit_arc_idx, trace.eps_arc_idx),
+        merged(arcs, trace.emit_improved, trace.eps_improved),
+    )
+
+
+def _split_passes(
+    codes: np.ndarray, bounds: np.ndarray
+) -> Tuple[List[List[int]], List[bytes]]:
+    """Cut issue-order codes into pipeline passes, each made pass-relative.
+
+    Every pass starts with the pipeline drained (see
+    :func:`repro.accel.simulator._pass_end`), so a hit on an earlier
+    pass's fill is a plain hit (:data:`_RESIDENT`) and a hit on the pass's
+    own j-th fill waits on that fill: code ``j``.
+    """
+    missed = np.concatenate(([0], np.cumsum(codes == MISS)))
+    first_fill = np.repeat(missed[bounds[:-1]], np.diff(bounds))
+    relative = np.where(
+        codes >= first_fill, codes - first_fill,
+        np.where(codes >= 0, _RESIDENT, codes),
+    )
+    flat = relative.tolist()
+    packed = relative.astype(np.int32)
+    cuts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    return (
+        [flat[a:b] for a, b in cuts],
+        [packed[a:b].tobytes() for a, b in cuts],
     )
 
 
 def _price_cache(
     cache: CacheConfig,
     addresses: np.ndarray,
-    positions: Tuple[np.ndarray, np.ndarray],
-    behaviours: List[Tuple[np.ndarray, List[int], List[int]]],
+    bounds: np.ndarray,
+    behaviours: List[Tuple[np.ndarray, List[List[int]], List[bytes]]],
     active: Optional[np.ndarray] = None,
 ) -> _CachePricing:
-    """Run the outcome pass of one cache and split it per trace stream.
+    """Run the outcome pass of one cache and split it per pipeline pass.
 
     ``addresses`` are the byte addresses the cache sees, in issue order;
-    ``positions`` map the emit / epsilon stream slots into issue order and
-    ``active`` (issue order, all slots when ``None``) marks the slots that
-    access the cache at all.  ``behaviours`` holds the unit's distinct
-    code streams priced so far on this trace, as ``(codes, emit, eps)``; a
-    new one is appended, an equal one is reused.
+    ``bounds`` are the passes' issue-order offsets and ``active`` (issue
+    order, all slots when ``None``) marks the slots that access the cache
+    at all.  ``behaviours`` holds the unit's distinct code streams priced
+    so far on this trace, as ``(codes, passes, keys)``; a new one is
+    appended, an equal one is reused.
     """
     if cache.perfect:
-        outcome = LruOutcome(np.zeros(len(addresses), dtype=np.int64), 0, 0, 0)
+        outcome = LruOutcome(
+            np.full(len(addresses), _RESIDENT, dtype=np.int64), 0, 0, 0
+        )
     else:
         outcome = lru_outcomes(
             addresses // cache.line_bytes, cache.num_sets, cache.assoc
@@ -240,16 +317,15 @@ def _price_cache(
     else:
         codes = np.full(len(active), _SKIP, dtype=np.int64)
         codes[active] = outcome.src
-    for ordinal, (known, emit, eps) in enumerate(behaviours):
+    for ordinal, (known, passes, keys) in enumerate(behaviours):
         if np.array_equal(known, codes):
             break
     else:
-        emit_at, eps_at = positions
         ordinal = len(behaviours)
-        emit, eps = codes[emit_at].tolist(), codes[eps_at].tolist()
-        behaviours.append((codes, emit, eps))
+        passes, keys = _split_passes(codes, bounds)
+        behaviours.append((codes, passes, keys))
     return _CachePricing(
-        emit, eps, len(addresses),
+        passes, keys, len(addresses),
         outcome.misses, outcome.evictions + outcome.resident, ordinal,
     )
 
@@ -290,6 +366,12 @@ class TraceReplayer:
         self.graph = sorted_graph.graph if config.state_direct_enabled else graph
         self.sorted_graph = sorted_graph if config.state_direct_enabled else None
         self.config = config
+        # Given the three units' outcome codes, a pass reads everything of
+        # the configuration but the caches.
+        self._timing_config = replace(
+            config, arc_cache=_ANY_CACHE, state_cache=_ANY_CACHE,
+            token_cache=_ANY_CACHE,
+        )
         self._states_base, self._arcs_base, self._tokens_base = address_map(
             self.graph
         )
@@ -337,7 +419,7 @@ class TraceReplayer:
         cached = memo.get("issue-order")
         if cached is None:
             cached = memo["issue-order"] = _issue_order(trace)
-        state_at, arc_at, states, arc_idx, improved = cached
+        state_bounds, arc_bounds, states, arc_idx, improved = cached
 
         # --- cache outcome passes --------------------------------------
         acc, scc, tcc = cfg.arc_cache, cfg.state_cache, cfg.token_cache
@@ -345,7 +427,7 @@ class TraceReplayer:
         arc = memo.get(key)
         if arc is None:
             arc = memo[key] = _price_cache(
-                acc, self._arcs_base + arc_idx * ARC_BYTES, arc_at,
+                acc, self._arcs_base + arc_idx * ARC_BYTES, arc_bounds,
                 memo.setdefault("arc-behaviours", []),
             )
         # Section IV-B: states below the boundary are located by the
@@ -360,7 +442,7 @@ class TraceReplayer:
             fetched = states >= boundary
             state = memo[key] = _price_cache(
                 scc, self._states_base + states[fetched] * STATE_BYTES,
-                state_at, memo.setdefault("state-behaviours", []), fetched,
+                state_bounds, memo.setdefault("state-behaviours", []), fetched,
             )
         # Token records are appended in improvement order: the j-th
         # backpointer write of the decode lands on record j.
@@ -372,7 +454,7 @@ class TraceReplayer:
                 tcc,
                 self._tokens_base
                 + np.arange(n_improve, dtype=np.int64) * TRACE_RECORD_BYTES,
-                arc_at, memo.setdefault("token-behaviours", []), improved,
+                arc_bounds, memo.setdefault("token-behaviours", []), improved,
             )
 
         # --- hash-table chain behaviour --------------------------------
@@ -383,27 +465,7 @@ class TraceReplayer:
             schedule = memo[key] = self._hash_schedule(trace)
         hash_collisions, hash_overflows, hash_base_cycles = schedule[4:]
 
-        # --- timing core, once per distinct behaviour ------------------
-        # Given the three units' outcome codes, the timing core reads only
-        # the configuration: of each cache, just ``perfect``.  Points
-        # whose caches behave identically (e.g. Arc caches that all hold
-        # the working set) share one pass; every other field, the hash
-        # table's included, stays in the key.
-        key = (
-            arc.behaviour, state.behaviour, token.behaviour,
-            replace(
-                cfg,
-                arc_cache=replace(_ANY_GEOMETRY, perfect=acc.perfect),
-                state_cache=replace(_ANY_GEOMETRY, perfect=scc.perfect),
-                token_cache=replace(_ANY_GEOMETRY, perfect=tcc.perfect),
-            ),
-        )
-        timings = memo.setdefault("timing", {})
-        timing = timings.get(key)
-        if timing is None:
-            timing = timings[key] = self._timing_pass(
-                trace, state, arc, token, schedule
-            )
+        timing = self._timing(trace, state, arc, token, schedule)
 
         # --- assemble statistics ---------------------------------------
         stats = SimStats(frames=F)
@@ -460,7 +522,7 @@ class TraceReplayer:
         )
 
     # ------------------------------------------------------------------
-    def _timing_pass(
+    def _timing(
         self,
         trace: DecodeTrace,
         state: _CachePricing,
@@ -468,11 +530,33 @@ class TraceReplayer:
         token: _CachePricing,
         schedule: _HashSchedule,
     ) -> _Timing:
-        """Run the pipeline timestamp recurrences over the whole decode."""
+        """Sum the decode's pipeline passes into its timeline.
+
+        A pass starts with the pipeline drained, so its cycles, overflow
+        bytes and extra hash cycles depend only on the timing
+        configuration, the pass index and the pass's three code lists:
+        the memo ``"passes"`` is keyed by exactly those, the
+        configuration as a small per-trace ordinal.
+        """
         cfg = self.config
         memo = trace._replay_memo
         F = trace.num_frames
-        ehc, zhc, end_backup, posmaps = schedule[:4]
+        configs = memo.setdefault("timing-configs", {})
+        config_id = configs.setdefault(self._timing_config, len(configs))
+        memo.setdefault("timing", set()).add(
+            (arc.behaviour, state.behaviour, token.behaviour, config_id)
+        )
+        priced = memo.setdefault("passes", {})
+        passes: List[Tuple[int, int, int]] = []
+        for q, codes in enumerate(zip(state.keys, arc.keys, token.keys)):
+            key = (config_id, q, *codes)
+            cost = priced.get(key)
+            if cost is None:
+                cost = priced[key] = self._price_pass(
+                    trace, q, state.passes[q], arc.passes[q],
+                    token.passes[q], schedule,
+                )
+            passes.append(cost)
 
         # --- traceback-buffer commit schedule --------------------------
         # Windowed-traceback pricing (the design axis of
@@ -507,220 +591,6 @@ class TraceReplayer:
                 cached = (group_writes, walk_counts)
                 memo["traceback"] = cached
             tb_group_writes, tb_walk_counts = cached
-        else:
-            tb_group_writes = tb_walk_counts = None
-
-        # --- per-event payload lists (config-independent) --------------
-        cached = memo.get("payload")
-        if cached is None:
-            cached = (
-                trace.emit_offsets.tolist(),
-                trace.eps_offsets.tolist(),
-                trace.read_offsets.tolist(),
-                trace.emit_n.tolist(),
-                trace.emit_read_idx.tolist(),
-                trace.eps_n.tolist(),
-                trace.eps_src.tolist(),
-            )
-            memo["payload"] = cached
-        (
-            emit_offsets, eps_offsets, read_offsets,
-            en, eridx, zn, zsrc,
-        ) = cached
-
-        # --- timing core -----------------------------------------------
-        # The outcome passes decided every hit and miss; what is left of a
-        # cache here is the list of its fills' completion cycles, in miss
-        # order.  A hit waits for ``fill[code]``; a miss issues its DRAM
-        # request and appends.
-        escode, zscode = state.emit, state.eps
-        eacode, zacode = arc.emit, arc.eps
-        etcode, ztcode = token.emit, token.eps
-        sfill: List[int] = [0] if cfg.state_cache.perfect else []
-        afill: List[int] = [0] if cfg.arc_cache.perfect else []
-        tfill: List[int] = [0] if cfg.token_cache.perfect else []
-        sfill_append = sfill.append
-        afill_append = afill.append
-        tfill_append = tfill.append
-        hperfect = cfg.hash_table.perfect
-        backup_entries = cfg.hash_table.backup_entries
-
-        # Issuer windows as zero-seeded bounded deques: RollingWindow.gate()
-        # returns 0 until the window fills and completion times are never
-        # negative, so a pre-filled window is indistinguishable from the
-        # growing one while avoiding length checks; appending to a full
-        # deque drops its oldest entry.
-        sw_zero = [0] * cfg.state_issuer_inflight
-        aw_zero = [0] * cfg.arc_issue_window
-        tw_zero = [0] * cfg.token_issuer_inflight
-
-        lat = cfg.mem_latency_cycles
-        # MemoryController.request's bounded in-flight window, seeded with
-        # -inf sentinels the same way (the queueing condition
-        # ``oldest + latency > t`` is always false for a sentinel).
-        recent = deque([-(1 << 60)] * cfg.mem_max_inflight, cfg.mem_max_inflight)
-        recent_append = recent.append
-        r_overflow = 0
-        hash_extra_cycles = 0
-        ek = 0    # global emit-arc cursor
-        pk = 0    # global epsilon-arc cursor
-
-        def mem_req(t: int) -> int:
-            # MemoryController.request: bounded in-flight queueing window.
-            oldest = recent[0] + lat
-            if oldest > t:
-                t = oldest
-            recent_append(t)
-            return t + lat
-
-        def run_emit(frame: int, cycle: int, read_done) -> int:
-            nonlocal ek, r_overflow, hash_extra_cycles
-            proc_time = cycle
-            hash_ready = cycle
-            sw = deque(sw_zero, len(sw_zero))
-            aw = deque(aw_zero, len(aw_zero))
-            tw = deque(tw_zero, len(tw_zero))
-            sw_append, aw_append, tw_append = sw.append, aw.append, tw.append
-            arc_gate_last = -1
-            k = ek
-            s0 = emit_offsets[frame]
-            s1 = emit_offsets[frame + 1]
-            for ridx, code, n in zip(eridx[s0:s1], escode[s0:s1], en[s0:s1]):
-                # The token walk hands over one token per cycle, later where
-                # its hash read went to the Overflow Buffer.
-                t = cycle + ridx + 1
-                if read_done is not None:
-                    t = read_done.get(ridx, t)
-                if code == _SKIP:
-                    state_done = t + 1
-                else:
-                    g = sw[0]
-                    start = t if t > g else g
-                    if code >= 0:
-                        ft = sfill[code]
-                        state_done = start + 1 if start + 1 > ft else ft
-                    else:
-                        state_done = mem_req(start)
-                        sfill_append(state_done)
-                    sw_append(state_done)
-                k_end = k + n
-                for k in range(k, k_end):
-                    g = aw[0]
-                    req = state_done if state_done > g else g
-                    if arc_gate_last >= req:
-                        req = arc_gate_last + 1
-                    arc_gate_last = req
-                    code = eacode[k]
-                    if code >= 0:
-                        ft = afill[code]
-                        arc_data = req + 1 if req + 1 > ft else ft
-                    else:
-                        # Inlined mem_req (hottest miss path).
-                        issue = recent[0] + lat
-                        if issue < req:
-                            issue = req
-                        recent_append(issue)
-                        arc_data = issue + lat
-                        afill_append(arc_data)
-                    aw_append(arc_data)
-                    pt = proc_time + 1
-                    ad = arc_data + 1
-                    proc_time = pt if pt > ad else ad
-                    hs = proc_time if proc_time > hash_ready else hash_ready
-                    hc = ehc[k]
-                    if hc > 0:
-                        hash_ready = hs + hc
-                    else:
-                        r_overflow += OVERFLOW_ENTRY_BYTES
-                        hash_ready = mem_req(hs)
-                        hash_extra_cycles += hash_ready - hs
-                    code = etcode[k]
-                    if code != _SKIP:
-                        g = tw[0]
-                        wslot = hash_ready if hash_ready > g else g
-                        if code >= 0:
-                            ft = tfill[code]
-                            tdone = wslot + 1 if wslot + 1 > ft else ft
-                        else:
-                            tdone = mem_req(wslot)
-                            tfill_append(tdone)
-                        tw_append(tdone)
-                k = k_end
-            ek = k
-            return max(proc_time, hash_ready, max(tw), cycle)
-
-        def run_eps(p: int, cycle: int) -> int:
-            nonlocal pk, r_overflow, hash_extra_cycles
-            proc_time = cycle
-            hash_ready = cycle
-            sw = deque(sw_zero, len(sw_zero))
-            aw = deque(aw_zero, len(aw_zero))
-            tw = deque(tw_zero, len(tw_zero))
-            sw_append, aw_append, tw_append = sw.append, aw.append, tw.append
-            arc_gate_last = -1
-            issue_last = -1
-            arc_avail: List[int] = []
-            arc_avail_append = arc_avail.append
-            k = pk
-            s0 = eps_offsets[p]
-            s1 = eps_offsets[p + 1]
-            for src, code, n in zip(zsrc[s0:s1], zscode[s0:s1], zn[s0:s1]):
-                avail = cycle if src < 0 else arc_avail[src]
-                slot = avail if avail > issue_last else issue_last + 1
-                issue_last = slot
-                if code == _SKIP:
-                    state_done = slot + 1
-                else:
-                    g = sw[0]
-                    start = slot if slot > g else g
-                    if code >= 0:
-                        ft = sfill[code]
-                        state_done = start + 1 if start + 1 > ft else ft
-                    else:
-                        state_done = mem_req(start)
-                        sfill_append(state_done)
-                    sw_append(state_done)
-                k_end = k + n
-                for k in range(k, k_end):
-                    g = aw[0]
-                    req = state_done if state_done > g else g
-                    if arc_gate_last >= req:
-                        req = arc_gate_last + 1
-                    arc_gate_last = req
-                    code = zacode[k]
-                    if code >= 0:
-                        ft = afill[code]
-                        arc_data = req + 1 if req + 1 > ft else ft
-                    else:
-                        arc_data = mem_req(req)
-                        afill_append(arc_data)
-                    aw_append(arc_data)
-                    pt = proc_time + 1
-                    ad = arc_data + 1
-                    proc_time = pt if pt > ad else ad
-                    arc_avail_append(proc_time)
-                    hs = proc_time if proc_time > hash_ready else hash_ready
-                    hc = zhc[k]
-                    if hc > 0:
-                        hash_ready = hs + hc
-                    else:
-                        r_overflow += OVERFLOW_ENTRY_BYTES
-                        hash_ready = mem_req(hs)
-                        hash_extra_cycles += hash_ready - hs
-                    code = ztcode[k]
-                    if code != _SKIP:
-                        g = tw[0]
-                        wslot = hash_ready if hash_ready > g else g
-                        if code >= 0:
-                            ft = tfill[code]
-                            tdone = wslot + 1 if wslot + 1 > ft else ft
-                        else:
-                            tdone = mem_req(wslot)
-                            tfill_append(tdone)
-                        tw_append(tdone)
-                k = k_end
-            pk = k
-            return max(proc_time, hash_ready, max(tw), cycle)
 
         # --- decode timeline -------------------------------------------
         frame_overhead = cfg.frame_overhead_cycles
@@ -728,24 +598,9 @@ class TraceReplayer:
         r_traceback = w_traceback = 0
         tb_pending = tb_group_writes[0] if tb_win else 0
         tb_retained = 0
-        cycle = run_eps(0, 0)
+        cycle = passes[0][0]
         for f in range(F):
-            cycle += frame_overhead
-            fb = cycle
-            read_done = None
-            if not hperfect and end_backup[f] > backup_entries:
-                # The frame's table spilled to the Overflow Buffer: walk
-                # the token reads to issue the DRAM round trips.
-                posmap = posmaps[f]
-                read_done = {}
-                m0 = read_offsets[f]
-                walked = trace.read_states[m0:read_offsets[f + 1]].tolist()
-                for i, s in enumerate(walked):
-                    if posmap.get(s, 0) > 0:
-                        r_overflow += OVERFLOW_ENTRY_BYTES
-                        read_done[i] = mem_req(fb + i)
-            cycle = run_emit(f, cycle, read_done)
-            cycle = run_eps(f + 1, cycle)
+            spent = passes[2 * f + 1][0] + passes[2 * f + 2][0]
             if tb_win:
                 tb_pending += tb_group_writes[f + 1]
                 if (f + 1) % tb_win == 0:
@@ -757,17 +612,264 @@ class TraceReplayer:
                         retained = tb_walk_counts[f + 1]
                     else:
                         retained = tb_walk_counts[F - 1] if F else 0
-                    cycle += (reads + retained) * tb_cpr
+                    spent += (reads + retained) * tb_cpr
                     r_traceback += reads * TRACE_RECORD_BYTES
                     w_traceback += retained * TRACE_RECORD_BYTES
                     tb_pending = 0
                     tb_retained = retained
-            frame_cycles.append(cycle - fb)
+            frame_cycles.append(spent)
+            cycle += frame_overhead + spent
 
         return _Timing(
-            cycle, tuple(frame_cycles), r_overflow, hash_extra_cycles,
+            cycle, tuple(frame_cycles),
+            sum(cost[1] for cost in passes), sum(cost[2] for cost in passes),
             r_traceback, w_traceback,
         )
+
+    # ------------------------------------------------------------------
+    def _price_pass(
+        self,
+        trace: DecodeTrace,
+        q: int,
+        scode: List[int],
+        acode: List[int],
+        tcode: List[int],
+        schedule: _HashSchedule,
+    ) -> Tuple[int, int, int]:
+        """Run the pipeline timestamp recurrences over pipeline pass ``q``
+        from cycle 0: returns its cycles, its Overflow Buffer bytes and its
+        hash cycles beyond the chain walks.
+
+        The outcome passes decided every hit and miss; what is left of a
+        cache here is the list of the pass's own fills' completion cycles,
+        in miss order.  A hit on one waits for ``fill[code]``, a
+        :data:`_RESIDENT` hit only for itself; a miss issues its DRAM
+        request and appends.
+        """
+        cfg = self.config
+        memo = trace._replay_memo
+        ehc, zhc, end_backup, posmaps = schedule[:4]
+
+        # --- per-event payload lists (config-independent) --------------
+        cached = memo.get("payload")
+        if cached is None:
+            cached = (
+                trace.emit_offsets.tolist(),
+                trace.eps_offsets.tolist(),
+                trace.read_offsets.tolist(),
+                trace.emit_arc_offsets.tolist(),
+                trace.eps_arc_offsets.tolist(),
+                trace.emit_n.tolist(),
+                trace.emit_read_idx.tolist(),
+                trace.eps_n.tolist(),
+                trace.eps_src.tolist(),
+            )
+            memo["payload"] = cached
+        (
+            emit_offsets, eps_offsets, read_offsets, emit_arc_offsets,
+            eps_arc_offsets, en, eridx, zn, zsrc,
+        ) = cached
+
+        sfill: List[int] = []
+        afill: List[int] = []
+        tfill: List[int] = []
+        sfill_append = sfill.append
+        afill_append = afill.append
+        tfill_append = tfill.append
+
+        # Issuer windows as zero-seeded bounded deques: RollingWindow.gate()
+        # returns 0 until the window fills and completion times are never
+        # negative, so a pre-filled window is indistinguishable from the
+        # growing one while avoiding length checks; appending to a full
+        # deque drops its oldest entry.
+        sw = deque([0] * cfg.state_issuer_inflight, cfg.state_issuer_inflight)
+        aw = deque([0] * cfg.arc_issue_window, cfg.arc_issue_window)
+        tw = deque([0] * cfg.token_issuer_inflight, cfg.token_issuer_inflight)
+        sw_append, aw_append, tw_append = sw.append, aw.append, tw.append
+
+        lat = cfg.mem_latency_cycles
+        # MemoryController.request's bounded in-flight window, seeded with
+        # -inf sentinels the same way (the queueing condition
+        # ``oldest + latency > t`` is always false for a sentinel).  The
+        # previous pass left nothing in flight, so it starts empty.
+        recent = deque([-(1 << 60)] * cfg.mem_max_inflight, cfg.mem_max_inflight)
+        recent_append = recent.append
+        r_overflow = 0
+        hash_extra_cycles = 0
+
+        def mem_req(t: int) -> int:
+            # MemoryController.request: bounded in-flight queueing window.
+            oldest = recent[0] + lat
+            if oldest > t:
+                t = oldest
+            recent_append(t)
+            return t + lat
+
+        proc_time = 0
+        hash_ready = 0
+        arc_gate_last = -1
+        k = 0
+        f, emit = divmod(q, 2)
+        if emit:
+            # --- frame f: walk the table, issue survivors, stream arcs --
+            s0, s1 = emit_offsets[f], emit_offsets[f + 1]
+            hcs = ehc[emit_arc_offsets[f]:emit_arc_offsets[f + 1]]
+            read_done = None
+            walk_drain = 0
+            if not cfg.hash_table.perfect and (
+                end_backup[f] > cfg.hash_table.backup_entries
+            ):
+                # The frame's table spilled to the Overflow Buffer: walk
+                # the token reads to issue the DRAM round trips.
+                posmap = posmaps[f]
+                read_done = {}
+                walked = trace.read_states[
+                    read_offsets[f]:read_offsets[f + 1]
+                ].tolist()
+                for i, s in enumerate(walked):
+                    if posmap.get(s, 0) > 0:
+                        r_overflow += OVERFLOW_ENTRY_BYTES
+                        read_done[i] = walk_drain = mem_req(i)
+            for ridx, code, n in zip(eridx[s0:s1], scode, en[s0:s1]):
+                # The token walk hands over one token per cycle, later where
+                # its hash read went to the Overflow Buffer.
+                t = ridx + 1
+                if read_done is not None:
+                    t = read_done.get(ridx, t)
+                if code == _SKIP:
+                    state_done = t + 1
+                else:
+                    g = sw[0]
+                    start = t if t > g else g
+                    if code >= 0:
+                        ft = sfill[code]
+                        state_done = start + 1 if start + 1 > ft else ft
+                    elif code == MISS:
+                        state_done = mem_req(start)
+                        sfill_append(state_done)
+                    else:
+                        state_done = start + 1
+                    sw_append(state_done)
+                k_end = k + n
+                for k in range(k, k_end):
+                    g = aw[0]
+                    req = state_done if state_done > g else g
+                    if arc_gate_last >= req:
+                        req = arc_gate_last + 1
+                    arc_gate_last = req
+                    code = acode[k]
+                    if code >= 0:
+                        ft = afill[code]
+                        arc_data = req + 1 if req + 1 > ft else ft
+                    elif code == MISS:
+                        # Inlined mem_req (hottest miss path).
+                        issue = recent[0] + lat
+                        if issue < req:
+                            issue = req
+                        recent_append(issue)
+                        arc_data = issue + lat
+                        afill_append(arc_data)
+                    else:
+                        arc_data = req + 1
+                    aw_append(arc_data)
+                    pt = proc_time + 1
+                    ad = arc_data + 1
+                    proc_time = pt if pt > ad else ad
+                    hs = proc_time if proc_time > hash_ready else hash_ready
+                    hc = hcs[k]
+                    if hc > 0:
+                        hash_ready = hs + hc
+                    else:
+                        r_overflow += OVERFLOW_ENTRY_BYTES
+                        hash_ready = mem_req(hs)
+                        hash_extra_cycles += hash_ready - hs
+                    code = tcode[k]
+                    if code != _SKIP:
+                        g = tw[0]
+                        wslot = hash_ready if hash_ready > g else g
+                        if code >= 0:
+                            ft = tfill[code]
+                            tdone = wslot + 1 if wslot + 1 > ft else ft
+                        elif code == MISS:
+                            tdone = mem_req(wslot)
+                            tfill_append(tdone)
+                        else:
+                            tdone = wslot + 1
+                        tw_append(tdone)
+                k = k_end
+        else:
+            # --- epsilon pass p: the closure's worklist -----------------
+            p = f
+            s0, s1 = eps_offsets[p], eps_offsets[p + 1]
+            hcs = zhc[eps_arc_offsets[p]:eps_arc_offsets[p + 1]]
+            walk_drain = 0
+            issue_last = -1
+            arc_avail: List[int] = []
+            arc_avail_append = arc_avail.append
+            for src, code, n in zip(zsrc[s0:s1], scode, zn[s0:s1]):
+                avail = 0 if src < 0 else arc_avail[src]
+                slot = avail if avail > issue_last else issue_last + 1
+                issue_last = slot
+                if code == _SKIP:
+                    state_done = slot + 1
+                else:
+                    g = sw[0]
+                    start = slot if slot > g else g
+                    if code >= 0:
+                        ft = sfill[code]
+                        state_done = start + 1 if start + 1 > ft else ft
+                    elif code == MISS:
+                        state_done = mem_req(start)
+                        sfill_append(state_done)
+                    else:
+                        state_done = start + 1
+                    sw_append(state_done)
+                k_end = k + n
+                for k in range(k, k_end):
+                    g = aw[0]
+                    req = state_done if state_done > g else g
+                    if arc_gate_last >= req:
+                        req = arc_gate_last + 1
+                    arc_gate_last = req
+                    code = acode[k]
+                    if code >= 0:
+                        ft = afill[code]
+                        arc_data = req + 1 if req + 1 > ft else ft
+                    elif code == MISS:
+                        arc_data = mem_req(req)
+                        afill_append(arc_data)
+                    else:
+                        arc_data = req + 1
+                    aw_append(arc_data)
+                    pt = proc_time + 1
+                    ad = arc_data + 1
+                    proc_time = pt if pt > ad else ad
+                    arc_avail_append(proc_time)
+                    hs = proc_time if proc_time > hash_ready else hash_ready
+                    hc = hcs[k]
+                    if hc > 0:
+                        hash_ready = hs + hc
+                    else:
+                        r_overflow += OVERFLOW_ENTRY_BYTES
+                        hash_ready = mem_req(hs)
+                        hash_extra_cycles += hash_ready - hs
+                    code = tcode[k]
+                    if code != _SKIP:
+                        g = tw[0]
+                        wslot = hash_ready if hash_ready > g else g
+                        if code >= 0:
+                            ft = tfill[code]
+                            tdone = wslot + 1 if wslot + 1 > ft else ft
+                        elif code == MISS:
+                            tdone = mem_req(wslot)
+                            tfill_append(tdone)
+                        else:
+                            tdone = wslot + 1
+                        tw_append(tdone)
+                k = k_end
+        # The pass ends drained (repro.accel.simulator._pass_end).
+        cycles = max(proc_time, hash_ready, max(sw), max(tw), walk_drain)
+        return cycles, r_overflow, hash_extra_cycles
 
     # ------------------------------------------------------------------
     def _hash_schedule(self, trace: DecodeTrace) -> _HashSchedule:

@@ -188,10 +188,15 @@ class AcceleratorSimulator:
             threshold = best - self.beam
             reader = ThroughputGate(1)
             reader_time = frame_begin
+            # Return cycle of the walk's last Overflow Buffer read, pruned
+            # tokens' included: the frame cannot end before it.
+            walk_drain = frame_begin
             survivors: List[Tuple[int, float, int, int]] = []
             for state, (score, bp) in tokens.items():
                 slot = reader.next_slot(reader_time)
-                done, _cycles = hash_current.read_cost(slot, state)
+                done, spilled = hash_current.read_cost(slot, state)
+                if spilled and done > walk_drain:
+                    walk_drain = done
                 stats.tokens_read += 1
                 stats.fp_compares += 1
                 if score >= threshold:
@@ -209,9 +214,9 @@ class AcceleratorSimulator:
 
             # --- Issue states, stream arcs, evaluate, insert tokens -----
             cycle = self._emit_pass(
-                survivors, next_tokens, frame_scores, cycle, stats, search,
-                state_cache, arc_cache, token_cache, hash_next,
-                trace_append, memory,
+                survivors, next_tokens, frame_scores, cycle, walk_drain,
+                stats, search, state_cache, arc_cache, token_cache,
+                hash_next, trace_append, memory,
             )
 
             # --- Epsilon closure within the new frame --------------------
@@ -272,6 +277,7 @@ class AcceleratorSimulator:
         next_tokens: Dict[int, Tuple[float, int]],
         frame_scores,
         cycle: int,
+        walk_drain: int,
         stats: SimStats,
         search: SearchStats,
         state_cache: Cache,
@@ -281,7 +287,11 @@ class AcceleratorSimulator:
         trace_append,
         memory: MemoryController,
     ) -> int:
-        """Expand non-epsilon arcs of the surviving tokens."""
+        """Expand non-epsilon arcs of the surviving tokens.
+
+        ``walk_drain`` is the return cycle of the token walk's last
+        Overflow Buffer read (``cycle`` when nothing spilled).
+        """
         graph = self.graph
         state_window = RollingWindow(self.config.state_issuer_inflight)
         arc_window = RollingWindow(self.config.arc_issue_window)
@@ -349,7 +359,9 @@ class AcceleratorSimulator:
                     stats.tokens_written += 1
 
         search.count_degrees(np.array(degrees, dtype=np.int64))
-        return max(proc_time, hash_ready, token_window.drain(), cycle)
+        return _pass_end(
+            walk_drain, proc_time, hash_ready, state_window, token_window
+        )
 
     def _epsilon_pass(
         self,
@@ -433,7 +445,9 @@ class AcceleratorSimulator:
                     token_window.push(done)
                     stats.tokens_written += 1
 
-        return max(proc_time, hash_ready, token_window.drain(), cycle)
+        return _pass_end(
+            cycle, proc_time, hash_ready, state_window, token_window
+        )
 
     @staticmethod
     def _relax(
@@ -488,6 +502,29 @@ class AcceleratorSimulator:
             index = trace_prev[index]
         words.reverse()
         return tuple(words), score, reached_final
+
+
+def _pass_end(
+    start: int,
+    proc_time: int,
+    hash_ready: int,
+    state_window: RollingWindow,
+    token_window: RollingWindow,
+) -> int:
+    """Cycle a pipeline pass (a frame's emit pass or an epsilon pass) ends.
+
+    The two token hash tables swap between frames, so a pass ends only
+    once the pipeline has drained: the last evaluation, the last hash
+    access, every token-record write and every State Issuer fetch --
+    including the fetch of a state with no arcs to issue, and the token
+    walk's Overflow Buffer reads, whose last return an emit pass passes
+    as ``start``.  Every DRAM request a pass issues has then returned, so
+    no pass inherits anything in flight from the one before it.
+    """
+    return max(
+        start, proc_time, hash_ready, state_window.drain(),
+        token_window.drain(),
+    )
 
 
 def _align(value: int, alignment: int) -> int:

@@ -312,8 +312,8 @@ class _WorkerHandle:
         self.process = process
         self.pipe = pipe
         self.conn = pipe.conn  #: polled only by result()'s unlocked wait
-        #: False once the front door saw the shard refuse an open; a
-        #: down shard is never routed to again.
+        #: False once a send to the shard failed (see ServingTier._send);
+        #: a down shard is never routed to again.
         self.up = True
         self.live = 0                 #: sessions currently routed here
         self.inflight_frames = 0      #: shipped frames not yet acked
@@ -672,14 +672,7 @@ class ServingTier:
             self._next_sid += 1
             # Nothing is counted until the shard has the open: a session
             # it never received would hold admission budget for ever.
-            try:
-                worker.pipe.send(("open", sid))
-            except (OSError, ValueError) as exc:
-                worker.up = False
-                raise TierError(
-                    f"session {sid}: worker {worker.index} did not take "
-                    f"the open ({type(exc).__name__}: {exc})"
-                ) from exc
+            self._send(worker, sid, ("open", sid))
             now = self._clock()
             self._sessions[sid] = _TierSession(sid, worker, now, mode=mode)
             worker.live += 1
@@ -801,28 +794,32 @@ class ServingTier:
     # ------------------------------------------------------------------
     # Shared-memory score-plane transport
     # ------------------------------------------------------------------
-    def _ensure_ring(self, worker: "_WorkerHandle") -> ScorePlaneRing:
+    def _ensure_ring(
+        self, worker: "_WorkerHandle", session_id: int
+    ) -> ScorePlaneRing:
         """The worker's double-buffered plane ring, created (and
-        announced to the worker) on first ship.  Call with the lock held
-        and ``self._frame_width`` established."""
+        announced to the worker, on ``session_id``'s behalf) on first
+        ship.  Call with the lock held and ``self._frame_width``
+        established."""
         if worker.ring is None:
             assert self._frame_width is not None
             worker.ring = ring = ScorePlaneRing(
                 self._plane_frames, self._frame_width
             )
-            worker.pipe.send(
-                ("ring", ring.name, ring.plane_frames, self._frame_width)
+            self._send(
+                worker, session_id,
+                ("ring", ring.name, ring.plane_frames, self._frame_width),
             )
         return worker.ring
 
     def _ring_alloc(
-        self, worker: "_WorkerHandle", frames: int
+        self, worker: "_WorkerHandle", session_id: int, frames: int
     ) -> Tuple[int, int, np.ndarray]:
         """Reserve plane rows, draining acks through a flip stall (the
         ALB stall: the plane being flipped to still has unacked chunks).
         Every unacked chunk is decoding on the worker, so the stall
         always resolves; the deadline guards a dead worker."""
-        ring = self._ensure_ring(worker)
+        ring = self._ensure_ring(worker, session_id)
         deadline = time.monotonic() + 30.0
         stalled = False
         while True:
@@ -854,10 +851,12 @@ class ServingTier:
         """Write score rows into the worker's plane ring and send the
         descriptors (call with the lock held).  Chunks larger than a
         plane ship as several descriptors."""
-        ring = self._ensure_ring(worker)
+        ring = self._ensure_ring(worker, session_id)
         for start in range(0, len(matrix), ring.plane_frames):
             part = matrix[start: start + ring.plane_frames]
-            generation, offset, view = self._ring_alloc(worker, len(part))
+            generation, offset, view = self._ring_alloc(
+                worker, session_id, len(part)
+            )
             view[:] = part
             self._send_descriptor(
                 worker, session_id, generation, offset, len(part),
@@ -875,16 +874,37 @@ class ServingTier:
     ) -> None:
         """Ship one ``(sid, generation, offset, frames)`` descriptor --
         the only bytes the transport ever pipes per chunk."""
-        payload = pickle.dumps(
+        nbytes = self._send(
+            worker, session_id,
             ("push", session_id, generation, offset, frames),
-            protocol=pickle.HIGHEST_PROTOCOL,
         )
-        worker.pipe.send_bytes(payload)
         if not reserved:
             worker.inflight_frames += frames
         self.stats.frames_shipped += frames
         self.stats.descriptors_shipped += 1
-        self.stats.ipc_bytes_shipped += len(payload)
+        self.stats.ipc_bytes_shipped += nbytes
+
+    def _send(
+        self, worker: "_WorkerHandle", session_id: int, command: tuple
+    ) -> int:
+        """Pipe one command to a shard on ``session_id``'s behalf (call
+        with the lock held); returns the bytes piped.
+
+        Every front-door send goes through here.  A shard whose pipe is
+        gone is marked down, so nothing is routed to it again, and the
+        caller gets a :class:`TierError` naming the session and the
+        worker instead of the pipe's ``OSError``.
+        """
+        payload = pickle.dumps(command, protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            worker.pipe.send_bytes(payload)
+        except (OSError, ValueError) as exc:
+            worker.up = False
+            raise TierError(
+                f"session {session_id}: worker {worker.index} did not take "
+                f"the {command[0]} ({type(exc).__name__}: {exc})"
+            ) from exc
+        return len(payload)
 
     def _score_pump(self) -> None:
         """Scoring-thread main loop: grab everything the fleet has
@@ -933,8 +953,8 @@ class ServingTier:
                 if not session.close_sent:
                     session.closed = session.close_sent = True
                     try:
-                        worker.pipe.send(("close", session.sid))
-                    except (OSError, ValueError):
+                        self._send(worker, session.sid, ("close", session.sid))
+                    except TierError:
                         pass  # the worker died; nothing left to retire
                 self._finish(session.sid, SessionRecord(
                     session.sid, None,
@@ -993,14 +1013,14 @@ class ServingTier:
                     self._feature_frames_done(session, len(part))
                     continue
                 worker = session.worker
-                ring = self._ensure_ring(worker)
+                ring = self._ensure_ring(worker, sid)
                 slot = ring.try_alloc(len(part))
                 if slot is None:
                     if parts:
                         break  # ship this slice; its acks free the flip
                     # First part of the slice: everything earlier has
                     # shipped, so acks can arrive -- drain them.
-                    slot = self._ring_alloc(worker, len(part))
+                    slot = self._ring_alloc(worker, sid, len(part))
                 generation, offset, view = slot
                 parts.append(part)
                 views.append(view)
@@ -1017,7 +1037,9 @@ class ServingTier:
                 # flipped back to, stalling every later push to the shard.
                 with self._lock:
                     for session, generation, _, _ in dests:
-                        self._ensure_ring(session.worker).release(generation)
+                        self._ensure_ring(
+                            session.worker, session.sid
+                        ).release(generation)
                 raise
             elapsed = time.perf_counter() - t0
         with self._lock:
@@ -1045,7 +1067,7 @@ class ServingTier:
             and session.record is None
         ):
             session.close_sent = True
-            session.worker.pipe.send(("close", session.sid))
+            self._send(session.worker, session.sid, ("close", session.sid))
 
     def close_input(self, session_id: int) -> None:
         """Mark end of stream; the shard retires the session after its
@@ -1059,7 +1081,9 @@ class ServingTier:
                 session.closed = True
                 if session.unscored_frames == 0:
                     session.close_sent = True
-                    session.worker.pipe.send(("close", session_id))
+                    self._send(
+                        session.worker, session_id, ("close", session_id)
+                    )
 
     def result(self, session_id: int, timeout: Optional[float] = None) -> SessionRecord:
         """Block until the session's terminal record arrives back.

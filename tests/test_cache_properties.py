@@ -116,9 +116,29 @@ line_streams = st.lists(st.integers(0, 40), min_size=0, max_size=250)
 time_steps = st.lists(st.integers(1, 400), min_size=250, max_size=250)
 
 
-@settings(max_examples=60, deadline=None)
-@given(line_streams, time_steps, st.sampled_from(GEOMETRIES))
-def test_outcome_pass_matches_timed_cache(lines, steps, geometry):
+#: Streams that reach both of lru_outcomes' shortcuts: long runs of one
+#: line (only a run's head is simulated), and lines drawn from a pool that
+#: gives every set of the geometry exactly ``assoc`` lines -- plus, when
+#: ``spill`` is set, one more line that forces evictions in set 0.
+runs = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(1, 30)), min_size=0, max_size=25
+).map(lambda pairs: [line for line, n in pairs for _ in range(n)][:250])
+
+
+@st.composite
+def full_set_streams(draw):
+    num_sets, assoc = draw(st.sampled_from(GEOMETRIES))
+    pool = [way * num_sets + index
+            for index in range(num_sets) for way in range(assoc)]
+    if draw(st.booleans()):
+        pool.append(assoc * num_sets)  # spill: set 0 gets assoc + 1 lines
+    lines = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=250))
+    if draw(st.booleans()):
+        lines = pool + lines  # every set filled to exactly assoc first
+    return lines[:250], (num_sets, assoc)
+
+
+def check_against_timed_cache(lines, steps, geometry):
     num_sets, assoc = geometry
     config = CacheConfig(size_bytes=num_sets * assoc * 64, assoc=assoc)
     assert config.num_sets == num_sets
@@ -148,9 +168,7 @@ def test_outcome_pass_matches_timed_cache(lines, steps, geometry):
     assert outcome.resident == cache.flush_dirty(time)
 
 
-@settings(max_examples=30, deadline=None)
-@given(line_streams, st.sampled_from(GEOMETRIES))
-def test_outcome_pass_matches_reference_lru(lines, geometry):
+def check_against_reference_lru(lines, geometry):
     num_sets, assoc = geometry
     ref = ReferenceLru(num_sets, assoc, line=1)
     outcome = lru_outcomes(np.array(lines, dtype=np.int64), num_sets, assoc)
@@ -158,3 +176,34 @@ def test_outcome_pass_matches_reference_lru(lines, geometry):
         ref.access(line) for line in lines
     ]
     assert outcome.resident == sum(len(ways) for ways in ref.sets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_streams, time_steps, st.sampled_from(GEOMETRIES))
+def test_outcome_pass_matches_timed_cache(lines, steps, geometry):
+    check_against_timed_cache(lines, steps, geometry)
+
+
+@settings(max_examples=30, deadline=None)
+@given(line_streams, st.sampled_from(GEOMETRIES))
+def test_outcome_pass_matches_reference_lru(lines, geometry):
+    check_against_reference_lru(lines, geometry)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs, time_steps, st.sampled_from(GEOMETRIES))
+def test_long_same_line_runs_match_timed_cache_and_reference(
+    lines, steps, geometry
+):
+    check_against_timed_cache(lines, steps, geometry)
+    check_against_reference_lru(lines, geometry)
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_set_streams(), time_steps)
+def test_sets_filled_to_their_ways_match_timed_cache_and_reference(
+    stream, steps
+):
+    lines, geometry = stream
+    check_against_timed_cache(lines, steps, geometry)
+    check_against_reference_lru(lines, geometry)

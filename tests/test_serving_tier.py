@@ -378,6 +378,34 @@ class TestAdmissionAndBackpressure:
             assert record.result.words == expected.words
             assert record.result.log_likelihood == expected.log_likelihood
 
+    def test_push_and_close_to_a_killed_worker_are_typed(
+        self, small_task, config
+    ):
+        """A push or a close on a dead shard's session used to raise the
+        pipe's raw ``BrokenPipeError`` and leave the shard routable."""
+        scores = small_task.utterances[0].scores
+        with make_tier(small_task, config, num_workers=2) as tier:
+            sids = [tier.open_session() for _ in range(4)]
+            orphan = next(s for s in sids if tier.worker_of(s) == 0)
+            dead = tier._workers[0]
+            os.kill(dead.process.pid, signal.SIGKILL)
+            dead.process.join(10)
+            with pytest.raises(TierError, match=rf"session {orphan}: worker 0"):
+                tier.push(orphan, scores)
+            assert not dead.up
+            with pytest.raises(TierError, match=rf"session {orphan}: worker 0"):
+                tier.close_input(orphan)
+
+            sid = tier.open_session()
+            assert tier.worker_of(sid) == 1
+            tier.push(sid, scores)
+            tier.close_input(sid)
+            record = tier.result(sid, timeout=60)
+            expected = BatchDecoder(small_task.graph, config).decode(scores)
+            assert record.ok
+            assert record.result.words == expected.words
+            assert record.result.log_likelihood == expected.log_likelihood
+
     def test_open_with_every_worker_down_is_typed(self, small_task, config):
         with make_tier(small_task, config, num_workers=1) as tier:
             dead = tier._workers[0]

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, SimulationError
+from repro.acoustic.scorer import AcousticScores
 from repro.accel import (
     AcceleratorConfig,
     AcceleratorSimulator,
@@ -31,6 +32,8 @@ from repro.accel.simulator import address_map
 from repro.datasets import SyntheticGraphConfig
 from repro.system import make_memory_workload
 from repro.wfst import ARC_BYTES, STATE_BYTES, sort_states_by_arc_count
+from repro.wfst.fst import Fst
+from repro.wfst.layout import CompiledWfst
 
 BASE = AcceleratorConfig()
 
@@ -189,6 +192,74 @@ class TestCycleEquivalence:
         assert result.stats.traffic.region_bytes("overflow") > 0
 
 
+class TestPassesEndDrained:
+    """A pipeline pass (a frame's emit pass or an epsilon pass) ends only
+    once every State Issuer fetch has returned, so no pass inherits a
+    request in flight and each can be priced on its own."""
+
+    @staticmethod
+    def eps_only_tail_graph():
+        """Start state 8 reaches 9 (a self-loop) and 100, whose only arc is
+        an epsilon arc to 16, whose only arc is an epsilon arc back to 9.
+        In a two-set direct-mapped State cache, 16's record evicts 100's,
+        so frame 1 walks 9 (resident), then 100 (a miss, and the frame's
+        last survivor: nothing downstream waits for its record), then 16
+        (pruned)."""
+        fst = Fst()
+        fst.add_states(101)
+        fst.set_start(8)
+        fst.add_arc(8, 1, 0, 0.0, 9)
+        fst.add_arc(8, 1, 0, 0.0, 100)
+        fst.add_arc(9, 1, 0, 0.0, 9)
+        fst.add_arc(100, 0, 0, -50.0, 16)
+        fst.add_arc(16, 0, 0, -50.0, 9)  # never improves state 9
+        fst.set_final(9)
+        return CompiledWfst.from_fst(fst, arcsort=False)
+
+    def test_a_fetch_with_no_arcs_is_waited_for(self):
+        graph = self.eps_only_tail_graph()
+        scores = AcousticScores(np.array([[-1e9, -1.0]] * 3))
+        config = replace(
+            BASE, state_cache=CacheConfig(128, 1), mem_latency_cycles=500
+        )
+        sim = AcceleratorSimulator(graph, config, beam=10.0).decode(scores)
+        assert sim.search.active_tokens_per_frame == [1, 2, 1]
+        # State 100's fetch misses in frame 1's emit pass: the frame lasts
+        # at least the DRAM round trip nothing else waited for.
+        assert sim.stats.frame_cycles[1] > config.mem_latency_cycles
+        trace = TraceRecorder(graph, beam=10.0).record(scores)
+        assert_results_identical(
+            sim, TraceReplayer(graph, config).replay(trace)
+        )
+
+    def test_a_pruned_tokens_overflow_read_is_waited_for(self):
+        """One hash bucket and no backup entries: state 10's token chains
+        behind state 9's and spills to the Overflow Buffer, so frame 1's
+        walk reads it from DRAM -- last, and for a token the beam prunes,
+        so nothing downstream waits for that read either."""
+        fst = Fst()
+        fst.add_states(11)
+        fst.set_start(8)
+        fst.add_arc(8, 1, 0, 0.0, 9)
+        fst.add_arc(8, 1, 0, -50.0, 10)
+        fst.add_arc(9, 1, 0, 0.0, 9)
+        fst.set_final(9)
+        graph = CompiledWfst.from_fst(fst, arcsort=False)
+        scores = AcousticScores(np.array([[-1e9, -1.0]] * 3))
+        config = replace(
+            BASE, hash_table=HashConfig(num_entries=1, backup_entries=0),
+            mem_latency_cycles=500,
+        )
+        sim = AcceleratorSimulator(graph, config, beam=10.0).decode(scores)
+        assert sim.search.active_tokens_per_frame == [1, 1, 1]
+        assert sim.stats.traffic.region_bytes("overflow") > 0
+        assert sim.stats.frame_cycles[1] > config.mem_latency_cycles
+        trace = TraceRecorder(graph, beam=10.0).record(scores)
+        assert_results_identical(
+            sim, TraceReplayer(graph, config).replay(trace)
+        )
+
+
 class TestTraceContract:
     def test_trace_records_functional_result(self, workload, traces):
         sim = AcceleratorSimulator(
@@ -338,6 +409,41 @@ class TestSharedTraceMemo:
         overflowing = alone[-1].stats
         assert overflowing.hash.overflows > 0
         assert overflowing.traffic.region_bytes("overflow") > 0
+
+    def test_passes_are_shared_and_price_as_inside_their_decode(
+        self, workload
+    ):
+        """Points of the grid share pipeline passes even where their
+        decodes time apart, and a pass priced on its own from cycle 0 is
+        the pass the monolithic simulator runs back to back with the
+        others: its frames are emit pass + epsilon pass."""
+        shared = fresh_recorder(workload).record(workload.scores[0])
+        for config in self.GRID:
+            TraceReplayer(workload.graph, config).replay(shared)
+        per_decode = 2 * shared.num_frames + 1
+        assert len(shared._replay_memo["passes"]) < (
+            timing_passes(shared) * per_decode
+        )
+        for config in (self.GRID[0], self.GRID[-1], self.EXTRAS[-1]):
+            trace = fresh_recorder(workload).record(workload.scores[0])
+            TraceReplayer(workload.graph, config).replay(trace)
+            priced = trace._replay_memo["passes"]
+            assert len(priced) == per_decode
+            cost = {key[1]: value for key, value in priced.items()}
+            stats = AcceleratorSimulator(
+                workload.graph, config, beam=workload.beam,
+                max_active=workload.max_active,
+            ).decode(workload.scores[0]).stats
+            assert stats.frame_cycles == [
+                cost[2 * f + 1][0] + cost[2 * f + 2][0]
+                for f in range(trace.num_frames)
+            ]
+            assert stats.cycles == cost[0][0] + sum(
+                config.frame_overhead_cycles + c for c in stats.frame_cycles
+            )
+            assert stats.traffic.region_bytes("overflow") == sum(
+                c[1] for c in cost.values()
+            )
 
     def test_one_timing_pass_per_distinct_behaviour(self, workload):
         """The Arc caches that hold the trace's working set miss once per
