@@ -120,11 +120,6 @@ class AcceleratorConfig:
     mem_latency_cycles: int = 50
     #: Memory-controller in-flight request window, in requests.
     mem_max_inflight: int = 32
-    #: Controller issue spacing, in cycles.  Recorded but not modelled:
-    #: the latency-centric controller deliberately does not serialise
-    #: issues from different units (see :mod:`repro.accel.memory`), so
-    #: this knob has no timing effect.
-    mem_issue_interval: int = 1
 
     #: In-flight operations per issuer, in transactions (Table I).
     state_issuer_inflight: int = 8
@@ -177,8 +172,6 @@ class AcceleratorConfig:
             raise ConfigError(
                 "the memory controller needs >= 1 in-flight request"
             )
-        if self.mem_issue_interval < 1:
-            raise ConfigError("memory issue interval must be >= 1 cycle")
         if min(
             self.state_issuer_inflight,
             self.arc_issuer_inflight,

@@ -1,10 +1,10 @@
 """Main memory and memory controller model.
 
 A fixed-latency DRAM (Table I / Section V: 50 cycles at 600 MHz) behind a
-memory controller with a bounded number of in-flight requests (32) and a
-fixed issue rate.  Every request is tagged with the data region it touches
-(states / arcs / tokens / overflow) so the simulator can report the traffic
-breakdown of Figure 13.
+memory controller with a bounded number of in-flight requests (32); issue
+spacing is not modelled (see :class:`MemoryController`).  Every request
+is tagged with the data region it touches (states / arcs / tokens /
+overflow) so the simulator can report the traffic breakdown of Figure 13.
 """
 
 from __future__ import annotations
@@ -47,12 +47,10 @@ class MemoryController:
         self,
         latency_cycles: int = 50,
         max_inflight: int = 32,
-        issue_interval: int = 1,
         traffic: MemoryTraffic = None,
     ) -> None:
         self.latency = latency_cycles
         self.max_inflight = max_inflight
-        self.issue_interval = issue_interval
         self.traffic = traffic if traffic is not None else MemoryTraffic()
         self.requests = 0
         # Recent issue timestamps, for the queueing estimate.  Kept small;

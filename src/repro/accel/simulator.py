@@ -134,7 +134,6 @@ class AcceleratorSimulator:
         memory = MemoryController(
             latency_cycles=self.config.mem_latency_cycles,
             max_inflight=self.config.mem_max_inflight,
-            issue_interval=self.config.mem_issue_interval,
             traffic=stats.traffic,
         )
         state_cache = Cache(

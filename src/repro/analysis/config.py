@@ -66,7 +66,6 @@ class AnalysisConfig:
         "src/repro/decoder/traceback.py",
         "src/repro/decoder/backends/__init__.py",
         "src/repro/decoder/backends/numpy_backend.py",
-        "src/repro/decoder/backends/numba_backend.py",
         "src/repro/accel/trace.py",
         "src/repro/accel/replay.py",
         "src/repro/wfst/layout.py",

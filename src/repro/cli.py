@@ -50,13 +50,11 @@ from repro.datasets import (
 from repro.decoder import (
     BatchDecoder,
     DecoderConfig,
-    KERNEL_BACKENDS,
     LatticeDecoder,
     PRUNING_STRATEGIES,
     ViterbiDecoder,
     word_error_rate,
 )
-from repro.decoder.backends import resolve_backend
 from repro.energy import AcceleratorEnergyModel
 from repro.graph import (
     DEFAULT_GRAPH_CACHE,
@@ -169,18 +167,6 @@ def _add_config_arg(parser: argparse.ArgumentParser, default: str) -> None:
                              "%(default)s)")
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel-backend", choices=KERNEL_BACKENDS,
-                        default="auto", dest="kernel_backend",
-                        help="search-kernel array backend: 'numpy' "
-                             "(portable default), 'numba' (compiled; "
-                             "needs the [compiled] extra, falls back to "
-                             "numpy with a warning), or 'auto' (reads "
-                             "REPRO_KERNEL_BACKEND, then numpy). Purely "
-                             "a speed knob: every backend decodes "
-                             "bit-identically (default: auto)")
-
-
 def _add_pruning_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pruning", choices=PRUNING_STRATEGIES,
                         default="beam",
@@ -231,7 +217,6 @@ def _decoder_config(args: argparse.Namespace) -> DecoderConfig:
         max_active=getattr(args, "max_active", 0),
         pruning=getattr(args, "pruning", "beam"),
         target_active=getattr(args, "target_active", 0),
-        backend=getattr(args, "kernel_backend", "auto"),
         commit_interval=getattr(args, "commit_interval", 0),
     )
 
@@ -352,12 +337,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
             print(line)
     frames = sum(u.num_frames for u in task.utterances)
     engine = "streaming" if args.streaming else args.engine
-    # The scalar reference discipline has no array backend to report.
-    backend = (
-        "" if (args.engine == "reference" and not args.streaming)
-        else f" [{resolve_backend(config.backend).name} kernel]"
-    )
-    print(f"engine '{engine}'{backend}: {frames} frames in "
+    print(f"engine '{engine}': {frames} frames in "
           f"{elapsed * 1e3:.1f} ms ({frames / elapsed:.0f} frames/s)")
     if server is not None:
         stats = server.stats
@@ -419,8 +399,7 @@ def _serve_tier(args: argparse.Namespace, task, scorer=None) -> int:
     blas = (f"{stats.blas_threads} thread(s)" if stats.blas_threads
             else "uncontrolled")
     print(f"tier: {args.workers} shards served {stats.sessions_finished} "
-          f"sessions / {stats.frames_decoded} frames on the "
-          f"{stats.kernel_backend} kernel backend, BLAS pool {blas}; "
+          f"sessions / {stats.frames_decoded} frames, BLAS pool {blas}; "
           f"aggregate {slo['aggregate_frames_per_second']:.0f} frames/s")
     print(f"SLO: session latency p50 "
           f"{slo['p50_session_latency_s'] * 1e3:.1f} ms / p99 "
@@ -618,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode with the software decoder")
     _add_task_args(p)
     _add_pruning_args(p)
-    _add_backend_arg(p)
     p.add_argument("--engine",
                    choices=("reference", "batch", "lattice", "gpu"),
                    default="reference",
@@ -640,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve concurrent chunked sessions through the "
                             "multi-process tier")
     _add_task_args(p)
-    _add_backend_arg(p)
     _add_streaming_args(p)
     p.add_argument("--max-batch", type=int, default=64, dest="max_batch",
                    help="max sessions per lockstep sweep (default 64)")

@@ -14,10 +14,8 @@ kernel rather than into individual engines.
 """
 
 from repro.decoder.backends import (
-    BackendFallbackWarning,
     KERNEL_BACKENDS,
     KernelBackend,
-    available_backends,
     numba_available,
     resolve_backend,
 )
@@ -44,7 +42,6 @@ from repro.decoder.wer import word_error_rate, levenshtein
 
 __all__ = [
     "AdaptiveBeamPruning",
-    "BackendFallbackWarning",
     "BatchDecoder",
     "ClosureEvent",
     "DecodeResult",
@@ -67,7 +64,6 @@ __all__ = [
     "SearchStats",
     "ViterbiDecoder",
     "advance_sessions",
-    "available_backends",
     "levenshtein",
     "numba_available",
     "resolve_backend",

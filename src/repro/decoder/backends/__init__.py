@@ -1,68 +1,44 @@
-"""Kernel backend dispatch: one search recurrence, pluggable array engines.
+"""The kernel's array ops: one search recurrence, one numpy backend.
 
 The hot prune -> expand -> merge -> closure frame sweep of
-:class:`repro.decoder.kernel.SearchKernel` bottoms out in a handful of
-pure array operations -- the CSR arc gather, the fused gather+score
-expansion and the segment-best destination merge.  This package extracts
-those operations behind the :class:`KernelBackend` protocol so a
-compiled implementation can replace them without forking the recurrence:
-all pruning strategy state, merge policy, trace bookkeeping, counters
-and observer events stay in the shared kernel, which is what makes the
-cross-backend identity guarantee hold *by construction* (and lets the
-differential suite in ``tests/test_backend_equivalence.py`` verify it).
+:class:`repro.decoder.kernel.SearchKernel` bottoms out in six pure array
+operations -- the CSR arc gather, the fused gather+score expansions, the
+segment-best destination merge and the traceback's reachability mark.
+This package names them in the :class:`KernelBackend` protocol and
+implements them once, in numpy
+(:mod:`repro.decoder.backends.numpy_backend`).  All pruning strategy
+state, merge policy, trace bookkeeping, counters and observer events
+stay in the shared kernel.
 
-Backends
---------
-* ``numpy`` -- the portable default, and the definition of the
-  bit-level contract: :mod:`repro.decoder.backends.numpy_backend`.
-* ``numba`` -- optional (``pip install repro-asr[compiled]``);
-  ``@njit(parallel=True, nogil=True)`` kernels with chunked parallelism
-  over the gathered arc rows, spanning every session of a fused sweep.
-  See :mod:`repro.decoder.backends.numba_backend`.
-
-Selection
----------
-``DecoderConfig.backend`` names a backend (``"numpy"`` / ``"numba"``) or
-``"auto"`` (the default), which consults the :data:`BACKEND_ENV_VAR`
-environment variable and falls back to numpy.  Requesting ``numba``
-where it is not importable emits a typed :class:`BackendFallbackWarning`
-and uses numpy -- selection never crashes a decode, because every
-backend computes bit-identical results and the choice is purely a speed
-knob.
+The protocol is a seam, not a registry: a kernel's ``backend`` attribute
+is assignable, so an object that forwards each op (a timing proxy, say)
+can stand in without forking the recurrence.  The ops are checked
+against naive loops in ``tests/test_kernel_primitives.py`` and, through
+whole decodes, against the scalar
+:class:`~repro.decoder.kernel.ReferenceKernel` oracle.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigError
 
-#: Backend names accepted by ``DecoderConfig.backend``, the
-#: ``REPRO_KERNEL_BACKEND`` environment variable and the CLI's
-#: ``--kernel-backend`` flag.
-KERNEL_BACKENDS: Tuple[str, ...] = ("auto", "numpy", "numba")
-
-#: Environment variable consulted when the configured backend is "auto".
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-
-class BackendFallbackWarning(UserWarning):
-    """A requested compiled backend is unavailable; numpy is used instead."""
+#: Backend names :func:`resolve_backend` accepts; both name the numpy
+#: backend.
+KERNEL_BACKENDS: Tuple[str, ...] = ("auto", "numpy")
 
 
 class KernelBackend:
     """The pure-array inner operations of one kernel implementation.
 
-    Every method is a deterministic pure function of its array inputs,
-    and every backend must produce **bit-identical** outputs for the
-    same inputs -- including float64 score arithmetic, which must
-    associate as ``(token_score + arc_weight) + acoustic_score`` -- so
-    that word output, path likelihoods, every order-independent counter
-    and every observer event stream agree across backends.
+    Every method is a deterministic pure function of its array inputs.
+    Float64 score arithmetic associates as
+    ``(token_score + arc_weight) + acoustic_score``, which is what keeps
+    word output, path likelihoods and counters equal to the scalar
+    :class:`~repro.decoder.kernel.ReferenceKernel`'s.
 
     ``first[i]`` / ``counts[i]`` always describe state ``i``'s contiguous
     CSR arc block in the :class:`~repro.wfst.layout.FlatLayout` arrays
@@ -148,24 +124,32 @@ class KernelBackend:
         The traceback compaction's mark phase: follow predecessor links
         from every live backpointer, stopping at already-marked records
         (``anchor`` is pre-marked; every live chain passes through it).
-        The mask is a pure function of its inputs and must be
-        bit-identical across backends -- it decides which trace records
-        survive a commit, so a divergent mask would desynchronize
-        renumbered backpointers between numpy and numba decodes.
+        The mask decides which trace records survive a commit.
         """
         raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
-# Registry and resolution
+# Resolution
 # ----------------------------------------------------------------------
 _NUMPY_BACKEND: Optional[KernelBackend] = None
-_NUMBA_BACKEND: Optional[KernelBackend] = None
-_NUMBA_IMPORT_ERROR: Optional[str] = None
 
 
-def _numpy_backend() -> KernelBackend:
+def numba_available() -> bool:
+    """Always False: the numpy backend is the only one."""
+    return False
+
+
+def resolve_backend(name: str = "auto") -> KernelBackend:
+    """The numpy backend, for ``"auto"`` or ``"numpy"``.
+
+    Any other name, ``"numba"`` included, raises :class:`ConfigError`.
+    """
     global _NUMPY_BACKEND
+    if name not in KERNEL_BACKENDS:
+        raise ConfigError(
+            f"unknown kernel backend {name!r} (choose from {KERNEL_BACKENDS})"
+        )
     if _NUMPY_BACKEND is None:
         from repro.decoder.backends.numpy_backend import NumpyBackend
 
@@ -173,77 +157,9 @@ def _numpy_backend() -> KernelBackend:
     return _NUMPY_BACKEND
 
 
-def _numba_backend() -> Optional[KernelBackend]:
-    global _NUMBA_BACKEND, _NUMBA_IMPORT_ERROR
-    if _NUMBA_BACKEND is None and _NUMBA_IMPORT_ERROR is None:
-        try:
-            from repro.decoder.backends.numba_backend import NumbaBackend
-        except ImportError as exc:
-            _NUMBA_IMPORT_ERROR = str(exc)
-        else:
-            _NUMBA_BACKEND = NumbaBackend()
-    return _NUMBA_BACKEND
-
-
-def numba_available() -> bool:
-    """True when the numba backend can be imported in this environment."""
-    return _numba_backend() is not None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Concrete backend names importable right now (numpy always is)."""
-    names = ["numpy"]
-    if numba_available():
-        names.append("numba")
-    return tuple(names)
-
-
-def resolve_backend(name: str = "auto") -> KernelBackend:
-    """Resolve a backend name to a concrete :class:`KernelBackend`.
-
-    ``"auto"`` consults :data:`BACKEND_ENV_VAR` and defaults to numpy.
-    ``"numba"`` falls back to numpy with a typed
-    :class:`BackendFallbackWarning` when numba is not importable --
-    never a crash, because the backend choice cannot change any decode
-    output.  Unknown names raise :class:`ConfigError`.
-    """
-    if name not in KERNEL_BACKENDS:
-        raise ConfigError(
-            f"unknown kernel backend {name!r} (choose from {KERNEL_BACKENDS})"
-        )
-    if name == "auto":
-        # Selection only: every backend computes bit-identical results,
-        # so this environment read can change which implementation runs
-        # but never what it computes.
-        requested = os.environ.get(BACKEND_ENV_VAR, "").strip()  # repro-lint: disable=REP001
-        if requested and requested not in KERNEL_BACKENDS:
-            raise ConfigError(
-                f"{BACKEND_ENV_VAR}={requested!r} is not a known kernel "
-                f"backend (choose from {KERNEL_BACKENDS})"
-            )
-        name = requested if requested and requested != "auto" else "numpy"
-    if name == "numba":
-        backend = _numba_backend()
-        if backend is not None:
-            return backend
-        warnings.warn(
-            BackendFallbackWarning(
-                "kernel backend 'numba' requested but numba is not "
-                "importable; falling back to the numpy backend (install "
-                f"it with `pip install repro-asr[compiled]`): "
-                f"{_NUMBA_IMPORT_ERROR}"
-            ),
-            stacklevel=2,
-        )
-    return _numpy_backend()
-
-
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BackendFallbackWarning",
     "KERNEL_BACKENDS",
     "KernelBackend",
-    "available_backends",
     "numba_available",
     "resolve_backend",
 ]

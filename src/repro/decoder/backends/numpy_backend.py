@@ -1,9 +1,8 @@
-"""The portable numpy kernel backend (the dispatch default).
+"""The numpy kernel backend: the one implementation of the kernel's ops.
 
 These are the vectorized sweeps of :class:`repro.decoder.kernel.
-SearchKernel`, extracted behind the
-:class:`~repro.decoder.backends.KernelBackend` protocol.  They define
-the bit-level contract every other backend must reproduce: the gather
+SearchKernel`, behind the
+:class:`~repro.decoder.backends.KernelBackend` protocol.  The gather
 enumerates arcs in block order, the segment merge keeps, per key, the
 best score and -- among candidates of equal score (``+0.0 == -0.0``) --
 the earliest candidate position, and score accumulation associates as

@@ -59,13 +59,6 @@ class BatchDecoder:
         """Shortest score row that every arc's ilabel can index safely."""
         return self.kernel.min_score_width
 
-    @property
-    def backend_name(self) -> str:
-        """Resolved kernel array backend ("numpy"/"numba"); purely a
-        speed knob -- every backend decodes bit-identically (see
-        :mod:`repro.decoder.backends`)."""
-        return self.kernel.backend_name
-
     # ------------------------------------------------------------------
     def open_session(self) -> "DecodeSession":
         """Open a resumable streaming decode session on this engine.

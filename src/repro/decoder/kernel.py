@@ -38,19 +38,15 @@ path likelihoods and every order-independent counter (``tokens_pruned``,
 order-dependent ``tokens_updated`` / ``epsilon_arcs_processed`` counters
 are discipline approximations in the vectorized kernel.
 
-Kernel backends
----------------
+Kernel backend
+--------------
 The vectorized discipline's pure-array inner loops (CSR arc gather,
-fused gather+score expansion, segment-best merge) are pluggable through
-:mod:`repro.decoder.backends`: ``numpy`` is the portable default and
-``numba`` (optional, ``pip install repro-asr[compiled]``) provides
-compiled parallel kernels.  Selection flows through
-``DecoderConfig.backend`` (``"auto"`` consults the
-``REPRO_KERNEL_BACKEND`` environment variable); every backend is
-bit-identical -- word output, path scores, counters and observer event
-streams -- which ``tests/test_backend_equivalence.py`` asserts
-differentially.  All pruning, merge policy, trace and observer logic
-stays in this module, shared by every backend.
+fused gather+score expansion, segment-best merge, the traceback's
+reachability mark) are the six ops of
+:class:`~repro.decoder.backends.KernelBackend`, implemented once in
+numpy.  ``SearchKernel.backend`` holds them and is assignable, so a
+forwarding object (a timing proxy) can wrap them.  All pruning, merge
+policy, trace and observer logic stays in this module.
 
 Pruning strategies
 ------------------
@@ -103,7 +99,7 @@ import numpy as np
 from repro.common.errors import ConfigError, DecodeError
 from repro.common.logmath import LOG_ZERO
 from repro.acoustic.scorer import AcousticScores
-from repro.decoder.backends import KERNEL_BACKENDS, KernelBackend, resolve_backend
+from repro.decoder.backends import KernelBackend, resolve_backend
 from repro.decoder.result import DecodeResult, SearchStats
 from repro.decoder.traceback import TRACE_FIELD_DTYPE, TokenTrace
 from repro.wfst.layout import CompiledWfst, FlatLayout
@@ -133,12 +129,6 @@ class DecoderConfig:
         adapt_rate: exponent of the multiplicative update
             ``beam *= (target_active / survivors) ** adapt_rate``;
             in (0, 1], higher reacts faster.
-        backend: kernel array backend for the vectorized discipline:
-            ``"numpy"`` (portable default), ``"numba"`` (compiled; falls
-            back to numpy with a typed warning when not installed) or
-            ``"auto"`` (consults the ``REPRO_KERNEL_BACKEND`` environment
-            variable, then numpy).  Purely a speed knob: every backend
-            is bit-identical on words, scores, counters and events.
         commit_interval: frames between committed-prefix commits of the
             streaming traceback buffer (see
             :mod:`repro.decoder.traceback`): every ``commit_interval``
@@ -157,7 +147,6 @@ class DecoderConfig:
     min_beam: float = 1.0
     max_beam: float = 0.0
     adapt_rate: float = 0.5
-    backend: str = "auto"
     commit_interval: int = 0
 
     def __post_init__(self) -> None:
@@ -165,11 +154,6 @@ class DecoderConfig:
             raise ConfigError("beam must be positive")
         if self.commit_interval < 0:
             raise ConfigError("commit_interval must be >= 0")
-        if self.backend not in KERNEL_BACKENDS:
-            raise ConfigError(
-                f"unknown kernel backend {self.backend!r} "
-                f"(choose from {KERNEL_BACKENDS})"
-            )
         if self.max_active < 0:
             raise ConfigError("max_active must be >= 0")
         if self.pruning not in PRUNING_STRATEGIES:
@@ -483,18 +467,13 @@ class SearchKernel:
                 f"graph output label {top} does not fit the token trace's "
                 f"32-bit word field (max {max_word})"
             )
-        #: The array backend running the inner sweeps, resolved once per
-        #: kernel from ``config.backend`` (see repro.decoder.backends).
-        self.backend: KernelBackend = resolve_backend(config.backend)
+        #: The array ops running the inner sweeps (see
+        #: repro.decoder.backends); assignable, e.g. to a timing proxy.
+        self.backend: KernelBackend = resolve_backend()
         #: Shortest score row that every arc's ilabel can index safely.
         self.min_score_width: int = (
             int(self.flat.arc_ilabel.max()) + 1 if self.flat.num_arcs else 1
         )
-
-    @property
-    def backend_name(self) -> str:
-        """Resolved name of the active array backend ("numpy"/"numba")."""
-        return self.backend.name
 
     # ------------------------------------------------------------------
     def init_frontier(
@@ -575,7 +554,7 @@ class SearchKernel:
         stats.count_degrees(flat.out_degree[states])
 
         # Fused gather + score accumulation over every surviving state's
-        # non-epsilon arc block, on the active backend.
+        # non-epsilon arc block.
         first = flat.first_arc[states]
         n_arcs = flat.num_non_eps[states]
         arc_idx, src, dest, new_scores = self.backend.expand_frame(
@@ -814,8 +793,7 @@ class SearchKernel:
             lo += k
 
         # Fused gather + score accumulation across every session's
-        # surviving states at once (the backend's widest parallel sweep:
-        # its row space spans all sessions).
+        # surviving states at once (one row space spans all sessions).
         arc_idx, src, dest, new_scores = self.backend.expand_fused(
             flat.first_arc[states], flat.num_non_eps[states], scores, seg,
             flat.arc_dest, flat.arc_weight64, flat.arc_ilabel, frame_stack,

@@ -31,12 +31,9 @@ fused sweep is bit-identical per session to
 :meth:`DecodeSession.push_frame`, including every
 :class:`SearchStats` counter.
 
-The fused sweep's gather/expand/merge array work runs on the decoder's
-configured kernel backend (``DecoderConfig.backend``; see
-:mod:`repro.decoder.backends`).  The compiled numba backend parallelizes
-the fused expansion across the concatenated rows of *all* sessions in
-the sweep, so continuous batching is where it pays most -- with
-bit-identical per-session results, as the backend contract requires.
+The fused sweep's gather/expand/merge array work is the kernel's
+``expand_fused`` / ``segment_best`` ops (:mod:`repro.decoder.backends`),
+one call each over the concatenated rows of *all* sessions in the sweep.
 """
 
 from __future__ import annotations

@@ -25,10 +25,9 @@ every record the live frontier can no longer reach:
    O(utterance length).
 
 The reachability mark phase is the compaction's only array-heavy inner
-loop, so it routes through the :class:`~repro.decoder.backends.
-KernelBackend` protocol (``trace_reachable``): the numpy and numba
-backends must produce bit-identical keep masks, which keeps the
-cross-backend identity guarantee intact through compaction.
+loop, so it is one of the kernel's ops
+(:meth:`~repro.decoder.backends.KernelBackend.trace_reachable`), timed
+with the others when a proxy wraps them.
 
 ``commit_interval=0`` (the default) disables commits entirely and the
 trace behaves exactly as the historical append-only buffer -- every
@@ -73,8 +72,7 @@ def trace_reachable_numpy(
     Frontier marking: start from the unique live backpointers and follow
     predecessor links, stopping at records already marked (the anchor is
     pre-marked, and every live chain passes through it).  The result is a
-    boolean mask over ``prev[:size]`` -- a pure function of its inputs,
-    so every backend implementation must reproduce it bit for bit.
+    boolean mask over ``prev[:size]`` -- a pure function of its inputs.
     """
     keep = np.zeros(size, dtype=bool)
     keep[anchor] = True
@@ -103,8 +101,8 @@ class TokenTrace:
 
     Args:
         commit_interval: frames between commits (0 = never commit).
-        backend: kernel backend running the compaction's reachability
-            mark; ``None`` uses the portable numpy reference.
+        backend: kernel ops running the compaction's reachability
+            mark; ``None`` calls :func:`trace_reachable_numpy` directly.
     """
 
     def __init__(

@@ -187,12 +187,6 @@ class StreamingServer:
         # One row width across all sessions, pinned by the first push.
         self._frame_width: Optional[int] = None
 
-    @property
-    def kernel_backend(self) -> str:
-        """Resolved kernel array backend the fused sweeps run on
-        ("numpy"/"numba"; selected by ``search_config.backend``)."""
-        return self.decoder.backend_name
-
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------

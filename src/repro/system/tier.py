@@ -94,7 +94,6 @@ from repro.common.errors import (
     ReproError,
     TierError,
 )
-from repro.decoder.backends import resolve_backend
 from repro.decoder.kernel import DecoderConfig
 from repro.decoder.result import DecodeResult
 from repro.decoder.session import Chunk, check_score_rows, chunk_matrix
@@ -155,10 +154,6 @@ class TierConfig:
 class TierStats:
     """Front-door counters plus the per-session SLO samples."""
 
-    #: Resolved kernel array backend every shard's fused sweeps run on
-    #: ("numpy"/"numba"); recorded at tier construction from the search
-    #: config (workers resolve the same config, so the names agree).
-    kernel_backend: str = ""
     #: BLAS pool size in force while the tier is up -- what the scoring
     #: thread's gemms run with, after the core budget was applied -- or
     #: ``0`` when the BLAS is uncontrolled (:class:`repro.common.cpu.BlasPool`).
@@ -312,8 +307,9 @@ class _WorkerHandle:
         self.process = process
         self.pipe = pipe
         self.conn = pipe.conn  #: polled only by result()'s unlocked wait
-        #: False once a send to the shard failed (see ServingTier._send);
-        #: a down shard is never routed to again.
+        #: False once a send to the shard failed (see ServingTier._send)
+        #: or its pipe reached end of file (ServingTier._pump); a down
+        #: shard is never routed to again.
         self.up = True
         self.live = 0                 #: sessions currently routed here
         self.inflight_frames = 0      #: shipped frames not yet acked
@@ -533,12 +529,7 @@ class ServingTier:
         self.graph_dir = graph_dir
         self.tier_config = tier_config
         self.search_config = search_config
-        # Resolve here with the same rules every worker applies to the
-        # pickled search config, so the recorded name matches the shards
-        # (and any numba-missing fallback warns in the front door too).
-        self.stats = TierStats(
-            kernel_backend=resolve_backend(search_config.backend).name
-        )
+        self.stats = TierStats()
         self._clock = clock
         self._lock = threading.RLock()
         self._next_sid = 0
@@ -1284,6 +1275,9 @@ class ServingTier:
                         break
                     msg = worker.pipe.recv()
                 except (EOFError, OSError):
+                    # The shard's end is closed: it is dead, so route no
+                    # new session to it.
+                    worker.up = False
                     break
                 timeout = 0
                 if msg[0] == "stats":

@@ -74,7 +74,7 @@ class FlatLayout:
     All arrays are read-only views shared by every decoder on the graph,
     and all are guaranteed **C-contiguous**: each state's arc block is a
     dense ``[first_arc, first_arc + out_degree)`` slice of the arc
-    columns (non-epsilon arcs first), so compiled kernel backends
+    columns (non-epsilon arcs first), so the kernel's array ops
     (:mod:`repro.decoder.backends`) can walk ``arc_dest`` /
     ``arc_ilabel`` / ``arc_olabel`` / ``arc_weight64`` with unit-stride
     loads and no per-call copies.
@@ -117,7 +117,7 @@ class FlatLayout:
             arc_weight64=graph.arc_weight.astype(np.float64),
             final_weights=graph.final_weights.copy(),
         )
-        # The contiguity guarantee compiled kernel backends rely on:
+        # The contiguity guarantee the kernel's array ops rely on:
         # astype()/copy() already produce C-order arrays, but make it an
         # invariant of the view, not an accident of construction (the
         # source arrays may be mmap-backed or sliced).

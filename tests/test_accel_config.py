@@ -120,7 +120,6 @@ class TestValidation:
             {"acoustic_buffer_bytes": -1},
             {"mem_latency_cycles": 0},
             {"mem_max_inflight": 0},
-            {"mem_issue_interval": 0},
             {"state_issuer_inflight": 0},
             {"arc_issuer_inflight": -1},
             {"token_issuer_inflight": 0},
@@ -131,6 +130,7 @@ class TestValidation:
             {"state_direct_max_arcs": 0},
             {"state_direct_max_arcs": -3},
             {"frame_overhead_cycles": -1},
+            {"traceback_window_frames": -1},
         ],
     )
     def test_out_of_range_fields_rejected(self, kwargs):

@@ -1,11 +1,10 @@
-"""Kernel edge cases, asserted identically on every array backend.
+"""Kernel edge cases: degenerate searches, pinned exactly.
 
-Degenerate searches are where a compiled backend would quietly diverge
-from the portable one -- empty gather frontiers, emptied beams,
-single-state graphs, score ties under a histogram cap, zero-frame
-utterances.  Each case here pins the exact behaviour (result or typed
-``DecodeError``) and asserts it per backend; when numba is installed
-the same cases additionally assert numpy/numba identity.
+Empty gather frontiers, emptied beams, single-state graphs, score ties
+under a histogram cap, zero-frame utterances: each case pins the exact
+behaviour (result or typed ``DecodeError``) of the vectorized kernel on
+the backend the ``backend`` parameter names, assigned through the
+kernel's ``backend`` seam.
 """
 
 import math
@@ -15,14 +14,16 @@ import pytest
 
 from repro.common.errors import DecodeError
 from repro.acoustic.scorer import AcousticScores
-from repro.decoder import BatchDecoder, DecoderConfig, numba_available
+from repro.decoder import (
+    BatchDecoder,
+    DecoderConfig,
+    ViterbiDecoder,
+    advance_sessions,
+)
 from repro.decoder.backends import resolve_backend
 from repro.wfst import CompiledWfst, EPSILON, Fst
 
-#: Every backend importable in this environment ("numpy" always).
-BACKENDS = ["numpy"] + (["numba"] if numba_available() else [])
-
-pytestmark = pytest.mark.parametrize("backend", BACKENDS)
+pytestmark = pytest.mark.parametrize("backend", ["numpy"])
 
 # Phone / word ids.
 A, B = 1, 2
@@ -76,7 +77,9 @@ def scores(rows, width=3):
 
 def _decoder(graph, backend, **cfg):
     cfg.setdefault("beam", 20.0)
-    return BatchDecoder(graph, DecoderConfig(backend=backend, **cfg))
+    decoder = BatchDecoder(graph, DecoderConfig(**cfg))
+    decoder.kernel.backend = resolve_backend(backend)
+    return decoder
 
 
 def _summary(result):
@@ -179,31 +182,35 @@ class TestSingleStateGraph:
         )
 
     def test_cross_backend_identity(self, backend):
-        base = _decoder(single_state_graph(), "numpy").decode(
-            scores([{A: -0.5}] * 4)
-        )
-        other = _decoder(single_state_graph(), backend).decode(
-            scores([{A: -0.5}] * 4)
-        )
-        assert _summary(other) == _summary(base)
+        """The vectorized kernel on ``backend`` against the scalar
+        reference discipline."""
+        frames = scores([{A: -0.5}] * 4)
+        oracle = ViterbiDecoder(
+            single_state_graph(), DecoderConfig(beam=20.0)
+        ).decode(frames)
+        other = _decoder(single_state_graph(), backend).decode(frames)
+        assert _summary(other) == _summary(oracle)
 
 
 class TestHistogramCapTies:
     """Exact score ties at the cap boundary.
 
     The vectorized discipline breaks cap ties deterministically (stable
-    sort by score then state), so every array backend must keep the
-    *same* survivors -- asserted against numpy; the scalar reference may
-    legitimately keep a different equal-score subset, so it is not part
-    of this comparison.
+    sort by score then state), so the one-shot decode and the fused
+    multi-session sweep must keep the *same* survivors; the scalar
+    reference may legitimately keep a different equal-score subset, so
+    it is not part of this comparison.
     """
 
     def test_tied_survivors_identical(self, backend):
         graph = fan_graph(branches=8)
         frames = scores([{A: -0.5}, {B: -0.5}, {B: -0.5}], width=3)
-        base = _decoder(graph, "numpy", beam=30.0, max_active=3)
-        other = _decoder(graph, backend, beam=30.0, max_active=3)
-        assert _summary(other.decode(frames)) == _summary(base.decode(frames))
+        decoder = _decoder(graph, backend, beam=30.0, max_active=3)
+        sessions = [decoder.open_session() for _ in range(2)]
+        for row in frames.matrix:
+            advance_sessions([(session, row) for session in sessions])
+        base = _summary(decoder.decode(frames))
+        assert [_summary(s.finalize()) for s in sessions] == [base, base]
 
     def test_cap_keeps_search_deterministic(self, backend):
         graph = fan_graph(branches=8)

