@@ -442,6 +442,7 @@ class TestAdmissionAndBackpressure:
             dead = tier._workers[0]
             os.kill(dead.process.pid, signal.SIGKILL)
             dead.process.join(10)
+            assert not dead.process.is_alive()
             tier.poll()
             assert not dead.up
             sids = [tier.open_session() for _ in range(4)]
