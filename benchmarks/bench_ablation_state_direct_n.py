@@ -3,10 +3,10 @@
 Section IV-B picks N = 16 comparators: with the paper's out-degree
 distribution this covers >95% of static states and >97% of dynamic
 fetches.  This ablation sweeps N through the shared runner (each N is its
-own sorted layout, so the runner records one trace per N plus the
-baseline) and reports static coverage, dynamic direct-lookup rate, and
-the off-chip traffic saving -- showing the diminishing returns past
-N = 16 that justify the paper's choice.
+own sorted layout, which replays the one baseline trace relabelled) and
+reports static coverage, dynamic direct-lookup rate, and the off-chip
+traffic saving -- showing the diminishing returns past N = 16 that
+justify the paper's choice.
 """
 
 from benchmarks.common import format_table, report, sweep_runner

@@ -8,10 +8,11 @@ This reproduces the style of analysis behind the paper's Figures 4 and 5
 and shows how the two Section IV techniques move the design across the
 performance/power space.
 
-The whole exploration runs the functional beam search exactly *once* per
-graph layout: every configuration is priced by replaying the recorded
-trace (`repro.explore.SweepRunner`), so adding sweep points costs
-milliseconds, not full simulations.
+The whole exploration runs the functional beam search exactly *once*:
+every configuration is priced by replaying the recorded trace
+(`repro.explore.SweepRunner`; sorted-layout points replay it
+relabelled), so adding sweep points costs milliseconds, not full
+simulations.
 
 Run:  python examples/design_space.py
 """

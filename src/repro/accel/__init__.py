@@ -23,14 +23,14 @@ from repro.accel.memory import MemoryController, Region
 from repro.accel.cache import Cache
 from repro.accel.hashtable import TokenHashTable
 from repro.accel.prefetch import PrefetchConfig
-from repro.accel.replay import TraceReplayer, replay_decode
+from repro.accel.replay import TraceReplayer
 from repro.accel.simulator import AcceleratorResult, AcceleratorSimulator
 from repro.accel.trace import (
     DecodeTrace,
     FrameTrace,
     TraceRecorder,
+    derive_sorted_trace,
     frame_traces,
-    record_decode_trace,
     summarize,
 )
 
@@ -50,8 +50,7 @@ __all__ = [
     "DecodeTrace",
     "TraceRecorder",
     "TraceReplayer",
-    "record_decode_trace",
-    "replay_decode",
+    "derive_sorted_trace",
     "FrameTrace",
     "frame_traces",
     "summarize",

@@ -342,8 +342,9 @@ class TraceReplayer:
     Mirrors the :class:`~repro.accel.simulator.AcceleratorSimulator`
     constructor contract: configurations with ``state_direct_enabled``
     require the Section IV-B ``sorted_graph`` and walk its re-ordered
-    layout, so they must replay traces recorded on ``sorted_graph.graph``;
-    all other configurations replay traces recorded on ``graph``.
+    layout, so they replay traces of ``sorted_graph.graph`` (see
+    :func:`~repro.accel.trace.derive_sorted_trace`); all other
+    configurations replay traces recorded on ``graph``.
 
     Args:
         graph: baseline compiled graph.
@@ -394,8 +395,8 @@ class TraceReplayer:
             raise SimulationError(
                 "trace/layout mismatch: the trace was recorded on a "
                 "different graph layout than the one being replayed "
-                "(baseline vs Section IV-B sorted layouts need separate "
-                "traces)"
+                "(a Section IV-B sorted-layout configuration replays "
+                "derive_sorted_trace of the baseline trace)"
             )
         if 2 * trace.frame_bytes > cfg.acoustic_buffer_bytes:
             raise ConfigError(
@@ -970,13 +971,3 @@ def _copy_search(search: SearchStats) -> SearchStats:
         degree_histogram=search.degree_histogram.copy(),
         active_tokens_per_frame=list(search.active_tokens_per_frame),
     )
-
-
-def replay_decode(
-    graph: CompiledWfst,
-    trace: DecodeTrace,
-    config: AcceleratorConfig = AcceleratorConfig(),
-    sorted_graph: Optional[SortedWfst] = None,
-) -> AcceleratorResult:
-    """Convenience wrapper: replay one trace under one configuration."""
-    return TraceReplayer(graph, config, sorted_graph=sorted_graph).replay(trace)

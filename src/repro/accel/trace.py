@@ -36,12 +36,13 @@ Two layers live here:
   the monolithic :class:`~repro.accel.simulator.AcceleratorSimulator`
   (asserted in ``tests/test_trace_replay.py``).  Traces are tied to a
   graph *layout*: configurations using the Section IV-B sorted layout
-  replay a trace recorded on the sorted graph.
+  replay a sorted-layout trace, which :func:`derive_sorted_trace`
+  relabels from the baseline trace without searching again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -60,6 +61,7 @@ from repro.decoder.kernel import (
 )
 from repro.decoder.result import SearchStats
 from repro.wfst.layout import CompiledWfst
+from repro.wfst.sorted_layout import SortedWfst
 
 #: Bump when the array schema changes; saved traces carry it so stale disk
 #: caches are rejected instead of misread.  v2: pruning-strategy metadata
@@ -415,11 +417,10 @@ class TraceRecorder:
     event stream a :class:`~repro.accel.replay.TraceReplayer` needs, via
     the kernel observer protocol.
 
-    The recorder walks whatever graph it is given: pass the baseline
-    :class:`~repro.wfst.layout.CompiledWfst` for baseline-layout
-    configurations, or ``sorted_wfst.graph`` for Section IV-B sorted-layout
-    configurations (the two layouts visit different state ids and arc
-    addresses, so they need separate traces).
+    The recorder walks whatever graph it is given.  A Section IV-B
+    sorted-layout trace is the baseline trace relabelled
+    (:func:`derive_sorted_trace`); recording one on ``sorted_wfst.graph``
+    is the oracle that relabelling is tested against.
 
     Args:
         graph: compiled graph layout to search.
@@ -438,8 +439,6 @@ class TraceRecorder:
     ) -> None:
         self.config = config or DecoderConfig(beam=beam, max_active=max_active)
         self.graph = graph
-        self.beam = self.config.beam
-        self.max_active = self.config.max_active
         self._layout_key = layout_fingerprint(graph)
         self._kernel = ReferenceKernel(graph, self.config)
 
@@ -488,14 +487,45 @@ class TraceRecorder:
         )
 
 
-def record_decode_trace(
-    graph: CompiledWfst,
-    scores: AcousticScores,
-    beam: float = 12.0,
-    max_active: int = 0,
-    config: Optional[DecoderConfig] = None,
+
+def derive_sorted_trace(
+    trace: DecodeTrace, graph: CompiledWfst, sorted_graph: SortedWfst
 ) -> DecodeTrace:
-    """Convenience wrapper: record one utterance's trace on ``graph``."""
-    return TraceRecorder(
-        graph, beam=beam, max_active=max_active, config=config
-    ).record(scores)
+    """``trace`` (recorded on ``graph``) relabelled onto a Section IV-B
+    sorted layout of ``graph``, with no second search.
+
+    :func:`~repro.wfst.sorted_layout.sort_states_by_arc_count` relabels
+    states stably and keeps each state's arcs contiguous and in order, and
+    the search walks tokens in insertion order, never in id order.  So
+    state ids map through ``old_to_new`` and each arc keeps its offset
+    from its owner's first arc (not from its non-epsilon or epsilon
+    block).  ``tests/test_trace_replay.py`` holds the result equal to
+    :class:`TraceRecorder` on ``sorted_graph.graph``.  Raises
+    :class:`SimulationError` for a trace of another layout.
+    """
+    if trace.layout_key != layout_fingerprint(graph):
+        raise SimulationError(
+            "trace/layout mismatch: only a trace recorded on the baseline "
+            "graph can be relabelled onto its sorted layout"
+        )
+    old_to_new = sorted_graph.old_to_new
+    old_first = CompiledWfst.unpack_states(graph.states_packed)[0]
+    new_first = CompiledWfst.unpack_states(sorted_graph.graph.states_packed)[0]
+    shift = new_first[old_to_new] - old_first  # how far each state's arcs move
+    emit_owners = np.repeat(trace.emit_states, trace.emit_n)
+    eps_owners = np.repeat(trace.eps_states, trace.eps_n)
+    return replace(
+        trace,
+        num_states=sorted_graph.graph.num_states,
+        num_arcs=sorted_graph.graph.num_arcs,
+        layout_key=layout_fingerprint(sorted_graph.graph),
+        read_states=old_to_new[trace.read_states],
+        emit_states=old_to_new[trace.emit_states],
+        emit_first=trace.emit_first + shift[trace.emit_states],
+        emit_arc_idx=trace.emit_arc_idx + shift[emit_owners],
+        emit_arc_dest=old_to_new[trace.emit_arc_dest],
+        eps_states=old_to_new[trace.eps_states],
+        eps_first=trace.eps_first + shift[trace.eps_states],
+        eps_arc_idx=trace.eps_arc_idx + shift[eps_owners],
+        eps_arc_dest=old_to_new[trace.eps_arc_dest],
+    )

@@ -3,11 +3,12 @@
 Recording a :class:`~repro.accel.trace.DecodeTrace` costs one functional
 beam search; every replay after that is cheap.  :class:`TraceCache` keeps
 traces keyed by a *content fingerprint* of everything the search depends
-on -- the graph layout, the acoustic score matrices, the beam and the
-``max_active`` cap -- so
+on -- the graph layout, the acoustic score matrices and the search
+configuration -- so
 
-* within a sweep, all configurations sharing a layout and beam reuse one
-  recording;
+* within a sweep, all configurations sharing a search configuration reuse
+  one recording (sorted-layout points relabel it, see
+  :func:`repro.accel.trace.derive_sorted_trace`);
 * across processes/runs, an optional on-disk cache directory makes the
   recording a one-time cost per workload;
 * invalidation is automatic: any change to the workload or layout changes
@@ -35,21 +36,16 @@ from repro.wfst.layout import CompiledWfst
 def workload_fingerprint(
     graph: CompiledWfst,
     scores: Sequence[AcousticScores],
-    beam: float = 12.0,
-    max_active: int = 0,
-    config: Optional[DecoderConfig] = None,
+    *,
+    config: DecoderConfig,
 ) -> str:
     """Content hash of one (layout, scores, search-parameters) workload.
 
     Every field of the search configuration that can change the
     functional event stream -- beam, cap, pruning strategy and its
     adaptation parameters -- feeds the key, so a sweep point with a
-    different strategy never addresses another point's trace.  Pass
-    ``config`` for full control; ``beam`` / ``max_active`` remain as the
-    simple legacy spelling.
+    different strategy never addresses another point's trace.
     """
-    if config is None:
-        config = DecoderConfig(beam=beam, max_active=max_active)
     # Adaptive-only parameters are zeroed for the fixed-beam strategy:
     # they cannot change its search, and keying on them would fragment
     # the cache into duplicate recordings of identical searches.
@@ -90,18 +86,10 @@ class TraceCache:
         self,
         graph: CompiledWfst,
         scores: Sequence[AcousticScores],
-        beam: float = 12.0,
-        max_active: int = 0,
-        config: Optional[DecoderConfig] = None,
+        *,
+        config: DecoderConfig,
     ) -> List[DecodeTrace]:
-        """Traces for every utterance of the workload, recording on miss.
-
-        Pass ``config`` for full search-parameter control (pruning
-        strategy included); ``beam`` / ``max_active`` remain as the
-        simple legacy spelling.
-        """
-        if config is None:
-            config = DecoderConfig(beam=beam, max_active=max_active)
+        """Traces for every utterance of the workload, recording on miss."""
         key = workload_fingerprint(graph, scores, config=config)
         cached = self._memory.get(key)
         if cached is not None:

@@ -1,9 +1,11 @@
 """The shared design-space sweep runner.
 
 ``SweepRunner`` turns a workload plus a parameter grid into priced design
-points: it records the functional decode trace once per (graph layout,
-beam, pruning strategy) via :class:`~repro.explore.cache.TraceCache`,
-replays it under every
+points: it records the functional decode trace once per (beam, pruning
+strategy) on the baseline graph via
+:class:`~repro.explore.cache.TraceCache`, relabels it onto each Section
+IV-B sorted layout the grid asks for
+(:func:`~repro.accel.trace.derive_sorted_trace`), replays it under every
 configuration with :class:`~repro.accel.replay.TraceReplayer` (optionally
 fanned out across worker processes), applies the energy model, and
 returns rows ready for tables, JSON and CSV artifacts.
@@ -33,7 +35,7 @@ from repro.common.errors import ConfigError
 from repro.accel.config import AcceleratorConfig
 from repro.accel.replay import TraceReplayer, timing_passes
 from repro.accel.stats import SimStats
-from repro.accel.trace import DecodeTrace
+from repro.accel.trace import DecodeTrace, derive_sorted_trace
 from repro.acoustic.scorer import AcousticScores
 from repro.decoder.kernel import DecoderConfig
 from repro.decoder.result import SearchStats
@@ -263,9 +265,6 @@ class SweepRunner:
 
         ``None`` means the workload's own sorted graph (or the default N).
         """
-        return self._sorted_layout(max_direct_arcs)
-
-    def _sorted_layout(self, max_direct_arcs: Optional[int]) -> SortedWfst:
         cached = self._sorted_layouts.get(max_direct_arcs)
         if cached is not None:
             return cached
@@ -303,8 +302,9 @@ class SweepRunner:
         rec_before = self.trace_cache.recordings
         hits_before = self.trace_cache.hits
 
-        # Resolve each point to (config, layout, search-config) and record
-        # the traces each distinct (layout, search-config) needs -- once.
+        # Resolve each point to (config, layout, search-config).  Each
+        # search-config is searched once, on the baseline graph, and each
+        # sorted layout relabels that trace once per run.
         plans = []
         layouts: Dict[Tuple, Tuple[CompiledWfst, Optional[SortedWfst]]] = {}
         traces: Dict[Tuple, List[DecodeTrace]] = {}
@@ -330,23 +330,28 @@ class SweepRunner:
                 beam=beam, max_active=max_active,
                 pruning=pruning, target_active=target_active,
             )
+            search_key = (beam, pruning, target_active)
+            base_key = (("flat",), search_key)
+            if base_key not in traces:
+                traces[base_key] = self.trace_cache.get(
+                    workload.graph, workload.scores, config=search_config
+                )
             if config.state_direct_enabled:
                 n = overrides.get(
                     "sorted.max_direct_arcs", config.state_direct_max_arcs
                 )
-                sorted_graph = self._sorted_layout(n)
+                sorted_graph = self.sorted_layout(n)
                 layout_id = ("sorted", sorted_graph.max_direct_arcs)
-                trace_graph = sorted_graph.graph
             else:
                 sorted_graph = None
                 layout_id = ("flat",)
-                trace_graph = workload.graph
             layouts[layout_id] = (workload.graph, sorted_graph)
-            trace_key = (layout_id, beam, pruning, target_active)
+            trace_key = (layout_id, search_key)
             if trace_key not in traces:
-                traces[trace_key] = self.trace_cache.get(
-                    trace_graph, workload.scores, config=search_config
-                )
+                traces[trace_key] = [
+                    derive_sorted_trace(t, workload.graph, sorted_graph)
+                    for t in traces[base_key]
+                ]
             plans.append((config, layout_id, trace_key))
 
         outcomes = self._execute(plans, layouts, traces)

@@ -10,6 +10,7 @@ from repro.common.errors import ConfigError
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.acoustic.scorer import AcousticScores
 from repro.datasets import SyntheticGraphConfig
+from repro.decoder import DecoderConfig
 from repro.explore import (
     ParameterGrid,
     SweepRunner,
@@ -136,8 +137,8 @@ class TestRunner:
                 sim.decode(s).stats.cycles for s in workload.scores
             )
             assert point.cycles == expected
-        # Two layouts -> two recordings.
-        assert result.trace_recordings == 2
+        # Two layouts, one search: both relabel the baseline trace.
+        assert result.trace_recordings == 1
 
     def test_pruning_axis_records_one_trace_per_strategy(self, workload):
         """The adaptive-beam workload axis re-traces per strategy point
@@ -276,21 +277,26 @@ class TestRunner:
             SweepRunner(workload).run([])
 
 
+def search_config(workload, beam=None, max_active=None):
+    return DecoderConfig(
+        beam=workload.beam if beam is None else beam,
+        max_active=workload.max_active if max_active is None else max_active,
+    )
+
+
 class TestTraceCache:
     def test_disk_cache_roundtrip_and_hit_counters(self, tmp_path, workload):
         directory = str(tmp_path / "traces")
         cache = TraceCache(directory)
         first = cache.get(
-            workload.graph, workload.scores, workload.beam,
-            workload.max_active,
+            workload.graph, workload.scores, config=search_config(workload)
         )
         assert cache.recordings == 1
         # A fresh cache object backed by the same directory loads without
         # re-recording.
         cache2 = TraceCache(directory)
         second = cache2.get(
-            workload.graph, workload.scores, workload.beam,
-            workload.max_active,
+            workload.graph, workload.scores, config=search_config(workload)
         )
         assert cache2.recordings == 0
         assert cache2.hits == 1
@@ -299,27 +305,24 @@ class TestTraceCache:
             assert np.array_equal(a.emit_arc_idx, b.emit_arc_idx)
 
     def test_workload_change_invalidates_key(self, workload):
-        fp = workload_fingerprint(
-            workload.graph, workload.scores, workload.beam,
-            workload.max_active,
+        config = search_config(workload)
+        fp = workload_fingerprint(workload.graph, workload.scores, config=config)
+        assert fp != workload_fingerprint(
+            workload.graph, workload.scores,
+            config=search_config(workload, beam=workload.beam + 1.0),
         )
         assert fp != workload_fingerprint(
-            workload.graph, workload.scores, workload.beam + 1.0,
-            workload.max_active,
-        )
-        assert fp != workload_fingerprint(
-            workload.graph, workload.scores, workload.beam,
-            workload.max_active + 1,
+            workload.graph, workload.scores,
+            config=search_config(workload, max_active=workload.max_active + 1),
         )
         bumped = [
             AcousticScores(s.matrix + 0.25) for s in workload.scores
         ]
         assert fp != workload_fingerprint(
-            workload.graph, bumped, workload.beam, workload.max_active
+            workload.graph, bumped, config=config
         )
         assert fp != workload_fingerprint(
-            workload.sorted_graph.graph, workload.scores, workload.beam,
-            workload.max_active,
+            workload.sorted_graph.graph, workload.scores, config=config
         )
 
     def test_corrupt_disk_entry_falls_back_to_recording(
@@ -328,8 +331,7 @@ class TestTraceCache:
         directory = str(tmp_path / "traces")
         cache = TraceCache(directory)
         cache.get(
-            workload.graph, workload.scores, workload.beam,
-            workload.max_active,
+            workload.graph, workload.scores, config=search_config(workload)
         )
         # Corrupt every stored file.
         for name in os.listdir(directory):
@@ -337,8 +339,7 @@ class TestTraceCache:
                 fh.write(b"not an npz")
         cache2 = TraceCache(directory)
         traces = cache2.get(
-            workload.graph, workload.scores, workload.beam,
-            workload.max_active,
+            workload.graph, workload.scores, config=search_config(workload)
         )
         assert cache2.recordings == 1
         assert traces[0].num_frames == workload.scores[0].num_frames
@@ -348,9 +349,9 @@ class TestTraceCache:
         (``search_degrees``); v4 stores the histogram.  An entry a v3
         checkout left in the directory must be recorded afresh."""
         directory = str(tmp_path / "traces")
-        args = (workload.graph, workload.scores, workload.beam,
-                workload.max_active)
-        recorded = TraceCache(directory).get(*args)
+        args = (workload.graph, workload.scores)
+        config = search_config(workload)
+        recorded = TraceCache(directory).get(*args, config=config)
         for name in os.listdir(directory):
             path = os.path.join(directory, name)
             with np.load(path) as data:
@@ -364,12 +365,12 @@ class TestTraceCache:
             np.savez_compressed(path, **payload)
 
         cache = TraceCache(directory)
-        traces = cache.get(*args)
+        traces = cache.get(*args, config=config)
         assert (cache.recordings, cache.hits) == (1, 0)
         for got, want in zip(traces, recorded):
             assert got.search == want.search
             assert got.search.degree_histogram.sum() == got.search.states_expanded
         # ... and the stale files were overwritten in the current format.
         again = TraceCache(directory)
-        again.get(*args)
+        again.get(*args, config=config)
         assert (again.recordings, again.hits) == (0, 1)

@@ -103,20 +103,23 @@ class TestExperimentHarness:
         assert set(cmp.runs) == {
             "CPU", "GPU", "ASIC", "ASIC+State", "ASIC+Arc", "ASIC+State&Arc",
         }
-
-    def test_consistency_check_is_enforced(self, workload):
-        # The run above passed with check_consistency=True by default;
-        # all ASIC configs matched the reference likelihood.
-        cmp = run_platform_comparison(
-            workload, include=["ASIC"], check_consistency=True
-        )
-        assert cmp.runs["ASIC"].sim_stats is not None
+        # The CPU and every accelerator variant share one search.
+        for name in ("ASIC", "ASIC+State", "ASIC+Arc", "ASIC+State&Arc"):
+            assert cmp.runs[name].search == cmp.runs["CPU"].search
 
     def test_subset_selection(self, workload):
-        cmp = run_platform_comparison(
-            workload, include=["CPU", "ASIC"], check_consistency=False
-        )
+        cmp = run_platform_comparison(workload, include=["CPU", "ASIC"])
         assert set(cmp.runs) == {"CPU", "ASIC"}
+
+    def test_unknown_platform_names_are_rejected(self, workload):
+        with pytest.raises(ConfigError) as info:
+            run_platform_comparison(workload, include=["asic", "CPU", "TPU"])
+        message = str(info.value)
+        assert "'asic'" in message and "'TPU'" in message
+        for name in (
+            "CPU", "GPU", "ASIC", "ASIC+State", "ASIC+Arc", "ASIC+State&Arc",
+        ):
+            assert repr(name) in message
 
     def test_energies_positive(self, workload):
         cmp = run_platform_comparison(workload, include=["CPU", "GPU", "ASIC"])

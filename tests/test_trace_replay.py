@@ -9,27 +9,33 @@ point with deliberately hostile variants: tiny caches (thrashing), tiny
 hash tables with tiny backup buffers (collision chains + Overflow Buffer
 spills), long-latency narrow memory controllers (queueing), deep and
 shallow prefetch windows, perfect components and the Section IV-B sorted
-layout at several comparator counts.
+layout at several comparator counts.  The sorted-layout traces the
+sweeps replay are relabelled from the baseline trace, and a property
+holds that relabelling to a recording on the sorted graph.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import ConfigError, SimulationError
+from repro.common.errors import ConfigError, DecodeError, SimulationError
 from repro.acoustic.scorer import AcousticScores
 from repro.accel import (
     AcceleratorConfig,
     AcceleratorSimulator,
     CacheConfig,
+    DecodeTrace,
     HashConfig,
     TraceRecorder,
     TraceReplayer,
+    derive_sorted_trace,
 )
 from repro.accel.replay import MISS, _issue_order, lru_outcomes, timing_passes
 from repro.accel.simulator import address_map
-from repro.datasets import SyntheticGraphConfig
+from repro.datasets import SyntheticGraphConfig, generate_kaldi_like_graph
+from repro.decoder import DecoderConfig
 from repro.system import make_memory_workload
 from repro.wfst import ARC_BYTES, STATE_BYTES, sort_states_by_arc_count
 from repro.wfst.fst import Fst
@@ -124,6 +130,21 @@ def assert_results_identical(sim_result, replay_result):
     # The full statistics dataclasses match field for field.
     assert replay_result.stats == sim_result.stats
     assert replay_result.search == sim_result.search
+
+
+def assert_traces_identical(got, want):
+    """Every compared field of two traces equal, the event arrays byte
+    for byte (dtype included): header, words, likelihood and
+    ``SearchStats`` too."""
+    for f in fields(DecodeTrace):
+        if not f.compare:
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name in DecodeTrace._ARRAYS:
+            assert a.dtype == b.dtype, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
 
 
 class TestCycleEquivalence:
@@ -303,6 +324,14 @@ class TestTraceContract:
             replayer.replay(traces[0]), replayer.replay(loaded)
         )
 
+    def test_derive_rejects_a_trace_of_another_layout(
+        self, workload, sorted_traces
+    ):
+        with pytest.raises(SimulationError):
+            derive_sorted_trace(
+                sorted_traces[0], workload.graph, workload.sorted_graph
+            )
+
     def test_load_rejects_wrong_version(self, tmp_path, traces, monkeypatch):
         import repro.accel.trace as trace_mod
 
@@ -313,6 +342,103 @@ class TestTraceContract:
 
         with pytest.raises(SimulationError):
             DecodeTrace.load(path)
+
+
+def check_derived_trace(
+    graph_seed, num_states, mean_arcs, epsilon_fraction, n, quantum,
+    max_active, pruning, frames, hash_entries,
+):
+    """Derive the sorted-layout trace of one random search and hold it to
+    the plain reference: :class:`TraceRecorder` on the sorted graph (and,
+    for a fixed beam, :class:`AcceleratorSimulator` on the sorted graph
+    against a replay of the derived trace).  Returns what the case
+    exercised, so a fixed-seed test can check the property's reach."""
+    graph = generate_kaldi_like_graph(SyntheticGraphConfig(
+        num_states=num_states, mean_arcs_per_state=mean_arcs,
+        max_arcs_per_state=40, epsilon_fraction=epsilon_fraction,
+        num_phones=6, seed=graph_seed,
+    ))
+    rng = np.random.default_rng(graph_seed)
+    matrix = rng.normal(-2.0, 1.0, size=(frames, 7))
+    if quantum:
+        # Coarse score levels: relaxations tie, and ties are first-wins.
+        matrix = np.round(matrix / quantum) * quantum
+    matrix[:, 0] = -1e9
+    scores = AcousticScores(matrix)
+    config = DecoderConfig(
+        beam=6.0, max_active=max_active, pruning=pruning,
+        target_active=8 if pruning == "adaptive" else 0,
+    )
+    sorted_graph = sort_states_by_arc_count(graph, max_direct_arcs=n)
+    try:
+        base = TraceRecorder(graph, config=config).record(scores)
+    except DecodeError:
+        # The beam emptied the search: it does so on either layout.
+        with pytest.raises(DecodeError):
+            TraceRecorder(sorted_graph.graph, config=config).record(scores)
+        return set()
+    derived = derive_sorted_trace(base, graph, sorted_graph)
+    assert_traces_identical(
+        derived,
+        TraceRecorder(sorted_graph.graph, config=config).record(scores),
+    )
+    reached = set()
+    if np.any(base.eps_src >= 0):
+        reached.add("epsilon chain")
+    if max_active and max_active in base.search.active_tokens_per_frame:
+        reached.add("cap")
+    if pruning == "beam":
+        hw = replace(
+            BASE, state_direct_enabled=True, state_direct_max_arcs=n,
+            hash_table=HashConfig(num_entries=hash_entries, backup_entries=2),
+        )
+        replayed = TraceReplayer(graph, hw, sorted_graph=sorted_graph).replay(
+            derived
+        )
+        sim = AcceleratorSimulator(
+            graph, hw, beam=config.beam, sorted_graph=sorted_graph,
+            max_active=max_active,
+        )
+        assert_results_identical(sim.decode(scores), replayed)
+        if replayed.stats.hash.overflows:
+            reached.add("spill")
+    return reached
+
+
+class TestDerivedSortedTrace:
+    """The Section IV-B layout relabels states stably and keeps every
+    state's arcs in order, so its search is the baseline search
+    relabelled: :func:`derive_sorted_trace` held against the plain
+    reference, a recording on the sorted graph."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        graph_seed=st.integers(0, 10_000),
+        num_states=st.integers(20, 300),
+        mean_arcs=st.sampled_from([1.5, 3.0, 6.0]),
+        epsilon_fraction=st.sampled_from([0.0, 0.15, 0.45]),
+        n=st.integers(1, 32),
+        quantum=st.sampled_from([0.0, 0.5, 2.0]),
+        max_active=st.sampled_from([0, 3, 20]),
+        pruning=st.sampled_from(["beam", "adaptive"]),
+        frames=st.integers(1, 6),
+        hash_entries=st.sampled_from([2, 8]),
+    )
+    def test_derived_trace_equals_a_recording_on_the_sorted_graph(self, **case):
+        check_derived_trace(**case)
+
+    def test_the_property_reaches_chains_caps_and_spills(self):
+        """Fixed cases in the property's range that reach an epsilon
+        chain, a ``max_active`` cap and a spilled hash table, so a
+        narrowed strategy cannot quietly stop covering them."""
+        reached = set()
+        for seed in range(4):
+            reached |= check_derived_trace(
+                graph_seed=seed, num_states=200, mean_arcs=3.0,
+                epsilon_fraction=0.45, n=4, quantum=2.0, max_active=3,
+                pruning="beam", frames=5, hash_entries=2,
+            )
+        assert reached == {"epsilon chain", "cap", "spill"}
 
 
 def distinct_behaviours(workload, trace, configs):
@@ -534,3 +660,27 @@ class TestSharedTraceMemo:
             )
         assert flat.replay(shared).stats.states_direct == 0
         assert direct.replay(shared).stats.states_direct > 0
+
+    def test_a_derived_trace_never_shares_replay_memos(self, workload):
+        """A flat point on the baseline trace, a direct-lookup point on the
+        trace derived from it, then the flat point again: each prices as
+        it would on a freshly recorded trace of its layout."""
+        sorted_graph = workload.sorted_graph
+        scores = workload.scores[0]
+        base = fresh_recorder(workload).record(scores)
+        derived = derive_sorted_trace(base, workload.graph, sorted_graph)
+        assert derived._replay_memo is not base._replay_memo
+        flat = TraceReplayer(workload.graph, BASE)
+        direct = TraceReplayer(
+            workload.graph, BASE.with_state_direct(), sorted_graph=sorted_graph
+        )
+        for replayer, trace, graph in (
+            (flat, base, workload.graph),
+            (direct, derived, sorted_graph.graph),
+            (flat, base, workload.graph),
+        ):
+            assert_results_identical(
+                replayer.replay(fresh_recorder(workload, graph).record(scores)),
+                replayer.replay(trace),
+            )
+        assert timing_passes(base) == timing_passes(derived) == 1
