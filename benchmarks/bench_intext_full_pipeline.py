@@ -9,7 +9,12 @@ stages.
 from benchmarks.common import PAPER_DNN, format_table, report
 from repro.gpu import GpuDnnModel
 from repro.gpu.model import dnn_flops_per_frame
-from repro.system import AsrSystemModel
+from repro.system import (
+    PipelineConfig,
+    StageCost,
+    hybrid_speedup,
+    score_transfer,
+)
 
 PAPER_SPEEDUP = 1.87
 
@@ -23,14 +28,13 @@ def compute(comparison):
         comparison.runs["ASIC+State&Arc"].decode_seconds / frames
     )
 
-    model = AsrSystemModel(batch_frames=5)
-    speedup = model.hybrid_speedup(
-        total_frames=int(frames),
-        dnn_seconds_per_frame=dnn_per_frame,
-        gpu_search_seconds_per_frame=gpu_search_per_frame,
-        accel_search_seconds_per_frame=accel_search_per_frame,
-        score_bytes_per_frame=4 * PAPER_DNN["num_classes"],
+    config = PipelineConfig(
+        batch_frames=5,
+        dnn=StageCost(per_session_s=dnn_per_frame),
+        transfer=score_transfer(PAPER_DNN["num_classes"]),
+        search=StageCost(per_session_s=accel_search_per_frame),
     )
+    speedup = hybrid_speedup(config, int(frames), gpu_search_per_frame)
     search_only = gpu_search_per_frame / accel_search_per_frame
     return speedup, search_only
 

@@ -24,7 +24,7 @@ def std_workload():
 
 @pytest.fixture(scope="session")
 def std_comparison(std_workload):
-    """All six platforms on the standard workload (consistency-checked)."""
+    """All six platforms on the standard workload."""
     return run_platform_comparison(std_workload, base_config=base_config())
 
 

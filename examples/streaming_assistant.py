@@ -5,8 +5,8 @@ The paper's deployment story (Section III-A): frames arrive continuously,
 the GPU evaluates the DNN batch by batch while the accelerator searches
 the previous batch, with scores DMA'd into the double-buffered Acoustic
 Likelihood Buffer.  This example measures the accelerator's per-frame
-search time on a live workload, then feeds it to the event-driven stream
-simulator to answer the deployment question: how long after you stop
+search time on a live workload, then feeds it to the pipeline's event
+timeline to answer the deployment question: how long after you stop
 speaking does the transcript arrive, and does the pipeline keep up
 indefinitely?
 
@@ -17,7 +17,14 @@ from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.datasets import SyntheticGraphConfig
 from repro.gpu import GpuDnnModel
 from repro.gpu.model import dnn_flops_per_frame
-from repro.system import StreamConfig, make_memory_workload, simulate_stream
+from repro.system import (
+    PipelineConfig,
+    StageCost,
+    keeps_up,
+    make_memory_workload,
+    score_transfer,
+    simulate_stream,
+)
 
 DNN = dict(input_dim=440, hidden_dims=(2048,) * 6, num_classes=3500)
 
@@ -56,17 +63,17 @@ def main() -> None:
 
     print("\nStreaming 60 s of speech through the pipeline:")
     for batch_frames in (10, 25, 50, 100):
-        config = StreamConfig(
+        config = PipelineConfig(
             batch_frames=batch_frames,
-            dnn_seconds_per_frame=dnn_s,
-            search_seconds_per_frame=search_s,
-            transfer_seconds_per_batch=4 * DNN["num_classes"]
-            * batch_frames / 12e9,
+            dnn=StageCost(per_session_s=dnn_s),
+            transfer=score_transfer(DNN["num_classes"]),
+            search=StageCost(per_session_s=search_s),
         )
-        rep = simulate_stream(6000, config)
+        rep = simulate_stream(config, 6000)
         print(f"  batch {batch_frames:3d} frames: mean latency "
               f"{rep.mean_latency_s * 1e3:7.2f} ms, max "
-              f"{rep.max_latency_s * 1e3:7.2f} ms, keeps up: {rep.keeps_up}")
+              f"{rep.max_latency_s * 1e3:7.2f} ms, "
+              f"keeps up: {keeps_up(config, 1)}")
 
     print("\nSmaller batches cut response latency; all sizes sustain "
           "real time because both stages run far faster than speech.")

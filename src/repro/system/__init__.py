@@ -2,14 +2,15 @@
 harness (the paper's Figure 1 GPU+accelerator system view and the Section
 VI evaluation loop over CPU / GPU / four accelerator configurations)."""
 
-from repro.system.pipeline import AsrSystemModel, PipelineTimes
-from repro.system.stream import (
-    BatchedStreamConfig,
+from repro.system.pipeline import (
     BatchTiming,
-    StreamConfig,
+    PipelineConfig,
+    StageCost,
     StreamReport,
+    hybrid_speedup,
+    keeps_up,
     max_realtime_streams,
-    simulate_batched_stream,
+    score_transfer,
     simulate_stream,
 )
 from repro.system.server import (
@@ -34,19 +35,19 @@ from repro.system.experiment import (
 )
 
 __all__ = [
-    "AsrSystemModel",
-    "PipelineTimes",
     "ComparisonResult",
     "MemoryWorkload",
     "PlatformRun",
     "make_memory_workload",
     "run_platform_comparison",
-    "BatchedStreamConfig",
     "BatchTiming",
-    "StreamConfig",
+    "PipelineConfig",
+    "StageCost",
     "StreamReport",
+    "hybrid_speedup",
+    "keeps_up",
     "max_realtime_streams",
-    "simulate_batched_stream",
+    "score_transfer",
     "simulate_stream",
     "ServerConfig",
     "ServerStats",

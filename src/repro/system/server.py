@@ -2,7 +2,7 @@
 tier: the executable counterpart of the Section VI server-workload
 discussion, built on the software decoders).
 
-:mod:`repro.system.stream` *models* the latency of serving many live
+:mod:`repro.system.pipeline` *models* the latency of serving many live
 streams analytically; this module *executes* that serving shape.  A
 :class:`StreamingServer` is the search stage and nothing else --
 acoustic score rows in, words out -- multiplexing any number of live

@@ -135,7 +135,7 @@ class TestValidation:
     )
     def test_out_of_range_fields_rejected(self, kwargs):
         """Every knob raises a clear ConfigError at construction (no
-        silently broken simulator), mirroring the StreamConfig fix."""
+        silently broken simulator)."""
         with pytest.raises(ConfigError):
             AcceleratorConfig(**kwargs)
 

@@ -1,58 +1,152 @@
 """Tests for the whole-pipeline system model and the experiment harness."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.datasets import SyntheticGraphConfig
 from repro.energy.report import EnergyReport, PlatformResult
 from repro.system import (
-    AsrSystemModel,
+    PipelineConfig,
+    StageCost,
+    hybrid_speedup,
+    keeps_up,
     make_memory_workload,
+    max_realtime_streams,
     run_platform_comparison,
+    score_transfer,
+    simulate_stream,
 )
 
 
+def offline(batch_frames=100, dnn=0.0, search=0.0, transfer=0.0):
+    """One stream, all audio present: per-frame stage costs in seconds."""
+    return PipelineConfig(
+        batch_frames=batch_frames,
+        frame_period_s=0.0,
+        dnn=StageCost(per_session_s=dnn),
+        transfer=StageCost(per_session_s=transfer),
+        search=StageCost(per_session_s=search),
+    )
+
+
 class TestAsrSystemModel:
+    """The Sec. III-A system read off the pipeline timeline: the offline
+    makespan, the GPU-only serial sum and the in-text speedup."""
+
     def test_hybrid_throughput_is_bottleneck_stage(self):
-        model = AsrSystemModel(batch_frames=100)
-        hybrid = model.hybrid_seconds(
-            total_frames=1000,
-            dnn_seconds_per_frame=2e-4,
-            accel_search_seconds_per_frame=1e-4,
-        )
+        report = simulate_stream(offline(dnn=2e-4, search=1e-4), 1000)
         # Every step advances at the DNN's pace; the last search drains.
-        assert hybrid == pytest.approx(10 * 100 * 2e-4 + 100 * 1e-4)
+        assert report.makespan_s == pytest.approx(10 * 100 * 2e-4 + 100 * 1e-4)
 
     def test_gpu_only_is_sum_of_stages(self):
-        model = AsrSystemModel()
-        total = model.gpu_only_seconds(500, 1e-4, 3e-4)
-        assert total == pytest.approx(500 * 4e-4)
+        # One batch overlaps nothing: the hybrid takes 500 * (1e-4 + 3e-4),
+        # and GPU-only takes 500 * (1e-4 + its own search cost).
+        config = offline(batch_frames=500, dnn=1e-4, search=3e-4)
+        assert hybrid_speedup(config, 500, 3e-4) == pytest.approx(1.0)
+        assert hybrid_speedup(config, 500, 7e-4) == pytest.approx(2.0)
 
     def test_hybrid_speedup_improves_on_serial(self):
-        model = AsrSystemModel(batch_frames=100)
-        speedup = model.hybrid_speedup(
-            total_frames=2000,
-            dnn_seconds_per_frame=1e-4,
-            gpu_search_seconds_per_frame=6e-4,
-            accel_search_seconds_per_frame=3.5e-4,
-        )
-        assert speedup > 1.5
+        config = offline(dnn=1e-4, search=3.5e-4)
+        assert hybrid_speedup(config, 2000, 6e-4) > 1.5
 
     def test_transfer_hidden_by_double_buffer(self):
-        model = AsrSystemModel(batch_frames=100, pcie_gbs=12.0)
-        slow = model.hybrid_seconds(1000, 2e-4, 1e-4, score_bytes_per_frame=0)
-        with_dma = model.hybrid_seconds(
-            1000, 2e-4, 1e-4, score_bytes_per_frame=4 * 3500
+        """The score transfer overlaps the previous batch's search, so of
+        ten batches only the first one's transfer reaches the makespan."""
+        per_frame = score_transfer(3500).per_session_s  # 14 KB over PCIe
+        slow = simulate_stream(offline(dnn=2e-4, search=1e-4), 1000)
+        with_dma = simulate_stream(
+            offline(dnn=2e-4, search=1e-4, transfer=per_frame), 1000
         )
-        # 14 KB per frame over PCIe is far below the DNN stage time.
-        assert with_dma == pytest.approx(slow)
+        assert with_dma.makespan_s == pytest.approx(
+            slow.makespan_s + 100 * per_frame
+        )
 
     def test_invalid_inputs_rejected(self):
-        model = AsrSystemModel()
+        config = offline(dnn=1e-4, search=1e-4)
         with pytest.raises(ConfigError):
-            model.hybrid_seconds(0, 1e-4, 1e-4)
+            simulate_stream(config, 0)
         with pytest.raises(ConfigError):
-            model.transfer_seconds(-1)
+            hybrid_speedup(config, 100, -1e-4)
+        with pytest.raises(ConfigError):
+            StageCost(per_session_s=-1.0)
+        with pytest.raises(ConfigError):
+            score_transfer(-1)
+
+
+# Stage costs and frame periods in whole microseconds: a stage that keeps
+# pace and one that does not then sit at least 1 us per frame slot apart.
+stage_us = st.tuples(st.integers(0, 40), st.integers(0, 10))
+
+
+def config_us(batch_frames, period_us, stages):
+    """A config from (fixed, per-session) microsecond pairs."""
+    dnn, transfer, search = (StageCost(f * 1e-6, p * 1e-6) for f, p in stages)
+    return PipelineConfig(batch_frames, period_us * 1e-6, dnn, transfer, search)
+
+
+def hybrid_seconds(total_frames, batch_frames, dnn_s, search_s):
+    """Oracle: the closed-form two-stage makespan the timeline replaced."""
+    full, rem = divmod(total_frames, batch_frames)
+    chunks = [batch_frames] * full + ([rem] if rem else [])
+    time = chunks[0] * dnn_s
+    for prev, cur in zip(chunks, chunks[1:]):
+        time += max(cur * dnn_s, prev * search_s)
+    return time + chunks[-1] * search_s
+
+
+class TestPipelineProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 20), st.integers(2, 8), st.integers(1, 100),
+        st.lists(stage_us, min_size=3, max_size=3), st.integers(1, 12),
+    )
+    def test_keeps_up_iff_latency_stays_flat(
+        self, batch_frames, batches, period_us, stages, streams
+    ):
+        # At a tie the float sum decides, not the model.
+        assume(all(f + p * streams != period_us for f, p in stages))
+        config = config_us(batch_frames, period_us, stages)
+        report = simulate_stream(config, batches * batch_frames, streams)
+        latency = [b.latency_s for b in report.batches]
+        if keeps_up(config, streams):
+            assert latency == pytest.approx([latency[0]] * batches, abs=1e-9)
+        else:
+            # The slowest stage loses >= 1 us on each of the batch's slots.
+            step = 0.5e-6 * batch_frames
+            assert all(b - a > step for a, b in zip(latency, latency[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000), st.lists(stage_us, min_size=3, max_size=3))
+    def test_max_realtime_streams_is_the_last_count_that_keeps_up(
+        self, period_us, stages
+    ):
+        assume(any(p for _, p in stages))
+        config = config_us(1, period_us, stages)
+        n = max_realtime_streams(config)
+        assert n == 0 or keeps_up(config, n)
+        assert not keeps_up(config, n + 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 500), st.integers(1, 60),
+        st.integers(0, 400), st.integers(0, 400),
+    )
+    def test_zero_transfer_makespan_is_the_closed_form(
+        self, total_frames, batch_frames, dnn_us, search_us
+    ):
+        config = PipelineConfig(
+            batch_frames, 0.0,
+            dnn=StageCost(fixed_s=dnn_us * 1e-6),
+            search=StageCost(per_session_s=search_us * 1e-6),
+        )
+        makespan = simulate_stream(config, total_frames).makespan_s
+        assert makespan == pytest.approx(
+            hybrid_seconds(
+                total_frames, batch_frames, dnn_us * 1e-6, search_us * 1e-6
+            ),
+            rel=1e-12, abs=1e-15,
+        )
 
 
 class TestEnergyReport:

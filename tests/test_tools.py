@@ -231,6 +231,19 @@ class TestRepoPaths:
         page(tmp_path, "benchmarks/bench_fig01_x.py", "")
         assert check_docs.check_repo_paths(str(tmp_path)) == []
 
+    def test_package_paths_resolve_under_src(self, tmp_path):
+        page(tmp_path, "docs/ARCHITECTURE.md", """
+            | `repro/system/ring.py` | `repro/gpu/*` | `repro/backends/` |
+            | `repro/system/gone.py` | `repro/lost/*` | `repro/empty/` |
+            """)
+        for rel in ("src/repro/system/ring.py", "src/repro/gpu/model.py",
+                    "src/repro/backends/numpy.py"):
+            page(tmp_path, rel, "")
+        assert check_docs.check_repo_paths(str(tmp_path)) == [
+            f"docs/ARCHITECTURE.md: no such file -> repro/{gone}"
+            for gone in ("empty/", "lost/*", "system/gone.py")
+        ]
+
 
 class TestE2eTable:
     @staticmethod

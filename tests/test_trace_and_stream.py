@@ -5,13 +5,33 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.accel import AcceleratorSimulator
 from repro.accel.trace import frame_traces, summarize
-from repro.system.stream import (
-    BatchedStreamConfig,
-    StreamConfig,
+from repro.system import (
+    PipelineConfig,
+    StageCost,
+    keeps_up,
     max_realtime_streams,
-    simulate_batched_stream,
     simulate_stream,
 )
+
+
+def stream(dnn=4e-5, transfer=2e-6, search=3e-5):
+    """Real-time streams in 50-frame batches; stage costs in seconds per
+    frame of each stream."""
+    return PipelineConfig(
+        dnn=StageCost(per_session_s=dnn),
+        transfer=StageCost(per_session_s=transfer),
+        search=StageCost(per_session_s=search),
+    )
+
+
+def batched(search=3e-5):
+    """A shared engine: the DNN and the search each cost three quarters of
+    their one-stream cost per frame slot, plus a quarter per stream."""
+    return PipelineConfig(
+        dnn=StageCost(3e-5, 1e-5),
+        transfer=StageCost(per_session_s=2e-6),
+        search=StageCost(0.75 * search, 0.25 * search),
+    )
 
 
 class TestFrameTraces:
@@ -44,26 +64,29 @@ class TestFrameTraces:
 
 class TestStreaming:
     def test_sustains_realtime_when_stages_fast(self):
-        config = StreamConfig(
-            batch_frames=50,
-            dnn_seconds_per_frame=2e-3,
-            search_seconds_per_frame=1e-3,
-        )
-        report = simulate_stream(1000, config)
-        assert report.keeps_up
+        config = stream(dnn=2e-3, search=1e-3)
+        report = simulate_stream(config, 1000)
+        assert keeps_up(config, 1)
         assert report.max_latency_s < 1.0
 
     def test_latency_grows_when_search_too_slow(self):
-        config = StreamConfig(
-            batch_frames=50,
-            dnn_seconds_per_frame=2e-3,
-            search_seconds_per_frame=25e-3,  # 2.5x slower than real time
+        config = stream(dnn=2e-3, search=25e-3)  # 2.5x slower than real time
+        report = simulate_stream(config, 2000)
+        assert not keeps_up(config, 1)
+        assert report.batches[-1].latency_s > report.batches[0].latency_s
+
+    def test_short_stream_that_falls_behind_does_not_keep_up(self):
+        """Three batches are enough to tell: a search 100x slower than real
+        time falls behind on every batch."""
+        config = stream(dnn=0.0, transfer=0.0, search=1.0)
+        report = simulate_stream(config, 150)
+        assert [b.latency_s for b in report.batches] == pytest.approx(
+            [50.0, 99.5, 149.0]
         )
-        report = simulate_stream(2000, config)
-        assert not report.keeps_up
+        assert not keeps_up(config, 1)
 
     def test_batch_timeline_ordered(self):
-        report = simulate_stream(325, StreamConfig(batch_frames=50))
+        report = simulate_stream(stream(), 325)
         assert len(report.batches) == 7  # 6 full + 1 remainder
         for b in report.batches:
             assert b.audio_complete_s <= b.dnn_done_s
@@ -71,80 +94,97 @@ class TestStreaming:
             assert b.transfer_done_s <= b.search_done_s
 
     def test_latency_positive(self):
-        report = simulate_stream(100)
+        report = simulate_stream(stream(), 100)
         assert report.mean_latency_s > 0
         assert report.max_latency_s >= report.mean_latency_s
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
-            StreamConfig(batch_frames=0)
+            PipelineConfig(batch_frames=0)
         with pytest.raises(ConfigError):
-            simulate_stream(0)
+            PipelineConfig(dnn=4e-5)  # a bare number is not a StageCost
+        with pytest.raises(ConfigError):
+            simulate_stream(stream(), 0)
 
     def test_negative_times_rejected(self):
-        """Every stage time is validated -- including the batch transfer,
-        which used to slip through unchecked."""
+        """The frame period and both terms of every stage cost are
+        validated."""
         with pytest.raises(ConfigError):
-            StreamConfig(frame_period_s=-0.01)
+            PipelineConfig(frame_period_s=-0.01)
         with pytest.raises(ConfigError):
-            StreamConfig(dnn_seconds_per_frame=-1e-5)
+            StageCost(fixed_s=-1e-5)
         with pytest.raises(ConfigError):
-            StreamConfig(search_seconds_per_frame=-1e-5)
-        with pytest.raises(ConfigError):
-            StreamConfig(transfer_seconds_per_batch=-1e-4)
+            StageCost(per_session_s=-1e-5)
 
 
 class TestBatchedStreaming:
     def test_one_stream_matches_single_stream_model(self):
-        batched = BatchedStreamConfig(num_streams=1)
-        single = StreamConfig()
-        a = simulate_batched_stream(1000, batched)
-        b = simulate_stream(1000, single)
-        assert a.mean_latency_s == pytest.approx(b.mean_latency_s)
-        assert a.max_latency_s == pytest.approx(b.max_latency_s)
+        """At one stream a cost's fixed and per-session terms are one cost."""
+        split = simulate_stream(batched(), 1000, streams=1)
+        whole = simulate_stream(stream(), 1000)
+        assert split.mean_latency_s == pytest.approx(whole.mean_latency_s)
+        assert split.max_latency_s == pytest.approx(whole.max_latency_s)
 
     def test_more_streams_cost_more_latency(self):
-        few = simulate_batched_stream(
-            1000, BatchedStreamConfig(num_streams=2)
-        )
-        many = simulate_batched_stream(
-            1000, BatchedStreamConfig(num_streams=64)
-        )
+        few = simulate_stream(batched(), 1000, streams=2)
+        many = simulate_stream(batched(), 1000, streams=64)
         assert many.mean_latency_s >= few.mean_latency_s
 
-    def test_efficiency_zero_makes_streams_free(self):
-        config = BatchedStreamConfig(
-            num_streams=100,
-            dnn_batch_efficiency=0.0,
-            search_batch_efficiency=0.0,
+    def test_per_session_zero_makes_streams_free(self):
+        config = PipelineConfig(
+            dnn=StageCost(fixed_s=4e-5),
+            transfer=StageCost(fixed_s=2e-6),
+            search=StageCost(fixed_s=3e-5),
         )
-        assert config.dnn_seconds_per_batch_frame == pytest.approx(
-            config.dnn_seconds_per_frame
-        )
-        assert config.search_seconds_per_batch_frame == pytest.approx(
-            config.search_seconds_per_frame
-        )
+        for stage in config.stages:
+            assert stage.seconds(100) == stage.seconds(1)
+        one = simulate_stream(config, 1000, streams=1)
+        hundred = simulate_stream(config, 1000, streams=100)
+        assert hundred.batches == one.batches
 
     def test_max_realtime_streams_monotonic_in_engine_speed(self):
-        slow = BatchedStreamConfig(search_seconds_per_frame=3e-3)
-        fast = BatchedStreamConfig(search_seconds_per_frame=3e-5)
+        slow = batched(search=3e-3)
+        fast = batched(search=3e-5)
         assert max_realtime_streams(fast) >= max_realtime_streams(slow)
 
     def test_max_realtime_streams_keeps_up(self):
-        config = BatchedStreamConfig(search_seconds_per_frame=1e-3)
+        config = batched(search=1e-3)
         capacity = max_realtime_streams(config)
         assert capacity >= 1
-        from dataclasses import replace
+        assert keeps_up(config, capacity)
+        assert not keeps_up(config, capacity + 1)
+        report = simulate_stream(config, 2000, streams=capacity)
+        first = report.batches[0].latency_s
+        assert report.max_latency_s == pytest.approx(first)
 
-        report = simulate_batched_stream(
-            2000, replace(config, num_streams=capacity)
+    def test_transfer_grows_with_streams_and_bounds_capacity(self):
+        """The score link carries every stream's scores, so its time per
+        batch grows with the count and it can be the bottleneck."""
+        config = stream(dnn=1e-4, transfer=1e-3, search=1e-4)
+
+        def transfer_s(streams):
+            first = simulate_stream(config, 50, streams).batches[0]
+            return first.transfer_done_s - first.dnn_done_s
+
+        assert transfer_s(4) == pytest.approx(4 * transfer_s(1))
+        assert max_realtime_streams(config) == 10  # 10 ms / 1 ms per stream
+        assert not keeps_up(config, 11)
+        ten_s_per_batch = stream(dnn=0.0, transfer=0.2, search=0.0)
+        assert max_realtime_streams(ten_s_per_batch) == 0
+        assert not keeps_up(ten_s_per_batch, 1)
+
+    def test_no_per_session_cost_raises_config_error(self):
+        """No stage grows with the count, so every count keeps up and there
+        is no largest one to report."""
+        config = PipelineConfig(
+            dnn=StageCost(fixed_s=4e-5), search=StageCost(fixed_s=3e-5)
         )
-        assert report.keeps_up
+        assert keeps_up(config, 1_000_000)
+        with pytest.raises(ConfigError, match="per-session"):
+            max_realtime_streams(config)
 
     def test_invalid_batched_config_rejected(self):
         with pytest.raises(ConfigError):
-            BatchedStreamConfig(num_streams=0)
+            simulate_stream(batched(), 100, streams=0)
         with pytest.raises(ConfigError):
-            BatchedStreamConfig(search_batch_efficiency=1.5)
-        with pytest.raises(ConfigError):
-            BatchedStreamConfig(dnn_batch_efficiency=-0.1)
+            keeps_up(batched(), 0)

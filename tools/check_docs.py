@@ -12,6 +12,8 @@ Four checks:
    ``tools/...``, ``examples/...``, ``docs/...``, or a bare ``bench_*.py``;
    globs allowed, a ``::test`` suffix ignored) must name a file that
    exists, so prose cannot keep citing a bench or test that was deleted.
+   A package path (``repro/...``: a file, a directory ending in ``/`` or
+   a glob, as the module maps cite them) must exist under ``src/``.
 3. **pydoc-importability** -- every module under the public ``repro``
    package must import cleanly and render under :mod:`pydoc`, so
    ``python -m pydoc repro.<anything>`` always works and no module grows
@@ -87,6 +89,15 @@ _REPO_PATH = re.compile(
     r"`((?:(?:benchmarks|tools|tests|examples|src|docs)/[\w./*-]+|bench_[\w*]+)"
     r"\.(?:py|md|json|yml|toml))(?:::[^`]*)?`"
 )
+_PACKAGE_PATH = re.compile(r"`(repro/[\w./*-]*)`")
+
+
+def _resolve(target: str) -> str:
+    """Where a cited path lives: a bare ``bench_*.py`` in ``benchmarks/``,
+    a ``repro/...`` package path under ``src/``."""
+    if target.startswith("repro/"):
+        return os.path.join("src", target)
+    return target if "/" in target else os.path.join("benchmarks", target)
 
 
 def check_repo_paths(root: str = REPO_ROOT) -> list:
@@ -99,12 +110,13 @@ def check_repo_paths(root: str = REPO_ROOT) -> list:
     paths = 0
     for page in pages:
         with open(page, encoding="utf-8") as fh:
-            targets = sorted(set(_REPO_PATH.findall(fh.read())))
+            text = fh.read()
+        targets = sorted(
+            set(_REPO_PATH.findall(text)) | set(_PACKAGE_PATH.findall(text))
+        )
         paths += len(targets)
         for target in targets:
-            # A bare ``bench_*.py`` is a file of ``benchmarks/``.
-            where = target if "/" in target else os.path.join("benchmarks", target)
-            if not glob.glob(os.path.join(root, where)):
+            if not glob.glob(os.path.join(root, _resolve(target))):
                 failures.append(
                     f"{os.path.relpath(page, root)}: no such file -> {target}"
                 )
