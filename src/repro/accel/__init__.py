@@ -25,14 +25,7 @@ from repro.accel.hashtable import TokenHashTable
 from repro.accel.prefetch import PrefetchConfig
 from repro.accel.replay import TraceReplayer
 from repro.accel.simulator import AcceleratorResult, AcceleratorSimulator
-from repro.accel.trace import (
-    DecodeTrace,
-    FrameTrace,
-    TraceRecorder,
-    derive_sorted_trace,
-    frame_traces,
-    summarize,
-)
+from repro.accel.trace import DecodeTrace, TraceRecorder, derive_sorted_trace
 
 __all__ = [
     "AcceleratorConfig",
@@ -51,7 +44,4 @@ __all__ = [
     "TraceRecorder",
     "TraceReplayer",
     "derive_sorted_trace",
-    "FrameTrace",
-    "frame_traces",
-    "summarize",
 ]

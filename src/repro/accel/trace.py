@@ -1,43 +1,36 @@
 """Decode event traces: record the functional search once, re-time it many
 times (paper, Sections III-V).
 
-Two layers live here:
+:class:`DecodeTrace` / :class:`TraceRecorder` are the trace-once /
+replay-many machinery behind the design-space sweeps.  The paper's
+evaluation (Figures 4-14) varies only *timing* parameters -- cache
+geometry, prefetch depth, hash sizing, DRAM latency -- under which the
+beam search itself is invariant.  :class:`TraceRecorder` runs the
+functional search exactly once and records every event the timing model
+consumes as compact numpy arrays:
 
-* :class:`FrameTrace` / :func:`frame_traces` / :func:`summarize` -- per-frame
-  summaries of a *timed* decode (cycles, active tokens, DRAM behaviour),
-  for spotting pathological frames and the per-frame plots architecture
-  papers live on.
+- the State Issuer's per-frame token walk (hash reads),
+- the surviving tokens issued per frame (state fetches),
+- every non-epsilon arc fetch with its destination and whether the
+  relaxation improved the destination token (backpointer write),
+- every epsilon-closure visit with the worklist provenance needed to
+  reconstruct when the State Issuer saw each discovered token.
 
-* :class:`DecodeTrace` / :class:`TraceRecorder` -- the trace-once /
-  replay-many machinery behind the design-space sweeps.  The paper's
-  evaluation (Figures 4-14) varies only *timing* parameters -- cache
-  geometry, prefetch depth, hash sizing, DRAM latency -- under which the
-  beam search itself is invariant.  :class:`TraceRecorder` runs the
-  functional search exactly once and records every event the timing model
-  consumes as compact numpy arrays:
+Since the kernel refactor the search itself is the shared
+:class:`repro.decoder.kernel.ReferenceKernel` -- the scalar discipline
+whose event order is bit-for-bit the hardware model's -- and the
+recording is a :class:`~repro.decoder.kernel.KernelObserver`
+(:class:`_TraceObserver`) subscribed to it.  Any search-semantics
+change (a new pruning strategy, say) lands in the kernel once and the
+recorder, the software decoders and the simulator all follow.
 
-  - the State Issuer's per-frame token walk (hash reads),
-  - the surviving tokens issued per frame (state fetches),
-  - every non-epsilon arc fetch with its destination and whether the
-    relaxation improved the destination token (backpointer write),
-  - every epsilon-closure visit with the worklist provenance needed to
-    reconstruct when the State Issuer saw each discovered token.
-
-  Since the kernel refactor the search itself is the shared
-  :class:`repro.decoder.kernel.ReferenceKernel` -- the scalar discipline
-  whose event order is bit-for-bit the hardware model's -- and the
-  recording is a :class:`~repro.decoder.kernel.KernelObserver`
-  (:class:`_TraceObserver`) subscribed to it.  Any search-semantics
-  change (a new pruning strategy, say) lands in the kernel once and the
-  recorder, the software decoders and the simulator all follow.
-
-  :class:`repro.accel.replay.TraceReplayer` re-prices such a trace under
-  any :class:`~repro.accel.config.AcceleratorConfig`, cycle-identical to
-  the monolithic :class:`~repro.accel.simulator.AcceleratorSimulator`
-  (asserted in ``tests/test_trace_replay.py``).  Traces are tied to a
-  graph *layout*: configurations using the Section IV-B sorted layout
-  replay a sorted-layout trace, which :func:`derive_sorted_trace`
-  relabels from the baseline trace without searching again.
+:class:`repro.accel.replay.TraceReplayer` re-prices such a trace under
+any :class:`~repro.accel.config.AcceleratorConfig`, cycle-identical to
+the monolithic :class:`~repro.accel.simulator.AcceleratorSimulator`
+(asserted in ``tests/test_trace_replay.py``).  Traces are tied to a
+graph *layout*: configurations using the Section IV-B sorted layout
+replay a sorted-layout trace, which :func:`derive_sorted_trace`
+relabels from the baseline trace without searching again.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ import numpy as np
 
 from repro.common.errors import DecodeError, SimulationError
 from repro.acoustic.scorer import AcousticScores
-from repro.accel.simulator import AcceleratorResult
 from repro.decoder.kernel import (
     ClosureEvent,
     DecoderConfig,
@@ -85,64 +77,6 @@ def layout_fingerprint(graph: CompiledWfst) -> int:
     and the artifact store all agree on one graph identity.
     """
     return int(graph.fingerprint()[:16], 16)
-
-
-# ----------------------------------------------------------------------
-# Per-frame summaries of a timed decode
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FrameTrace:
-    """One frame's summary of a timed decode."""
-
-    frame: int
-    cycles: int
-    active_tokens: int
-
-    @property
-    def microseconds_at(self) -> float:
-        """Frame decode time in microseconds at the Table I clock (600 MHz)."""
-        return self.cycles / 600.0
-
-
-def frame_traces(result: AcceleratorResult) -> List[FrameTrace]:
-    """Expand a decode result into per-frame trace entries."""
-    actives = result.search.active_tokens_per_frame
-    traces = []
-    for i, cycles in enumerate(result.stats.frame_cycles):
-        traces.append(
-            FrameTrace(
-                frame=i,
-                cycles=cycles,
-                active_tokens=actives[i] if i < len(actives) else 0,
-            )
-        )
-    return traces
-
-
-def summarize(result: AcceleratorResult) -> str:
-    """A compact text summary of a decode (for logs and CLI output)."""
-    s = result.stats
-    traces = frame_traces(result)
-    worst = max(traces, key=lambda t: t.cycles) if traces else None
-    lines = [
-        f"frames={s.frames} cycles={s.cycles} "
-        f"({s.cycles / max(s.frames, 1):.0f}/frame)",
-        f"arcs={s.arcs_processed} eps_arcs={s.epsilon_arcs_processed} "
-        f"tokens_written={s.tokens_written}",
-        f"miss: state={s.state_cache.miss_ratio:.3f} "
-        f"arc={s.arc_cache.miss_ratio:.3f} "
-        f"token={s.token_cache.miss_ratio:.3f}",
-        f"hash: {s.hash.avg_cycles_per_request:.2f} cycles/request, "
-        f"{s.hash.collisions} collisions, {s.hash.overflows} overflows",
-        f"DRAM: {s.traffic.total_bytes() / 1024:.1f} KB "
-        f"{s.traffic.breakdown()}",
-    ]
-    if worst is not None:
-        lines.append(
-            f"worst frame: #{worst.frame} at {worst.cycles} cycles "
-            f"({worst.active_tokens} active tokens)"
-        )
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

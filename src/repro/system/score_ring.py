@@ -13,9 +13,13 @@ When the filling plane runs out of rows the writer *flips* to the other
 plane -- legal only once every chunk written there has been acked (the
 ALB stall: the GPU may fill plane ``t+1`` only while the Viterbi sweep
 consumes plane ``t``).  ``try_alloc`` returns ``None`` on a stall so the
-caller can drain acks and retry; with a plane at least as deep as the
-tier's backpressure budget the stall is unreachable, because at most
-``queue_depth`` unacked frames exist per worker.
+caller can drain acks and retry.  A plane as deep as the tier's
+backpressure budget does not rule the stall out: acks arrive out of
+order, so one slow session's chunk can hold the flip target while the
+rest of the budget is free (a 4-frame plane under a 4-frame budget stalls
+with 2 frames unacked).  What holds is that every unacked chunk is
+buffered on a live worker, which decodes and acks it, so a stall
+resolves.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Sharded serving tier: a front door routing live sessions to a pool of
 decode worker processes over one memory-mapped graph (beyond-paper
-serving layer; the ROADMAP's "millions of users" scaling step over the
-single-process :class:`~repro.system.server.StreamingServer`).
+serving layer over the single-process
+:class:`~repro.system.server.StreamingServer`).
 
 The shape is the classic datacenter serving tier the paper's Section VI
 server-workload discussion assumes around the accelerator:
@@ -31,38 +31,61 @@ server-workload discussion assumes around the accelerator:
   shards' servers take score rows only).  A front-door scoring thread
   packs the pending MFCC chunks of *all* live feature sessions into one
   stacked, batch-stable DNN forward per pass (the paper's GPU batching
-  half), writing the score rows straight into
-  each worker's double-buffered **shared-memory score planes**
+  half), writing the score rows straight into each worker's
+  double-buffered **shared-memory score planes**
   (:mod:`repro.system.score_ring` -- the Acoustic Likelihood Buffer
-  analogue).  Pipes carry only ``(sid, generation, offset, frames)``
-  descriptors; workers read the rows zero-copy and ack after decode,
-  which releases the plane slot.  The same transport carries
-  :meth:`ServingTier.push` score chunks, so the per-push pickled matrix
-  copy is gone from the scores path too.
-* **pipes** -- POSIX only: workers are forked, and each pipe end is a
-  :class:`_Pipe` polled through a ``select.poll`` object.  A worker
-  drains its pipe, sweeps once and sends **one reply per pass** (the
-  ALB's one handoff per buffer flip).  Every fork closes the front
-  door's pipe ends in the child, so workers exit with the front door.
+  analogue).  Scored or pushed as scores, a chunk crosses the pipe as a
+  descriptor only (the protocol below).
+* **pipes** -- POSIX only: workers are forked, each pipe end is a
+  :class:`_Pipe` polled through ``select.poll``, and every fork closes
+  the front door's pipe ends in the child, so workers exit with it.
 * **core budget** -- the paper's system (Sec. III-A, Fig. 1) is a
   two-stage pipeline in which the DNN and the Viterbi search each own a
-  compute resource and meet only at the Acoustic Likelihood Buffer.  On
-  a CPU the resources are cores: the ``num_workers`` search processes
-  take one each, so a scoring tier holds the DNN's BLAS thread pool to
-  the cores they leave, ``max(1, usable_cpus() - num_workers)``
-  (:mod:`repro.common.cpu`) -- lowered, never raised, before the workers
-  fork and for as long as the tier is up, restored by
-  :meth:`ServingTier.shutdown`.  It is not a knob: both inputs are
-  things the tier observes, and ``Dnn.forward`` is bit-identical at any
-  BLAS thread count, so no output depends on it.  With cores to spare,
-  with no ``scorer=``, or on a BLAS the handle does not control, nothing
-  changes; :attr:`TierStats.blas_threads` says which.
+  compute resource.  On a CPU the resources are cores: the
+  ``num_workers`` search processes take one each, so a scoring tier
+  lowers the DNN's BLAS pool to ``max(1, usable_cpus() - num_workers)``
+  (:mod:`repro.common.cpu`) before the workers fork, and
+  :meth:`ServingTier.shutdown` restores it.  It is not a knob: both
+  inputs are observed, and ``Dnn.forward`` is bit-identical at any BLAS
+  thread count; :attr:`TierStats.blas_threads` says what was applied.
 
 Because each session decodes on exactly one worker's ``StreamingServer``
 (bit-identical to one-shot decoding), the tier's per-session output is
 word-for-word identical to ``BatchDecoder.decode`` -- the correctness
 anchor of ``tests/test_serving_tier.py`` and of every tier workload of
 ``benchmarks/e2e``.
+
+Protocol
+--------
+One pickled tuple per message.  A session's commands reach its worker in
+send order, except that a features session's ``push`` descriptors come
+from the scoring thread and may trail its ``close``: so the close counts
+the session's frames, as end of utterance follows the last frame through
+the paper's Acoustic Likelihood Buffer.
+
+===================================== ==========================================================
+front door -> worker                  worker
+===================================== ==========================================================
+``("open", sid)``                     opens a ``StreamingServer`` session
+``("ring", name, rows, width)``       maps the shard's two score planes (once, before a push)
+``("push", sid, gen, off, frames)``   buffers rows ``off:off+frames`` of plane ``gen & 1`` in place
+``("close", sid, frames)``            closes the input once ``frames`` pushed frames have arrived,
+                                      accepted or refused; a later close replaces the count
+``("stop",)``                         closes every live session, decodes, replies and exits
+worker -> front door                  front door
+``("reply", errors, acks, records)``  at most one per worker pass:
+``errors``: ``(sid, type, text)``     one per refused command, kept as ``remote_error``
+``acks``: ``(sid, frames, gen)``      one per push decoded, refused or outlived by its session:
+                                      releases ``frames`` of the shard's backpressure budget and
+                                      one chunk of plane ``gen & 1``
+``records``: ``(sid, record)``        one per retired session: releases its admission slot
+``("stats", ServerStats)``            the worker's last message; ``shutdown()`` waits for it
+===================================== ==========================================================
+
+At the door a session is *open*, then *closed* (its count sent, no more
+input), then *retired* or *failed* once its record is in: from the
+worker, or from the door itself when batched scoring fails, which
+re-closes the session with the frames actually shipped.
 """
 
 from __future__ import annotations
@@ -125,10 +148,13 @@ class TierConfig:
             :class:`~repro.system.server.ServerConfig`).
         plane_frames: rows per score plane of each worker's double-
             buffered shared-memory ring (two planes per worker); ``0``
-            sizes the plane automatically to cover the backpressure
-            budget (``min(queue_depth, 8192)``), which makes the
-            plane-flip stall unreachable.  Chunks larger than a plane
-            are shipped as several descriptors.
+            sizes the plane to the backpressure budget
+            (``min(queue_depth, 8192)``).  That does not rule out the
+            plane-flip stall -- acks that arrive out of order can leave
+            the flip target holding one slow chunk
+            (:mod:`repro.system.score_ring`) -- but every unacked chunk
+            is buffered on a live worker, so a stall resolves.  Chunks
+            larger than a plane are shipped as several descriptors.
     """
 
     num_workers: int = 2
@@ -238,15 +264,11 @@ class _TierSession:
 
     __slots__ = (
         "sid", "worker", "opened_t", "closed", "record", "remote_error",
-        "mode", "unscored_frames", "close_sent",
+        "mode", "frames", "unscored_frames",
     )
 
     def __init__(
-        self,
-        sid: int,
-        worker: "_WorkerHandle",
-        opened_t: float,
-        mode: str = "scores",
+        self, sid: int, worker: "_WorkerHandle", opened_t: float, mode: str
     ) -> None:
         self.sid = sid
         self.worker = worker
@@ -255,12 +277,12 @@ class _TierSession:
         self.record: Optional[SessionRecord] = None
         self.remote_error: Optional[str] = None
         self.mode = mode
-        #: feature frames accepted (and reserved against the shard's
-        #: backpressure budget) but not yet scored-and-shipped; a
-        #: requested close is deferred until this drains so the worker
-        #: sees every frame before end-of-stream.
+        #: frames the door accepted for the session: the count its close
+        #: carries (see the module docstring's protocol).
+        self.frames = 0
+        #: of those, feature frames reserved against the shard's
+        #: backpressure budget but not yet scored and shipped.
         self.unscored_frames = 0
-        self.close_sent = False
 
 
 class _Pipe:
@@ -298,7 +320,7 @@ class _WorkerHandle:
     """One shard: its process, duplex pipe, and load accounting."""
 
     __slots__ = (
-        "index", "process", "pipe", "conn", "up", "live", "inflight_frames",
+        "index", "process", "pipe", "up", "live", "inflight_frames",
         "server_stats", "ring",
     )
 
@@ -306,7 +328,6 @@ class _WorkerHandle:
         self.index = index
         self.process = process
         self.pipe = pipe
-        self.conn = pipe.conn  #: polled only by result()'s unlocked wait
         #: False once a send to the shard failed (see ServingTier._send)
         #: or its pipe reached end of file (ServingTier._pump); a down
         #: shard is never routed to again.
@@ -326,19 +347,13 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
     """Shard main loop: a StreamingServer fed by the front-door pipe.
 
     ``conn`` is anything with ``poll``/``recv``/``send`` (a
-    :class:`_Pipe` in the worker process).  Commands: ``("open", sid)``,
-    ``("ring", name, plane_frames, width)`` (once, before the first push:
-    the front door's shared-memory score planes), ``("push", sid,
-    generation, offset, frames)`` (a descriptor naming rows of the mapped
-    segment), ``("close", sid)``, and ``("stop",)``.  Each pass drains
-    every queued command, steps the server once and sends at most one
-    ``("reply", errors, acks, records)``: ``(sid, type, text)`` per failed
-    command, ``(sid, frames, generation)`` per chunk *decoded* or rejected
-    -- releasing its backpressure budget and ring slot, so a plane is
-    never overwritten under a zero-copy read -- and ``(sid,
-    SessionRecord)`` per retired session.  ``("stats", ServerStats)``
-    comes last.  The loop blocks on the pipe only when no frames are
-    buffered, and ends quietly if the front door is gone.
+    :class:`_Pipe` in the worker process); the messages are the module
+    docstring's protocol table.  Each pass drains every queued command,
+    steps the server once and sends at most one reply, acking a chunk
+    only once its frames are decoded (or its session retired), so a
+    plane is never overwritten under a zero-copy read.  The loop blocks
+    on the pipe only when no frames are buffered, and ends quietly if
+    the front door is gone.
     """
     graph = load_graph_mmap(graph_dir)
     server = StreamingServer(graph, search_config, server_config)
@@ -346,16 +361,24 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
     to_external: Dict[int, int] = {}
     running = True
     ring: Optional[ScorePlaneView] = None
-    # Ack-after-decode ledger: per external sid, cumulative frames the
-    # server accepted, and a FIFO of (generation, frames, cumulative
-    # threshold) -- a chunk is acked once the session's decoded-frame
-    # count reaches its threshold (or the session retired).
-    accepted: Dict[int, int] = {}
+    # Per external sid: frames of every push descriptor received for it,
+    # accepted or refused, and -- from its counted close until that many
+    # have arrived -- the count the close waits for.
+    received: Dict[int, int] = {}
+    closing: Dict[int, int] = {}
+    # Ack-after-decode ledger: per external sid, a FIFO of (generation,
+    # frames, received count after the push) -- a chunk is acked once the
+    # session's decoded-frame count reaches it (or the session retired).
     ledger: Dict[int, Deque[Tuple[int, int, int]]] = {}
     # This pass's reply.
     errors: List[Tuple[int, str, str]] = []
     acks: List[Tuple[int, int, int]] = []
     records: List[Tuple[int, SessionRecord]] = []
+
+    def close_when_complete(ext: int) -> None:
+        if ext in closing and received.get(ext, 0) >= closing[ext]:
+            del closing[ext]
+            server.close_input(to_internal[ext])
 
     def command(msg) -> None:
         nonlocal ring, running
@@ -373,6 +396,7 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
             ring = ScorePlaneView(msg[1], msg[2], msg[3])
         elif op == "push":
             ext, generation, offset, frames = msg[1], msg[2], msg[3], msg[4]
+            received[ext] = received.get(ext, 0) + frames
             try:
                 if ring is None:
                     raise TierError("push descriptor before ring announcement")
@@ -381,15 +405,17 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
                 errors.append((ext, type(exc).__name__, str(exc)))
                 acks.append((ext, frames, generation))
             else:
-                accepted[ext] = accepted.get(ext, 0) + frames
                 ledger.setdefault(ext, deque()).append(
-                    (generation, frames, accepted[ext])
+                    (generation, frames, received[ext])
                 )
+            close_when_complete(ext)
         elif op == "close":
-            try:
-                server.close_input(to_internal[msg[1]])
-            except (KeyError, ReproError):
-                pass  # already retired; its record is shipped below
+            # A retired session's record is shipped below; a session that
+            # never opened had its error sent back already.
+            ext = msg[1]
+            if ext in to_internal and server.is_live(to_internal[ext]):
+                closing[ext] = msg[2]  # a later close replaces the count
+                close_when_complete(ext)
         elif op == "stop":
             running = False  # every admitted session still gets a record
             for isid in server.live_session_ids:
@@ -400,6 +426,7 @@ def _worker_main(conn, graph_dir, search_config, server_config) -> None:
         # new records only, however many sessions the worker has served.
         for isid in server.take_retired():
             ext = to_external[isid]
+            closing.pop(ext, None)
             record = server.result(isid)
             record.stats.session_id = ext
             records.append((ext, dataclasses.replace(record, session_id=ext)))
@@ -466,10 +493,9 @@ class ServingTier:
     connections over one tier without blocking its loop by running them
     through ``asyncio.to_thread``.
 
-    A tier built with ``scorer=`` holds the process's BLAS thread pool
-    to the cores its workers leave while it is up (the module
-    docstring's *core budget*); every other BLAS user in the process
-    sees that size until :meth:`shutdown` restores the previous one.
+    A tier built with ``scorer=`` holds the process's BLAS pool at the
+    module docstring's *core budget* until :meth:`shutdown`, for every
+    BLAS user in the process.
     If the scoring thread fails, every features session with unscored
     frames retires at once with a failed record and the features front
     door raises :class:`TierError` naming the cause from then on;
@@ -551,12 +577,7 @@ class ServingTier:
             tier_config.queue_depth, 8192
         )
 
-        # Batched in-tier acoustic scoring (the paper's GPU half): a
-        # scoring thread packs the pending feature chunks of *all* live
-        # feature-mode sessions, runs one stacked DNN forward straight
-        # into the workers' shared-memory score planes, and ships the
-        # descriptors.  Batch-stable gemm makes the rows bit-identical
-        # to each session scoring alone.
+        # Batched in-tier scoring (the module docstring's bullet).
         self._batch_scorer = BatchScorer(scorer) if scorer is not None else None
         if self._batch_scorer is not None and (
             self._batch_scorer.width < self._min_score_width
@@ -573,13 +594,9 @@ class ServingTier:
         #: thread; once set, the features front door is closed for good.
         self._score_failure: Optional[str] = None
 
-        # Core budget (Sec. III-A: the DNN stage and the search stage each
-        # own a compute resource).  The workers about to be forked are
-        # CPU-bound on a core each, so the DNN's BLAS pool gets the cores
-        # they leave: a wider pool forks and joins helper threads that
-        # have no core to run on, once per 32-row gemm.  Lowered, never
-        # raised, before the fork so the workers inherit it too; a tier
-        # that scores nothing has no DNN stage and changes nothing.
+        # Core budget (the module docstring's bullet): a wider pool forks
+        # and joins helper threads that have no core to run on, once per
+        # 32-row gemm.  Lowered before the fork so the workers inherit it.
         if self._batch_scorer is not None:
             self._blas_restore = self._blas.lower(
                 max(1, usable_cpus() - tier_config.num_workers)
@@ -704,6 +721,7 @@ class ServingTier:
             worker = session.worker
             self._reserve(worker, len(matrix))
             self._ship_rows(worker, session_id, matrix)
+            session.frames += len(matrix)
             self.stats.frames_pushed += len(matrix)
             return len(matrix)
 
@@ -763,6 +781,7 @@ class ServingTier:
             # cannot shed -- and hand the chunk to the batcher.
             self._reserve(session.worker, len(matrix))
             session.worker.inflight_frames += len(matrix)
+            session.frames += len(matrix)
             session.unscored_frames += len(matrix)
             self._pending_feats.append((session_id, matrix))
             self.stats.frames_pushed += len(matrix)
@@ -833,11 +852,7 @@ class ServingTier:
                 )
 
     def _ship_rows(
-        self,
-        worker: "_WorkerHandle",
-        session_id: int,
-        matrix: np.ndarray,
-        reserved: bool = False,
+        self, worker: "_WorkerHandle", session_id: int, matrix: np.ndarray
     ) -> None:
         """Write score rows into the worker's plane ring and send the
         descriptors (call with the lock held).  Chunks larger than a
@@ -850,9 +865,9 @@ class ServingTier:
             )
             view[:] = part
             self._send_descriptor(
-                worker, session_id, generation, offset, len(part),
-                reserved=reserved,
+                worker, session_id, generation, offset, len(part)
             )
+            worker.inflight_frames += len(part)
 
     def _send_descriptor(
         self,
@@ -861,7 +876,6 @@ class ServingTier:
         generation: int,
         offset: int,
         frames: int,
-        reserved: bool = False,
     ) -> None:
         """Ship one ``(sid, generation, offset, frames)`` descriptor --
         the only bytes the transport ever pipes per chunk."""
@@ -869,8 +883,6 @@ class ServingTier:
             worker, session_id,
             ("push", session_id, generation, offset, frames),
         )
-        if not reserved:
-            worker.inflight_frames += frames
         self.stats.frames_shipped += frames
         self.stats.descriptors_shipped += 1
         self.stats.ipc_bytes_shipped += nbytes
@@ -898,12 +910,10 @@ class ServingTier:
         return len(payload)
 
     def _score_pump(self) -> None:
-        """Scoring-thread main loop: grab everything the fleet has
-        pushed since the last pass and score it as one batch.  A batch
-        failure (a dead worker detected mid-allocation, a scorer that
-        raises) ends scoring on this tier -- see :meth:`_fail_scoring`;
-        healthy paths cannot raise because chunks are validated at the
-        door."""
+        """Scoring-thread main loop: score everything the fleet pushed
+        since the last pass as one batch.  A batch failure (a dead
+        worker, a scorer that raises) ends scoring on this tier
+        (:meth:`_fail_scoring`); chunks are validated at the door."""
         while True:
             with self._score_cv:
                 while not self._pending_feats and not self._shut_down:
@@ -923,11 +933,10 @@ class ServingTier:
     def _fail_scoring(self, exc: Exception) -> None:
         """The scoring thread is about to exit on ``exc``: make that
         terminal and visible.  Every features session with unscored
-        frames retires *now* with a failed record (its ``result()``
-        returns, ``live_sessions`` drops), hands back the backpressure
-        budget those frames reserved, and is closed on its worker; the
-        features front door raises ``TierError`` from here on.  Scores-
-        mode sessions are untouched."""
+        frames hands back the budget they reserved, is re-closed on its
+        worker with the frames actually shipped and retires *now* with a
+        failed record; the features front door raises ``TierError`` from
+        here on.  Scores-mode sessions are untouched."""
         with self._lock:
             self._score_failure = f"{type(exc).__name__}: {exc}"
             self._pending_feats = []
@@ -935,18 +944,19 @@ class ServingTier:
                 if not session.unscored_frames:
                     continue
                 worker = session.worker
-                worker.inflight_frames = max(
-                    0, worker.inflight_frames - session.unscored_frames
-                )
+                worker.inflight_frames -= session.unscored_frames
+                session.frames -= session.unscored_frames
                 session.unscored_frames = 0
                 if session.record is not None:
                     continue
-                if not session.close_sent:
-                    session.closed = session.close_sent = True
-                    try:
-                        self._send(worker, session.sid, ("close", session.sid))
-                    except TierError:
-                        pass  # the worker died; nothing left to retire
+                session.closed = True
+                try:
+                    self._send(
+                        worker, session.sid,
+                        ("close", session.sid, session.frames),
+                    )
+                except TierError:
+                    pass  # the worker died; nothing left to retire
                 self._finish(session.sid, SessionRecord(
                     session.sid, None,
                     f"batched scoring failed: {self._score_failure}",
@@ -954,18 +964,12 @@ class ServingTier:
                 ))
 
     def _score_batch(self, batch: List[Tuple[int, np.ndarray]]) -> None:
-        """One batched scoring pass over everything the fleet pushed.
-
-        The batch is expanded into plane-sized parts and shipped in
-        **slices**: each slice allocates as many ring slots as the
-        planes hold without a flip stall, runs one stacked forward
-        straight into the shared-memory views, and sends the
-        descriptors.  Only the *first* part of a slice may block on a
-        stall -- at that point every earlier part's descriptor is on the
-        pipe, so the worker can decode and ack it.  (Allocating a whole
-        over-capacity batch before shipping anything would wait on acks
-        for chunks the worker has never heard of.)
-        """
+        """One batched scoring pass over everything the fleet pushed,
+        in plane-sized parts shipped in **slices**: each slice allocates
+        the ring slots the planes hold without a flip stall, runs one
+        stacked forward into them and sends the descriptors.  Only a
+        slice's *first* part may wait on a stall, when every earlier
+        part is on the pipe for the worker to decode and ack."""
         scorer = self._batch_scorer
         assert scorer is not None
         work: List[Tuple[int, np.ndarray]] = [
@@ -997,11 +1001,9 @@ class ServingTier:
                 if session.record is not None:
                     # Retired under us; this part's share of the
                     # reservation dies with it.
-                    session.worker.inflight_frames = max(
-                        0, session.worker.inflight_frames - len(part)
-                    )
+                    session.worker.inflight_frames -= len(part)
+                    session.unscored_frames -= len(part)
                     index += 1
-                    self._feature_frames_done(session, len(part))
                     continue
                 worker = session.worker
                 ring = self._ensure_ring(worker, sid)
@@ -1040,41 +1042,25 @@ class ServingTier:
                 self.stats.score_batches += 1
             for session, generation, offset, frames in dests:
                 self._send_descriptor(
-                    session.worker, session.sid, generation, offset, frames,
-                    reserved=True,
+                    session.worker, session.sid, generation, offset, frames
                 )
-                self._feature_frames_done(session, frames)
+                session.unscored_frames -= frames
         return index
 
-    def _feature_frames_done(self, session: _TierSession, frames: int) -> None:
-        """``frames`` feature frames of the session have shipped (or died
-        with it): once none is left unscored, send any deferred close
-        (call with the lock held)."""
-        session.unscored_frames = max(0, session.unscored_frames - frames)
-        if (
-            session.closed
-            and session.unscored_frames == 0
-            and not session.close_sent
-            and session.record is None
-        ):
-            session.close_sent = True
-            self._send(session.worker, session.sid, ("close", session.sid))
-
     def close_input(self, session_id: int) -> None:
-        """Mark end of stream; the shard retires the session after its
-        buffered frames drain.  For a features session with chunks still
-        awaiting the batched scorer, the close is deferred until the
-        scoring thread ships the last of them."""
+        """Mark end of stream.  The close goes to the shard at once,
+        counting the frames the door accepted for the session; the shard
+        retires the session once that many have arrived and decoded --
+        for a features session, after the scoring thread ships them."""
         with self._lock:
             self._require_up()
             session = self._require_live(session_id)
             if not session.closed:
                 session.closed = True
-                if session.unscored_frames == 0:
-                    session.close_sent = True
-                    self._send(
-                        session.worker, session_id, ("close", session_id)
-                    )
+                self._send(
+                    session.worker, session_id,
+                    ("close", session_id, session.frames),
+                )
 
     def result(self, session_id: int, timeout: Optional[float] = None) -> SessionRecord:
         """Block until the session's terminal record arrives back.
@@ -1102,7 +1088,7 @@ class ServingTier:
                         + (f" (last error: {session.remote_error})"
                            if session.remote_error else "")
                     )
-                conn = session.worker.conn
+                conn = session.worker.pipe.conn
             if deadline is not None and time.monotonic() > deadline:
                 raise TierError(
                     f"session {session_id} produced no record within "
@@ -1165,7 +1151,10 @@ class ServingTier:
         and the tier's scoring thread batches them across sessions.
         Results come back in input order and match
         ``BatchDecoder.decode_batch`` word for word; any session failure
-        raises its error as a :class:`DecodeError`.
+        raises its error as a :class:`DecodeError`.  A session that dies
+        mid-stream (its beam emptied) is skipped from then on, as
+        :meth:`StreamingServer.decode_streaming` skips it: the rest of its
+        input is dropped and its error kept.
         """
         if chunk_frames < 1:
             raise ConfigError("chunk_frames must be >= 1")
@@ -1179,13 +1168,21 @@ class ServingTier:
                 if offsets[i] >= len(matrix):
                     continue
                 chunk = matrix[offsets[i]: offsets[i] + chunk_frames]
-                push(sid, chunk)
+                try:
+                    push(sid, chunk)
+                except DecodeError:
+                    if self._sessions[sid].record is None:
+                        raise
+                    offsets[i] = len(matrix)
+                    continue
                 offsets[i] += len(chunk)
                 pushed = True
             if not pushed:
                 break
         for sid in sids:
-            self.close_input(sid)
+            with self._lock:  # records arrive only under it
+                if self._sessions[sid].record is None:
+                    self.close_input(sid)
         records = [self.result(sid) for sid in sids]
         results = []
         for record in records:
@@ -1201,7 +1198,7 @@ class ServingTier:
         """Stop every shard, collecting final records and shard stats.
 
         The scoring thread drains first (shipping any still-pending
-        feature chunks and their deferred closes), then the workers are
+        feature chunks), then the workers are
         stopped, then the front door unlinks the score-plane segments it
         owns, grows the BLAS pool back to the size it found and removes
         the graph directory it made, if any."""

@@ -8,8 +8,10 @@ import pytest
 from repro.accel import AcceleratorConfig
 from repro.common import cpu
 from repro.datasets import (
+    AudioTaskConfig,
     SyntheticGraphConfig,
     TaskConfig,
+    generate_audio_task,
     generate_kaldi_like_graph,
     generate_task,
 )
@@ -57,6 +59,18 @@ def small_task():
             num_utterances=4,
             utterance_words=4,
             seed=11,
+        )
+    )
+
+
+@pytest.fixture(scope="session")
+def audio_task():
+    """A small audio task (MFCC features, a trained DNN scorer, graph) for
+    the features path of the serving tier."""
+    return generate_audio_task(
+        AudioTaskConfig(
+            vocab_size=20, corpus_sentences=150, num_utterances=3,
+            train_utterances=30, epochs=8, seed=2,
         )
     )
 

@@ -24,7 +24,6 @@ from repro.common.cpu import BlasPool
 from repro.common.errors import ConfigError, DecodeError, TierError
 from repro.acoustic import AcousticScores, BatchScorer, Dnn, DnnConfig, DnnScorer
 from repro.acoustic.scorer import _EPS_COLUMN_SCORE
-from repro.datasets import AudioTaskConfig, generate_audio_task
 from repro.decoder import BatchDecoder, DecoderConfig
 from repro.system import (
     ScorePlaneRing,
@@ -34,16 +33,6 @@ from repro.system import (
     TierConfig,
 )
 from repro.system import tier as tier_module
-
-
-@pytest.fixture(scope="module")
-def audio_task():
-    return generate_audio_task(
-        AudioTaskConfig(
-            vocab_size=20, corpus_sentences=150, num_utterances=3,
-            train_utterances=30, epochs=8, seed=2,
-        )
-    )
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +176,27 @@ class TestScorePlaneRing:
             ring.release(gen_a)
             gen_c, _, _ = ring.try_alloc(6)
             assert gen_c == gen_b + 1
+        finally:
+            ring.close()
+
+    def test_out_of_order_acks_stall_a_plane_as_deep_as_the_budget(self):
+        """A plane as deep as the backpressure budget does not make the
+        flip stall unreachable: a slow chunk left on the flip target
+        stalls it with half the budget unacked."""
+        budget = 4
+        ring = ScorePlaneRing(plane_frames=budget, width=2)
+        try:
+            slow, _, _ = ring.try_alloc(2)
+            fast, _, _ = ring.try_alloc(2)  # plane 0 full
+            ring.release(fast)
+            plane_1, _, _ = ring.try_alloc(budget)  # flips to plane 1
+            ring.release(plane_1)
+            unacked_frames = 2  # the slow chunk's
+            assert unacked_frames < budget
+            assert ring.try_alloc(1) is None  # flipping back stalls
+            assert ring.stalls == 1 and ring.pending_chunks == 1
+            ring.release(slow)  # the slow chunk decodes: the stall resolves
+            assert ring.try_alloc(1) is not None
         finally:
             ring.close()
 

@@ -9,7 +9,9 @@ of the fleet undisturbed.
 
 import asyncio
 import contextlib
+import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -19,12 +21,22 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 import repro
-from repro.acoustic import AcousticScores
+from repro.acoustic import AcousticScores, BatchScorer
 from repro.common.errors import (
     AdmissionError,
     BackpressureError,
@@ -35,10 +47,10 @@ from repro.common.errors import (
 from repro.decoder import BatchDecoder, DecoderConfig
 from repro.system import ServingTier, TierConfig
 from repro.system import tier as tier_module
-from repro.system.score_ring import ScorePlaneRing
+from repro.system.score_ring import ScorePlaneRing, ScorePlaneView
 from repro.system.server import ServerConfig, StreamingServer
 from repro.system.tier import _Pipe, _worker_main
-from repro.wfst import save_graph_mmap
+from repro.wfst import EPSILON, CompiledWfst, Fst, save_graph_mmap
 
 
 @pytest.fixture()
@@ -166,7 +178,7 @@ class TestWorkerLoop:
                     ("ring", ring.name, frames, width),
                     ("push", 7, generation, offset, frames),
                 ],
-                when_idle=[("close", 7), ("stop",)],
+                when_idle=[("close", 7, frames), ("stop",)],
             )
             _worker_main(conn, directory, config, ServerConfig())
         finally:
@@ -179,6 +191,48 @@ class TestWorkerLoop:
         assert records[0][1].result.words == oneshot[0].words
         assert records[0][1].result.log_likelihood == oneshot[0].log_likelihood
         assert conn.sent[-1][0] == "stats"
+
+    def test_counted_close_waits_for_the_frames_it_counts(
+        self, tmp_path, small_task, config, oneshot
+    ):
+        """A features session's last descriptor can trail its close on
+        the pipe.  The close counts the session's frames, so the worker
+        keeps the session open until that descriptor arrived and its
+        frames decoded: the record is the whole utterance's."""
+        directory = save_graph_mmap(small_task.graph, str(tmp_path / "g.mmap"))
+        matrix = small_task.utterances[0].scores.matrix
+        frames, width = matrix.shape
+        head = frames // 2
+        ring = ScorePlaneRing(plane_frames=frames, width=width)
+        try:
+            first, first_offset, rows = ring.try_alloc(head)
+            rows[:] = matrix[:head]
+            last, last_offset, rows = ring.try_alloc(frames - head)
+            rows[:] = matrix[head:]
+            conn = _ScriptedConn(
+                now=[
+                    ("open", 7),
+                    ("ring", ring.name, frames, width),
+                    ("push", 7, first, first_offset, head),
+                    ("close", 7, frames),
+                ],
+                when_idle=[
+                    ("push", 7, last, last_offset, frames - head),
+                    ("stop",),
+                ],
+            )
+            _worker_main(conn, directory, config, ServerConfig())
+        finally:
+            ring.close()
+        before_last = conn.sent_before["push"]
+        assert (7, head, first) in replied(before_last, "acks")
+        assert replied(before_last, "records") == []  # still open
+        records = replied(conn.sent_before["stop"], "records")
+        assert [sid for sid, _ in records] == [7]
+        record = records[0][1]
+        assert record.stats.frames_decoded == frames
+        assert record.result.words == oneshot[0].words
+        assert record.result.log_likelihood == oneshot[0].log_likelihood
 
     def test_shipping_records_does_not_rewalk_finished_sessions(
         self, tmp_path, small_task, config, oneshot, monkeypatch
@@ -209,7 +263,7 @@ class TestWorkerLoop:
                 script += [
                     ("open", sid),
                     ("push", sid, generation, offset, frames),
-                    ("close", sid),
+                    ("close", sid, frames),
                 ]
             conn = _ScriptedConn(now=script, when_idle=[("stop",)])
             _worker_main(conn, directory, config, ServerConfig())
@@ -495,11 +549,11 @@ class TestAdmissionAndBackpressure:
 
         with make_tier(small_task, config, num_workers=1) as tier:
             worker = tier._workers[0]
-            spy = worker.conn = PollSpy(worker.conn, tier._lock)
+            spy = worker.pipe.conn = PollSpy(worker.pipe.conn, tier._lock)
             sid = tier.open_session()  # never closed: no record will come
             with pytest.raises(TierError, match="no record"):
                 tier.result(sid, timeout=0.3)
-            worker.conn = spy.conn
+            worker.pipe.conn = spy.conn
             assert spy.held_while_waiting  # it did wait on the pipe ...
             assert not any(spy.held_while_waiting)  # ... never under the lock
 
@@ -620,6 +674,44 @@ class TestErrors:
             assert record.stats.frames_decoded == 10
             assert record.result.words == before.words
             assert record.result.log_likelihood == before.log_likelihood
+
+    def test_decode_streaming_skips_a_session_that_died_mid_stream(self):
+        """A push into a session whose beam emptied, once its record is
+        in, raised "already retired" out of the push loop, and the
+        sessions not yet closed stayed live for ever.  The loop skips the
+        dead session, so the engine's error is the one raised and nothing
+        stays live."""
+        fst = Fst()
+        s0, s1, s2 = fst.add_states(3)
+        fst.set_start(s0)
+        fst.add_arc(s0, 1, 1, 0.0, s1)
+        fst.add_arc(s1, EPSILON, EPSILON, math.log(0.9), s2)
+        fst.set_final(s2, 0.0)
+        dying = np.full((400, 3), -1e9)  # frame 2 finds only epsilon arcs
+        dying[:, 1] = math.log(0.8)
+        healthy = dying[:1]
+        with ServingTier(
+            graph=CompiledWfst.from_fst(fst),
+            search_config=DecoderConfig(beam=30.0),
+            tier_config=TierConfig(num_workers=1),
+        ) as tier:
+            real_push, pushed = tier.push, []
+
+            def push(sid, chunk):
+                frames = real_push(sid, chunk)
+                pushed.append(sid)
+                if pushed.count(0) == 3:  # the dead session retires now
+                    assert not tier.result(0, timeout=10).ok
+                return frames
+
+            tier.push = push
+            with pytest.raises(DecodeError) as exc:
+                tier.decode_streaming([dying, healthy], chunk_frames=1)
+            assert "beam emptied" in str(exc.value)
+            assert "already retired" not in str(exc.value)
+            assert pushed.count(0) == 3
+            assert tier.live_sessions == 0
+            assert tier.result(1, timeout=10).ok
 
     def test_result_timeout_is_typed(self, small_task, config):
         with make_tier(small_task, config, num_workers=1) as tier:
@@ -782,3 +874,205 @@ class TestAsyncFrontDoor:
         for expected, record in zip(oneshot, records):
             assert record.ok, record.error
             assert record.result.words == expected.words
+
+
+class _ThreadContext:
+    """A ``multiprocessing`` context whose processes are threads, so a
+    state machine can start and stop a tier per example in milliseconds.
+    ``Process`` gives the worker its own descriptor for its pipe end, as
+    a fork does, so the front door closing its copy leaves the worker's
+    open.  ``shared_memory`` serialises ring creation with the workers'
+    attaches, which swap out the resource tracker's ``register`` for the
+    whole process: a ring created meanwhile would go unregistered."""
+
+    Pipe = staticmethod(multiprocessing.Pipe)
+    segments = threading.Lock()
+
+    @classmethod
+    @contextlib.contextmanager
+    def shared_memory(cls):
+        def serialised(real):
+            class Serialised(real):
+                def __init__(self, *args):
+                    with cls.segments:
+                        super().__init__(*args)
+            return Serialised
+
+        with mock.patch.multiple(
+            tier_module,
+            ScorePlaneRing=serialised(ScorePlaneRing),
+            ScorePlaneView=serialised(ScorePlaneView),
+        ):
+            yield
+
+    class Process(threading.Thread):
+        def __init__(self, target, args, daemon, name):
+            pipe, *rest = args
+            own = multiprocessing.connection.Connection(os.dup(pipe.conn.fileno()))
+            super().__init__(
+                target=target, args=(_Pipe(own), *rest), daemon=daemon, name=name
+            )
+
+        def terminate(self):
+            pass  # a thread cannot be killed; the stop command ends it
+
+
+class _Modelled:
+    """The machine's view of one tier session and its oracle twin."""
+
+    def __init__(self, mode, utterance, oracle_sid):
+        self.mode, self.utterance, self.oracle_sid = mode, utterance, oracle_sid
+        self.sent = 0
+        self.closed = self.collected = False
+
+
+class TierProtocol(RuleBasedStateMachine):
+    """Drives one tier of one or two in-thread workers through the
+    protocol table's front-door calls, scores and features sessions
+    interleaved, against one ``StreamingServer`` fed the same score rows:
+    every record equals the oracle's, and at quiescence nothing is left
+    in flight."""
+
+    env = None  #: set by the test: graph, its mmap directory, scorer, rows
+
+    def __init__(self):
+        super().__init__()
+        self.tier = None
+
+    @initialize(workers=st.sampled_from([1, 2]), scoring=st.booleans())
+    def start(self, workers, scoring):
+        env = self.env
+        with mock.patch.object(
+            tier_module.multiprocessing, "get_context", lambda method: _ThreadContext
+        ):
+            self.tier = ServingTier(
+                graph_dir=env.graph_dir,
+                search_config=env.config,
+                tier_config=TierConfig(num_workers=workers),
+                scorer=env.scorer if scoring else None,
+            )
+        self.modes = ["scores", "features"] if scoring else ["scores"]
+        self.oracle = StreamingServer(env.graph, env.config)
+        self.sessions = {}
+        self.opens = self.records = 0
+
+    def pick(self, data, keep):
+        return data.draw(st.sampled_from(
+            [sid for sid, s in self.sessions.items() if keep(s)]
+        ))
+
+    def some(self, keep):
+        return any(map(keep, self.sessions.values()))
+
+    def pushable(self, mode):
+        return lambda s: (
+            s.mode == mode and not s.closed
+            and s.sent < len(self.env.rows[mode][s.utterance])
+        )
+
+    def awaiting(self, s):
+        return s.closed and not s.collected
+
+    @precondition(lambda self: sum(not s.closed for s in self.sessions.values()) < 4)
+    @rule(data=st.data())
+    def open(self, data):
+        mode = data.draw(st.sampled_from(self.modes))
+        utterance = data.draw(st.integers(0, len(self.env.rows["scores"]) - 1))
+        sid = self.tier.open_session(mode)
+        self.sessions[sid] = _Modelled(mode, utterance, self.oracle.open_session())
+        self.opens += 1
+
+    def push_rows(self, data, mode):
+        sid = self.pick(data, self.pushable(mode))
+        s = self.sessions[sid]
+        stop = s.sent + data.draw(st.integers(1, 12))
+        if mode == "scores":
+            rows = self.env.rows["scores"][s.utterance][s.sent: stop]
+            self.tier.push(sid, rows)
+        else:
+            self.tier.push_features(sid, self.env.features[s.utterance][s.sent: stop])
+            rows = self.env.rows["features"][s.utterance][s.sent: stop]
+        self.oracle.push(s.oracle_sid, rows)
+        s.sent += len(rows)
+
+    @precondition(lambda self: self.some(self.pushable("scores")))
+    @rule(data=st.data())
+    def push(self, data):
+        self.push_rows(data, "scores")
+
+    @precondition(lambda self: self.some(self.pushable("features")))
+    @rule(data=st.data())
+    def push_features(self, data):
+        self.push_rows(data, "features")
+
+    @precondition(lambda self: self.some(lambda s: not s.closed))
+    @rule(data=st.data())
+    def close(self, data):
+        sid = self.pick(data, lambda s: not s.closed)
+        self.tier.close_input(sid)
+        self.oracle.close_input(self.sessions[sid].oracle_sid)
+        self.sessions[sid].closed = True
+
+    @precondition(lambda self: self.some(lambda s: not s.collected))
+    @rule()
+    def poll(self):
+        self.tier.poll()
+
+    @precondition(lambda self: self.some(self.awaiting))
+    @rule(data=st.data())
+    def result(self, data):
+        self.check_record(self.pick(data, self.awaiting))
+
+    def check_record(self, sid):
+        s = self.sessions[sid]
+        record = self.tier.result(sid, timeout=10.0)
+        self.oracle.drain()
+        expected = self.oracle.result(s.oracle_sid)
+        assert record.error == expected.error
+        assert record.stats.frames_decoded == s.sent
+        if expected.ok:
+            assert record.result.words == expected.result.words
+            assert record.result.log_likelihood == expected.result.log_likelihood
+        s.collected = True
+        self.records += 1
+
+    def teardown(self):
+        if self.tier is None:
+            return
+        try:
+            for sid, s in self.sessions.items():
+                if self.awaiting(s):
+                    self.check_record(sid)
+            workers = self.tier._workers
+            deadline = time.monotonic() + 10.0
+            while any(w.inflight_frames for w in workers):
+                assert time.monotonic() < deadline, "shipped frames never acked"
+                self.tier.poll()
+                time.sleep(0.001)
+            assert self.tier.live_sessions == self.opens - self.records
+            assert all(w.ring is None or not w.ring.pending_chunks for w in workers)
+        finally:
+            self.tier.shutdown()
+        assert self.tier.live_sessions == 0  # stop closes every session
+
+
+def test_protocol_state_machine(tmp_path, audio_task):
+    """The protocol table, checked by a hypothesis state machine."""
+    task, scorer = audio_task.task, audio_task.scorer
+    features = [u.features for u in task.utterances]
+    TierProtocol.env = SimpleNamespace(
+        graph=task.graph,
+        graph_dir=save_graph_mmap(task.graph, str(tmp_path / "g.mmap")),
+        config=DecoderConfig(beam=14.0, max_active=80),
+        scorer=scorer,
+        features=features,
+        rows={
+            "scores": [u.scores.matrix for u in task.utterances],
+            "features": BatchScorer(scorer).score_chunks(features),
+        },
+    )
+    with _ThreadContext.shared_memory():
+        run_state_machine_as_test(TierProtocol, settings=settings(
+            max_examples=60, stateful_step_count=40, deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        ))

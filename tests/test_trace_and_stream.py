@@ -1,10 +1,8 @@
-"""Tests for the pipeline trace facility and the streaming simulation."""
+"""Tests for the streaming pipeline model (`repro.system.pipeline`)."""
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.accel import AcceleratorSimulator
-from repro.accel.trace import frame_traces, summarize
 from repro.system import (
     PipelineConfig,
     StageCost,
@@ -32,34 +30,6 @@ def batched(search=3e-5):
         transfer=StageCost(per_session_s=2e-6),
         search=StageCost(0.75 * search, 0.25 * search),
     )
-
-
-class TestFrameTraces:
-    @pytest.fixture(scope="class")
-    def result(self, small_task):
-        sim = AcceleratorSimulator(small_task.graph, beam=14.0)
-        return sim.decode(small_task.utterances[0].scores)
-
-    def test_one_trace_per_frame(self, result):
-        traces = frame_traces(result)
-        assert len(traces) == result.stats.frames
-
-    def test_cycles_sum_close_to_total(self, result):
-        traces = frame_traces(result)
-        total = sum(t.cycles for t in traces)
-        # Initial epsilon closure and final flush live outside frames.
-        assert 0.5 * result.stats.cycles <= total <= result.stats.cycles
-
-    def test_active_tokens_recorded(self, result):
-        traces = frame_traces(result)
-        assert any(t.active_tokens > 0 for t in traces)
-
-    def test_summary_contains_key_counters(self, result):
-        text = summarize(result)
-        assert "frames=" in text
-        assert "miss:" in text
-        assert "hash:" in text
-        assert "worst frame" in text
 
 
 class TestStreaming:
