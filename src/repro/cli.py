@@ -7,8 +7,8 @@ Seven subcommands cover the common workflows:
   per-pass report and cache/save the packed artifact.
 * ``repro-asr decode``       -- decode a task's utterances on any engine
   of the shared search kernel: ``--engine reference`` (scalar oracle),
-  ``batch`` (vectorized), ``lattice`` (N-best summaries) or ``gpu``
-  (workload summaries); ``--streaming`` for chunked live sessions and
+  ``batch`` (vectorized) or ``gpu`` (workload summaries);
+  ``--streaming`` for chunked live sessions and
   ``--pruning adaptive --target-active N`` for the adaptive-beam
   strategy.
 * ``repro-asr serve``        -- serve a task's utterances as concurrent
@@ -50,7 +50,6 @@ from repro.datasets import (
 from repro.decoder import (
     BatchDecoder,
     DecoderConfig,
-    LatticeDecoder,
     PRUNING_STRATEGIES,
     ViterbiDecoder,
     word_error_rate,
@@ -263,7 +262,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    from repro.decoder import DecodeResult
     from repro.gpu import GpuViterbiDecoder
 
     task = _build_task(args)
@@ -283,30 +281,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
     elif args.engine == "batch":
         decoder = BatchDecoder(task.graph, config)
         results = decoder.decode_batch(scores)
-    elif args.engine == "lattice":
-        lattice_decoder = LatticeDecoder(task.graph, config)
-        results = []
-        for i, utt in enumerate(task.utterances):
-            lattice = lattice_decoder.decode(utt.scores)
-            entries = lattice.nbest(args.nbest)
-            best = entries[0]
-            results.append(DecodeResult(
-                words=best.words,
-                log_likelihood=best.log_likelihood,
-                reached_final=lattice.reached_final,
-                stats=lattice.stats,
-            ))
-            extras[i].append(
-                f"  lattice: {lattice.num_nodes} nodes / "
-                f"{lattice.num_edges} edges"
-            )
-            for rank, entry in enumerate(entries, start=1):
-                words = " ".join(
-                    task.lexicon.word_of(w) for w in entry.words
-                )
-                extras[i].append(
-                    f"  nbest {rank}: {entry.log_likelihood:9.3f}  {words}"
-                )
     elif args.engine == "gpu":
         gpu = GpuViterbiDecoder(task.graph, config=config)
         results = []
@@ -598,15 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_args(p)
     _add_pruning_args(p)
     p.add_argument("--engine",
-                   choices=("reference", "batch", "lattice", "gpu"),
+                   choices=("reference", "batch", "gpu"),
                    default="reference",
                    help="decode engine: scalar token passing, the "
-                        "vectorized batch engine, the lattice/N-best "
-                        "decoder, or the GPU workload model -- all on "
-                        "the shared search kernel (default: reference)")
-    p.add_argument("--nbest", type=int, default=3,
-                   help="hypotheses to print per utterance with "
-                        "--engine lattice (default 3)")
+                        "vectorized batch engine or the GPU workload "
+                        "model -- all on the shared search kernel "
+                        "(default: reference)")
     p.add_argument("--streaming", action="store_true",
                    help="decode through chunked live sessions on the "
                         "continuous-batching server (word-identical to "

@@ -7,10 +7,10 @@ epsilon arcs without consuming input, and finally backtrack from the best
 token.  One shared frame-recurrence kernel (:mod:`repro.decoder.kernel`)
 implements that recurrence for every engine: the scalar reference
 (``ViterbiDecoder``, the oracle), the vectorized batch engine, streaming
-sessions, the lattice decoder -- plus the GPU model and the accelerator
-trace recorder in their own packages.  Pruning strategies (fixed beam,
-histogram cap, adaptive beam) and instrumentation observers plug into the
-kernel rather than into individual engines.
+sessions -- plus the GPU model and the accelerator trace recorder in
+their own packages.  Pruning strategies (fixed beam, histogram cap,
+adaptive beam) and instrumentation observers plug into the kernel rather
+than into individual engines.
 """
 
 from repro.decoder.backends import (
@@ -37,7 +37,6 @@ from repro.decoder.viterbi import ViterbiDecoder
 from repro.decoder.batch import BatchDecoder
 from repro.decoder.session import DecodeSession, advance_sessions
 from repro.decoder.result import DecodeResult, SearchStats
-from repro.decoder.lattice import Lattice, LatticeDecoder, NBestEntry
 from repro.decoder.wer import word_error_rate, levenshtein
 
 __all__ = [
@@ -53,9 +52,6 @@ __all__ = [
     "KERNEL_BACKENDS",
     "KernelBackend",
     "KernelObserver",
-    "Lattice",
-    "LatticeDecoder",
-    "NBestEntry",
     "PRUNING_STRATEGIES",
     "PruneEvent",
     "PruningStrategy",

@@ -1,10 +1,10 @@
 """The one frame-recurrence kernel under every decode engine.
 
 Every engine in this repository -- the scalar reference decoder, the
-vectorized batch engine, streaming sessions, the lattice decoder, the GPU
-workload model and the accelerator trace recorder -- runs the same
-algorithm: the WFST token-passing beam search of the paper's Section II.
-Per 10 ms frame the recurrence is
+vectorized batch engine, streaming sessions, the GPU workload model and
+the accelerator trace recorder -- runs the same algorithm: the WFST
+token-passing beam search of the paper's Section II.  Per 10 ms frame
+the recurrence is
 
     prune -> non-epsilon expand -> destination merge -> epsilon closure
 
@@ -19,8 +19,8 @@ observer protocol:
   (bulk CSR arc gather, fused score accumulation, segment-max merge,
   round-based epsilon closure).  :meth:`~SearchKernel.fused_step`
   advances many frontiers in a single combined sweep (the continuous
-  batching fast path).  ``BatchDecoder``, ``DecodeSession``,
-  ``LatticeDecoder`` and ``GpuViterbiDecoder`` all run on it.
+  batching fast path).  ``BatchDecoder``, ``DecodeSession`` and
+  ``GpuViterbiDecoder`` all run on it.
 
 * :class:`ReferenceKernel` -- the scalar oracle discipline.  A dict-based
   token walk that reproduces the *exact* event order of the hardware
@@ -70,10 +70,11 @@ Observer protocol
 Engines that need more than the decode result subscribe a
 :class:`KernelObserver` instead of forking the recurrence: the kernel
 emits :class:`PruneEvent` / :class:`ExpandEvent` / :class:`ClosureEvent`
-payloads in issue order.  The lattice decoder captures its arc DAG, the
-GPU model derives kernel-launch/atomic work counts, and the accelerator
-trace recorder captures the full hardware event stream this way.  Event
-construction is skipped entirely when no observers are attached.
+payloads in issue order.  The GPU model derives kernel-launch/atomic
+work counts and the accelerator trace recorder captures the full
+hardware event stream this way; an event carries only the fields those
+two read.  Event construction is skipped entirely when no observers are
+attached.
 
 Emptied-beam policy (shared by every engine)
 --------------------------------------------
@@ -283,15 +284,13 @@ class PruneEvent:
 
     ``walk_states`` is the full pre-prune token walk (the State Issuer's
     hash-table read order in the reference discipline; ascending state
-    order in the vectorized discipline).  ``survivor_states`` /
-    ``survivor_read_idx`` give the post-prune tokens in issue order and
-    their positions within the walk.
+    order in the vectorized discipline).  ``survivor_states`` gives the
+    post-prune tokens in issue order.
     """
 
     frame: int
     walk_states: Sequence[int]
     survivor_states: Sequence[int]
-    survivor_read_idx: Sequence[int]
     threshold: float
     beam_pruned: int
     cap_pruned: int
@@ -303,22 +302,17 @@ class ExpandEvent:
 
     Per survivor: ``states`` / ``first`` / ``n_arcs`` / ``read_idx`` (the
     contiguous arc block and walk position).  Per arc: ``arc_idx`` /
-    ``arc_dest`` plus, per discipline, ``arc_src`` (survivor ordinal) and
-    ``arc_scores`` (candidate path scores, vectorized discipline only)
-    or ``improved`` (exact running relaxation-won flags, reference
-    discipline only -- the backpointer-write stream).
+    ``arc_dest`` plus, in the reference discipline only, ``improved``
+    (exact running relaxation-won flags -- the backpointer-write stream).
     """
 
     frame: int
-    frame_scores: Sequence[float]
     states: Sequence[int]
     first: Sequence[int]
     n_arcs: Sequence[int]
     read_idx: Sequence[int]
     arc_idx: Sequence[int]
     arc_dest: Sequence[int]
-    arc_src: Optional[Sequence[int]] = None
-    arc_scores: Optional[Sequence[float]] = None
     improved: Optional[Sequence[bool]] = None
 
 
@@ -326,28 +320,23 @@ class ExpandEvent:
 class ClosureEvent:
     """One epsilon-closure pass (reference) or round (vectorized).
 
-    ``pass_index`` 0 is the initial closure from the start state; pass
-    ``f + 1`` is the closure inside frame ``f``.  The reference
-    discipline emits exactly one event per pass covering the whole FIFO
-    worklist, with ``src`` provenance (index of the epsilon arc event
-    that enqueued each visit, -1 for seeds); the vectorized discipline
-    emits one event per relaxation round with ``round_index`` counting
-    rounds and ``src=None``.  ``improved`` flags are exact in the
-    reference discipline and measured against the pre-round token scores
-    in the vectorized one.
+    A decode's first closure is the initial one from the start state;
+    each frame then closes once.  The reference discipline emits exactly
+    one event per pass covering the whole FIFO worklist, with ``src``
+    provenance (index of the epsilon arc event that enqueued each visit,
+    -1 for seeds); the vectorized discipline emits one event per
+    relaxation round with ``src=None``.  ``improved`` flags are exact in
+    the reference discipline and measured against the pre-round token
+    scores in the vectorized one.
     """
 
-    pass_index: int
-    round_index: int
     states: Sequence[int]
     first: Sequence[int]
     n_arcs: Sequence[int]
     src: Optional[Sequence[int]]
     arc_idx: Sequence[int]
     arc_dest: Sequence[int]
-    arc_src: Optional[Sequence[int]] = None
-    arc_scores: Optional[Sequence[float]] = None
-    improved: Optional[Sequence[bool]] = None
+    improved: Sequence[bool]
 
 
 class KernelObserver:
@@ -496,7 +485,7 @@ class SearchKernel:
             pruner=self.config.make_pruner(),
             observers=tuple(observers),
         )
-        self._closure(frontier, pass_index=0)
+        self._closure(frontier)
         return frontier
 
     def step_frame(
@@ -541,7 +530,6 @@ class SearchKernel:
                 frame=frame,
                 walk_states=frontier.states,
                 survivor_states=states,
-                survivor_read_idx=read_idx,
                 threshold=threshold,
                 beam_pruned=beam_pruned,
                 cap_pruned=cap_pruned,
@@ -566,15 +554,12 @@ class SearchKernel:
         if observers:
             event = ExpandEvent(
                 frame=frame,
-                frame_scores=frame_scores,
                 states=states,
                 first=first,
                 n_arcs=n_arcs,
                 read_idx=read_idx,
                 arc_idx=arc_idx,
                 arc_dest=dest,
-                arc_src=src,
-                arc_scores=new_scores,
             )
             for observer in observers:
                 observer.on_expand(event)
@@ -596,9 +581,9 @@ class SearchKernel:
         frontier.states = next_states
         frontier.scores = new_scores[winners]
         frontier.bps = trace_idx
-        self._closure(frontier, pass_index=frame + 1)
+        self._closure(frontier)
 
-    def _closure(self, frontier: Frontier, pass_index: int) -> None:
+    def _closure(self, frontier: Frontier) -> None:
         """Relax epsilon arcs to fixpoint, a whole frontier per round."""
         flat = self.flat
         stats = frontier.stats
@@ -607,7 +592,6 @@ class SearchKernel:
             return
         # (states, scores, bps) of tokens whose score improved last round.
         active = (frontier.states, frontier.scores, frontier.bps)
-        round_index = 0
         while active[0].size:
             states, scores, bps = active
             eps_first = flat.eps_first[states]
@@ -631,21 +615,16 @@ class SearchKernel:
                     exists, frontier.scores[pos_c], np.float64(LOG_ZERO)
                 )
                 event = ClosureEvent(
-                    pass_index=pass_index,
-                    round_index=round_index,
                     states=states,
                     first=eps_first,
                     n_arcs=n_eps,
                     src=None,
                     arc_idx=arc_idx,
                     arc_dest=dest,
-                    arc_src=src,
-                    arc_scores=cand_scores,
                     improved=cand_scores > existing,
                 )
                 for observer in observers:
                     observer.on_closure(event)
-            round_index += 1
 
             uniq, winners = self.backend.segment_best(dest, cand_scores)
             cand_scores = cand_scores[winners]
@@ -978,7 +957,7 @@ class ReferenceKernel:
         # Live tokens: state -> (score, backpointer index).
         tokens: Dict[int, Tuple[float, int]] = {self.graph.start: (0.0, 0)}
 
-        self._eps_pass(tokens, list(tokens.keys()), 0, search, observers,
+        self._eps_pass(tokens, list(tokens.keys()), search, observers,
                        trace_prev, trace_word)
 
         matrix = scores.matrix
@@ -1024,7 +1003,6 @@ class ReferenceKernel:
                     frame=frame,
                     walk_states=walk_states,
                     survivor_states=[s for s, _, _, _ in survivors],
-                    survivor_read_idx=[r for _, _, _, r in survivors],
                     threshold=threshold,
                     beam_pruned=beam_pruned,
                     cap_pruned=cap_pruned,
@@ -1037,8 +1015,8 @@ class ReferenceKernel:
 
             self._emit_pass(frame, survivors, next_tokens, frame_scores,
                             search, observers, trace_prev, trace_word)
-            self._eps_pass(next_tokens, list(next_tokens.keys()), frame + 1,
-                           search, observers, trace_prev, trace_word)
+            self._eps_pass(next_tokens, list(next_tokens.keys()), search,
+                           observers, trace_prev, trace_word)
             tokens = next_tokens
 
         return self._finalize(tokens, search, trace_prev, trace_word)
@@ -1110,7 +1088,6 @@ class ReferenceKernel:
         if record:
             event = ExpandEvent(
                 frame=frame,
-                frame_scores=frame_scores,
                 states=emit_states,
                 first=emit_first,
                 n_arcs=emit_n,
@@ -1126,7 +1103,6 @@ class ReferenceKernel:
         self,
         tokens: Dict[int, Tuple[float, int]],
         seeds: List[int],
-        pass_index: int,
         search: SearchStats,
         observers: Tuple[KernelObserver, ...],
         trace_prev: List[int],
@@ -1190,8 +1166,6 @@ class ReferenceKernel:
 
         if record:
             event = ClosureEvent(
-                pass_index=pass_index,
-                round_index=0,
                 states=eps_states,
                 first=eps_first_out,
                 n_arcs=eps_n,

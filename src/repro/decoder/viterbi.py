@@ -7,8 +7,8 @@ thin wrapper: the actual recurrence lives in
 the shared frame-recurrence kernel, which reproduces the accelerator
 simulator's exact event order (dict-order token walks, first-wins
 relaxation, FIFO epsilon worklist).  ``ViterbiDecoder`` is kept as the
-oracle every other engine -- batch, sessions, lattice, GPU, accelerator
--- is tested against.
+oracle every other engine -- batch, sessions, GPU, accelerator -- is
+tested against.
 """
 
 from __future__ import annotations

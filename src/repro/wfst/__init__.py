@@ -22,7 +22,6 @@ from repro.wfst.layout import (
 )
 from repro.wfst.sorted_layout import SortedWfst, sort_states_by_arc_count
 from repro.wfst.io import load_graph_meta, load_graph_mmap, save_graph_mmap
-from repro.wfst.shortest import best_complete_path_score, shortest_distance
 from repro.wfst.epsilon_removal import count_epsilon_arcs, remove_epsilons
 
 __all__ = [
@@ -45,8 +44,6 @@ __all__ = [
     "save_graph_mmap",
     "load_graph_mmap",
     "load_graph_meta",
-    "best_complete_path_score",
-    "shortest_distance",
     "count_epsilon_arcs",
     "remove_epsilons",
 ]

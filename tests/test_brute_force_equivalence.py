@@ -5,7 +5,13 @@ independent implementations -- the exhaustive brute-force oracle, the
 reference beam decoder (with an effectively-infinite beam), the GPU
 data-parallel decoder, and the cycle-accurate accelerator simulator --
 which must all find the same best-path likelihood.
+
+The oracle, :func:`brute_force_best_path`, lives here beside the check
+rather than in the package: it shares no code with the beam decoders,
+and nothing but tests calls it.
 """
+
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -14,13 +20,78 @@ from hypothesis import given, settings, strategies as st
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.acoustic.scorer import AcousticScores
 from repro.common.errors import DecodeError
+from repro.common.logmath import LOG_ZERO
 from repro.decoder import DecoderConfig, ViterbiDecoder
-from repro.decoder.brute_force import brute_force_best_path
 from repro.gpu import GpuViterbiDecoder
 from repro.wfst import CompiledWfst, EPSILON, Fst
 
 WIDE_BEAM = DecoderConfig(beam=1e6)
 NUM_PHONES = 4
+
+
+def brute_force_best_path(
+    graph: CompiledWfst,
+    scores: AcousticScores,
+    max_paths: int = 2_000_000,
+) -> Tuple[Tuple[int, ...], float]:
+    """Return ``(words, log_likelihood)`` of the true best path.
+
+    Enumerates *every* path that consumes exactly the utterance's frames
+    (epsilon arcs consume nothing): exponential, so only for toy graphs.
+
+    Raises:
+        DecodeError: if no complete path exists or the search space
+            exceeds ``max_paths`` expansions.
+    """
+    if scores.num_frames == 0:
+        raise DecodeError("no frames to decode")
+
+    best_score = LOG_ZERO
+    best_words: Optional[Tuple[int, ...]] = None
+    expansions = 0
+
+    # Depth-first over (state, frame, score, words).
+    stack: List[Tuple[int, int, float, Tuple[int, ...]]] = [
+        (graph.start, 0, 0.0, ())
+    ]
+    num_frames = scores.num_frames
+    while stack:
+        state, frame, score, words = stack.pop()
+        expansions += 1
+        if expansions > max_paths:
+            raise DecodeError("graph too large for brute force")
+
+        if frame == num_frames:
+            final = graph.final_weight(state)
+            if final > LOG_ZERO / 2:
+                total = score + final
+                if total > best_score:
+                    best_score = total
+                    best_words = words
+            # Epsilon arcs may still fire after the last frame.
+        first, n_non_eps, n_eps = graph.arc_range(state)
+        frame_scores = scores.frame(frame) if frame < num_frames else None
+        for a in range(first, first + n_non_eps + n_eps):
+            ilabel = int(graph.arc_ilabel[a])
+            olabel = int(graph.arc_olabel[a])
+            weight = float(graph.arc_weight[a])
+            dest = int(graph.arc_dest[a])
+            new_words = words + (olabel,) if olabel else words
+            if ilabel == 0:
+                stack.append((dest, frame, score + weight, new_words))
+            elif frame < num_frames:
+                stack.append(
+                    (
+                        dest,
+                        frame + 1,
+                        score + weight + float(frame_scores[ilabel]),
+                        new_words,
+                    )
+                )
+
+    if best_words is None:
+        raise DecodeError("no complete path through the graph")
+    return best_words, best_score
 
 
 def make_random_fst(rng: np.random.Generator) -> CompiledWfst:

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -75,27 +78,13 @@ class TestCommands:
         parser = build_parser()
         assert parser.parse_args(["decode"]).engine == "reference"
         assert not parser.parse_args(["decode"]).streaming
-        for engine in ("reference", "batch", "lattice", "gpu"):
+        for engine in ("reference", "batch", "gpu"):
             assert parser.parse_args(
                 ["decode", "--engine", engine]
             ).engine == engine
-        with pytest.raises(SystemExit):
-            parser.parse_args(["decode", "--engine", "nonsense"])
-
-    def test_decode_lattice_engine_prints_nbest(self, capsys):
-        argv = ["decode", "--vocab", "40", "--utterances", "2", "--seed", "4"]
-        assert main(argv) == 0
-        ref_out = capsys.readouterr().out
-        assert main(argv + ["--engine", "lattice", "--nbest", "2"]) == 0
-        lattice_out = capsys.readouterr().out
-        assert "engine 'lattice'" in lattice_out
-        assert "nbest 1:" in lattice_out
-        assert "lattice:" in lattice_out
-        # The lattice 1-best equals the reference decode.
-        ref_utts = [ln for ln in ref_out.splitlines() if ln.startswith("utt")]
-        lat_utts = [ln for ln in lattice_out.splitlines()
-                    if ln.startswith("utt")]
-        assert ref_utts == lat_utts
+        for engine in ("nonsense", "lattice"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["decode", "--engine", engine])
 
     def test_decode_gpu_engine_prints_workload(self, capsys):
         argv = ["decode", "--vocab", "40", "--utterances", "2", "--seed", "4"]
@@ -311,3 +300,19 @@ class TestCompile:
                      "--graph-cache", "none"])
         assert code == 0
         assert "mean WER" in capsys.readouterr().out
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """The package, its decoders and the CLI import without networkx
+    (the lattice was its one user; ``pyproject.toml`` no longer lists it)."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.decoder, repro.cli; "
+         "assert 'networkx' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

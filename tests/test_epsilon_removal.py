@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import DecodeError, GraphError
 from repro.datasets import TaskConfig, generate_task
 from repro.decoder import DecoderConfig, ViterbiDecoder
-from repro.decoder.brute_force import brute_force_best_path
 from repro.wfst import CompiledWfst, EPSILON, Fst
 from repro.wfst.epsilon_removal import count_epsilon_arcs, remove_epsilons
-from tests.test_brute_force_equivalence import make_random_fst, make_scores
+from tests.test_brute_force_equivalence import (
+    brute_force_best_path,
+    make_random_fst,
+    make_scores,
+)
 
 
 def fst_of(graph_or_fst):

@@ -6,6 +6,27 @@ from repro.decoder import DecoderConfig, ViterbiDecoder
 from repro.gpu import GTX980, GpuDnnModel, GpuTimingModel, GpuViterbiDecoder
 from repro.gpu.decoder import GpuWorkload
 from repro.gpu.model import dnn_flops_per_frame
+from repro.system import make_memory_workload
+
+
+@pytest.fixture(scope="module")
+def memory_workload():
+    """A small Kaldi-like search whose cap truncates some frames."""
+    return make_memory_workload(
+        num_states=3000, num_utterances=1, frames_per_utterance=12,
+        max_active=200, seed=3,
+    )
+
+
+@pytest.fixture(scope="module")
+def capped_decode(memory_workload):
+    """``(result, work)`` of the GPU model on ``memory_workload``."""
+    gpu = GpuViterbiDecoder(
+        memory_workload.graph,
+        beam=memory_workload.beam,
+        max_active=memory_workload.max_active,
+    )
+    return gpu.decode(memory_workload.scores[0])
 
 
 class TestGpuDecoderEquivalence:
@@ -41,6 +62,53 @@ class TestGpuWorkloadCounters:
         assert work.kernel_launches >= 3 * frames
         assert work.frames == frames
         assert work.atomic_updates >= work.arcs_expanded
+
+    @pytest.mark.parametrize("which", ["small_task", "memory_workload"])
+    def test_uncapped_counts_are_the_kernel_counters(self, which, request):
+        """Without a cap: a reduction, a compaction and an expansion
+        launch per frame, one launch per closure round, and arc and
+        token counts equal to the kernel's own."""
+        task = request.getfixturevalue(which)
+        if which == "small_task":
+            graph, scores = task.graph, task.utterances[0].scores
+        else:
+            graph, scores = task.graph, task.scores[0]
+        result, work = GpuViterbiDecoder(graph, beam=14.0).decode(scores)
+        stats = result.stats
+        frames = scores.num_frames
+        assert work.kernel_launches == 3 * frames + work.epsilon_iterations
+        assert work.arcs_expanded == stats.arcs_processed
+        assert work.epsilon_arcs_expanded == stats.epsilon_arcs_processed
+        assert work.tokens_compacted == sum(stats.active_tokens_per_frame)
+
+    def test_capped_launches_add_one_per_truncating_frame(
+        self, memory_workload, capped_decode
+    ):
+        """The k-selection launch runs only on frames the cap truncates,
+        and a truncated frame keeps exactly ``max_active`` tokens."""
+        result, work = capped_decode
+        cap = memory_workload.max_active
+        extra = work.kernel_launches - 3 * work.frames - work.epsilon_iterations
+        at_cap = sum(
+            1 for n in result.stats.active_tokens_per_frame if n == cap
+        )
+        assert at_cap > 0
+        assert 0 <= extra <= at_cap
+
+    def test_golden_capped_workload(self, capped_decode):
+        """Every counter of one fixed capped search, the per-arc epsilon
+        atomics (improvements over the round's starting scores) among
+        them: 3880 atomics = 2921 expansion arcs + 959 epsilon arcs."""
+        _result, work = capped_decode
+        assert work == GpuWorkload(
+            frames=12,
+            kernel_launches=66,
+            arcs_expanded=2921,
+            epsilon_arcs_expanded=1074,
+            atomic_updates=3880,
+            tokens_compacted=937,
+            epsilon_iterations=26,
+        )
 
 
 class TestGpuTimingModel:

@@ -10,7 +10,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.datasets import SyntheticGraphConfig, TaskConfig, generate_task
 from repro.datasets.synthetic_graph import generate_kaldi_like_graph
-from repro.decoder import BatchDecoder, DecoderConfig, LatticeDecoder, ViterbiDecoder
+from repro.decoder import BatchDecoder, DecoderConfig, ViterbiDecoder
 from repro.gpu import GpuViterbiDecoder
 from repro.graph import (
     GraphCache,
@@ -304,10 +304,6 @@ class TestDecodeIdentity:
             batch = BatchDecoder(graph, decoder_config)
             outputs["batch"] = [
                 r.words for r in batch.decode_batch(scores)
-            ]
-            lattice = LatticeDecoder(graph, decoder_config)
-            outputs["lattice"] = [
-                lattice.decode(s).nbest(1)[0].words for s in scores
             ]
             gpu = GpuViterbiDecoder(graph, config=decoder_config)
             outputs["gpu"] = [gpu.decode(s)[0].words for s in scores]
