@@ -18,10 +18,9 @@ PAPER_S_PER_S = {
 
 
 def compute(comparison):
-    rep = comparison.report()
     rows = []
     for name in PLATFORM_ORDER:
-        r = rep.by_name()[name]
+        r = comparison.runs[name]
         rows.append(
             [
                 name,

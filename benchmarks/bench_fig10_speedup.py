@@ -19,7 +19,7 @@ PAPER_SPEEDUP = {
 
 
 def compute(comparison):
-    speedups = comparison.report().speedup_vs("GPU")
+    speedups = comparison.speedup_vs("GPU")
     return [
         [name, PAPER_SPEEDUP[name], speedups[name]]
         for name in PAPER_SPEEDUP

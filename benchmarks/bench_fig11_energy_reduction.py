@@ -16,7 +16,7 @@ PAPER_REDUCTION = {
 
 
 def compute(comparison):
-    reductions = comparison.report().energy_reduction_vs("GPU")
+    reductions = comparison.energy_reduction_vs("GPU")
     return [
         [name, PAPER_REDUCTION[name], reductions[name]]
         for name in PAPER_REDUCTION

@@ -20,10 +20,9 @@ PAPER_POWER_W = {
 
 def compute(comparison):
     rows = []
-    rep = comparison.report()
     for name in PLATFORM_ORDER:
         rows.append(
-            [name, PAPER_POWER_W[name], rep.by_name()[name].avg_power_w]
+            [name, PAPER_POWER_W[name], comparison.runs[name].avg_power_w]
         )
     return rows
 

@@ -17,19 +17,19 @@ PAPER_ANCHORS = {
 
 
 def compute(comparison):
-    rep = comparison.report()
+    runs = comparison.runs
     rows = [
         [
             name,
-            rep.by_name()[name].decode_time_per_speech_second,
-            rep.by_name()[name].energy_per_speech_second,
+            runs[name].decode_time_per_speech_second,
+            runs[name].energy_per_speech_second,
         ]
         for name in PLATFORM_ORDER
     ]
     anchors = []
     for (a, b), (paper_speed, paper_energy) in PAPER_ANCHORS.items():
-        speed = rep.speedup_vs(b)[a]
-        energy = rep.energy_reduction_vs(b)[a]
+        speed = comparison.speedup_vs(b)[a]
+        energy = comparison.energy_reduction_vs(b)[a]
         anchors.append([f"{a} vs {b}", paper_speed, speed, paper_energy, energy])
     return rows, anchors
 

@@ -7,7 +7,7 @@ session.
 
 import pytest
 
-from benchmarks.common import base_config, standard_workload, sweep_workload
+from benchmarks.common import standard_workload, sweep_runner, sweep_workload
 from repro.system import run_platform_comparison
 
 
@@ -24,8 +24,9 @@ def std_workload():
 
 @pytest.fixture(scope="session")
 def std_comparison(std_workload):
-    """All six platforms on the standard workload."""
-    return run_platform_comparison(std_workload, base_config=base_config())
+    """All six platforms on the standard workload, recorded in the shared
+    trace cache that Figure 4's sweep of the same workload reads."""
+    return run_platform_comparison(sweep_runner(std_workload))
 
 
 @pytest.fixture(scope="session")

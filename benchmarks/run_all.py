@@ -41,9 +41,7 @@ def main() -> int:
     t0 = time.time()
     print("Building the standard workload and running all six platforms ...")
     std_workload = common.standard_workload()
-    std_comparison = run_platform_comparison(
-        std_workload, base_config=common.base_config()
-    )
+    std_comparison = run_platform_comparison(common.sweep_runner(std_workload))
     swp_workload = None if options.fast else common.sweep_workload()
     print(f"  done in {time.time() - t0:.1f}s")
 

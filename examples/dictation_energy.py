@@ -10,8 +10,8 @@ the results into battery terms: how many hours of continuous dictation a
 Run:  python examples/dictation_energy.py
 """
 
-from repro.accel import AcceleratorConfig
 from repro.datasets import SyntheticGraphConfig
+from repro.explore import SweepRunner
 from repro.system import make_memory_workload, run_platform_comparison
 
 BATTERY_WH = 10.0
@@ -31,16 +31,13 @@ def main() -> None:
         ),
     )
 
-    comparison = run_platform_comparison(
-        workload, base_config=AcceleratorConfig()
-    )
-    report = comparison.report()
+    comparison = run_platform_comparison(SweepRunner(workload))
 
     print(f"\n{'platform':16s} {'s per speech-s':>14s} {'power':>9s} "
           f"{'J per speech-s':>14s} {'dictation on 10 Wh':>20s}")
     battery_j = BATTERY_WH * 3600.0
     for name in PLATFORMS:
-        r = report.by_name()[name]
+        r = comparison.runs[name]
         hours = battery_j / r.energy_per_speech_second / 3600.0
         print(
             f"{name:16s} {r.decode_time_per_speech_second:14.4f} "
@@ -48,8 +45,8 @@ def main() -> None:
             f"{hours:17.1f} h"
         )
 
-    gpu = report.energy_reduction_vs("GPU")
-    cpu = report.energy_reduction_vs("CPU")
+    gpu = comparison.energy_reduction_vs("GPU")
+    cpu = comparison.energy_reduction_vs("CPU")
     print(
         f"\nASIC+State&Arc uses {gpu['ASIC+State&Arc']:.0f}x less energy than "
         f"the GPU and {cpu['ASIC+State&Arc']:.0f}x less than the CPU "

@@ -73,7 +73,11 @@ import numpy as np
 from repro.common.errors import ConfigError, SimulationError
 from repro.accel.config import AcceleratorConfig, CacheConfig
 from repro.accel.hashtable import HASH_MULTIPLIER, OVERFLOW_ENTRY_BYTES
-from repro.accel.simulator import AcceleratorResult, address_map
+from repro.accel.simulator import (
+    AcceleratorResult,
+    address_map,
+    walked_layout,
+)
 from repro.accel.stats import SimStats
 from repro.accel.trace import DecodeTrace, layout_fingerprint
 from repro.decoder.result import SearchStats
@@ -349,8 +353,9 @@ class TraceReplayer:
     Args:
         graph: baseline compiled graph.
         config: the accelerator configuration to price the trace under.
-        sorted_graph: arc-count-sorted layout (required iff the config
-            enables the Section IV-B direct state lookup).
+        sorted_graph: arc-count-sorted layout for the config's comparator
+            count N (required iff the config enables the Section IV-B
+            direct state lookup).
     """
 
     def __init__(
@@ -359,13 +364,9 @@ class TraceReplayer:
         config: AcceleratorConfig = AcceleratorConfig(),
         sorted_graph: Optional[SortedWfst] = None,
     ) -> None:
-        if config.state_direct_enabled and sorted_graph is None:
-            raise ConfigError(
-                "state_direct_enabled requires a sorted_graph "
-                "(see repro.wfst.sort_states_by_arc_count)"
-            )
-        self.graph = sorted_graph.graph if config.state_direct_enabled else graph
-        self.sorted_graph = sorted_graph if config.state_direct_enabled else None
+        self.graph, self.sorted_graph = walked_layout(
+            graph, config, sorted_graph
+        )
         self.config = config
         # Given the three units' outcome codes, a pass reads everything of
         # the configuration but the caches.

@@ -63,6 +63,33 @@ def address_map(graph: CompiledWfst) -> Tuple[int, int, int]:
     return states_base, arcs_base, tokens_base
 
 
+def walked_layout(
+    graph: CompiledWfst,
+    config: AcceleratorConfig,
+    sorted_graph: Optional[SortedWfst],
+) -> Tuple[CompiledWfst, Optional[SortedWfst]]:
+    """The layout a configuration walks, and its direct-lookup tables.
+
+    With the Section IV-B technique the accelerator walks ``sorted_graph``,
+    which must be laid out for the configuration's comparator count N;
+    otherwise it walks the baseline ``graph``.
+    """
+    if not config.state_direct_enabled:
+        return graph, None
+    if sorted_graph is None:
+        raise ConfigError(
+            "state_direct_enabled requires a sorted_graph "
+            "(see repro.wfst.sort_states_by_arc_count)"
+        )
+    if sorted_graph.max_direct_arcs != config.state_direct_max_arcs:
+        raise ConfigError(
+            f"state_direct_max_arcs={config.state_direct_max_arcs} needs a "
+            f"sorted_graph laid out for that N, not for "
+            f"max_direct_arcs={sorted_graph.max_direct_arcs}"
+        )
+    return sorted_graph.graph, sorted_graph
+
+
 @dataclass(frozen=True)
 class AcceleratorResult:
     """Output of one accelerator decode."""
@@ -88,19 +115,13 @@ class AcceleratorSimulator:
         sorted_graph: Optional[SortedWfst] = None,
         max_active: int = 0,
     ) -> None:
-        if config.state_direct_enabled and sorted_graph is None:
-            raise ConfigError(
-                "state_direct_enabled requires a sorted_graph "
-                "(see repro.wfst.sort_states_by_arc_count)"
-            )
         if beam <= 0:
             raise ConfigError("beam must be positive")
         if max_active < 0:
             raise ConfigError("max_active must be >= 0")
-        # With the Section IV-B technique the accelerator walks the sorted
-        # layout; otherwise the baseline layout.
-        self.graph = sorted_graph.graph if config.state_direct_enabled else graph
-        self.sorted_graph = sorted_graph if config.state_direct_enabled else None
+        self.graph, self.sorted_graph = walked_layout(
+            graph, config, sorted_graph
+        )
         self.config = config
         self.beam = beam
         # Histogram pruning cap, as in Kaldi's decoder.  The hardware

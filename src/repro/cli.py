@@ -34,7 +34,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import fields
 from typing import List, Optional
 
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
@@ -55,6 +54,7 @@ from repro.decoder import (
     word_error_rate,
 )
 from repro.energy import AcceleratorEnergyModel
+from repro.explore import ParameterGrid, SweepRunner, TraceCache
 from repro.graph import (
     DEFAULT_GRAPH_CACHE,
     GraphCache,
@@ -68,17 +68,17 @@ from repro.system import (
     make_memory_workload,
     run_platform_comparison,
 )
-from repro.system.experiment import ASIC_CONFIG_NAMES, accelerator_configs
+from repro.system.experiment import ASIC_VARIANTS, accelerator_configs
 from repro.wfst import load_graph_mmap, save_graph_mmap, sort_states_by_arc_count
 
 #: ``--config`` names of the paper's four accelerator configurations, in
-#: the order of :data:`~repro.system.experiment.ASIC_CONFIG_NAMES`.
+#: the order of :data:`~repro.system.experiment.ASIC_VARIANTS`.
 CONFIG_NAMES = ("base", "state", "arc", "both")
 
 
 def _accel_config(name: str) -> AcceleratorConfig:
-    configs = accelerator_configs(AcceleratorConfig())
-    return configs[ASIC_CONFIG_NAMES[CONFIG_NAMES.index(name)]]
+    configs = list(accelerator_configs(AcceleratorConfig()).values())
+    return configs[CONFIG_NAMES.index(name)]
 
 
 # Each input is declared once, in one ``_add_*`` helper; a command that
@@ -454,15 +454,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    comparison = run_platform_comparison(_memory_workload(args))
-    report = comparison.report()
+    comparison = run_platform_comparison(SweepRunner(_memory_workload(args)))
     print(f"{'platform':16s} {'decode s/s':>12s} {'power W':>10s} "
           f"{'energy J/s':>12s}")
-    for row in report.rows():
+    for row in comparison.rows():
         print(f"{row['platform']:16s} {row['decode_s_per_speech_s']:12.5f} "
               f"{row['avg_power_w']:10.3f} {row['energy_j_per_speech_s']:12.5f}")
-    speed = report.speedup_vs("GPU")
-    energy = report.energy_reduction_vs("GPU")
+    speed = comparison.speedup_vs("GPU")
+    energy = comparison.energy_reduction_vs("GPU")
     print(f"\nvs GPU: speedup {speed['ASIC+State&Arc']:.2f}x, "
           f"energy reduction {energy['ASIC+State&Arc']:.0f}x "
           f"(paper: 1.7x, 287x)")
@@ -478,8 +477,6 @@ DEFAULT_TRACE_CACHE = os.path.join(
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Design-space sweep via the trace-once/replay-many runner."""
-    from repro.explore import ParameterGrid, SweepRunner, TraceCache
-
     workload = _memory_workload(args)
     if args.param:
         points = ParameterGrid.from_specs(args.param).points()
@@ -487,14 +484,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         # Default: the paper's four accelerator configurations, each as
         # what it changes in the plain ASIC, applied on top of --config.
-        plain = AcceleratorConfig()
-        configs = accelerator_configs(plain)
-        points = [
-            {f.name: getattr(c, f.name) for f in fields(c)
-             if getattr(c, f.name) != getattr(plain, f.name)}
-            for c in configs.values()
-        ]
-        labels = list(configs)
+        points = list(ASIC_VARIANTS.values())
+        labels = list(ASIC_VARIANTS)
 
     cache_dir = None if args.trace_cache == "none" else args.trace_cache
     runner = SweepRunner(

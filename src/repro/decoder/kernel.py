@@ -300,19 +300,21 @@ class PruneEvent:
 class ExpandEvent:
     """One frame's non-epsilon expansion, in issue order.
 
-    Per survivor: ``states`` / ``first`` / ``n_arcs`` / ``read_idx`` (the
-    contiguous arc block and walk position).  Per arc: ``arc_idx`` /
-    ``arc_dest`` plus, in the reference discipline only, ``improved``
-    (exact running relaxation-won flags -- the backpointer-write stream).
+    Per arc: ``arc_idx`` / ``arc_dest``.  The reference discipline alone
+    also fills, per survivor, ``states`` / ``first`` / ``n_arcs`` /
+    ``read_idx`` (the contiguous arc block and walk position) and, per
+    arc, ``improved`` (exact running relaxation-won flags -- the
+    backpointer-write stream): the trace recorder reads them, and it
+    observes the reference kernel only.
     """
 
     frame: int
-    states: Sequence[int]
-    first: Sequence[int]
-    n_arcs: Sequence[int]
-    read_idx: Sequence[int]
     arc_idx: Sequence[int]
     arc_dest: Sequence[int]
+    states: Optional[Sequence[int]] = None
+    first: Optional[Sequence[int]] = None
+    n_arcs: Optional[Sequence[int]] = None
+    read_idx: Optional[Sequence[int]] = None
     improved: Optional[Sequence[bool]] = None
 
 
@@ -512,7 +514,6 @@ class SearchKernel:
         # Histogram pruning: the cap best by score, earliest on ties.
         cap = pruner.cap()
         cap_pruned = 0
-        order = None
         if cap and n_keep > cap:
             order = np.flatnonzero(_top_cap_mask(scores, cap))
             cap_pruned = n_keep - cap
@@ -523,9 +524,6 @@ class SearchKernel:
         pruner.observe(n_keep)
 
         if observers:
-            read_idx = np.nonzero(keep)[0]
-            if order is not None:
-                read_idx = read_idx[order]
             event = PruneEvent(
                 frame=frame,
                 walk_states=frontier.states,
@@ -552,15 +550,7 @@ class SearchKernel:
         stats.arcs_processed += arc_idx.size
 
         if observers:
-            event = ExpandEvent(
-                frame=frame,
-                states=states,
-                first=first,
-                n_arcs=n_arcs,
-                read_idx=read_idx,
-                arc_idx=arc_idx,
-                arc_dest=dest,
-            )
+            event = ExpandEvent(frame=frame, arc_idx=arc_idx, arc_dest=dest)
             for observer in observers:
                 observer.on_expand(event)
 

@@ -14,7 +14,6 @@ from repro.energy.components import (
     SramMacroModel,
 )
 from repro.energy.cpu_model import CpuSpec, CpuTimingModel, INTEL_I7_6700K
-from repro.energy.report import EnergyReport, PlatformResult
 
 __all__ = [
     "AcceleratorAreaModel",
@@ -23,6 +22,4 @@ __all__ = [
     "CpuSpec",
     "CpuTimingModel",
     "INTEL_I7_6700K",
-    "EnergyReport",
-    "PlatformResult",
 ]

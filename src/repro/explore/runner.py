@@ -11,7 +11,10 @@ fanned out across worker processes), applies the energy model, and
 returns rows ready for tables, JSON and CSV artifacts.
 
 This is the engine behind the ``bench_fig*`` / ``bench_ablation_*``
-parameter sweeps, ``examples/design_space.py`` and ``repro sweep``; a
+parameter sweeps, the six-platform comparison of Figs. 9-14
+(:func:`repro.system.experiment.run_platform_comparison`, whose four
+accelerator rows are one :meth:`SweepRunner.run`),
+``examples/design_space.py`` and ``repro sweep``; a
 multi-point sweep costs one search, one LRU outcome pass per distinct
 cache geometry and one cheap timing pass per distinct cache behaviour
 (``SweepResult.timing_passes``) instead of one full simulation per point
@@ -27,7 +30,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.cpu import usable_cpus
@@ -310,6 +313,15 @@ class SweepRunner:
         traces: Dict[Tuple, List[DecodeTrace]] = {}
         for overrides in points:
             config = apply_overrides(self.base_config, overrides)
+            if "sorted.max_direct_arcs" in overrides:
+                # The layout axis sets the comparator count N the
+                # configuration is priced with, so the two always agree.
+                config = replace(
+                    config,
+                    state_direct_max_arcs=int(
+                        overrides["sorted.max_direct_arcs"]
+                    ),
+                )
             beam = float(overrides.get("beam", workload.beam))
             if beam <= 0:
                 raise ConfigError("beam must be positive")
@@ -337,10 +349,7 @@ class SweepRunner:
                     workload.graph, workload.scores, config=search_config
                 )
             if config.state_direct_enabled:
-                n = overrides.get(
-                    "sorted.max_direct_arcs", config.state_direct_max_arcs
-                )
-                sorted_graph = self.sorted_layout(n)
+                sorted_graph = self.sorted_layout(config.state_direct_max_arcs)
                 layout_id = ("sorted", sorted_graph.max_direct_arcs)
             else:
                 sorted_graph = None

@@ -4,11 +4,11 @@ Runs the same workload through every platform the paper compares --
 CPU (software decoder + timing model), GPU (data-parallel decoder + timing
 model) and the four accelerator configurations (ASIC, ASIC+State, ASIC+Arc,
 ASIC+State&Arc) -- and assembles the results the evaluation figures need.
-The functional search runs once per utterance: the CPU platform reads its
-statistics off the recorded decode trace, the accelerator variants price
-that trace by replay (:mod:`repro.accel.replay`) and the sorted-layout
-variants price it relabelled (:func:`repro.accel.trace.derive_sorted_trace`),
-so adding configurations costs replays, not searches.
+The functional search runs once per utterance: the accelerator variants
+are one :class:`~repro.explore.runner.SweepRunner` sweep, which records the
+decode trace in its trace cache and prices it by replay, and the CPU
+platform reads its statistics off that same recording, so adding
+configurations costs replays, not searches.
 
 Workloads come in two flavours:
 
@@ -22,24 +22,21 @@ Workloads come in two flavours:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.acoustic.scorer import AcousticScores
 from repro.accel.config import AcceleratorConfig
-from repro.accel.replay import TraceReplayer
-from repro.accel.simulator import AcceleratorResult
 from repro.accel.stats import SimStats
-from repro.accel.trace import DecodeTrace, TraceRecorder, derive_sorted_trace
 from repro.datasets.synthetic_graph import SyntheticGraphConfig
+from repro.decoder.kernel import DecoderConfig
 from repro.decoder.result import SearchStats
-from repro.energy.components import AcceleratorEnergyModel
 from repro.energy.cpu_model import CpuTimingModel
-from repro.energy.report import EnergyReport, PlatformResult
+from repro.explore.grid import apply_overrides
+from repro.explore.runner import SweepRunner
 from repro.gpu.decoder import GpuViterbiDecoder, GpuWorkload
 from repro.gpu.model import GpuTimingModel
 from repro.wfst.layout import CompiledWfst
@@ -139,41 +136,81 @@ def make_memory_workload(
 
 @dataclass
 class PlatformRun:
-    """Aggregated outcome of one platform over a workload."""
+    """One platform's decode of the workload's speech (a row of Figs. 9-14)."""
 
     name: str
     decode_seconds: float
     energy_j: float
+    speech_seconds: float
     search: SearchStats
     sim_stats: Optional[SimStats] = None
+
+    @property
+    def decode_time_per_speech_second(self) -> float:
+        """The paper's Figure 9 metric."""
+        if self.speech_seconds == 0:
+            return 0.0
+        return self.decode_seconds / self.speech_seconds
+
+    @property
+    def energy_per_speech_second(self) -> float:
+        """The paper's Figure 14 y-axis."""
+        if self.speech_seconds == 0:
+            return 0.0
+        return self.energy_j / self.speech_seconds
+
+    @property
+    def avg_power_w(self) -> float:
+        """The paper's Figure 12 metric."""
+        if self.decode_seconds == 0:
+            return 0.0
+        return self.energy_j / self.decode_seconds
+
+    @property
+    def realtime(self) -> bool:
+        """Real-time speech recognition: decode faster than the speech."""
+        return self.decode_seconds < self.speech_seconds
 
 
 @dataclass
 class ComparisonResult:
-    """All platform runs over one workload."""
+    """Every platform's run over one workload, and the paper's comparisons."""
 
-    runs: Dict[str, PlatformRun] = field(default_factory=dict)
-    speech_seconds: float = 0.0
+    runs: Dict[str, PlatformRun]
+    speech_seconds: float
 
-    def report(self) -> EnergyReport:
-        return EnergyReport(
-            [
-                PlatformResult(
-                    name=r.name,
-                    decode_seconds=r.decode_seconds,
-                    energy_j=r.energy_j,
-                    speech_seconds=self.speech_seconds,
-                )
-                for r in self.runs.values()
-            ]
-        )
+    def speedup_vs(self, baseline: str) -> Dict[str, float]:
+        """Figure 10: speedup of every platform over ``baseline``."""
+        base = self.runs[baseline].decode_seconds
+        return {name: base / r.decode_seconds for name, r in self.runs.items()}
+
+    def energy_reduction_vs(self, baseline: str) -> Dict[str, float]:
+        """Figure 11: energy reduction of every platform vs ``baseline``."""
+        base = self.runs[baseline].energy_j
+        return {name: base / r.energy_j for name, r in self.runs.items()}
+
+    def rows(self) -> List[Dict[str, Any]]:
+        """Tabular view for the CLI and the benchmark harness."""
+        return [
+            {
+                "platform": r.name,
+                "decode_s_per_speech_s": r.decode_time_per_speech_second,
+                "energy_j_per_speech_s": r.energy_per_speech_second,
+                "avg_power_w": r.avg_power_w,
+                "realtime": r.realtime,
+            }
+            for r in self.runs.values()
+        ]
 
 
-#: The four accelerator configurations of the evaluation (Figure 9).
-ASIC_CONFIG_NAMES = ("ASIC", "ASIC+State", "ASIC+Arc", "ASIC+State&Arc")
-
-#: Every platform :func:`run_platform_comparison` can run.
-PLATFORM_NAMES = ("CPU", "GPU", *ASIC_CONFIG_NAMES)
+#: The four accelerator configurations of the evaluation (Figure 9), each
+#: as what it changes in the base design.
+ASIC_VARIANTS: Dict[str, Dict[str, Any]] = {
+    "ASIC": {},
+    "ASIC+State": {"state_direct_enabled": True},
+    "ASIC+Arc": {"prefetch_enabled": True},
+    "ASIC+State&Arc": {"prefetch_enabled": True, "state_direct_enabled": True},
+}
 
 
 def accelerator_configs(
@@ -181,108 +218,62 @@ def accelerator_configs(
 ) -> Dict[str, AcceleratorConfig]:
     """The paper's four accelerator variants from a base configuration."""
     return {
-        "ASIC": base,
-        "ASIC+State": base.with_state_direct(),
-        "ASIC+Arc": base.with_prefetch(),
-        "ASIC+State&Arc": base.with_both(),
+        name: apply_overrides(base, overrides)
+        for name, overrides in ASIC_VARIANTS.items()
     }
 
 
 def run_platform_comparison(
-    workload: MemoryWorkload,
-    base_config: AcceleratorConfig = AcceleratorConfig(),
+    runner: SweepRunner,
     cpu_model: CpuTimingModel = CpuTimingModel(),
     gpu_model: GpuTimingModel = GpuTimingModel(),
-    energy_model: AcceleratorEnergyModel = AcceleratorEnergyModel(),
-    include: Optional[List[str]] = None,
 ) -> ComparisonResult:
-    """Decode the workload on every platform and collect times/energies.
+    """Decode the runner's workload on all six platforms of Figs. 9-14.
 
-    Args:
-        include: restrict to a subset of :data:`PLATFORM_NAMES` (default:
-            all six).
-
-    Raises:
-        ConfigError: ``include`` names a platform that does not exist.
+    The four accelerator variants are one :meth:`SweepRunner.run` over
+    :data:`ASIC_VARIANTS`, priced from the runner's base configuration
+    with its energy model.  The CPU platform times the same recorded
+    search, utterance by utterance, so the comparison records one search
+    in the runner's trace cache (a hit when another sweep of the workload
+    recorded it first).  The GPU platform runs its own data-parallel
+    decoder.
     """
-    wanted = include or list(PLATFORM_NAMES)
-    unknown = [name for name in wanted if name not in PLATFORM_NAMES]
-    if unknown:
-        raise ConfigError(
-            f"unknown platform(s) {unknown}; choose from "
-            f"{list(PLATFORM_NAMES)}"
-        )
-    result = ComparisonResult(speech_seconds=workload.speech_seconds)
+    workload = runner.workload
+    sweep = runner.run(list(ASIC_VARIANTS.values()), labels=list(ASIC_VARIANTS))
+    speech = sweep.speech_seconds
+    runs: Dict[str, PlatformRun] = {}
 
-    # The CPU platform and every accelerator variant share one recorded
-    # scalar search per utterance.
-    traces: List[DecodeTrace] = []
-    if any(name != "GPU" for name in wanted):
-        recorder = TraceRecorder(
-            workload.graph, beam=workload.beam, max_active=workload.max_active
-        )
-        traces = [recorder.record(s) for s in workload.scores]
+    traces = runner.trace_cache.get(
+        workload.graph, workload.scores,
+        config=DecoderConfig(beam=workload.beam, max_active=workload.max_active),
+    )
+    seconds = sum(cpu_model.search_seconds(t.search) for t in traces)
+    runs["CPU"] = PlatformRun(
+        "CPU", seconds, seconds * cpu_model.spec.avg_power_w, speech,
+        SearchStats.merge([t.search for t in traces]),
+    )
 
-    if "CPU" in wanted:
-        seconds = sum(cpu_model.search_seconds(t.search) for t in traces)
-        result.runs["CPU"] = PlatformRun(
-            "CPU", seconds, seconds * cpu_model.spec.avg_power_w,
-            SearchStats.merge([t.search for t in traces]),
-        )
+    gpu_decoder = GpuViterbiDecoder(
+        workload.graph, beam=workload.beam, max_active=workload.max_active
+    )
+    total_work = GpuWorkload()
+    gpu_stats: List[SearchStats] = []
+    for s in workload.scores:
+        decode, work = gpu_decoder.decode(s)
+        gpu_stats.append(decode.stats)
+        _accumulate_gpu_work(total_work, work)
+    seconds = gpu_model.search_seconds(total_work)
+    runs["GPU"] = PlatformRun(
+        "GPU", seconds, seconds * gpu_model.spec.avg_power_w, speech,
+        SearchStats.merge(gpu_stats),
+    )
 
-    if "GPU" in wanted:
-        gpu_decoder = GpuViterbiDecoder(
-            workload.graph,
-            beam=workload.beam,
-            max_active=workload.max_active,
+    for point in sweep.points:
+        runs[point.label] = PlatformRun(
+            point.label, point.seconds, point.energy_j, speech, point.search,
+            sim_stats=point.stats,
         )
-        total_work = GpuWorkload()
-        gpu_stats: List[SearchStats] = []
-        for s in workload.scores:
-            decode, work = gpu_decoder.decode(s)
-            gpu_stats.append(decode.stats)
-            _accumulate_gpu_work(total_work, work)
-        seconds = gpu_model.search_seconds(total_work)
-        result.runs["GPU"] = PlatformRun(
-            "GPU",
-            seconds,
-            seconds * gpu_model.spec.avg_power_w,
-            SearchStats.merge(gpu_stats),
-        )
-
-    # The accelerator variants differ only in timing: each re-prices the
-    # traces, relabelled onto the Section IV-B sorted layout for the
-    # variants that walk it.
-    sorted_traces = [
-        derive_sorted_trace(t, workload.graph, workload.sorted_graph)
-        for t in traces
-    ]
-    for name, config in accelerator_configs(base_config).items():
-        if name not in wanted:
-            continue
-        direct = config.state_direct_enabled
-        replayer = TraceReplayer(
-            workload.graph,
-            config,
-            sorted_graph=workload.sorted_graph if direct else None,
-        )
-        sim_results: List[AcceleratorResult] = [
-            replayer.replay(t) for t in (sorted_traces if direct else traces)
-        ]
-        stats = SimStats.merge([r.stats for r in sim_results])
-        seconds = stats.seconds(config.frequency_hz)
-        energy = sum(
-            energy_model.energy(config, r.stats).total_j for r in sim_results
-        )
-        result.runs[name] = PlatformRun(
-            name,
-            seconds,
-            energy,
-            SearchStats.merge([r.search for r in sim_results]),
-            sim_stats=stats,
-        )
-
-    return result
+    return ComparisonResult(runs, speech)
 
 
 def _accumulate_gpu_work(total: GpuWorkload, work: GpuWorkload) -> None:

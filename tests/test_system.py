@@ -3,10 +3,15 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.accel import AcceleratorConfig, AcceleratorSimulator
+from repro.accel.stats import SimStats
 from repro.common.errors import ConfigError
 from repro.datasets import SyntheticGraphConfig
-from repro.energy.report import EnergyReport, PlatformResult
+from repro.decoder.result import SearchStats
+from repro.explore import SweepRunner, TraceCache
 from repro.system import (
+    ComparisonResult,
+    PlatformRun,
     PipelineConfig,
     StageCost,
     hybrid_speedup,
@@ -17,6 +22,8 @@ from repro.system import (
     score_transfer,
     simulate_stream,
 )
+from repro.system.experiment import accelerator_configs
+from repro.wfst import sort_states_by_arc_count
 
 
 def offline(batch_frames=100, dnn=0.0, search=0.0, transfer=0.0):
@@ -150,12 +157,15 @@ class TestPipelineProperties:
 
 
 class TestEnergyReport:
+    """The derived metrics of the comparison result."""
+
     def _report(self):
-        return EnergyReport(
-            [
-                PlatformResult("GPU", decode_seconds=2.0, energy_j=100.0, speech_seconds=10.0),
-                PlatformResult("ASIC", decode_seconds=1.0, energy_j=0.5, speech_seconds=10.0),
-            ]
+        return ComparisonResult(
+            {
+                "GPU": PlatformRun("GPU", 2.0, 100.0, 10.0, SearchStats()),
+                "ASIC": PlatformRun("ASIC", 1.0, 0.5, 10.0, SearchStats()),
+            },
+            speech_seconds=10.0,
         )
 
     def test_speedup(self):
@@ -172,10 +182,23 @@ class TestEnergyReport:
         assert rows["ASIC"]["realtime"]
 
     def test_metrics_per_speech_second(self):
-        result = PlatformResult("X", 2.0, 100.0, 10.0)
+        result = PlatformRun("X", 2.0, 100.0, 10.0, SearchStats())
         assert result.decode_time_per_speech_second == pytest.approx(0.2)
         assert result.energy_per_speech_second == pytest.approx(10.0)
         assert result.avg_power_w == pytest.approx(50.0)
+
+
+#: Every row of the comparison on ``TestExperimentHarness``'s workload at
+#: Table I: (decode seconds, energy J, accelerator cycles).  Fixed numbers,
+#: so a change to how the rows are priced cannot move a figure unnoticed.
+GOLDEN_ROWS = {
+    "CPU": (0.00042610900000000004, 0.013720709800000003, None),
+    "GPU": (0.00015605460000000002, 0.011922571440000003, None),
+    "ASIC": (2.9188333333333333e-05, 1.2645703458604432e-05, 17513),
+    "ASIC+State": (2.8408333333333334e-05, 1.1597135949060519e-05, 17045),
+    "ASIC+Arc": (1.623e-05, 9.294541858604433e-06, 9738),
+    "ASIC+State&Arc": (1.1916666666666667e-05, 7.28753519906052e-06, 7150),
+}
 
 
 class TestExperimentHarness:
@@ -192,36 +215,63 @@ class TestExperimentHarness:
             ),
         )
 
-    def test_all_platforms_present(self, workload):
-        cmp = run_platform_comparison(workload)
-        assert set(cmp.runs) == {
+    @pytest.fixture(scope="class")
+    def cmp(self, workload):
+        return run_platform_comparison(SweepRunner(workload))
+
+    def test_all_platforms_present(self, cmp):
+        assert list(cmp.runs) == [
             "CPU", "GPU", "ASIC", "ASIC+State", "ASIC+Arc", "ASIC+State&Arc",
-        }
+        ]
         # The CPU and every accelerator variant share one search.
         for name in ("ASIC", "ASIC+State", "ASIC+Arc", "ASIC+State&Arc"):
             assert cmp.runs[name].search == cmp.runs["CPU"].search
 
-    def test_subset_selection(self, workload):
-        cmp = run_platform_comparison(workload, include=["CPU", "ASIC"])
-        assert set(cmp.runs) == {"CPU", "ASIC"}
+    def test_every_row_matches_the_golden(self, cmp):
+        for name, (seconds, energy, cycles) in GOLDEN_ROWS.items():
+            run = cmp.runs[name]
+            assert run.decode_seconds == pytest.approx(seconds, rel=1e-12)
+            assert run.energy_j == pytest.approx(energy, rel=1e-12)
+            got = run.sim_stats.cycles if run.sim_stats else None
+            assert got == cycles, name
 
-    def test_unknown_platform_names_are_rejected(self, workload):
-        with pytest.raises(ConfigError) as info:
-            run_platform_comparison(workload, include=["asic", "CPU", "TPU"])
-        message = str(info.value)
-        assert "'asic'" in message and "'TPU'" in message
-        for name in (
-            "CPU", "GPU", "ASIC", "ASIC+State", "ASIC+Arc", "ASIC+State&Arc",
-        ):
-            assert repr(name) in message
-
-    def test_energies_positive(self, workload):
-        cmp = run_platform_comparison(workload, include=["CPU", "GPU", "ASIC"])
+    def test_energies_positive(self, cmp):
         for run in cmp.runs.values():
             assert run.energy_j > 0
             assert run.decode_seconds > 0
 
-    def test_workload_stable_active_set(self, workload):
-        cmp = run_platform_comparison(workload, include=["CPU"])
+    def test_workload_stable_active_set(self, cmp):
         active = cmp.runs["CPU"].search.active_tokens_per_frame
         assert max(active) <= 300
+
+    def test_comparator_count_prices_its_own_layout(self, workload):
+        """With N = 4 the state-direct rows walk the N = 4 layout, as the
+        monolithic simulator does, not the workload's N = 16 one."""
+        base = AcceleratorConfig(state_direct_max_arcs=4)
+        cmp = run_platform_comparison(SweepRunner(workload, base_config=base))
+        layout = sort_states_by_arc_count(workload.graph, max_direct_arcs=4)
+        for name in ("ASIC+State", "ASIC+State&Arc"):
+            got = cmp.runs[name].sim_stats
+            sim = AcceleratorSimulator(
+                workload.graph, accelerator_configs(base)[name],
+                beam=workload.beam, sorted_graph=layout,
+                max_active=workload.max_active,
+            )
+            expected = SimStats.merge(
+                [sim.decode(s).stats for s in workload.scores]
+            )
+            assert got.cycles == expected.cycles
+            assert got.states_direct == expected.states_direct
+        state = cmp.runs["ASIC+State"].sim_stats
+        assert (state.cycles, state.states_direct) == (17112, 1242)
+
+    def test_comparison_and_a_cache_sweep_share_one_recording(self, workload):
+        """Figs. 9-14 and a Fig.-4-style capacity sweep of the same
+        workload, through one trace cache: one functional search."""
+        cache = TraceCache()
+        run_platform_comparison(SweepRunner(workload, trace_cache=cache))
+        sweep = SweepRunner(workload, trace_cache=cache).run(
+            [{"arc_cache.size_bytes": kib * 1024} for kib in (256, 1024)]
+        )
+        assert cache.recordings == 1
+        assert sweep.trace_recordings == 0

@@ -289,6 +289,18 @@ class TestPydocImportability:
         assert check_docs.check_markdown_links(str(REPO_ROOT)) == []
         assert check_docs.check_repo_paths(str(REPO_ROOT)) == []
 
+    def test_runs_without_pythonpath(self, tmp_path):
+        """``python tools/check_docs.py`` finds ``repro`` by itself, as CI's
+        docs job runs it: no ``PYTHONPATH``, no installed package."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "tools" / "check_docs.py"),
+             "--root", str(tmp_path)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "modules rendered" in done.stdout
+
 
 # ----------------------------------------------------------------------
 # benchmarks/run_all.py

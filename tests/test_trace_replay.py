@@ -307,6 +307,24 @@ class TestTraceContract:
         with pytest.raises(ConfigError):
             TraceReplayer(workload.graph, BASE.with_state_direct())
 
+    @pytest.mark.parametrize("model", ["replayer", "simulator"])
+    def test_state_direct_layout_must_match_the_comparator_count(
+        self, workload, model
+    ):
+        """An N = 4 configuration refuses the workload's N = 16 layout."""
+        config = replace(BASE.with_state_direct(), state_direct_max_arcs=4)
+        assert workload.sorted_graph.max_direct_arcs == 16
+        with pytest.raises(ConfigError, match="state_direct_max_arcs=4"):
+            if model == "replayer":
+                TraceReplayer(
+                    workload.graph, config, sorted_graph=workload.sorted_graph
+                )
+            else:
+                AcceleratorSimulator(
+                    workload.graph, config, beam=workload.beam,
+                    sorted_graph=workload.sorted_graph,
+                )
+
     def test_acoustic_buffer_capacity_enforced(self, workload, traces):
         tiny = replace(BASE, acoustic_buffer_bytes=64)
         replayer = TraceReplayer(workload.graph, tiny)
