@@ -15,6 +15,7 @@ from benchmarks.common import base_config, format_table, report, sweep_runner
 from repro.datasets import TaskConfig, generate_task
 from repro.decoder import word_error_rate
 from repro.explore import SweepWorkload
+from repro.system.experiment import accelerator_configs
 
 BEAMS = (2.0, 4.0, 8.0, 16.0)
 
@@ -29,7 +30,8 @@ def task():
 
 def run(task):
     workload = SweepWorkload.from_task(task, beam=BEAMS[0])
-    runner = sweep_runner(workload, base=base_config().with_both())
+    both = accelerator_configs(base_config())["ASIC+State&Arc"]
+    runner = sweep_runner(workload, base=both)
     result = runner.run([{"beam": beam} for beam in BEAMS])
 
     rows = []

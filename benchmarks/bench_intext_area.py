@@ -11,27 +11,26 @@ from benchmarks.common import format_table, report
 from repro.accel import AcceleratorConfig
 from repro.energy import AcceleratorAreaModel, AcceleratorEnergyModel
 from repro.gpu import GTX980
+from repro.system.experiment import accelerator_configs
 
 
 def compute():
     area = AcceleratorAreaModel()
     energy = AcceleratorEnergyModel()
-    base = AcceleratorConfig()
-    both = base.with_both()
+    variants = accelerator_configs(AcceleratorConfig())
+    base = variants["ASIC"]
+    pref = variants["ASIC+Arc"]
+    state = variants["ASIC+State"]
 
     base_area = area.total_mm2(base)
-    both_area = area.total_mm2(both)
-    pref_pct = 100.0 * (area.total_mm2(base.with_prefetch()) - base_area) / base_area
-    state_pct = 100.0 * (
-        area.total_mm2(base.with_state_direct()) - base_area
-    ) / base_area
+    both_area = area.total_mm2(variants["ASIC+State&Arc"])
+    pref_pct = 100.0 * (area.total_mm2(pref) - base_area) / base_area
+    state_pct = 100.0 * (area.total_mm2(state) - base_area) / base_area
     pref_mw = 1e3 * (
-        energy.static_power_w(base.with_prefetch())
-        - energy.static_power_w(base)
+        energy.static_power_w(pref) - energy.static_power_w(base)
     )
     state_mw = 1e3 * (
-        energy.static_power_w(base.with_state_direct())
-        - energy.static_power_w(base)
+        energy.static_power_w(state) - energy.static_power_w(base)
     )
     return [
         ["base area (mm2)", 24.06, base_area],

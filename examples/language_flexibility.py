@@ -25,7 +25,8 @@ from repro.lm import (
     train_ngram,
     train_trigram,
 )
-from repro.wfst import CompiledWfst, compose, sort_states_by_arc_count
+from repro.system.experiment import accelerator_configs
+from repro.wfst import CompiledWfst, compose
 from repro.wfst.fst import Fst
 
 
@@ -59,15 +60,12 @@ def main() -> None:
         "trigram": build_trigram_fst(trigram),
     }
 
-    config = AcceleratorConfig().with_both()
+    config = accelerator_configs(AcceleratorConfig())["ASIC+State&Arc"]
     print(f"\n{'LM':8s} {'states':>8s} {'arcs':>9s} {'eps %':>6s} "
           f"{'WER':>6s} {'cycles':>10s}")
     for name, grammar in grammars.items():
         graph = CompiledWfst.from_fst(compose(lexicon_fst, grammar))
-        sim = AcceleratorSimulator(
-            graph, config, beam=16.0,
-            sorted_graph=sort_states_by_arc_count(graph),
-        )
+        sim = AcceleratorSimulator(graph, config, beam=16.0)
         total_wer, total_cycles = 0.0, 0
         for utt in task.utterances:
             result = sim.decode(utt.scores)

@@ -14,7 +14,7 @@ from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.datasets import TaskConfig, generate_task
 from repro.decoder import DecoderConfig, ViterbiDecoder, word_error_rate
 from repro.energy import AcceleratorEnergyModel
-from repro.wfst import sort_states_by_arc_count
+from repro.system.experiment import accelerator_configs
 
 BEAM = 14.0
 
@@ -33,10 +33,9 @@ def main() -> None:
 
     reference = ViterbiDecoder(graph, DecoderConfig(beam=BEAM))
 
-    config = AcceleratorConfig().with_both()  # prefetch + sorted layout
-    accelerator = AcceleratorSimulator(
-        graph, config, beam=BEAM, sorted_graph=sort_states_by_arc_count(graph)
-    )
+    # Prefetching plus the Section IV-B sorted layout.
+    config = accelerator_configs(AcceleratorConfig())["ASIC+State&Arc"]
+    accelerator = AcceleratorSimulator(graph, config, beam=BEAM)
     energy_model = AcceleratorEnergyModel()
 
     total_wer = 0.0

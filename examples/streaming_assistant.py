@@ -25,6 +25,7 @@ from repro.system import (
     score_transfer,
     simulate_stream,
 )
+from repro.system.experiment import accelerator_configs
 
 DNN = dict(input_dim=440, hidden_dims=(2048,) * 6, num_classes=3500)
 
@@ -41,12 +42,11 @@ def measure_search_seconds_per_frame() -> float:
             num_states=60_000, num_phones=50, seed=77
         ),
     )
-    config = AcceleratorConfig().with_both()
+    config = accelerator_configs(AcceleratorConfig())["ASIC+State&Arc"]
     sim = AcceleratorSimulator(
         workload.graph,
         config,
         beam=workload.beam,
-        sorted_graph=workload.sorted_graph,
         max_active=workload.max_active,
     )
     result = sim.decode(workload.scores[0])

@@ -23,7 +23,8 @@ from repro.decoder import word_error_rate
 from repro.frontend import AudioSynthesizer, MfccConfig, MfccExtractor
 from repro.lexicon import Lexicon, PhoneSet, build_lexicon_fst
 from repro.lm import build_grammar_fst, train_ngram
-from repro.wfst import CompiledWfst, compose, sort_states_by_arc_count
+from repro.system.experiment import accelerator_configs
+from repro.wfst import CompiledWfst, compose
 
 #: Command vocabulary with ARPAbet-ish pronunciations.
 COMMANDS = {
@@ -114,9 +115,8 @@ def main() -> None:
 
     accelerator = AcceleratorSimulator(
         graph,
-        AcceleratorConfig().with_both(),
+        accelerator_configs(AcceleratorConfig())["ASIC+State&Arc"],
         beam=20.0,
-        sorted_graph=sort_states_by_arc_count(graph),
     )
 
     print("Decoding spoken commands ...")

@@ -198,19 +198,6 @@ class AcceleratorConfig:
         if self.traceback_cycles_per_record < 0:
             raise ConfigError("traceback_cycles_per_record must be >= 0")
 
-    # Convenience constructors for the paper's four configurations --------
-    def with_prefetch(self) -> "AcceleratorConfig":
-        """ASIC+Arc: add the Section IV-A prefetching architecture."""
-        return replace(self, prefetch_enabled=True)
-
-    def with_state_direct(self) -> "AcceleratorConfig":
-        """ASIC+State: add the Section IV-B bandwidth-saving technique."""
-        return replace(self, state_direct_enabled=True)
-
-    def with_both(self) -> "AcceleratorConfig":
-        """ASIC+State&Arc: both memory-system techniques."""
-        return replace(self, prefetch_enabled=True, state_direct_enabled=True)
-
     @property
     def arc_issue_window(self) -> int:
         """How far arc fetches may run ahead of arc consumption.

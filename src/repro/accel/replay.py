@@ -79,11 +79,14 @@ from repro.accel.simulator import (
     walked_layout,
 )
 from repro.accel.stats import SimStats
-from repro.accel.trace import DecodeTrace, layout_fingerprint
+from repro.accel.trace import (
+    DecodeTrace,
+    derive_sorted_trace,
+    layout_fingerprint,
+)
 from repro.decoder.result import SearchStats
 from repro.decoder.traceback import TRACE_RECORD_BYTES
 from repro.wfst.layout import ARC_BYTES, STATE_BYTES, CompiledWfst
-from repro.wfst.sorted_layout import SortedWfst
 
 #: Outcome code of an access that misses (its fill time is appended to the
 #: pass's fill list; every non-negative code indexes that list).
@@ -335,38 +338,38 @@ def _price_cache(
 
 
 def timing_passes(trace: DecodeTrace) -> int:
-    """Timing passes :class:`TraceReplayer` has run on ``trace`` so far:
-    one per distinct (cache behaviours, timing configuration)."""
-    return len(trace._replay_memo.get("timing", ()))
+    """Timing passes :class:`TraceReplayer` has run on ``trace`` so far,
+    its sorted-layout relabellings included: one per distinct (cache
+    behaviours, timing configuration)."""
+    memo = trace._replay_memo
+    return len(memo.get("timing", ())) + sum(
+        timing_passes(derived) for derived in memo.get("sorted", {}).values()
+    )
 
 
 class TraceReplayer:
     """Re-time a recorded decode under one accelerator configuration.
 
-    Mirrors the :class:`~repro.accel.simulator.AcceleratorSimulator`
-    constructor contract: configurations with ``state_direct_enabled``
-    require the Section IV-B ``sorted_graph`` and walk its re-ordered
-    layout, so they replay traces of ``sorted_graph.graph`` (see
-    :func:`~repro.accel.trace.derive_sorted_trace`); all other
-    configurations replay traces recorded on ``graph``.
+    Takes traces recorded on the baseline ``graph`` under every
+    configuration.  Like :class:`~repro.accel.simulator.AcceleratorSimulator`,
+    a configuration with ``state_direct_enabled`` walks the graph's
+    Section IV-B sorted layout for its ``state_direct_max_arcs``; the
+    replayer relabels the trace onto that layout itself
+    (:func:`~repro.accel.trace.derive_sorted_trace`), once per trace and
+    N, and keeps the result in the trace's memo.
 
     Args:
         graph: baseline compiled graph.
         config: the accelerator configuration to price the trace under.
-        sorted_graph: arc-count-sorted layout for the config's comparator
-            count N (required iff the config enables the Section IV-B
-            direct state lookup).
     """
 
     def __init__(
         self,
         graph: CompiledWfst,
         config: AcceleratorConfig = AcceleratorConfig(),
-        sorted_graph: Optional[SortedWfst] = None,
     ) -> None:
-        self.graph, self.sorted_graph = walked_layout(
-            graph, config, sorted_graph
-        )
+        self._baseline = graph
+        self.graph, self.sorted_graph = walked_layout(graph, config)
         self.config = config
         # Given the three units' outcome codes, a pass reads everything of
         # the configuration but the caches.
@@ -377,7 +380,7 @@ class TraceReplayer:
         self._states_base, self._arcs_base, self._tokens_base = address_map(
             self.graph
         )
-        self._layout_key = layout_fingerprint(self.graph)
+        self._layout_key = layout_fingerprint(graph)
         if self.sorted_graph is not None and self.sorted_graph.tables.boundaries:
             self._direct_boundary = self.sorted_graph.tables.boundaries[-1]
         else:
@@ -387,7 +390,7 @@ class TraceReplayer:
     def replay(self, trace: DecodeTrace) -> AcceleratorResult:
         """Price one recorded decode; cycle-identical to the simulator."""
         cfg = self.config
-        graph = self.graph
+        graph = self._baseline
         if (
             trace.num_states != graph.num_states
             or trace.num_arcs != graph.num_arcs
@@ -395,10 +398,16 @@ class TraceReplayer:
         ):
             raise SimulationError(
                 "trace/layout mismatch: the trace was recorded on a "
-                "different graph layout than the one being replayed "
-                "(a Section IV-B sorted-layout configuration replays "
-                "derive_sorted_trace of the baseline trace)"
+                "different graph layout than the replayer's baseline graph "
+                "(a Section IV-B configuration relabels the baseline trace "
+                "itself)"
             )
+        if self.sorted_graph is not None:
+            derived = trace._replay_memo.setdefault("sorted", {})
+            n = cfg.state_direct_max_arcs
+            if n not in derived:
+                derived[n] = derive_sorted_trace(trace, graph, self.sorted_graph)
+            trace = derived[n]
         if 2 * trace.frame_bytes > cfg.acoustic_buffer_bytes:
             raise ConfigError(
                 f"acoustic scores need 2 x {trace.frame_bytes} bytes but the "

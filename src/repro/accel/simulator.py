@@ -64,30 +64,19 @@ def address_map(graph: CompiledWfst) -> Tuple[int, int, int]:
 
 
 def walked_layout(
-    graph: CompiledWfst,
-    config: AcceleratorConfig,
-    sorted_graph: Optional[SortedWfst],
+    graph: CompiledWfst, config: AcceleratorConfig
 ) -> Tuple[CompiledWfst, Optional[SortedWfst]]:
     """The layout a configuration walks, and its direct-lookup tables.
 
-    With the Section IV-B technique the accelerator walks ``sorted_graph``,
-    which must be laid out for the configuration's comparator count N;
-    otherwise it walks the baseline ``graph``.
+    With the Section IV-B technique the accelerator walks the graph's
+    sorted layout for the configuration's comparator count N
+    (:meth:`~repro.wfst.layout.CompiledWfst.sorted_layout`); otherwise it
+    walks the baseline ``graph``.
     """
     if not config.state_direct_enabled:
         return graph, None
-    if sorted_graph is None:
-        raise ConfigError(
-            "state_direct_enabled requires a sorted_graph "
-            "(see repro.wfst.sort_states_by_arc_count)"
-        )
-    if sorted_graph.max_direct_arcs != config.state_direct_max_arcs:
-        raise ConfigError(
-            f"state_direct_max_arcs={config.state_direct_max_arcs} needs a "
-            f"sorted_graph laid out for that N, not for "
-            f"max_direct_arcs={sorted_graph.max_direct_arcs}"
-        )
-    return sorted_graph.graph, sorted_graph
+    layout = graph.sorted_layout(config.state_direct_max_arcs)
+    return layout.graph, layout
 
 
 @dataclass(frozen=True)
@@ -105,23 +94,25 @@ class AcceleratorResult:
 
 
 class AcceleratorSimulator:
-    """Cycle-accurate accelerator simulator over a compiled graph."""
+    """Cycle-accurate accelerator simulator over a compiled graph.
+
+    A configuration with ``state_direct_enabled`` walks the graph's
+    Section IV-B sorted layout for its ``state_direct_max_arcs``
+    (:func:`walked_layout`); every other configuration walks ``graph``.
+    """
 
     def __init__(
         self,
         graph: CompiledWfst,
         config: AcceleratorConfig = AcceleratorConfig(),
         beam: float = 12.0,
-        sorted_graph: Optional[SortedWfst] = None,
         max_active: int = 0,
     ) -> None:
         if beam <= 0:
             raise ConfigError("beam must be positive")
         if max_active < 0:
             raise ConfigError("max_active must be >= 0")
-        self.graph, self.sorted_graph = walked_layout(
-            graph, config, sorted_graph
-        )
+        self.graph, self.sorted_graph = walked_layout(graph, config)
         self.config = config
         self.beam = beam
         # Histogram pruning cap, as in Kaldi's decoder.  The hardware

@@ -122,10 +122,9 @@ class AnalysisConfig:
                 ),
                 # Accelerator fields must be consumed somewhere in the
                 # pricing surface (replay, simulator, stats/seconds
-                # conversion, energy/area models, or the sweep runner
-                # that maps config fields onto replay inputs); a field
-                # none of them reads is a dead knob that sweeps would
-                # silently vary to identical results.
+                # conversion, energy/area models); a field none of them
+                # reads is a dead knob that sweeps would silently vary
+                # to identical results.
                 FingerprintSpec(
                     cls="src/repro/accel/config.py::AcceleratorConfig",
                     anchors=(
@@ -134,7 +133,6 @@ class AnalysisConfig:
                         "src/repro/accel/stats.py",
                         "src/repro/energy/components.py",
                         "src/repro/energy/cpu_model.py",
-                        "src/repro/explore/runner.py",
                     ),
                     allow={
                         "fp_adders": (

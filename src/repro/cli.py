@@ -69,7 +69,7 @@ from repro.system import (
     run_platform_comparison,
 )
 from repro.system.experiment import ASIC_VARIANTS, accelerator_configs
-from repro.wfst import load_graph_mmap, save_graph_mmap, sort_states_by_arc_count
+from repro.wfst import load_graph_mmap, save_graph_mmap
 
 #: ``--config`` names of the paper's four accelerator configurations, in
 #: the order of :data:`~repro.system.experiment.ASIC_VARIANTS`.
@@ -421,16 +421,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     task = _build_task(args)
     config = _accel_config(args.config)
-    sorted_graph = (
-        sort_states_by_arc_count(
-            task.graph, max_direct_arcs=config.state_direct_max_arcs
-        )
-        if config.state_direct_enabled
-        else None
-    )
-    sim = AcceleratorSimulator(
-        task.graph, config, beam=args.beam, sorted_graph=sorted_graph
-    )
+    sim = AcceleratorSimulator(task.graph, config, beam=args.beam)
     energy_model = AcceleratorEnergyModel()
     total_cycles = 0
     total_energy = 0.0

@@ -9,11 +9,11 @@ operation instead of a copy-pasted loop per figure:
 
 * :class:`~repro.explore.grid.ParameterGrid` -- declarative parameter
   grids over dotted :class:`~repro.accel.config.AcceleratorConfig` field
-  paths (``"arc_cache.size_bytes"``), plus the workload-level ``"beam"``
-  and layout-level ``"sorted.max_direct_arcs"`` axes;
+  paths (``"arc_cache.size_bytes"``, ``"state_direct_max_arcs"``), plus
+  the workload-level ``"beam"`` / ``"pruning"`` / ``"target_active"`` axes;
 * :class:`~repro.explore.cache.TraceCache` -- records each workload's
   functional :class:`~repro.accel.trace.DecodeTrace` once per graph
-  layout and beam, in memory and optionally on disk (content-addressed,
+  and search configuration, in memory and optionally on disk (content-addressed,
   so a changed workload can never replay a stale trace);
 * :class:`~repro.explore.runner.SweepRunner` -- prices every grid point
   with a :class:`~repro.accel.replay.TraceReplayer` (optionally fanned

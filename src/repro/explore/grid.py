@@ -12,9 +12,11 @@ A sweep point is a mapping from dotted field paths to values:
   (``"beam"`` or ``"adaptive"``; see
   :class:`repro.decoder.kernel.DecoderConfig`), likewise re-traced per
   distinct value -- the executable form of the paper's Fig. 9 beam
-  ablation axis;
-* ``"sorted.max_direct_arcs"`` -- the Section IV-B comparator count N
-  (changes the sorted graph *layout*, likewise re-traced per value).
+  ablation axis.
+
+The Section IV-B comparator count N is the config field
+``"state_direct_max_arcs"``: a point's replayer walks the graph's sorted
+layout for its N, relabelling the one baseline trace.
 
 :class:`ParameterGrid` expands dimensions into their cartesian product in
 declaration order; :func:`apply_overrides` materialises one point into an
@@ -32,9 +34,7 @@ from repro.accel.config import AcceleratorConfig
 from repro.decoder.kernel import PRUNING_STRATEGIES
 
 #: Paths handled by the sweep runner rather than the config dataclass.
-WORKLOAD_KEYS = frozenset(
-    {"beam", "pruning", "target_active", "sorted.max_direct_arcs"}
-)
+WORKLOAD_KEYS = frozenset({"beam", "pruning", "target_active"})
 
 
 def _field_names(obj: Any) -> frozenset:

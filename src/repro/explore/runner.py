@@ -3,12 +3,11 @@
 ``SweepRunner`` turns a workload plus a parameter grid into priced design
 points: it records the functional decode trace once per (beam, pruning
 strategy) on the baseline graph via
-:class:`~repro.explore.cache.TraceCache`, relabels it onto each Section
-IV-B sorted layout the grid asks for
-(:func:`~repro.accel.trace.derive_sorted_trace`), replays it under every
+:class:`~repro.explore.cache.TraceCache`, replays it under every
 configuration with :class:`~repro.accel.replay.TraceReplayer` (optionally
-fanned out across worker processes), applies the energy model, and
-returns rows ready for tables, JSON and CSV artifacts.
+fanned out across worker processes; a Section IV-B configuration's
+replayer relabels the trace onto its sorted layout), applies the energy
+model, and returns rows ready for tables, JSON and CSV artifacts.
 
 This is the engine behind the ``bench_fig*`` / ``bench_ablation_*``
 parameter sweeps, the six-platform comparison of Figs. 9-14
@@ -30,7 +29,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.cpu import usable_cpus
@@ -38,7 +37,7 @@ from repro.common.errors import ConfigError
 from repro.accel.config import AcceleratorConfig
 from repro.accel.replay import TraceReplayer, timing_passes
 from repro.accel.stats import SimStats
-from repro.accel.trace import DecodeTrace, derive_sorted_trace
+from repro.accel.trace import DecodeTrace
 from repro.acoustic.scorer import AcousticScores
 from repro.decoder.kernel import DecoderConfig
 from repro.decoder.result import SearchStats
@@ -46,7 +45,7 @@ from repro.energy.components import AcceleratorEnergyModel
 from repro.explore.cache import TraceCache
 from repro.explore.grid import ParameterGrid, apply_overrides, describe_point
 from repro.wfst.layout import CompiledWfst
-from repro.wfst.sorted_layout import SortedWfst, sort_states_by_arc_count
+from repro.wfst.sorted_layout import SortedWfst
 
 
 @dataclass
@@ -62,6 +61,7 @@ class SweepWorkload:
     scores: List[AcousticScores]
     beam: float
     max_active: int = 0
+    #: Unread: a configuration's sorted layout comes from ``graph``.
     sorted_graph: Optional[SortedWfst] = None
     #: Workload-level pruning strategy defaults (overridable per sweep
     #: point via the "pruning" / "target_active" grid axes).
@@ -70,15 +70,13 @@ class SweepWorkload:
 
     @classmethod
     def from_task(
-        cls, task, beam: float, max_active: int = 0,
-        sorted_graph: Optional[SortedWfst] = None,
+        cls, task, beam: float, max_active: int = 0
     ) -> "SweepWorkload":
         return cls(
             graph=task.graph,
             scores=[u.scores for u in task.utterances],
             beam=beam,
             max_active=max_active,
-            sorted_graph=sorted_graph,
         )
 
 
@@ -192,7 +190,7 @@ class SweepResult:
 
 # ----------------------------------------------------------------------
 # Worker-process plumbing.  The parent publishes the (large, numpy-backed)
-# graphs and traces in a module global before forking, so children inherit
+# graph and traces in a module global before forking, so children inherit
 # them via copy-on-write instead of pickling.
 # ----------------------------------------------------------------------
 _WORKER_STATE: Dict[str, Any] = {}
@@ -200,7 +198,6 @@ _WORKER_STATE: Dict[str, Any] = {}
 
 def _evaluate(
     graph: CompiledWfst,
-    sorted_graph: Optional[SortedWfst],
     config: AcceleratorConfig,
     traces: Sequence[DecodeTrace],
     energy_model: AcceleratorEnergyModel,
@@ -208,7 +205,7 @@ def _evaluate(
     """Price one point; also returns the timing passes this ran (0 when
     every trace had already been timed under an equivalent point)."""
     passes = -sum(timing_passes(t) for t in traces)
-    replayer = TraceReplayer(graph, config, sorted_graph=sorted_graph)
+    replayer = TraceReplayer(graph, config)
     results = [replayer.replay(t) for t in traces]
     passes += sum(timing_passes(t) for t in traces)
     stats = SimStats.merge([r.stats for r in results])
@@ -220,11 +217,10 @@ def _evaluate(
 
 
 def _worker_evaluate(task):
-    index, config, layout_id, trace_key = task
-    graph, sorted_graph = _WORKER_STATE["layouts"][layout_id]
-    traces = _WORKER_STATE["traces"][trace_key]
+    index, config, search_key = task
     return index, _evaluate(
-        graph, sorted_graph, config, traces, _WORKER_STATE["energy_model"]
+        _WORKER_STATE["graph"], config, _WORKER_STATE["traces"][search_key],
+        _WORKER_STATE["energy_model"],
     )
 
 
@@ -233,8 +229,7 @@ class SweepRunner:
 
     Args:
         workload: anything exposing ``graph`` / ``scores`` / ``beam`` /
-            ``max_active`` (and optionally ``sorted_graph``) -- see
-            :class:`SweepWorkload`.
+            ``max_active`` -- see :class:`SweepWorkload`.
         base_config: configuration every point starts from (Table I by
             default).
         energy_model: prices energy/power per point.
@@ -260,28 +255,8 @@ class SweepRunner:
         self.energy_model = energy_model or AcceleratorEnergyModel()
         self.trace_cache = trace_cache or TraceCache()
         self.processes = processes
-        self._sorted_layouts: Dict[Optional[int], SortedWfst] = {}
 
     # ------------------------------------------------------------------
-    def sorted_layout(self, max_direct_arcs: Optional[int] = None) -> SortedWfst:
-        """The Section IV-B sorted layout for comparator count N (cached).
-
-        ``None`` means the workload's own sorted graph (or the default N).
-        """
-        cached = self._sorted_layouts.get(max_direct_arcs)
-        if cached is not None:
-            return cached
-        layout = getattr(self.workload, "sorted_graph", None)
-        if max_direct_arcs is None:
-            if layout is None:
-                layout = sort_states_by_arc_count(self.workload.graph)
-        elif layout is None or layout.max_direct_arcs != max_direct_arcs:
-            layout = sort_states_by_arc_count(
-                self.workload.graph, max_direct_arcs=max_direct_arcs
-            )
-        self._sorted_layouts[max_direct_arcs] = layout
-        return layout
-
     def run(
         self,
         grid: Union[ParameterGrid, Sequence[Dict[str, Any]]],
@@ -305,23 +280,13 @@ class SweepRunner:
         rec_before = self.trace_cache.recordings
         hits_before = self.trace_cache.hits
 
-        # Resolve each point to (config, layout, search-config).  Each
-        # search-config is searched once, on the baseline graph, and each
-        # sorted layout relabels that trace once per run.
+        # Resolve each point to (config, search key).  Each search is
+        # recorded once, on the baseline graph; a point's replayer walks
+        # the layout its configuration asks for.
         plans = []
-        layouts: Dict[Tuple, Tuple[CompiledWfst, Optional[SortedWfst]]] = {}
         traces: Dict[Tuple, List[DecodeTrace]] = {}
         for overrides in points:
             config = apply_overrides(self.base_config, overrides)
-            if "sorted.max_direct_arcs" in overrides:
-                # The layout axis sets the comparator count N the
-                # configuration is priced with, so the two always agree.
-                config = replace(
-                    config,
-                    state_direct_max_arcs=int(
-                        overrides["sorted.max_direct_arcs"]
-                    ),
-                )
             beam = float(overrides.get("beam", workload.beam))
             if beam <= 0:
                 raise ConfigError("beam must be positive")
@@ -338,39 +303,25 @@ class SweepRunner:
                 # the trace key strategy-normalized so grid points that
                 # differ only in the ignored axis share one recording.
                 target_active = 0
-            search_config = DecoderConfig(
-                beam=beam, max_active=max_active,
-                pruning=pruning, target_active=target_active,
-            )
             search_key = (beam, pruning, target_active)
-            base_key = (("flat",), search_key)
-            if base_key not in traces:
-                traces[base_key] = self.trace_cache.get(
-                    workload.graph, workload.scores, config=search_config
+            if search_key not in traces:
+                traces[search_key] = self.trace_cache.get(
+                    workload.graph, workload.scores,
+                    config=DecoderConfig(
+                        beam=beam, max_active=max_active,
+                        pruning=pruning, target_active=target_active,
+                    ),
                 )
-            if config.state_direct_enabled:
-                sorted_graph = self.sorted_layout(config.state_direct_max_arcs)
-                layout_id = ("sorted", sorted_graph.max_direct_arcs)
-            else:
-                sorted_graph = None
-                layout_id = ("flat",)
-            layouts[layout_id] = (workload.graph, sorted_graph)
-            trace_key = (layout_id, search_key)
-            if trace_key not in traces:
-                traces[trace_key] = [
-                    derive_sorted_trace(t, workload.graph, sorted_graph)
-                    for t in traces[base_key]
-                ]
-            plans.append((config, layout_id, trace_key))
+            plans.append((config, search_key))
 
-        outcomes = self._execute(plans, layouts, traces)
+        outcomes = self._execute(plans, traces)
 
         speech_seconds = 0.01 * sum(
             t.num_frames for t in next(iter(traces.values()))
         )
         result_points = []
         for i, (overrides, label) in enumerate(zip(points, labels)):
-            config, _layout_id, trace_key = plans[i]
+            config, search_key = plans[i]
             stats, search, energy, _passes = outcomes[i]
             seconds = stats.seconds(config.frequency_hz)
             result_points.append(
@@ -388,9 +339,9 @@ class SweepRunner:
                     avg_power_w=energy / seconds if seconds else 0.0,
                     stats=stats,
                     search=search,
-                    words=tuple(t.words for t in traces[trace_key]),
+                    words=tuple(t.words for t in traces[search_key]),
                     log_likelihoods=tuple(
-                        t.log_likelihood for t in traces[trace_key]
+                        t.log_likelihood for t in traces[search_key]
                     ),
                 )
             )
@@ -414,28 +365,28 @@ class SweepRunner:
             procs = 1
         return max(procs, 1)
 
-    def _execute(self, plans, layouts, traces):
+    def _execute(self, plans, traces):
         procs = self._effective_processes(len(plans))
         if procs <= 1:
             return [
                 _evaluate(
-                    *layouts[layout_id], config, traces[trace_key],
+                    self.workload.graph, config, traces[search_key],
                     self.energy_model,
                 )
-                for config, layout_id, trace_key in plans
+                for config, search_key in plans
             ]
 
         # Fork-based fan-out: publish the heavy shared state, fork, and
         # collect per-point summaries.
         global _WORKER_STATE
         _WORKER_STATE = {
-            "layouts": layouts,
+            "graph": self.workload.graph,
             "traces": traces,
             "energy_model": self.energy_model,
         }
         tasks = [
-            (i, config, layout_id, trace_key)
-            for i, (config, layout_id, trace_key) in enumerate(plans)
+            (i, config, search_key)
+            for i, (config, search_key) in enumerate(plans)
         ]
         outcomes: List[Optional[Tuple[SimStats, SearchStats, float, int]]]
         outcomes = [None] * len(plans)

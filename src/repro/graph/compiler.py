@@ -12,8 +12,7 @@ for composed recipes, or a single ``synthesize`` pass for synthetic ones
 -- recording per-pass statistics (states/arcs/epsilon-arcs in and out,
 wall time) in :class:`PassStats`.  The result is a :class:`GraphArtifact`:
 the packed :class:`~repro.wfst.layout.CompiledWfst` plus provenance, with
-the :class:`~repro.wfst.layout.FlatLayout` and Section IV-B
-:class:`~repro.wfst.sorted_layout.SortedWfst` views derived on demand.
+the :class:`~repro.wfst.layout.FlatLayout` view derived on demand.
 
 Artifacts are content-addressed by the recipe fingerprint; see
 :mod:`repro.graph.cache` for the compile-once / load-bit-exact store.
@@ -22,7 +21,7 @@ Artifacts are content-addressed by the recipe fingerprint; see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.datasets.corpus import CorpusConfig, generate_corpus
@@ -37,7 +36,6 @@ from repro.wfst.epsilon_removal import remove_epsilons
 from repro.wfst.fst import EPSILON, Fst
 from repro.wfst.layout import CompiledWfst, FlatLayout
 from repro.wfst.ops import arcsort, check_epsilon_acyclic, compose
-from repro.wfst.sorted_layout import SortedWfst, sort_states_by_arc_count
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,6 @@ class GraphArtifact:
     lexicon: Optional[Lexicon] = None
     lm: Optional[Union[NGramModel, TrigramModel]] = None
     corpus: Optional[List[List[int]]] = None
-    _sorted: Optional[SortedWfst] = field(default=None, repr=False)
 
     def flat(self) -> FlatLayout:
         """The Structure-of-Arrays decode view (lazily built, shared)."""
@@ -123,21 +120,6 @@ class GraphArtifact:
             "recipe": self.recipe.to_dict(),
             "passes": [p.to_dict() for p in self.passes],
         }
-
-    def sorted_graph(
-        self, max_direct_arcs: Optional[int] = None
-    ) -> SortedWfst:
-        """The Section IV-B arc-count-sorted layout (memoized)."""
-        if self._sorted is None or (
-            max_direct_arcs is not None
-            and self._sorted.tables.max_direct_arcs != max_direct_arcs
-        ):
-            kwargs = (
-                {} if max_direct_arcs is None
-                else {"max_direct_arcs": max_direct_arcs}
-            )
-            self._sorted = sort_states_by_arc_count(self.graph, **kwargs)
-        return self._sorted
 
     def report(self) -> str:
         """An aligned per-pass table for logs and the CLI."""

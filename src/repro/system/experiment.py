@@ -40,7 +40,6 @@ from repro.explore.runner import SweepRunner
 from repro.gpu.decoder import GpuViterbiDecoder, GpuWorkload
 from repro.gpu.model import GpuTimingModel
 from repro.wfst.layout import CompiledWfst
-from repro.wfst.sorted_layout import SortedWfst, sort_states_by_arc_count
 
 _EPS_COLUMN_SCORE = -1.0e9
 
@@ -50,7 +49,6 @@ class MemoryWorkload:
     """A graph plus score matrices, ready to decode on every platform."""
 
     graph: CompiledWfst
-    sorted_graph: SortedWfst
     scores: List[AcousticScores]
     beam: float
     num_phones: int
@@ -111,7 +109,6 @@ def make_memory_workload(
         num_phones = graph_config.num_phones
     else:
         num_phones = int(graph.arc_ilabel.max())
-    sorted_graph = sort_states_by_arc_count(graph)
 
     rng = make_rng(seed, "memory-workload-scores")
     scores = []
@@ -129,9 +126,7 @@ def make_memory_workload(
         matrix[:, 0] = _EPS_COLUMN_SCORE
         matrix[:, 1:] = np.minimum(matrix[:, 1:], -1e-3)
         scores.append(AcousticScores(matrix))
-    return MemoryWorkload(
-        graph, sorted_graph, scores, beam, num_phones, max_active
-    )
+    return MemoryWorkload(graph, scores, beam, num_phones, max_active)
 
 
 @dataclass

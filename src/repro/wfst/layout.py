@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from repro.common.errors import GraphError
 from repro.common.logmath import LOG_ZERO
 from repro.wfst.fst import EPSILON, Fst
 from repro.wfst.ops import arc_sort_key
+
+if TYPE_CHECKING:
+    from repro.wfst.sorted_layout import SortedWfst
 
 #: Bytes per packed state record (paper: 64-bit structure).
 STATE_BYTES: int = 8
@@ -157,6 +160,7 @@ class CompiledWfst:
         self.final_weights = final_weights
         self._flat: Optional[FlatLayout] = None
         self._fingerprint: Optional[str] = None
+        self._sorted: Dict[int, "SortedWfst"] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -370,6 +374,19 @@ class CompiledWfst:
         if self._flat is None:
             self._flat = FlatLayout.from_compiled(self)
         return self._flat
+
+    def sorted_layout(self, max_direct_arcs: int) -> "SortedWfst":
+        """The Section IV-B layout for comparator count N, built lazily
+        and cached per N (see
+        :func:`repro.wfst.sorted_layout.sort_states_by_arc_count`)."""
+        layout = self._sorted.get(max_direct_arcs)
+        if layout is None:
+            from repro.wfst.sorted_layout import sort_states_by_arc_count
+
+            layout = self._sorted[max_direct_arcs] = sort_states_by_arc_count(
+                self, max_direct_arcs
+            )
+        return layout
 
     def state_record(self, state: int) -> StateRecord:
         """The unpacked 64-bit record for ``state``."""

@@ -15,7 +15,6 @@ from repro.datasets import (
     generate_kaldi_like_graph,
     generate_task,
 )
-from repro.wfst import sort_states_by_arc_count
 
 #: Seconds one test may run.  The slowest test takes under 5 s on a quiet
 #: two-core box; a tier test that waits on a thread or a worker that
@@ -78,11 +77,6 @@ def audio_task():
 @pytest.fixture(scope="session")
 def small_graph(small_task):
     return small_task.graph
-
-
-@pytest.fixture(scope="session")
-def small_sorted_graph(small_graph):
-    return sort_states_by_arc_count(small_graph)
 
 
 @pytest.fixture(scope="session")

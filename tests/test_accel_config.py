@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.accel import AcceleratorConfig
 from repro.accel.config import CacheConfig, HashConfig
+from repro.system.experiment import ASIC_VARIANTS, accelerator_configs
 
 
 class TestTable1Defaults:
@@ -58,19 +59,20 @@ class TestTechniqueToggles:
         assert not table1_config.prefetch_enabled
         assert not table1_config.state_direct_enabled
 
-    def test_with_prefetch(self, table1_config):
-        c = table1_config.with_prefetch()
-        assert c.prefetch_enabled and not c.state_direct_enabled
-        assert c.arc_issue_window == 64
-
-    def test_with_state_direct(self, table1_config):
-        c = table1_config.with_state_direct()
-        assert c.state_direct_enabled and not c.prefetch_enabled
-        assert c.state_direct_max_arcs == 16  # paper, Section IV-B
-
-    def test_with_both(self, table1_config):
-        c = table1_config.with_both()
-        assert c.prefetch_enabled and c.state_direct_enabled
+    def test_each_variant_sets_exactly_its_fields(self, table1_config):
+        """Each of the paper's four variants differs from the base in
+        the fields of its ``ASIC_VARIANTS`` entry and in no other."""
+        variants = accelerator_configs(table1_config)
+        assert list(variants) == list(ASIC_VARIANTS)
+        base = vars(table1_config)
+        for name, config in variants.items():
+            changed = {
+                k: v for k, v in vars(config).items() if v != base[k]
+            }
+            assert changed == ASIC_VARIANTS[name], name
+        assert variants["ASIC+Arc"].arc_issue_window == 64
+        # Paper, Section IV-B: N = 16 comparators.
+        assert variants["ASIC+State"].state_direct_max_arcs == 16
 
     def test_base_arc_window_is_issuer_depth(self, table1_config):
         assert table1_config.arc_issue_window == 8

@@ -13,6 +13,9 @@ from repro.energy import (
     SramMacroModel,
 )
 from repro.decoder.result import SearchStats
+from repro.system.experiment import accelerator_configs
+
+VARIANTS = accelerator_configs(AcceleratorConfig())
 
 
 class TestSramModel:
@@ -42,19 +45,19 @@ class TestAreaCalibration:
         """Paper: prefetching adds 0.05% to total area."""
         model = AcceleratorAreaModel()
         base = model.total_mm2(AcceleratorConfig())
-        pref = model.total_mm2(AcceleratorConfig().with_prefetch())
+        pref = model.total_mm2(VARIANTS["ASIC+Arc"])
         assert 0.0 < (pref - base) / base < 0.005
 
     def test_state_direct_area_increase_tiny(self):
         """Paper: the State Issuer hardware adds 0.02%."""
         model = AcceleratorAreaModel()
         base = model.total_mm2(AcceleratorConfig())
-        direct = model.total_mm2(AcceleratorConfig().with_state_direct())
+        direct = model.total_mm2(VARIANTS["ASIC+State"])
         assert 0.0 < (direct - base) / base < 0.001
 
     def test_both_near_2409(self):
         """Paper: 24.09 mm2 with both techniques."""
-        area = AcceleratorAreaModel().total_mm2(AcceleratorConfig().with_both())
+        area = AcceleratorAreaModel().total_mm2(VARIANTS["ASIC+State&Arc"])
         assert area == pytest.approx(24.09, rel=0.02)
 
     def test_area_16x_smaller_than_gtx980(self):
@@ -102,14 +105,14 @@ class TestPowerModel:
         """Paper: FIFOs + ROB dissipate 4.83 mW."""
         model = AcceleratorEnergyModel()
         base = model.static_power_w(AcceleratorConfig())
-        pref = model.static_power_w(AcceleratorConfig().with_prefetch())
+        pref = model.static_power_w(VARIANTS["ASIC+Arc"])
         assert pref - base == pytest.approx(4.83e-3, rel=0.05)
 
     def test_state_direct_power_adder_matches_paper(self):
         """Paper: comparators + offset table dissipate 0.15 mW."""
         model = AcceleratorEnergyModel()
         base = model.static_power_w(AcceleratorConfig())
-        direct = model.static_power_w(AcceleratorConfig().with_state_direct())
+        direct = model.static_power_w(VARIANTS["ASIC+State"])
         assert direct - base == pytest.approx(0.15e-3, rel=0.05)
 
     def test_energy_zero_time(self):

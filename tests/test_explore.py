@@ -21,6 +21,7 @@ from repro.explore import (
     workload_fingerprint,
 )
 from repro.system import make_memory_workload
+from repro.system.experiment import ASIC_VARIANTS
 
 
 @pytest.fixture(scope="module")
@@ -119,19 +120,13 @@ class TestRunner:
     def test_state_direct_points_replay_sorted_layout(self, workload):
         points = [
             {"state_direct_enabled": True},
-            {"state_direct_enabled": True, "sorted.max_direct_arcs": 4},
+            {"state_direct_enabled": True, "state_direct_max_arcs": 4},
         ]
         result = SweepRunner(workload).run(points)
-        for point, n in zip(result.points, (None, 4)):
-            from repro.wfst import sort_states_by_arc_count
-
-            sorted_graph = (
-                workload.sorted_graph if n is None
-                else sort_states_by_arc_count(workload.graph, n)
-            )
+        for point in result.points:
             sim = AcceleratorSimulator(
                 workload.graph, point.config, beam=workload.beam,
-                sorted_graph=sorted_graph, max_active=workload.max_active,
+                max_active=workload.max_active,
             )
             expected = sum(
                 sim.decode(s).stats.cycles for s in workload.scores
@@ -139,6 +134,44 @@ class TestRunner:
             assert point.cycles == expected
         # Two layouts, one search: both relabel the baseline trace.
         assert result.trace_recordings == 1
+
+    def test_the_old_layout_axis_is_an_unknown_path(self, workload):
+        """N is the config field ``state_direct_max_arcs``; the layout
+        axis that once set it beside the config is gone."""
+        with pytest.raises(ConfigError, match="sorted.max_direct_arcs"):
+            SweepRunner(workload).run([{"sorted.max_direct_arcs": 4}])
+
+    #: ``(trace_recordings, trace_cache_hits, timing_passes)`` of one
+    #: serial sweep on a fresh runner: one search, and every N times its
+    #: own relabelled traces (two utterances, one behaviour each), which
+    #: ``timing_passes`` counts through the baseline traces they hang on.
+    COUNTER_GOLDENS = {
+        "n-ablation": (1, 0, 12),
+        "asic-variants": (1, 0, 8),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(COUNTER_GOLDENS))
+    def test_sweep_counters_match_the_golden(self, workload, grid):
+        points = {
+            "n-ablation": [{}] + [
+                {"state_direct_enabled": True, "state_direct_max_arcs": n}
+                for n in (2, 4, 8, 16, 32)
+            ],
+            "asic-variants": list(ASIC_VARIANTS.values()),
+        }[grid]
+        runner = SweepRunner(workload, trace_cache=TraceCache(), processes=1)
+        result = runner.run(points)
+        assert (
+            result.trace_recordings, result.trace_cache_hits,
+            result.timing_passes,
+        ) == self.COUNTER_GOLDENS[grid]
+        # The relabelled traces live on the cached baseline trace, so a
+        # second sweep of the same points times nothing again.
+        again = runner.run(points)
+        assert (
+            again.trace_recordings, again.trace_cache_hits,
+            again.timing_passes,
+        ) == (0, 1, 0)
 
     def test_pruning_axis_records_one_trace_per_strategy(self, workload):
         """The adaptive-beam workload axis re-traces per strategy point
@@ -322,7 +355,8 @@ class TestTraceCache:
             workload.graph, bumped, config=config
         )
         assert fp != workload_fingerprint(
-            workload.sorted_graph.graph, workload.scores, config=config
+            workload.graph.sorted_layout(16).graph, workload.scores,
+            config=config,
         )
 
     def test_corrupt_disk_entry_falls_back_to_recording(

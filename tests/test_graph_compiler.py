@@ -142,10 +142,16 @@ class TestPipeline:
 
     def test_artifact_views(self, artifact):
         assert artifact.flat().num_states == artifact.graph.num_states
-        sorted_graph = artifact.sorted_graph()
-        assert sorted_graph.graph.num_arcs == artifact.graph.num_arcs
-        assert artifact.sorted_graph() is sorted_graph  # memoized
-        assert artifact.sorted_graph(4).max_direct_arcs == 4
+        assert artifact.flat() is artifact.graph.flat()  # memoized
+
+    def test_sorted_layout_memoized_per_comparator_count(self, artifact):
+        graph = artifact.graph
+        layout = graph.sorted_layout(4)
+        assert graph.sorted_layout(4) is layout
+        assert layout.max_direct_arcs == 4
+        assert layout.graph.num_arcs == graph.num_arcs
+        wide = graph.sorted_layout(16)
+        assert wide is not layout and wide.max_direct_arcs == 16
 
 
 class TestCache:

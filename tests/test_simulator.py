@@ -9,36 +9,18 @@ import pytest
 from repro.common.errors import ConfigError, DecodeError
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.decoder import DecoderConfig, ViterbiDecoder
+from repro.system.experiment import accelerator_configs
 
-
-@pytest.fixture(scope="module")
-def configs(small_sorted_graph):
-    base = AcceleratorConfig()
-    return {
-        "ASIC": base,
-        "ASIC+State": base.with_state_direct(),
-        "ASIC+Arc": base.with_prefetch(),
-        "ASIC+State&Arc": base.with_both(),
-    }
+VARIANTS = accelerator_configs(AcceleratorConfig())
 
 
 class TestFunctionalEquivalence:
     @pytest.mark.parametrize(
         "name", ["ASIC", "ASIC+State", "ASIC+Arc", "ASIC+State&Arc"]
     )
-    def test_words_match_reference(
-        self, small_task, small_sorted_graph, configs, name
-    ):
-        config = configs[name]
+    def test_words_match_reference(self, small_task, name):
         ref = ViterbiDecoder(small_task.graph, DecoderConfig(beam=14.0))
-        sim = AcceleratorSimulator(
-            small_task.graph,
-            config,
-            beam=14.0,
-            sorted_graph=(
-                small_sorted_graph if config.state_direct_enabled else None
-            ),
-        )
+        sim = AcceleratorSimulator(small_task.graph, VARIANTS[name], beam=14.0)
         for utt in small_task.utterances:
             r = ref.decode(utt.scores)
             a = sim.decode(utt.scores)
@@ -119,17 +101,12 @@ class TestMemoryBehaviour:
         assert breakdown.get("states", 0) > 0
         assert breakdown.get("tokens", 0) > 0
 
-    def test_state_direct_removes_state_traffic(
-        self, small_task, small_sorted_graph
-    ):
+    def test_state_direct_removes_state_traffic(self, small_task):
         """Section IV-B: most state fetches disappear."""
         scores = small_task.utterances[0].scores
         base = AcceleratorSimulator(small_task.graph, beam=14.0)
         direct = AcceleratorSimulator(
-            small_task.graph,
-            AcceleratorConfig().with_state_direct(),
-            beam=14.0,
-            sorted_graph=small_sorted_graph,
+            small_task.graph, VARIANTS["ASIC+State"], beam=14.0
         )
         t_base = base.decode(scores).stats.traffic
         t_direct = direct.decode(scores).stats.traffic
@@ -137,14 +114,9 @@ class TestMemoryBehaviour:
             "states"
         )
 
-    def test_state_direct_counts_direct_lookups(
-        self, small_task, small_sorted_graph
-    ):
+    def test_state_direct_counts_direct_lookups(self, small_task):
         sim = AcceleratorSimulator(
-            small_task.graph,
-            AcceleratorConfig().with_state_direct(),
-            beam=14.0,
-            sorted_graph=small_sorted_graph,
+            small_task.graph, VARIANTS["ASIC+State"], beam=14.0
         )
         result = sim.decode(small_task.utterances[0].scores)
         assert result.stats.states_direct > 0
@@ -156,7 +128,7 @@ class TestMemoryBehaviour:
         scores = small_task.utterances[0].scores
         base = AcceleratorSimulator(small_task.graph, beam=14.0)
         pref = AcceleratorSimulator(
-            small_task.graph, AcceleratorConfig().with_prefetch(), beam=14.0
+            small_task.graph, VARIANTS["ASIC+Arc"], beam=14.0
         )
         assert (
             base.decode(scores).stats.traffic.total_bytes()
@@ -165,12 +137,6 @@ class TestMemoryBehaviour:
 
 
 class TestErrors:
-    def test_state_direct_without_sorted_graph_rejected(self, small_graph):
-        with pytest.raises(ConfigError):
-            AcceleratorSimulator(
-                small_graph, AcceleratorConfig().with_state_direct(), beam=10.0
-            )
-
     def test_empty_scores_rejected(self, small_graph):
         import numpy as np
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
+from repro.system.experiment import accelerator_configs
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +104,9 @@ class TestMonotonicity:
             small_task.graph, AcceleratorConfig(), beam=14.0
         ).decode(utterance)
         pref = AcceleratorSimulator(
-            small_task.graph, AcceleratorConfig().with_prefetch(), beam=14.0
+            small_task.graph,
+            accelerator_configs(AcceleratorConfig())["ASIC+Arc"],
+            beam=14.0,
         ).decode(utterance)
         assert pref.stats.cycles <= base.stats.cycles
 

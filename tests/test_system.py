@@ -23,7 +23,6 @@ from repro.system import (
     simulate_stream,
 )
 from repro.system.experiment import accelerator_configs
-from repro.wfst import sort_states_by_arc_count
 
 
 def offline(batch_frames=100, dnn=0.0, search=0.0, transfer=0.0):
@@ -246,16 +245,14 @@ class TestExperimentHarness:
 
     def test_comparator_count_prices_its_own_layout(self, workload):
         """With N = 4 the state-direct rows walk the N = 4 layout, as the
-        monolithic simulator does, not the workload's N = 16 one."""
+        monolithic simulator does, not the default N = 16 one."""
         base = AcceleratorConfig(state_direct_max_arcs=4)
         cmp = run_platform_comparison(SweepRunner(workload, base_config=base))
-        layout = sort_states_by_arc_count(workload.graph, max_direct_arcs=4)
         for name in ("ASIC+State", "ASIC+State&Arc"):
             got = cmp.runs[name].sim_stats
             sim = AcceleratorSimulator(
                 workload.graph, accelerator_configs(base)[name],
-                beam=workload.beam, sorted_graph=layout,
-                max_active=workload.max_active,
+                beam=workload.beam, max_active=workload.max_active,
             )
             expected = SimStats.merge(
                 [sim.decode(s).stats for s in workload.scores]

@@ -9,9 +9,10 @@ point with deliberately hostile variants: tiny caches (thrashing), tiny
 hash tables with tiny backup buffers (collision chains + Overflow Buffer
 spills), long-latency narrow memory controllers (queueing), deep and
 shallow prefetch windows, perfect components and the Section IV-B sorted
-layout at several comparator counts.  The sorted-layout traces the
-sweeps replay are relabelled from the baseline trace, and a property
-holds that relabelling to a recording on the sorted graph.
+layout at several comparator counts.  Every replayer takes baseline
+traces: a Section IV-B configuration's replayer relabels them onto its
+sorted layout, and a property holds that relabelling to a recording on
+the sorted graph.
 """
 
 from dataclasses import fields, replace
@@ -37,22 +38,24 @@ from repro.accel.simulator import address_map
 from repro.datasets import SyntheticGraphConfig, generate_kaldi_like_graph
 from repro.decoder import DecoderConfig
 from repro.system import make_memory_workload
-from repro.wfst import ARC_BYTES, STATE_BYTES, sort_states_by_arc_count
+from repro.system.experiment import accelerator_configs
+from repro.wfst import ARC_BYTES, STATE_BYTES
 from repro.wfst.fst import Fst
 from repro.wfst.layout import CompiledWfst
 
 BASE = AcceleratorConfig()
+VARIANTS = accelerator_configs(BASE)
 
 #: The equivalence grid: >= 8 distinct configurations (acceptance
 #: criterion), spanning every timing knob the sweeps turn.
 CONFIGS = {
     "table1": BASE,
-    "prefetch": BASE.with_prefetch(),
+    "prefetch": VARIANTS["ASIC+Arc"],
     "prefetch-shallow": replace(
         BASE, prefetch_enabled=True, prefetch_fifo_entries=4
     ),
-    "state-direct": BASE.with_state_direct(),
-    "both": BASE.with_both(),
+    "state-direct": VARIANTS["ASIC+State"],
+    "both": VARIANTS["ASIC+State&Arc"],
     "tiny-caches": replace(
         BASE,
         state_cache=CacheConfig(2 * 1024, 2),
@@ -77,7 +80,7 @@ CONFIGS = {
     ),
     "zero-overhead": replace(BASE, frame_overhead_cycles=0),
     "hostile-combo": replace(
-        BASE.with_prefetch(),
+        VARIANTS["ASIC+Arc"],
         arc_cache=CacheConfig(2 * 1024, 1),
         hash_table=HashConfig(num_entries=16, backup_entries=2),
         mem_latency_cycles=120,
@@ -116,7 +119,8 @@ def traces(workload):
 
 @pytest.fixture(scope="module")
 def sorted_traces(workload):
-    recorder = fresh_recorder(workload, workload.sorted_graph.graph)
+    """Recordings on the N = 16 sorted layout, which no replayer takes."""
+    recorder = fresh_recorder(workload, workload.graph.sorted_layout(16).graph)
     return [recorder.record(s) for s in workload.scores]
 
 
@@ -149,50 +153,35 @@ def assert_traces_identical(got, want):
 
 class TestCycleEquivalence:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_replay_matches_simulator(
-        self, workload, traces, sorted_traces, name
-    ):
+    def test_replay_matches_simulator(self, workload, traces, name):
         config = CONFIGS[name]
-        sorted_graph = (
-            workload.sorted_graph if config.state_direct_enabled else None
-        )
         sim = AcceleratorSimulator(
             workload.graph, config, beam=workload.beam,
-            sorted_graph=sorted_graph, max_active=workload.max_active,
+            max_active=workload.max_active,
         )
-        replayer = TraceReplayer(
-            workload.graph, config, sorted_graph=sorted_graph
-        )
-        layout_traces = (
-            sorted_traces if config.state_direct_enabled else traces
-        )
-        for scores, trace in zip(workload.scores, layout_traces):
+        replayer = TraceReplayer(workload.graph, config)
+        for scores, trace in zip(workload.scores, traces):
             assert_results_identical(sim.decode(scores), replayer.replay(trace))
 
-    @pytest.mark.parametrize("n", [2, 8, 16])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
     def test_sorted_layouts_by_comparator_count(self, workload, n):
-        """Each Section IV-B comparator count N is its own layout+trace."""
-        sorted_graph = sort_states_by_arc_count(
-            workload.graph, max_direct_arcs=n
-        )
+        """Each Section IV-B comparator count N walks its own layout; the
+        simulator and the replayer both derive it from the config, and
+        the replayer relabels the baseline trace onto it."""
         config = replace(
             BASE, state_direct_enabled=True, state_direct_max_arcs=n
         )
-        recorder = TraceRecorder(
-            sorted_graph.graph, beam=workload.beam,
-            max_active=workload.max_active,
-        )
         sim = AcceleratorSimulator(
             workload.graph, config, beam=workload.beam,
-            sorted_graph=sorted_graph, max_active=workload.max_active,
+            max_active=workload.max_active,
         )
-        replayer = TraceReplayer(
-            workload.graph, config, sorted_graph=sorted_graph
-        )
+        replayer = TraceReplayer(workload.graph, config)
+        assert replayer.sorted_graph is workload.graph.sorted_layout(n)
         scores = workload.scores[0]
-        assert_results_identical(
-            sim.decode(scores), replayer.replay(recorder.record(scores))
-        )
+        trace = fresh_recorder(workload).record(scores)
+        result = replayer.replay(trace)
+        assert_results_identical(sim.decode(scores), result)
+        assert result.stats.states_direct > 0
 
     def test_no_max_active_and_wide_beam(self, workload):
         """Unlimited active set exercises the unpruned read walk."""
@@ -299,31 +288,13 @@ class TestTraceContract:
         assert t.nbytes < 64 * t.num_events + 4096
 
     def test_layout_mismatch_rejected(self, workload, sorted_traces):
-        replayer = TraceReplayer(workload.graph, BASE)
-        with pytest.raises(SimulationError):
-            replayer.replay(sorted_traces[0])
-
-    def test_state_direct_requires_sorted_graph(self, workload):
-        with pytest.raises(ConfigError):
-            TraceReplayer(workload.graph, BASE.with_state_direct())
-
-    @pytest.mark.parametrize("model", ["replayer", "simulator"])
-    def test_state_direct_layout_must_match_the_comparator_count(
-        self, workload, model
-    ):
-        """An N = 4 configuration refuses the workload's N = 16 layout."""
-        config = replace(BASE.with_state_direct(), state_direct_max_arcs=4)
-        assert workload.sorted_graph.max_direct_arcs == 16
-        with pytest.raises(ConfigError, match="state_direct_max_arcs=4"):
-            if model == "replayer":
-                TraceReplayer(
-                    workload.graph, config, sorted_graph=workload.sorted_graph
-                )
-            else:
-                AcceleratorSimulator(
-                    workload.graph, config, beam=workload.beam,
-                    sorted_graph=workload.sorted_graph,
-                )
+        """A trace recorded on a sorted layout is refused by every
+        replayer, the one walking that very layout included: replayers
+        take baseline traces and relabel them themselves."""
+        for config in CONFIGS.values():
+            replayer = TraceReplayer(workload.graph, config)
+            with pytest.raises(SimulationError, match="trace/layout"):
+                replayer.replay(sorted_traces[0])
 
     def test_acoustic_buffer_capacity_enforced(self, workload, traces):
         tiny = replace(BASE, acoustic_buffer_bytes=64)
@@ -347,7 +318,8 @@ class TestTraceContract:
     ):
         with pytest.raises(SimulationError):
             derive_sorted_trace(
-                sorted_traces[0], workload.graph, workload.sorted_graph
+                sorted_traces[0], workload.graph,
+                workload.graph.sorted_layout(16),
             )
 
     def test_load_rejects_wrong_version(self, tmp_path, traces, monkeypatch):
@@ -387,7 +359,7 @@ def check_derived_trace(
         beam=6.0, max_active=max_active, pruning=pruning,
         target_active=8 if pruning == "adaptive" else 0,
     )
-    sorted_graph = sort_states_by_arc_count(graph, max_direct_arcs=n)
+    sorted_graph = graph.sorted_layout(n)
     try:
         base = TraceRecorder(graph, config=config).record(scores)
     except DecodeError:
@@ -410,12 +382,9 @@ def check_derived_trace(
             BASE, state_direct_enabled=True, state_direct_max_arcs=n,
             hash_table=HashConfig(num_entries=hash_entries, backup_entries=2),
         )
-        replayed = TraceReplayer(graph, hw, sorted_graph=sorted_graph).replay(
-            derived
-        )
+        replayed = TraceReplayer(graph, hw).replay(base)
         sim = AcceleratorSimulator(
-            graph, hw, beam=config.beam, sorted_graph=sorted_graph,
-            max_active=max_active,
+            graph, hw, beam=config.beam, max_active=max_active
         )
         assert_results_identical(sim.decode(scores), replayed)
         if replayed.stats.hash.overflows:
@@ -663,42 +632,49 @@ class TestSharedTraceMemo:
 
     def test_flat_and_direct_lookup_state_cache_share_a_trace(self, workload):
         """One sorted-layout trace priced with every state fetched and
-        with the Section IV-B boundary: different State-cache streams."""
-        sorted_graph = workload.sorted_graph
-        recorder = fresh_recorder(workload, sorted_graph.graph)
-        flat = TraceReplayer(sorted_graph.graph, BASE)
-        direct = TraceReplayer(
-            workload.graph, BASE.with_state_direct(), sorted_graph=sorted_graph
-        )
-        shared = recorder.record(workload.scores[0])
-        for replayer in (flat, direct, flat):
-            assert_results_identical(
-                replayer.replay(recorder.record(workload.scores[0])),
-                replayer.replay(shared),
-            )
-        assert flat.replay(shared).stats.states_direct == 0
-        assert direct.replay(shared).stats.states_direct > 0
-
-    def test_a_derived_trace_never_shares_replay_memos(self, workload):
-        """A flat point on the baseline trace, a direct-lookup point on the
-        trace derived from it, then the flat point again: each prices as
-        it would on a freshly recorded trace of its layout."""
-        sorted_graph = workload.sorted_graph
+        with the Section IV-B boundary: different State-cache streams.
+        The direct-lookup replayer reaches it through the baseline trace
+        it relabelled; the flat replayer of the sorted graph takes it as
+        it is."""
+        sorted_graph = workload.graph.sorted_layout(16)
         scores = workload.scores[0]
         base = fresh_recorder(workload).record(scores)
-        derived = derive_sorted_trace(base, workload.graph, sorted_graph)
-        assert derived._replay_memo is not base._replay_memo
-        flat = TraceReplayer(workload.graph, BASE)
-        direct = TraceReplayer(
-            workload.graph, BASE.with_state_direct(), sorted_graph=sorted_graph
-        )
+        flat = TraceReplayer(sorted_graph.graph, BASE)
+        direct = TraceReplayer(workload.graph, VARIANTS["ASIC+State"])
+        direct.replay(base)
+        shared = base._replay_memo["sorted"][16]
         for replayer, trace, graph in (
-            (flat, base, workload.graph),
-            (direct, derived, sorted_graph.graph),
-            (flat, base, workload.graph),
+            (flat, shared, sorted_graph.graph),
+            (direct, base, workload.graph),
+            (flat, shared, sorted_graph.graph),
         ):
             assert_results_identical(
                 replayer.replay(fresh_recorder(workload, graph).record(scores)),
                 replayer.replay(trace),
             )
-        assert timing_passes(base) == timing_passes(derived) == 1
+        assert flat.replay(shared).stats.states_direct == 0
+        assert direct.replay(base).stats.states_direct > 0
+
+    def test_a_derived_trace_never_shares_replay_memos(self, workload):
+        """A flat point on the baseline trace, a direct-lookup point on
+        the same trace (which it relabels), then the flat point again:
+        each prices as it would on a freshly recorded trace, and
+        ``timing_passes`` of the baseline trace counts the relabelled
+        trace's pass beside its own."""
+        scores = workload.scores[0]
+        base = fresh_recorder(workload).record(scores)
+        flat = TraceReplayer(workload.graph, BASE)
+        direct = TraceReplayer(workload.graph, VARIANTS["ASIC+State"])
+        for replayer in (flat, direct, flat):
+            assert_results_identical(
+                replayer.replay(fresh_recorder(workload).record(scores)),
+                replayer.replay(base),
+            )
+        derived = base._replay_memo["sorted"][16]
+        assert derived._replay_memo is not base._replay_memo
+        assert_traces_identical(
+            derived,
+            derive_sorted_trace(base, workload.graph, direct.sorted_graph),
+        )
+        assert len(base._replay_memo["timing"]) == timing_passes(derived) == 1
+        assert timing_passes(base) == 2
