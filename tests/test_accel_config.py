@@ -70,9 +70,20 @@ class TestTechniqueToggles:
                 k: v for k, v in vars(config).items() if v != base[k]
             }
             assert changed == ASIC_VARIANTS[name], name
-        assert variants["ASIC+Arc"].arc_issue_window == 64
-        # Paper, Section IV-B: N = 16 comparators.
-        assert variants["ASIC+State"].state_direct_max_arcs == 16
+
+    def test_with_prefetch(self, table1_config):
+        c = accelerator_configs(table1_config)["ASIC+Arc"]
+        assert c.prefetch_enabled and not c.state_direct_enabled
+        assert c.arc_issue_window == 64
+
+    def test_with_state_direct(self, table1_config):
+        c = accelerator_configs(table1_config)["ASIC+State"]
+        assert c.state_direct_enabled and not c.prefetch_enabled
+        assert c.state_direct_max_arcs == 16  # paper, Section IV-B
+
+    def test_with_both(self, table1_config):
+        c = accelerator_configs(table1_config)["ASIC+State&Arc"]
+        assert c.prefetch_enabled and c.state_direct_enabled
 
     def test_base_arc_window_is_issuer_depth(self, table1_config):
         assert table1_config.arc_issue_window == 8
