@@ -77,12 +77,6 @@ class Cache:
         ways[line_id] = (write, fill_time)
         return fill_time, False
 
-    def lines_touched(self, addr: int, nbytes: int) -> List[int]:
-        """Line-aligned addresses covering ``[addr, addr + nbytes)``."""
-        first = (addr // self._line) * self._line
-        last = ((addr + nbytes - 1) // self._line) * self._line
-        return list(range(first, last + 1, self._line))
-
     def flush_dirty(self, time: int) -> int:
         """Write back every dirty line (end of decode); returns count."""
         count = 0

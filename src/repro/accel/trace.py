@@ -47,24 +47,12 @@ from repro.decoder.kernel import (
     DecoderConfig,
     ExpandEvent,
     KernelObserver,
-    PRUNING_STRATEGIES,
     PruneEvent,
     ReferenceKernel,
 )
 from repro.decoder.result import SearchStats
 from repro.wfst.layout import CompiledWfst
 from repro.wfst.sorted_layout import SortedWfst
-
-#: Bump when the array schema changes; saved traces carry it so stale disk
-#: caches are rejected instead of misread.  v2: pruning-strategy metadata
-#: (``pruning`` / ``target_active``) joined the header.  v3: layout keys
-#: derive from the graph compiler's content fingerprint
-#: (:meth:`repro.wfst.layout.CompiledWfst.fingerprint`) instead of an
-#: ad-hoc checksum.  v4: the search statistics carry the out-degree
-#: histogram (``search_degree_histogram``) instead of one degree per
-#: fetched state (``search_degrees``).
-TRACE_FORMAT_VERSION = 4
-
 
 def layout_fingerprint(graph: CompiledWfst) -> int:
     """The 64-bit layout key of a graph, for trace headers.
@@ -94,9 +82,6 @@ class DecodeTrace:
         num_frames: frames decoded.
         frame_bytes: on-chip footprint of one frame of scores, in bytes
             (for the Acoustic Likelihood Buffer capacity check).
-        beam: beam width the search ran with (log-likelihood units; the
-            initial width under adaptive pruning).
-        max_active: histogram-pruning cap (0 = unlimited).
         num_states / num_arcs / layout_key: identity of the graph layout
             the trace was recorded on (guards against replaying on the
             wrong layout; see :func:`layout_fingerprint`).
@@ -120,16 +105,10 @@ class DecodeTrace:
             for a pass seed.  ``eps_offsets`` delimits passes.
         eps_arc_idx / eps_arc_dest / eps_improved: one entry per epsilon
             arc processed (``eps_arc_offsets`` delimits passes).
-        pruning / target_active: the pruning strategy the search ran with
-            (see :class:`repro.decoder.kernel.DecoderConfig`); recorded
-            for provenance and cache keying -- the replayer itself is
-            pruning-agnostic, it re-prices whatever events were recorded.
     """
 
     num_frames: int
     frame_bytes: int
-    beam: float
-    max_active: int
     num_states: int
     num_arcs: int
     layout_key: int
@@ -160,12 +139,9 @@ class DecodeTrace:
     eps_improved: np.ndarray
     eps_arc_offsets: np.ndarray
 
-    pruning: str = "beam"
-    target_active: int = 0
-
     #: What :class:`repro.accel.replay.TraceReplayer` derives from this
     #: trace, each entry keyed by every parameter it depends on (REP003).
-    #: Scratch state of this object: never saved, compared or copied.
+    #: Scratch state of this object: never compared or copied.
     _replay_memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -192,84 +168,6 @@ class DecodeTrace:
             + len(self.emit_states) + len(self.emit_arc_idx)
             + len(self.eps_states) + len(self.eps_arc_idx)
         )
-
-    # ------------------------------------------------------------------
-    def save(self, path: str) -> None:
-        """Persist the trace as a compressed ``.npz`` archive."""
-        payload = {name: getattr(self, name) for name in self._ARRAYS}
-        payload["meta"] = np.array(
-            [
-                TRACE_FORMAT_VERSION, self.num_frames, self.frame_bytes,
-                self.max_active, self.num_states, self.num_arcs,
-                int(self.reached_final),
-                PRUNING_STRATEGIES.index(self.pruning), self.target_active,
-            ],
-            dtype=np.int64,
-        )
-        payload["meta_f"] = np.array(
-            [self.beam, self.log_likelihood], dtype=np.float64
-        )
-        payload["layout_key"] = np.array([self.layout_key], dtype=np.uint64)
-        payload["words"] = np.asarray(self.words, dtype=np.int64)
-        s = self.search
-        payload["search_counters"] = np.array(
-            [
-                s.frames, s.tokens_pruned, s.states_expanded,
-                s.arcs_processed, s.epsilon_arcs_processed,
-                s.tokens_created, s.tokens_updated,
-            ],
-            dtype=np.int64,
-        )
-        payload["search_degree_histogram"] = s.degree_histogram
-        payload["search_active"] = np.asarray(
-            s.active_tokens_per_frame, dtype=np.int64
-        )
-        np.savez_compressed(path, **payload)
-
-    @classmethod
-    def load(cls, path: str) -> "DecodeTrace":
-        """Load a trace written by :meth:`save`.
-
-        Raises :class:`~repro.common.errors.SimulationError` when the file
-        was written by an incompatible trace format version.
-        """
-        with np.load(path) as data:
-            meta = data["meta"]
-            if int(meta[0]) != TRACE_FORMAT_VERSION:
-                raise SimulationError(
-                    f"trace format v{int(meta[0])} in {path!r} does not "
-                    f"match the supported v{TRACE_FORMAT_VERSION}"
-                )
-            meta_f = data["meta_f"]
-            counters = data["search_counters"]
-            search = SearchStats(
-                frames=int(counters[0]),
-                tokens_pruned=int(counters[1]),
-                states_expanded=int(counters[2]),
-                arcs_processed=int(counters[3]),
-                epsilon_arcs_processed=int(counters[4]),
-                tokens_created=int(counters[5]),
-                tokens_updated=int(counters[6]),
-                degree_histogram=data["search_degree_histogram"],
-                active_tokens_per_frame=data["search_active"].tolist(),
-            )
-            arrays = {name: data[name] for name in cls._ARRAYS}
-            return cls(
-                num_frames=int(meta[1]),
-                frame_bytes=int(meta[2]),
-                beam=float(meta_f[0]),
-                max_active=int(meta[3]),
-                num_states=int(meta[4]),
-                num_arcs=int(meta[5]),
-                layout_key=int(data["layout_key"][0]),
-                words=tuple(int(w) for w in data["words"]),
-                log_likelihood=float(meta_f[1]),
-                reached_final=bool(meta[6]),
-                search=search,
-                pruning=PRUNING_STRATEGIES[int(meta[7])],
-                target_active=int(meta[8]),
-                **arrays,
-            )
 
 
 @dataclass
@@ -387,8 +285,6 @@ class TraceRecorder:
         return DecodeTrace(
             num_frames=scores.num_frames,
             frame_bytes=scores.frame_bytes_on_chip,
-            beam=self.config.beam,
-            max_active=self.config.max_active,
             num_states=self.graph.num_states,
             num_arcs=self.graph.num_arcs,
             layout_key=self._layout_key,
@@ -416,8 +312,6 @@ class TraceRecorder:
             eps_arc_dest=np.asarray(out.eps_arc_dest, dtype=np.int64),
             eps_improved=np.asarray(out.eps_improved, dtype=np.bool_),
             eps_arc_offsets=np.asarray(out.eps_arc_offsets, dtype=np.int64),
-            pruning=self.config.pruning,
-            target_active=self.config.target_active,
         )
 
 

@@ -92,8 +92,6 @@ class AnalysisConfig:
     version_guards: Tuple[VersionGuardSpec, ...] = ()
     #: Committed guard state (symbol -> {version, content_hash}).
     version_guard_path: str = "src/repro/analysis/version_guard.json"
-    #: Committed baseline of accepted pre-existing violations.
-    baseline_path: str = "src/repro/analysis/baseline.json"
 
     @staticmethod
     def default() -> "AnalysisConfig":
@@ -174,11 +172,6 @@ class AnalysisConfig:
                         "src/repro/datasets/corpus.py",
                         "src/repro/datasets/synthetic_graph.py",
                     ),
-                ),
-                VersionGuardSpec(
-                    symbol="TRACE_FORMAT_VERSION",
-                    module="src/repro/accel/trace.py",
-                    guarded=("src/repro/accel/trace.py",),
                 ),
             ),
         )

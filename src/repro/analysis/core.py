@@ -3,8 +3,7 @@
 A :class:`Project` is a lazily-parsed view of the python tree under one
 repo root; rules receive the whole project (not one file at a time) so
 cross-file invariants -- "every dataclass field reaches its fingerprint
-function" -- are first-class.  Violations are plain frozen records keyed
-by ``(rule, path, message)`` so baselines survive unrelated line churn.
+function" -- are first-class.  Violations are plain frozen records.
 """
 
 from __future__ import annotations
@@ -26,16 +25,12 @@ _SKIP_FILE = re.compile(r"#\s*repro-lint:\s*skip-file")
 
 @dataclass(frozen=True)
 class Violation:
-    """One rule finding, addressed by content rather than line number."""
+    """One rule finding."""
 
     rule: str
     path: str  #: repo-root-relative posix path
     line: int
     message: str
-
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline identity: stable across unrelated line churn."""
-        return (self.rule, self.path, self.message)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
@@ -153,8 +148,8 @@ class Rule:
 
     Subclasses set :attr:`rule_id` / :attr:`name` / :attr:`rationale` and
     implement :meth:`check` over the whole project.  The engine applies
-    suppression comments and the committed baseline afterwards, so rules
-    simply report everything they see.
+    suppression comments afterwards, so rules simply report everything
+    they see.
     """
 
     rule_id: str = "REP000"

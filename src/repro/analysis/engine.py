@@ -1,10 +1,9 @@
-"""Rule engine: run rules, apply suppressions and baseline, report.
+"""Rule engine: run rules, apply suppressions, report.
 
 The engine is deliberately small: rules do the reasoning, the engine
-handles the bookkeeping every linter needs -- suppression comments, a
-committed content-keyed baseline (so adopting a new rule on a large tree
-does not require fixing the world atomically), text/JSON output, and the
-``--update-version-guard`` / ``--write-baseline`` maintenance verbs.
+handles the bookkeeping every linter needs -- per-line suppression
+comments, text/JSON output, and the ``--update-version-guard``
+maintenance verb.
 
 Exit codes: 0 clean, 1 violations, 2 the analysis itself failed.
 """
@@ -16,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import Project, Rule, Violation
@@ -31,7 +30,6 @@ class AnalysisReport:
 
     violations: List[Violation] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     files_checked: int = 0
     rules_run: Tuple[str, ...] = ()
 
@@ -47,8 +45,6 @@ class AnalysisReport:
         )
         if self.suppressed:
             summary += f", {self.suppressed} suppressed"
-        if self.baselined:
-            summary += f", {self.baselined} baselined"
         lines.append(summary)
         return "\n".join(lines)
 
@@ -63,7 +59,6 @@ class AnalysisReport:
                     for v in self.violations
                 ],
                 "suppressed": self.suppressed,
-                "baselined": self.baselined,
                 "files_checked": self.files_checked,
                 "rules_run": list(self.rules_run),
             },
@@ -71,46 +66,11 @@ class AnalysisReport:
         )
 
 
-def _load_baseline(path: Path) -> Set[Tuple[str, str, str]]:
-    if not path.is_file():
-        return set()
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise AnalysisError(f"corrupt baseline {path}: {exc}") from exc
-    if not isinstance(entries, list):
-        raise AnalysisError(f"corrupt baseline {path}: not a list")
-    baseline: Set[Tuple[str, str, str]] = set()
-    for entry in entries:
-        try:
-            baseline.add((entry["rule"], entry["path"], entry["message"]))
-        except (TypeError, KeyError) as exc:
-            raise AnalysisError(
-                f"corrupt baseline {path}: entry {entry!r}"
-            ) from exc
-    return baseline
-
-
-def _write_baseline(path: Path, violations: Sequence[Violation]) -> None:
-    entries = sorted(
-        (
-            {"rule": v.rule, "path": v.path, "message": v.message}
-            for v in violations
-        ),
-        key=lambda e: (e["rule"], e["path"], e["message"]),
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(entries, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def run_analysis(
     root: Path,
     paths: Optional[Sequence[str]] = None,
     config: Optional[AnalysisConfig] = None,
     rules: Optional[Sequence[Rule]] = None,
-    use_baseline: bool = True,
 ) -> AnalysisReport:
     """Run every rule over the tree at ``root`` and post-process.
 
@@ -121,10 +81,6 @@ def run_analysis(
     config = config or AnalysisConfig.default()
     rules = list(rules) if rules is not None else default_rules(config)
     project = Project(root, config.scan_paths, limit_to=paths)
-    baseline = (
-        _load_baseline(Path(root) / config.baseline_path)
-        if use_baseline else set()
-    )
 
     report = AnalysisReport(rules_run=tuple(r.rule_id for r in rules))
     raw: List[Violation] = []
@@ -143,9 +99,6 @@ def run_analysis(
         src = project.get(violation.path)
         if src is not None and src.suppressed(violation):
             report.suppressed += 1
-            continue
-        if violation.key() in baseline:
-            report.baselined += 1
             continue
         report.violations.append(violation)
 
@@ -176,14 +129,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="report baselined violations too",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept all current violations into the baseline file",
     )
     parser.add_argument(
         "--update-version-guard", action="store_true",
@@ -217,21 +162,10 @@ def run_from_options(options: argparse.Namespace) -> int:
             root,
             paths=options.paths or None,
             config=config,
-            use_baseline=not options.no_baseline,
         )
     except AnalysisError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-
-    if options.write_baseline:
-        path = Path(root) / config.baseline_path
-        _write_baseline(path, report.violations)
-        print(
-            f"repro-lint: wrote {len(report.violations)} entr"
-            f"{'y' if len(report.violations) == 1 else 'ies'} to "
-            f"{config.baseline_path}"
-        )
-        return 0
 
     if options.format == "json":
         print(report.render_json())

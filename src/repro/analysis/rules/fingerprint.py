@@ -14,8 +14,8 @@ Two checks protect the content-addressed caches:
    counts as full coverage.
 
 2. **Version guard** -- the committed guard file records, per version
-   constant (``COMPILER_VERSION``, ``TRACE_FORMAT_VERSION``), the value
-   and a content hash of the sources it guards.  If the guarded sources
+   constant (today only ``COMPILER_VERSION``), the value and a content
+   hash of the sources it guards.  If the guarded sources
    change while the constant stays put, the rule fails: either bump the
    constant (output may differ -> cached artifacts must re-address) or
    explicitly re-attest that output is unchanged with

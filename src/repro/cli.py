@@ -20,25 +20,27 @@ Seven subcommands cover the common workflows:
 * ``repro-asr compare``      -- run the six-platform comparison on a
   memory-system workload and print the Figure 9/10/11 style table.
 * ``repro-asr sweep``        -- design-space sweep over accelerator
-  parameters (trace-once/replay-many with an on-disk trace cache),
-  with JSON/CSV artifacts; the engine behind the paper's Figures 4-5.
+  parameters (trace-once/replay-many, one recording per search), with
+  JSON/CSV artifacts; the engine behind the paper's Figures 4-5.
 * ``repro-asr lint``         -- the invariant linter over the source tree
   (``docs/INVARIANTS.md``).
 
-Run ``python -m repro.cli --help`` for details.
+Run ``python -m repro.cli --help`` for details.  A library error
+(:class:`~repro.common.errors.ReproError`, such as a ``ConfigError`` for
+a bad value) is reported as one ``repro: error: ...`` line on stderr
+with exit code 2, as argparse reports a malformed command line.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
 
 from repro.accel import AcceleratorConfig, AcceleratorSimulator
 from repro.analysis import engine as analysis_engine
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ReproError
 from repro.datasets import (
     AudioTaskConfig,
     SyntheticGraphConfig,
@@ -54,7 +56,7 @@ from repro.decoder import (
     word_error_rate,
 )
 from repro.energy import AcceleratorEnergyModel
-from repro.explore import ParameterGrid, SweepRunner, TraceCache
+from repro.explore import ParameterGrid, SweepRunner
 from repro.graph import (
     DEFAULT_GRAPH_CACHE,
     GraphCache,
@@ -459,13 +461,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default on-disk trace cache for ``repro sweep`` (content-addressed;
-#: safe to delete at any time -- see docs/ARCHITECTURE.md).
-DEFAULT_TRACE_CACHE = os.path.join(
-    os.path.expanduser("~"), ".cache", "repro-asr", "traces"
-)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Design-space sweep via the trace-once/replay-many runner."""
     workload = _memory_workload(args)
@@ -478,11 +473,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         points = list(ASIC_VARIANTS.values())
         labels = list(ASIC_VARIANTS)
 
-    cache_dir = None if args.trace_cache == "none" else args.trace_cache
     runner = SweepRunner(
         workload,
         base_config=_accel_config(args.config),
-        trace_cache=TraceCache(cache_dir),
         processes=args.processes,
     )
     result = runner.run(points, labels=labels)
@@ -615,10 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--processes", type=int, default=None,
                    help="replay worker processes (default: the cores "
                         "this process may use)")
-    p.add_argument("--trace-cache", default=DEFAULT_TRACE_CACHE,
-                   metavar="DIR|none",
-                   help=f"on-disk trace cache directory (default "
-                        f"{DEFAULT_TRACE_CACHE}; 'none' disables)")
     p.add_argument("--json", help="write the sweep result as JSON")
     p.add_argument("--csv", help="write the sweep result as CSV")
     p.set_defaults(func=cmd_sweep)
@@ -637,7 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ class SimulationError(ReproError):
 
 class AnalysisError(ReproError):
     """The static-analysis framework could not run (bad config, unreadable
-    source, corrupt baseline or version-guard file)."""
+    source, corrupt version-guard file)."""
 
 
 class TierError(ReproError):

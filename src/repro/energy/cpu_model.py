@@ -71,6 +71,3 @@ class CpuTimingModel:
         if flops < 0:
             raise ConfigError("flops must be non-negative")
         return flops / (self.effective_gflops * 1e9)
-
-    def dnn_energy_j(self, flops: float) -> float:
-        return self.dnn_seconds(flops) * self.spec.avg_power_w

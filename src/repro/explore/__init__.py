@@ -13,8 +13,8 @@ operation instead of a copy-pasted loop per figure:
   the workload-level ``"beam"`` / ``"pruning"`` / ``"target_active"`` axes;
 * :class:`~repro.explore.cache.TraceCache` -- records each workload's
   functional :class:`~repro.accel.trace.DecodeTrace` once per graph
-  and search configuration, in memory and optionally on disk (content-addressed,
-  so a changed workload can never replay a stale trace);
+  and search configuration, in memory (content-addressed, so a changed
+  workload can never replay a stale trace);
 * :class:`~repro.explore.runner.SweepRunner` -- prices every grid point
   with a :class:`~repro.accel.replay.TraceReplayer` (optionally fanned
   out across processes) and returns :class:`~repro.explore.runner.SweepResult`
@@ -32,7 +32,6 @@ from repro.explore.runner import (
     SweepResult,
     SweepRunner,
     SweepWorkload,
-    run_sweep,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "SweepResult",
     "SweepRunner",
     "SweepWorkload",
-    "run_sweep",
 ]

@@ -9,24 +9,19 @@ configuration -- so
 * within a sweep, all configurations sharing a search configuration reuse
   one recording (sorted-layout points relabel it, see
   :func:`repro.accel.trace.derive_sorted_trace`);
-* across processes/runs, an optional on-disk cache directory makes the
-  recording a one-time cost per workload;
 * invalidation is automatic: any change to the workload or layout changes
-  the key, and stale files are simply never addressed again (the
-  directory can be deleted at any time; traces also embed a format
-  version, so archives from an incompatible schema are re-recorded rather
-  than misread).
+  the key.
+
+Traces live in memory only, so none outlives the process -- or the code
+-- that recorded it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
-import zipfile
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.common.errors import SimulationError
 from repro.acoustic.scorer import AcousticScores
 from repro.accel.trace import DecodeTrace, TraceRecorder
 from repro.decoder.kernel import DecoderConfig
@@ -69,15 +64,10 @@ def workload_fingerprint(
 
 
 class TraceCache:
-    """In-memory (and optionally on-disk) store of recorded decode traces.
+    """In-memory store of recorded decode traces, keyed by
+    :func:`workload_fingerprint`."""
 
-    Args:
-        directory: optional directory for persistent ``.npz`` trace files.
-            Created on first write.  ``None`` keeps traces in memory only.
-    """
-
-    def __init__(self, directory: Optional[str] = None) -> None:
-        self.directory = directory
+    def __init__(self) -> None:
         self._memory: Dict[str, List[DecodeTrace]] = {}
         self.recordings = 0  #: functional searches actually run
         self.hits = 0        #: lookups satisfied without re-searching
@@ -95,44 +85,8 @@ class TraceCache:
         if cached is not None:
             self.hits += 1
             return cached
-
-        traces = self._load_from_disk(key, len(scores))
-        if traces is not None:
-            self.hits += 1
-        else:
-            recorder = TraceRecorder(graph, config=config)
-            traces = [recorder.record(s) for s in scores]
-            self.recordings += 1
-            self._store_to_disk(key, traces)
+        recorder = TraceRecorder(graph, config=config)
+        traces = [recorder.record(s) for s in scores]
+        self.recordings += 1
         self._memory[key] = traces
         return traces
-
-    # ------------------------------------------------------------------
-    def _path(self, key: str, index: int) -> str:
-        return os.path.join(self.directory, f"{key}.utt{index}.npz")
-
-    def _load_from_disk(
-        self, key: str, count: int
-    ) -> Optional[List[DecodeTrace]]:
-        if self.directory is None:
-            return None
-        traces = []
-        for i in range(count):
-            path = self._path(key, i)
-            if not os.path.exists(path):
-                return None
-            try:
-                traces.append(DecodeTrace.load(path))
-            except (SimulationError, OSError, KeyError, ValueError,
-                    zipfile.BadZipFile, EOFError):
-                # Stale format or a torn write (np.load raises BadZipFile
-                # for a truncated archive): fall back to re-recording.
-                return None
-        return traces
-
-    def _store_to_disk(self, key: str, traces: List[DecodeTrace]) -> None:
-        if self.directory is None:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        for i, trace in enumerate(traces):
-            trace.save(self._path(key, i))

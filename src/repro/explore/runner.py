@@ -233,8 +233,8 @@ class SweepRunner:
         base_config: configuration every point starts from (Table I by
             default).
         energy_model: prices energy/power per point.
-        trace_cache: shared trace store; pass one with a directory for a
-            persistent on-disk cache.  A fresh in-memory cache otherwise.
+        trace_cache: shared in-memory trace store, so several runners
+            over one workload record its trace once.  A fresh one otherwise.
         processes: worker processes for the replay fan-out.  ``None``
             auto-sizes to the cores this process may use
             (:func:`repro.common.cpu.usable_cpus`); values <= 1 run
@@ -400,27 +400,3 @@ class SweepRunner:
         finally:
             _WORKER_STATE = {}
         return outcomes
-
-
-def run_sweep(
-    workload,
-    grid: Union[ParameterGrid, Sequence[Dict[str, Any]], Sequence[Tuple[str, Sequence[Any]]]],
-    labels: Optional[Sequence[str]] = None,
-    base_config: Optional[AcceleratorConfig] = None,
-    trace_cache: Optional[TraceCache] = None,
-    processes: Optional[int] = 1,
-) -> SweepResult:
-    """One-call sweep: accepts a grid, dimension pairs or override dicts."""
-    if (
-        not isinstance(grid, ParameterGrid)
-        and grid
-        and isinstance(grid[0], tuple)
-    ):
-        grid = ParameterGrid(grid)
-    runner = SweepRunner(
-        workload,
-        base_config=base_config,
-        trace_cache=trace_cache,
-        processes=processes,
-    )
-    return runner.run(grid, labels=labels)

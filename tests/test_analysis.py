@@ -18,7 +18,6 @@ import pytest
 from repro.analysis import AnalysisConfig, run_analysis
 from repro.analysis.config import FingerprintSpec, VersionGuardSpec
 from repro.analysis.engine import main, update_version_guard
-from repro.common.errors import AnalysisError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,8 +52,7 @@ class TestDeterminism:
     HOT = "src/repro/decoder/kernel.py"
 
     def check(self, root):
-        return run_analysis(root, config=AnalysisConfig.default(),
-                            use_baseline=False)
+        return run_analysis(root, config=AnalysisConfig.default())
 
     def test_random_import_flagged(self, mini):
         write(mini, self.HOT, "import random\n")
@@ -116,8 +114,7 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 class TestTypedErrors:
     def check(self, root):
-        return run_analysis(root, config=AnalysisConfig.default(),
-                            use_baseline=False)
+        return run_analysis(root, config=AnalysisConfig.default())
 
     def test_untyped_raise_flagged(self, mini):
         write(mini, "src/repro/mod.py", """
@@ -213,8 +210,7 @@ class TestFingerprint:
                 def fingerprint(self):
                     return str(self.used)
             """)
-        report = run_analysis(mini, config=self.config(),
-                              use_baseline=False)
+        report = run_analysis(mini, config=self.config())
         assert any(
             v.rule == "REP003" and "dead_knob" in v.message
             for v in report.violations
@@ -236,8 +232,7 @@ class TestFingerprint:
                 def fingerprint(self):
                     return str(self.num_lines)
             """)
-        report = run_analysis(mini, config=self.config(),
-                              use_baseline=False)
+        report = run_analysis(mini, config=self.config())
         assert "REP003" not in rules_hit(report)
 
     def test_allow_needs_justification(self, mini):
@@ -254,12 +249,10 @@ class TestFingerprint:
             """)
         justified = run_analysis(
             mini, config=self.config(allow={"noted": "docs-only field"}),
-            use_baseline=False,
         )
         assert "REP003" not in rules_hit(justified)
         unjustified = run_analysis(
             mini, config=self.config(allow={"noted": ""}),
-            use_baseline=False,
         )
         assert any(
             "without a written justification" in v.message
@@ -279,8 +272,7 @@ class TestFingerprint:
                 def fingerprint(self):
                     return str(dataclasses.asdict(self))
             """)
-        report = run_analysis(mini, config=self.config(),
-                              use_baseline=False)
+        report = run_analysis(mini, config=self.config())
         assert "REP003" not in rules_hit(report)
 
     def guard_config(self):
@@ -298,26 +290,26 @@ class TestFingerprint:
         config = self.guard_config()
 
         # Uninitialised guard is itself a violation.
-        report = run_analysis(mini, config=config, use_baseline=False)
+        report = run_analysis(mini, config=config)
         assert any("not initialised" in v.message
                    for v in report.violations)
 
         update_version_guard(mini, config)
-        report = run_analysis(mini, config=config, use_baseline=False)
+        report = run_analysis(mini, config=config)
         assert "REP003" not in rules_hit(report)
 
         # Guarded source drifts without a bump -> violation...
         write(mini, "src/repro/pkg/impl.py", "X = 2\n")
-        report = run_analysis(mini, config=config, use_baseline=False)
+        report = run_analysis(mini, config=config)
         assert any("without a version bump" in v.message
                    for v in report.violations)
 
         # ...and bumping the constant asks for re-attestation.
         write(mini, "src/repro/pkg/fmt.py", "FMT_VERSION = 2\n")
-        report = run_analysis(mini, config=config, use_baseline=False)
+        report = run_analysis(mini, config=config)
         assert any("re-attest" in v.message for v in report.violations)
         update_version_guard(mini, config)
-        report = run_analysis(mini, config=config, use_baseline=False)
+        report = run_analysis(mini, config=config)
         assert "REP003" not in rules_hit(report)
 
 
@@ -328,8 +320,7 @@ class TestArgPurity:
     PURE = "src/repro/wfst/ops.py"
 
     def check(self, root):
-        return run_analysis(root, config=AnalysisConfig.default(),
-                            use_baseline=False)
+        return run_analysis(root, config=AnalysisConfig.default())
 
     def test_attribute_assignment_flagged(self, mini):
         write(mini, self.PURE, """
@@ -404,8 +395,7 @@ class TestValidationCompleteness:
     MOD = "src/repro/pkg/cfg.py"
 
     def check(self, root):
-        return run_analysis(root, config=AnalysisConfig.default(),
-                            use_baseline=False)
+        return run_analysis(root, config=AnalysisConfig.default())
 
     def test_unchecked_field_flagged(self, mini):
         write(mini, self.MOD, """
@@ -498,54 +488,16 @@ class TestValidationCompleteness:
 
 
 # ----------------------------------------------------------------------
-# Engine behaviour: baseline, CLI exit codes, error handling
+# Engine behaviour: suppression, CLI exit codes, path narrowing
 # ----------------------------------------------------------------------
 class TestEngine:
-    def test_baseline_masks_accepted_violations(self, mini):
-        write(mini, "src/repro/mod.py", """
-            def f():
-                raise ValueError("nope")
-            """)
-        config = AnalysisConfig.default()
-        dirty = run_analysis(mini, config=config, use_baseline=False)
-        assert dirty.violations
-
-        baseline = [
-            {"rule": v.rule, "path": v.path, "message": v.message}
-            for v in dirty.violations
-        ]
-        path = mini / config.baseline_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(baseline))
-
-        masked = run_analysis(mini, config=config, use_baseline=True)
-        assert not masked.violations
-        assert masked.baselined == len(baseline)
-
-        # Baseline keys by content, so the entry survives line churn.
-        write(mini, "src/repro/mod.py", """
-            # moved down a few lines
-            def f():
-                raise ValueError("nope")
-            """)
-        assert not run_analysis(mini, config=config).violations
-
-    def test_corrupt_baseline_is_analysis_error(self, mini):
-        config = AnalysisConfig.default()
-        path = mini / config.baseline_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{not json")
-        with pytest.raises(AnalysisError):
-            run_analysis(mini, config=config)
-
     def test_skip_file_comment(self, mini):
         write(mini, "src/repro/mod.py", """
             # repro-lint: skip-file
             def f():
                 raise ValueError("nope")
             """)
-        report = run_analysis(mini, config=AnalysisConfig.default(),
-                              use_baseline=False)
+        report = run_analysis(mini, config=AnalysisConfig.default())
         assert not report.violations
         assert report.suppressed == 1
 
@@ -566,18 +518,6 @@ class TestEngine:
             "REP001", "REP002", "REP003", "REP004", "REP005",
         ]
 
-    def test_write_baseline_roundtrip(self, mini, capsys):
-        write(mini, "src/repro/mod.py", """
-            def f():
-                raise ValueError("nope")
-            """)
-        root = str(mini)
-        assert main(["--root", root]) == 1
-        capsys.readouterr()
-        assert main(["--root", root, "--write-baseline"]) == 0
-        assert main(["--root", root]) == 0
-        assert main(["--root", root, "--no-baseline"]) == 1
-
     def test_paths_narrow_per_file_rules(self, mini):
         write(mini, "src/repro/a.py", """
             def f():
@@ -588,8 +528,7 @@ class TestEngine:
                 raise ValueError("b")
             """)
         report = run_analysis(mini, paths=["src/repro/a.py"],
-                              config=AnalysisConfig.default(),
-                              use_baseline=False)
+                              config=AnalysisConfig.default())
         assert {v.path for v in report.violations} == {"src/repro/a.py"}
 
 
@@ -601,12 +540,6 @@ class TestRealTree:
         report = run_analysis(REPO_ROOT, config=AnalysisConfig.default())
         rendered = "\n".join(v.render() for v in report.violations)
         assert report.ok, f"repro-lint violations:\n{rendered}"
-
-    def test_baseline_is_empty(self):
-        baseline = json.loads(
-            (REPO_ROOT / "src/repro/analysis/baseline.json").read_text()
-        )
-        assert baseline == []
 
     def test_version_guard_is_current(self):
         # update_version_guard over the committed tree must be a no-op;

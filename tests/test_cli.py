@@ -106,12 +106,12 @@ class TestCommands:
         assert code == 0
         assert "mean WER" in capsys.readouterr().out
 
-    def test_adaptive_requires_target(self):
-        from repro.common.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            main(["decode", "--vocab", "40", "--utterances", "1",
-                  "--pruning", "adaptive"])
+    def test_adaptive_requires_target(self, capsys):
+        assert main(["decode", "--vocab", "40", "--utterances", "1",
+                     "--pruning", "adaptive"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: adaptive pruning requires target_active > 0\n"
+        )
 
     def test_decode_streaming_matches_reference(self, capsys):
         argv = ["decode", "--vocab", "40", "--utterances", "2", "--seed", "4"]
@@ -137,13 +137,31 @@ class TestCommands:
         assert len(_served(lines)[0]) == 3
         assert "mean WER 0.000" in lines
 
-    def test_serve_rejects_bad_knobs(self):
-        from repro.common.errors import ConfigError
+    def test_serve_rejects_bad_knobs(self, capsys):
+        for argv, message in (
+            (["serve", "--chunk-frames", "0"], "--chunk-frames must be >= 1"),
+            (["serve", "--workers", "0"], "num_workers must be >= 1"),
+        ):
+            assert main(argv + ["--vocab", "40", "--utterances", "1"]) == 2
+            assert capsys.readouterr().err == f"repro: error: {message}\n"
 
-        for argv in (["serve", "--chunk-frames", "0"],
-                     ["serve", "--workers", "0"]):
-            with pytest.raises(ConfigError):
-                main(argv + ["--vocab", "40", "--utterances", "1"])
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--states", "2000", "--frames", "4", "--graph-cache",
+          "none", "--param", "bogus=1"],
+         "unknown sweep parameter 'bogus'"),
+        (["compile", "--states", "100", "--remove-epsilons"],
+         "--remove-epsilons applies to composed recipes only"),
+    ])
+    def test_typed_errors_are_one_line_not_a_traceback(
+        self, capsys, argv, message
+    ):
+        """A library error caused by the arguments exits 2 with one
+        ``repro: error:`` line on stderr."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro: error: {message}")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_serve_scores_goes_through_the_tier_at_any_workers(self, capsys):
         """Scores enter the serving stack through the tier at every
@@ -236,7 +254,7 @@ class TestCompile:
         assert main(["sweep", "--graph", out, "--frames", "4",
                      "--max-active", "200", "--processes", "1",
                      "--param", "arc_cache.size_bytes=128K,256K",
-                     "--graph-cache", "none", "--trace-cache", "none"]) == 0
+                     "--graph-cache", "none"]) == 0
         # Both Arc caches hold this decode's working set: one timing pass.
         summary = capsys.readouterr().out.splitlines()[0]
         assert re.fullmatch(
@@ -249,7 +267,7 @@ class TestCompile:
     ):
         assert main(["sweep", "--states", "2000", "--frames", "4",
                      "--max-active", "200", "--processes", "1",
-                     "--graph-cache", "none", "--trace-cache", "none",
+                     "--graph-cache", "none",
                      "--json", str(tmp_path / "sweep.json")]) == 0
         capsys.readouterr()
         points = json.loads((tmp_path / "sweep.json").read_text())["points"]
@@ -260,6 +278,24 @@ class TestCompile:
             ("ASIC+State&Arc",
              {"prefetch_enabled": True, "state_direct_enabled": True}),
         ]
+
+    def test_sweep_keeps_traces_in_memory(self, tmp_path):
+        """Traces never reach the disk: a sweep writes nothing under
+        ``$HOME``, and every run records its one trace afresh."""
+        home = tmp_path / "home"
+        home.mkdir()
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        for _ in range(2):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "sweep", "--states",
+                 "2000", "--frames", "4", "--max-active", "200",
+                 "--processes", "1", "--graph-cache", "none"],
+                env={**os.environ, "PYTHONPATH": src, "HOME": str(home)},
+                cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert "(1 trace(s) recorded, 0 cache hit(s)," in done.stdout
+        assert list(home.rglob("*")) == []
 
     def test_decode_precompiled_graph_is_word_identical(
         self, capsys, tmp_path

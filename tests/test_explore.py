@@ -3,7 +3,6 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
@@ -17,7 +16,6 @@ from repro.explore import (
     TraceCache,
     apply_overrides,
     parse_sweep_value,
-    run_sweep,
     workload_fingerprint,
 )
 from repro.system import make_memory_workload
@@ -278,8 +276,8 @@ class TestRunner:
         assert result.processes == 1
 
     def test_artifacts_json_and_csv(self, tmp_path, workload):
-        result = run_sweep(
-            workload, [("mem_latency_cycles", [25, 50])]
+        result = SweepRunner(workload).run(
+            ParameterGrid([("mem_latency_cycles", [25, 50])])
         )
         json_path = result.to_json(str(tmp_path / "sweep.json"))
         csv_path = result.to_csv(str(tmp_path / "sweep.csv"))
@@ -318,25 +316,6 @@ def search_config(workload, beam=None, max_active=None):
 
 
 class TestTraceCache:
-    def test_disk_cache_roundtrip_and_hit_counters(self, tmp_path, workload):
-        directory = str(tmp_path / "traces")
-        cache = TraceCache(directory)
-        first = cache.get(
-            workload.graph, workload.scores, config=search_config(workload)
-        )
-        assert cache.recordings == 1
-        # A fresh cache object backed by the same directory loads without
-        # re-recording.
-        cache2 = TraceCache(directory)
-        second = cache2.get(
-            workload.graph, workload.scores, config=search_config(workload)
-        )
-        assert cache2.recordings == 0
-        assert cache2.hits == 1
-        for a, b in zip(first, second):
-            assert a.words == b.words
-            assert np.array_equal(a.emit_arc_idx, b.emit_arc_idx)
-
     def test_workload_change_invalidates_key(self, workload):
         config = search_config(workload)
         fp = workload_fingerprint(workload.graph, workload.scores, config=config)
@@ -358,53 +337,3 @@ class TestTraceCache:
             workload.graph.sorted_layout(16).graph, workload.scores,
             config=config,
         )
-
-    def test_corrupt_disk_entry_falls_back_to_recording(
-        self, tmp_path, workload
-    ):
-        directory = str(tmp_path / "traces")
-        cache = TraceCache(directory)
-        cache.get(
-            workload.graph, workload.scores, config=search_config(workload)
-        )
-        # Corrupt every stored file.
-        for name in os.listdir(directory):
-            with open(os.path.join(directory, name), "wb") as fh:
-                fh.write(b"not an npz")
-        cache2 = TraceCache(directory)
-        traces = cache2.get(
-            workload.graph, workload.scores, config=search_config(workload)
-        )
-        assert cache2.recordings == 1
-        assert traces[0].num_frames == workload.scores[0].num_frames
-
-    def test_v3_disk_entry_is_rerecorded_not_misread(self, tmp_path, workload):
-        """Format v3 stored one out-degree per fetched state
-        (``search_degrees``); v4 stores the histogram.  An entry a v3
-        checkout left in the directory must be recorded afresh."""
-        directory = str(tmp_path / "traces")
-        args = (workload.graph, workload.scores)
-        config = search_config(workload)
-        recorded = TraceCache(directory).get(*args, config=config)
-        for name in os.listdir(directory):
-            path = os.path.join(directory, name)
-            with np.load(path) as data:
-                payload = {key: data[key] for key in data.files}
-            histogram = payload.pop("search_degree_histogram")
-            payload["search_degrees"] = np.repeat(
-                np.arange(histogram.size), histogram
-            ).astype(np.int32)
-            assert payload["meta"][0] == 4
-            payload["meta"][0] = 3
-            np.savez_compressed(path, **payload)
-
-        cache = TraceCache(directory)
-        traces = cache.get(*args, config=config)
-        assert (cache.recordings, cache.hits) == (1, 0)
-        for got, want in zip(traces, recorded):
-            assert got.search == want.search
-            assert got.search.degree_histogram.sum() == got.search.states_expanded
-        # ... and the stale files were overwritten in the current format.
-        again = TraceCache(directory)
-        again.get(*args, config=config)
-        assert (again.recordings, again.hits) == (0, 1)

@@ -116,7 +116,6 @@ class TestAllEnginesAgree:
             assert trace.words == ref.words
             assert trace.log_likelihood == ref.log_likelihood
             assert trace.search == ref.stats
-            assert trace.pruning == config.pruning
 
 
 class TestAdaptiveBeam:

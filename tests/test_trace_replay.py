@@ -302,17 +302,6 @@ class TestTraceContract:
         with pytest.raises(ConfigError):
             replayer.replay(traces[0])
 
-    def test_save_load_roundtrip(self, tmp_path, workload, traces):
-        path = str(tmp_path / "trace.npz")
-        traces[0].save(path)
-        from repro.accel import DecodeTrace
-
-        loaded = DecodeTrace.load(path)
-        replayer = TraceReplayer(workload.graph, BASE)
-        assert_results_identical(
-            replayer.replay(traces[0]), replayer.replay(loaded)
-        )
-
     def test_derive_rejects_a_trace_of_another_layout(
         self, workload, sorted_traces
     ):
@@ -321,17 +310,6 @@ class TestTraceContract:
                 sorted_traces[0], workload.graph,
                 workload.graph.sorted_layout(16),
             )
-
-    def test_load_rejects_wrong_version(self, tmp_path, traces, monkeypatch):
-        import repro.accel.trace as trace_mod
-
-        path = str(tmp_path / "trace.npz")
-        traces[0].save(path)
-        monkeypatch.setattr(trace_mod, "TRACE_FORMAT_VERSION", 999)
-        from repro.accel import DecodeTrace
-
-        with pytest.raises(SimulationError):
-            DecodeTrace.load(path)
 
 
 def check_derived_trace(

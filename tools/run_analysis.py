@@ -8,7 +8,6 @@ Usage:
     python tools/run_analysis.py                    # lint the tree
     python tools/run_analysis.py --format json      # machine-readable
     python tools/run_analysis.py --update-version-guard
-    python tools/run_analysis.py --write-baseline
 
 See docs/INVARIANTS.md for the rule catalogue and suppression protocol.
 """
