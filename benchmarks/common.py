@@ -5,8 +5,8 @@ Every benchmark regenerates one table or figure of the paper and emits a
 ``benchmarks/results/<name>.txt``.  Absolute numbers are not expected to
 match (the substrate is a scaled synthetic workload on a Python simulator);
 the reproduction target is the *shape* -- orderings, rough factors,
-crossovers and saturation points.  EXPERIMENTS.md records the outcome per
-experiment.
+crossovers and saturation points.  README's "Reproduce the paper's
+figures" section maps each figure and table to its benchmark.
 """
 
 from __future__ import annotations

@@ -160,15 +160,6 @@ class DecodeTrace:
         """Total storage of the event arrays, in bytes."""
         return sum(getattr(self, name).nbytes for name in self._ARRAYS)
 
-    @property
-    def num_events(self) -> int:
-        """Total recorded events (reads + state issues + arc fetches)."""
-        return int(
-            len(self.read_states)
-            + len(self.emit_states) + len(self.emit_arc_idx)
-            + len(self.eps_states) + len(self.eps_arc_idx)
-        )
-
 
 @dataclass
 class _TraceBuilder:

@@ -81,17 +81,17 @@ def train_dnn(
             loss, grads_w, grads_b = _backward(dnn, x[batch], y[batch])
             epoch_loss += loss
             n_batches += 1
-            for i in range(len(dnn.weights)):
-                velocity_w[i] = (
-                    config.momentum * velocity_w[i]
-                    - config.learning_rate * grads_w[i]
-                )
-                velocity_b[i] = (
-                    config.momentum * velocity_b[i]
-                    - config.learning_rate * grads_b[i]
-                )
-                dnn.weights[i] += velocity_w[i]
-                dnn.biases[i] += velocity_b[i]
+            # v = momentum * v - learning_rate * g, in place: the same
+            # IEEE operations in the same order, no temporaries.
+            for params, velocity, grads in (
+                (dnn.weights, velocity_w, grads_w),
+                (dnn.biases, velocity_b, grads_b),
+            ):
+                for p, v, g in zip(params, velocity, grads):
+                    v *= config.momentum
+                    g *= config.learning_rate
+                    v -= g
+                    p += v
         losses.append(epoch_loss / max(n_batches, 1))
     return losses
 
@@ -109,11 +109,11 @@ def _backward(
     delta[np.arange(batch), y] -= 1.0
     delta /= batch
 
-    grads_w: List[np.ndarray] = [np.zeros_like(w) for w in dnn.weights]
-    grads_b: List[np.ndarray] = [np.zeros_like(b) for b in dnn.biases]
+    grads_w: List[np.ndarray] = []
+    grads_b: List[np.ndarray] = []
     for i in range(len(dnn.weights) - 1, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads_w.append(activations[i].T @ delta)
+        grads_b.append(delta.sum(axis=0))
         if i > 0:
             delta = (delta @ dnn.weights[i].T) * (activations[i] > 0)
-    return loss, grads_w, grads_b
+    return loss, grads_w[::-1], grads_b[::-1]

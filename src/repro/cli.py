@@ -2,27 +2,27 @@
 
 Seven subcommands cover the common workflows:
 
-* ``repro-asr compile``      -- run the staged graph compiler on a recipe
+* ``repro compile``  -- run the staged graph compiler on a recipe
   (composed lexicon ∘ LM or synthetic Kaldi-like graph), print the
   per-pass report and cache/save the packed artifact.
-* ``repro-asr decode``       -- decode a task's utterances on any engine
+* ``repro decode``   -- decode a task's utterances on any engine
   of the shared search kernel: ``--engine reference`` (scalar oracle),
   ``batch`` (vectorized) or ``gpu`` (workload summaries);
   ``--streaming`` for chunked live sessions and
   ``--pruning adaptive --target-active N`` for the adaptive-beam
   strategy.
-* ``repro-asr serve``        -- serve a task's utterances as concurrent
+* ``repro serve``    -- serve a task's utterances as concurrent
   chunked sessions through the multi-process tier (``--workers N``
   search processes over one memory-mapped graph) and report p50/p99 SLO
   stats; ``--score-features`` pushes MFCC features through its DNN stage.
-* ``repro-asr simulate``     -- decode on the cycle-accurate accelerator
+* ``repro simulate`` -- decode on the cycle-accurate accelerator
   simulator in any of the paper's four configurations.
-* ``repro-asr compare``      -- run the six-platform comparison on a
+* ``repro compare``  -- run the six-platform comparison on a
   memory-system workload and print the Figure 9/10/11 style table.
-* ``repro-asr sweep``        -- design-space sweep over accelerator
+* ``repro sweep``    -- design-space sweep over accelerator
   parameters (trace-once/replay-many, one recording per search), with
   JSON/CSV artifacts; the engine behind the paper's Figures 4-5.
-* ``repro-asr lint``         -- the invariant linter over the source tree
+* ``repro lint``     -- the invariant linter over the source tree
   (``docs/INVARIANTS.md``).
 
 Run ``python -m repro.cli --help`` for details.  A library error
@@ -509,7 +509,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-asr",
+        prog="repro",
         description="MICRO 2016 ASR-accelerator reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -629,7 +629,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except ReproError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 
 

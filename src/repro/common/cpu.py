@@ -1,17 +1,21 @@
-"""Cores this process may use, and the thread pool of the BLAS numpy
-loaded (serving plumbing for the paper's Sec. III-A two-stage pipeline,
-in which the DNN and the Viterbi search each own a compute resource).
+"""Cores this process may use, the thread pool of the BLAS numpy
+loaded, and the free heap a fork would copy (serving plumbing for the
+paper's Sec. III-A two-stage pipeline, in which the DNN and the Viterbi
+search each own a compute resource).
 
 :func:`usable_cpus` is the repo's one definition of "cores".
 :class:`BlasPool` drives OpenBLAS's own ``get/set_num_threads`` entry
 points through ``ctypes``; with any other BLAS, or on a platform without
 ``/proc/self/maps``, the handle is *uncontrolled*: every call is a no-op
 and :meth:`BlasPool.threads` reads ``0`` -- never an error.
+:func:`release_free_heap` drives glibc's ``malloc_trim`` the same way:
+without glibc it is a no-op that returns ``False``.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 from typing import Callable, Optional, Tuple
 
@@ -26,6 +30,32 @@ def usable_cpus() -> int:
     if affinity is not None:
         return len(affinity(0))
     return os.cpu_count() or 1
+
+
+def release_free_heap() -> bool:
+    """Hand the C heap's free pages back to the OS (glibc's
+    ``malloc_trim(0)``); ``False`` where there is no glibc to ask.
+
+    Freed numpy buffers stay mapped in the allocator's arenas, and a
+    forked child starts with every such page resident in its own
+    anonymous memory.  Called right before a fork, so a worker carries
+    the live heap only.
+    """
+    trim = _malloc_trim()
+    if trim is None:
+        return False
+    trim(0)
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _malloc_trim() -> Optional[Callable[[int], int]]:
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
 
 
 _EntryPoints = Tuple[Callable[[], int], Callable[[int], None]]

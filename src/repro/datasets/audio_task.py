@@ -12,7 +12,7 @@ Acoustic Likelihood Buffer would receive from the GPU.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -113,23 +113,7 @@ def generate_audio_task(config: AudioTaskConfig = AudioTaskConfig()) -> AudioTas
         )
 
     # ----- train the acoustic model on random phone strings -------------
-    rng = make_rng(config.seed, "audio-task-train")
-    train_x: List[np.ndarray] = []
-    train_y: List[np.ndarray] = []
-    for utt in range(config.train_utterances):
-        seq = rng.integers(1, phones.num_phones + 1,
-                           size=config.train_phones_per_utterance)
-        wave, align = synth.synthesize(
-            seq.tolist(), seed=config.seed * 1000 + utt,
-            mean_frames=config.mean_frames_per_phone,
-        )
-        feats = features_of(wave)
-        labels = align.frame_labels()[: len(feats)] - 1
-        train_x.append(feats[: len(labels)])
-        train_y.append(labels)
-    x = np.vstack(train_x)
-    y = np.concatenate(train_y)
-
+    x, y = _training_frames(config, synth, features_of, phones.num_phones)
     dnn = Dnn(
         DnnConfig(
             input_dim=x.shape[1],
@@ -176,3 +160,28 @@ def generate_audio_task(config: AudioTaskConfig = AudioTaskConfig()) -> AudioTas
     )
     task = AsrTask(task_config, lexicon, lm, graph, utterances)
     return AudioTask(task, dnn, scorer, frame_accuracy)
+
+
+def _training_frames(
+    config: AudioTaskConfig,
+    synth: AudioSynthesizer,
+    features_of: Callable[[np.ndarray], np.ndarray],
+    num_phones: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(features, 0-based labels)`` of the training utterances, stacked.
+    The per-utterance pieces die on return, before the net trains."""
+    rng = make_rng(config.seed, "audio-task-train")
+    train_x: List[np.ndarray] = []
+    train_y: List[np.ndarray] = []
+    for utt in range(config.train_utterances):
+        seq = rng.integers(1, num_phones + 1,
+                           size=config.train_phones_per_utterance)
+        wave, align = synth.synthesize(
+            seq.tolist(), seed=config.seed * 1000 + utt,
+            mean_frames=config.mean_frames_per_phone,
+        )
+        feats = features_of(wave)
+        labels = align.frame_labels()[: len(feats)] - 1
+        train_x.append(feats[: len(labels)])
+        train_y.append(labels)
+    return np.vstack(train_x), np.concatenate(train_y)

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.common.cpu import usable_cpus
+from repro.common.cpu import release_free_heap, usable_cpus
 from repro.common.errors import ConfigError
 from repro.accel.config import AcceleratorConfig
 from repro.accel.replay import TraceReplayer, timing_passes
@@ -390,6 +390,7 @@ class SweepRunner:
         ]
         outcomes: List[Optional[Tuple[SimStats, SearchStats, float, int]]]
         outcomes = [None] * len(plans)
+        release_free_heap()
         ctx = multiprocessing.get_context("fork")
         try:
             with ctx.Pool(processes=procs) as pool:

@@ -39,6 +39,9 @@ server-workload discussion assumes around the accelerator:
 * **pipes** -- POSIX only: workers are forked, each pipe end is a
   :class:`_Pipe` polled through ``select.poll``, and every fork closes
   the front door's pipe ends in the child, so workers exit with it.
+  The front door returns its free heap to the OS right before it forks
+  (:func:`repro.common.cpu.release_free_heap`), so a worker does not
+  start with a resident copy of the memory the model build freed.
 * **core budget** -- the paper's system (Sec. III-A, Fig. 1) is a
   two-stage pipeline in which the DNN and the Viterbi search each own a
   compute resource.  On a CPU the resources are cores: the
@@ -108,7 +111,7 @@ import numpy as np
 
 from repro.acoustic.batch_scorer import BatchScorer
 from repro.acoustic.scorer import DnnScorer
-from repro.common.cpu import BlasPool, usable_cpus
+from repro.common.cpu import BlasPool, release_free_heap, usable_cpus
 from repro.common.errors import (
     AdmissionError,
     BackpressureError,
@@ -603,6 +606,7 @@ class ServingTier:
             )
         self.stats.blas_threads = self._blas.threads()
 
+        release_free_heap()
         ctx = multiprocessing.get_context("fork")
         shard_config = ServerConfig(max_batch=tier_config.max_batch)
         self._workers: List[_WorkerHandle] = []

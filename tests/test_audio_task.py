@@ -1,5 +1,8 @@
 """Integration tests for the audio-backed task pipeline."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
@@ -26,6 +29,22 @@ class TestAcousticModelQuality:
     def test_scores_shape(self, audio_task):
         utt = audio_task.task.utterances[0]
         assert utt.scores.num_phones == audio_task.task.num_phones
+
+
+class TestBitIdentity:
+    def test_trained_model_and_scores_are_pinned(self, audio_task):
+        """SHA-256 of the float64 master's weights and biases and of every
+        test score matrix, taken before the trainer's momentum update went
+        in place: the same IEEE operations in the same order leave every
+        bit where it was.  (Pinned with numpy's OpenBLAS on x86-64; another
+        BLAS may sum its gemms in another order.)"""
+        digest = hashlib.sha256()
+        for array in (*audio_task.dnn.weights, *audio_task.dnn.biases,
+                      *(u.scores.matrix for u in audio_task.task.utterances)):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == (
+            "771ff20285028353d8b3217d833ceeed33d2af95e9f3c8e6cdad3e22ff22217e"
+        )
 
 
 class TestEndToEndDecoding:

@@ -28,11 +28,11 @@ class TestParser:
         assert sorted(sub.choices) == ["compare", "compile", "decode",
                                        "lint", "serve", "simulate", "sweep"]
         for cmd in sub.choices:
-            assert f"``repro-asr {cmd}``" in repro.cli.__doc__
+            assert f"``repro {cmd}``" in repro.cli.__doc__
             with pytest.raises(SystemExit) as exc:
                 main([cmd, "--help"])
             assert exc.value.code == 0
-            assert "usage: repro-asr " + cmd in capsys.readouterr().out
+            assert "usage: repro " + cmd in capsys.readouterr().out
 
     def test_simulate_config_choices(self):
         parser = build_parser()
@@ -162,6 +162,18 @@ class TestCommands:
         assert captured.err.startswith(f"repro: error: {message}")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_every_error_names_one_program(self, capsys):
+        """argparse's own errors and the typed library errors name the
+        program README and CI invoke, ``repro``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--no-such-flag"])
+        assert exc.value.code == 2
+        malformed = capsys.readouterr().err.splitlines()[-1]
+        assert main(["sweep", "--param", "bogus=1"]) == 2
+        typed = capsys.readouterr().err
+        assert malformed.startswith("repro: error: ")
+        assert typed.startswith("repro: error: ")
 
     def test_serve_scores_goes_through_the_tier_at_any_workers(self, capsys):
         """Scores enter the serving stack through the tier at every

@@ -37,6 +37,7 @@ from hypothesis.stateful import (
 
 import repro
 from repro.acoustic import AcousticScores, BatchScorer
+from repro.common.cpu import release_free_heap
 from repro.common.errors import (
     AdmissionError,
     BackpressureError,
@@ -828,6 +829,38 @@ class TestGraphDirectory:
                          tier_config=TierConfig(num_workers=1)):
             pass
         assert os.path.isdir(graph_dir)
+
+
+def _rss_anon_mib(pid):
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("RssAnon:"):
+                return int(line.split()[1]) / 1024.0
+    raise AssertionError(f"no RssAnon line for pid {pid}")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestWorkerMemory:
+    def test_worker_does_not_inherit_the_free_heap(self, small_task, config):
+        """A fork copies every resident page, freed heap included: a
+        worker started with the front door's anonymous memory to the
+        MiB.  The front door now returns its free heap first."""
+        if not release_free_heap():
+            pytest.skip("no glibc malloc_trim")
+        # 64 MiB of 8 KiB buffers, each run of eight pinned by a 2 KiB
+        # survivor, so the freed runs cannot coalesce into the heap's top
+        # and be returned by free() itself.
+        freed, kept = [], []
+        for i in range(8192):
+            freed.append(np.ones(1024))
+            if i % 8 == 7:
+                kept.append(np.ones(256))
+        del freed
+        before_fork = _rss_anon_mib(os.getpid())
+        with make_tier(small_task, config, num_workers=1) as tier:
+            worker = _rss_anon_mib(tier._workers[0].process.pid)
+        del kept
+        assert worker <= before_fork - 20.0, (worker, before_fork)
 
 
 class TestAsyncFrontDoor:

@@ -105,6 +105,70 @@ class TestRenderRecord:
         ]
 
 
+# ----------------------------------------------------------------------
+# Committed records re-derive from their own pairs
+# ----------------------------------------------------------------------
+def records_with_pairs():
+    paths = sorted(REPO_ROOT.glob("BENCH_*.json"),
+                   key=lambda p: int(p.stem.split("_")[1]))
+    return [p for p in paths if "pairs" in json.loads(p.read_text())]
+
+
+@pytest.fixture(scope="module")
+def e2e():
+    """``benchmarks/e2e``'s own ``compare`` and ``metrics`` modules."""
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.append(str(REPO_ROOT))
+    from benchmarks.e2e import compare, metrics
+
+    return compare, metrics
+
+
+def rederive(record, e2e):
+    """Every pooled and per-set end-to-end row whose verdict or parent
+    median differs from what ``compare.py`` makes of the record's pairs."""
+    compare, metrics = e2e
+    rules = {name: (better, bound)
+             for name, _, better, bound in metrics.END_TO_END}
+    pairs = record["pairs"]
+    blocks = [("pooled", record["end_to_end"], pairs)]
+    for name, block in record.get("end_to_end_by_set", {}).items():
+        number = int(name.split("_")[1])
+        blocks.append((name, block, [p for p in pairs if p["set"] == number]))
+    differences = []
+    for name, block, chosen in blocks:
+        for workload, rows in block.items():
+            for metric, row in rows.items():
+                base = [p["parent"][workload][metric] for p in chosen]
+                change = [p["change"][workload][metric] for p in chosen]
+                derived = (compare.verdict(base, change, *rules[metric]),
+                           compare.quartiles(base)[1])
+                recorded = (row["verdict"], row["parent"]["median"])
+                if derived != recorded:
+                    differences.append(
+                        f"{name} {workload} {metric}: recorded {recorded}, "
+                        f"pairs give {derived}")
+    return differences
+
+
+class TestRecordsRederive:
+    @pytest.mark.parametrize("path", records_with_pairs(),
+                             ids=lambda p: p.name)
+    def test_verdicts_and_parent_medians_come_from_the_pairs(self, path, e2e):
+        assert rederive(json.loads(path.read_text()), e2e) == []
+
+    def test_one_edited_verdict_is_caught(self, e2e):
+        record = committed(39)
+        row = record["end_to_end_by_set"]["set_2"]["accel_sweep"]["setup_s"]
+        assert row["verdict"] == "same"
+        row["verdict"] = "better"
+        assert rederive(record, e2e) == [
+            "set_2 accel_sweep setup_s: recorded ('better', "
+            f"{row['parent']['median']!r}), pairs give ('same', "
+            f"{row['parent']['median']!r})"
+        ]
+
+
 class TestPlatformChange:
     def test_record_on_a_new_platform_is_marked(self):
         text = "\n".join(perf_report.render(committed(25), committed(24)))

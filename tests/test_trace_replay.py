@@ -285,7 +285,12 @@ class TestTraceContract:
     def test_trace_is_compact(self, traces):
         """The event arrays stay within a small multiple of the arc count."""
         t = traces[0]
-        assert t.nbytes < 64 * t.num_events + 4096
+        num_events = (  # reads + state issues + arc fetches
+            len(t.read_states)
+            + len(t.emit_states) + len(t.emit_arc_idx)
+            + len(t.eps_states) + len(t.eps_arc_idx)
+        )
+        assert t.nbytes < 64 * num_events + 4096
 
     def test_layout_mismatch_rejected(self, workload, sorted_traces):
         """A trace recorded on a sorted layout is refused by every
