@@ -114,10 +114,12 @@ class Dnn:
             ``(log_posteriors, activations)`` -- log-softmax outputs of
             shape ``(batch, num_classes)``.
         """
-        h = (np.asarray(x, dtype=self.dtype) - self.input_mean) / self.input_std
+        h = np.asarray(x, dtype=self.dtype) - self.input_mean
+        h /= self.input_std
         activations: List[np.ndarray] = [h]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(_affine(h, w, b), 0.0)
+            h = _affine(h, w, b)
+            np.maximum(h, 0.0, out=h)  # ReLU on _affine's fresh output
             if keep_activations:
                 activations.append(h)
         logits = _affine(h, self.weights[-1], self.biases[-1])
@@ -151,8 +153,11 @@ class Dnn:
 GEMM_BLOCK_ROWS = 32
 
 #: Rows per block of :meth:`Dnn.log_posteriors` (and so of ``predict``
-#: and ``DnnScorer``): a whole multiple of :data:`GEMM_BLOCK_ROWS`.
-EVAL_BLOCK_ROWS = 32 * GEMM_BLOCK_ROWS
+#: and ``DnnScorer``): a whole multiple of :data:`GEMM_BLOCK_ROWS`, and
+#: the trainer's default batch, so a dataset-wide ``predict`` holds no
+#: larger transients than a training step (a 512-wide hidden layer is
+#: 1 MiB of float64 per block).
+EVAL_BLOCK_ROWS = 8 * GEMM_BLOCK_ROWS
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ produce *realistically confusable* posteriors, not state-of-the-art WER.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +54,15 @@ def train_dnn(
     afterwards, so training arithmetic does not depend on how the net is
     deployed.
 
+    Gradients go into one scratch buffer sized for the largest layer,
+    allocated once: each layer is updated as soon as its delta has been
+    propagated through its not-yet-updated weights, so only one layer's
+    gradient is live at a time.  Every element still goes through the
+    same IEEE operations in the same order as a whole-net backward
+    followed by a whole-net update, so the trained weights are the same
+    bits.  What a step holds beyond the net is its velocity, one layer's
+    gradient and one batch's activations.
+
     Args:
         features: ``(num_frames, input_dim)``.
         labels: ``(num_frames,)`` 0-based class ids.
@@ -70,36 +79,58 @@ def train_dnn(
     rng = make_rng(config.seed, "dnn-train")
     velocity_w = [np.zeros_like(w) for w in dnn.weights]
     velocity_b = [np.zeros_like(b) for b in dnn.biases]
-    losses: List[float] = []
+    # One buffer each for weight and bias gradients; every layer's
+    # gradient is a view of its head (see _backward's ``step``).
+    scratch_w = np.empty(max(w.size for w in dnn.weights))
+    scratch_b = np.empty(max(b.size for b in dnn.biases))
+    grads_w = [scratch_w[: w.size].reshape(w.shape) for w in dnn.weights]
+    grads_b = [scratch_b[: b.size] for b in dnn.biases]
 
+    def step(i: int) -> None:
+        # v = momentum * v - learning_rate * g, in place: the same IEEE
+        # operations in the same order, no temporaries.
+        for p, v, g in (
+            (dnn.weights[i], velocity_w[i], grads_w[i]),
+            (dnn.biases[i], velocity_b[i], grads_b[i]),
+        ):
+            v *= config.momentum
+            g *= config.learning_rate
+            v -= g
+            p += v
+
+    losses: List[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(len(x))
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, len(x), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            loss, grads_w, grads_b = _backward(dnn, x[batch], y[batch])
+            loss, _, _ = _backward(
+                dnn, x[batch], y[batch], grads_w, grads_b, step
+            )
             epoch_loss += loss
             n_batches += 1
-            # v = momentum * v - learning_rate * g, in place: the same
-            # IEEE operations in the same order, no temporaries.
-            for params, velocity, grads in (
-                (dnn.weights, velocity_w, grads_w),
-                (dnn.biases, velocity_b, grads_b),
-            ):
-                for p, v, g in zip(params, velocity, grads):
-                    v *= config.momentum
-                    g *= config.learning_rate
-                    v -= g
-                    p += v
         losses.append(epoch_loss / max(n_batches, 1))
     return losses
 
 
 def _backward(
-    dnn: Dnn, x: np.ndarray, y: np.ndarray
+    dnn: Dnn,
+    x: np.ndarray,
+    y: np.ndarray,
+    grads_w: Optional[List[np.ndarray]] = None,
+    grads_b: Optional[List[np.ndarray]] = None,
+    step: Optional[Callable[[int], None]] = None,
 ) -> Tuple[float, List[np.ndarray], List[np.ndarray]]:
-    """One forward/backward pass; returns (loss, weight grads, bias grads)."""
+    """One forward/backward pass; returns (loss, weight grads, bias grads).
+
+    Layer ``i``'s gradients are written into ``grads_w[i]`` /
+    ``grads_b[i]`` when given (fresh arrays otherwise), and
+    ``step(i)`` runs once they are complete and the delta has been
+    propagated through ``dnn.weights[i]`` -- so ``step`` may update
+    layer ``i`` in place, and layers may share one gradient buffer.
+    The delta takes over each activation's memory as it leaves it.
+    """
     log_post, activations = dnn.forward(x, keep_activations=True)
     batch = len(x)
     loss = float(-log_post[np.arange(batch), y].mean())
@@ -109,11 +140,18 @@ def _backward(
     delta[np.arange(batch), y] -= 1.0
     delta /= batch
 
-    grads_w: List[np.ndarray] = []
-    grads_b: List[np.ndarray] = []
+    if grads_w is None:
+        grads_w = [np.empty_like(w) for w in dnn.weights]
+    if grads_b is None:
+        grads_b = [np.empty_like(b) for b in dnn.biases]
     for i in range(len(dnn.weights) - 1, -1, -1):
-        grads_w.append(activations[i].T @ delta)
-        grads_b.append(delta.sum(axis=0))
+        below = activations.pop()
+        np.matmul(below.T, delta, out=grads_w[i])
+        np.sum(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ dnn.weights[i].T) * (activations[i] > 0)
-    return loss, grads_w[::-1], grads_b[::-1]
+            active = below > 0
+            delta = np.matmul(delta, dnn.weights[i].T, out=below)
+            delta *= active
+        if step is not None:
+            step(i)
+    return loss, grads_w, grads_b

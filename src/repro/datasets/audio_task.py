@@ -169,7 +169,11 @@ def _training_frames(
     num_phones: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(features, 0-based labels)`` of the training utterances, stacked.
-    The per-utterance pieces die on return, before the net trains."""
+    The per-utterance pieces die on return, before the net trains.  The
+    stacked frames stay live through training and the frame-accuracy
+    ``predict``; on top of them a training step holds the velocity, one
+    layer's gradient and one batch's activations (``train_dnn``), which
+    is where building a task reaches its memory peak."""
     rng = make_rng(config.seed, "audio-task-train")
     train_x: List[np.ndarray] = []
     train_y: List[np.ndarray] = []

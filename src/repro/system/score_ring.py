@@ -9,11 +9,15 @@ worker maps the same segment once and reads the rows **zero-copy** --
 exactly the way it already mmaps the compiled graph -- acking a chunk
 when its frames have been decoded, which releases the slot.
 
-When the filling plane runs out of rows the writer *flips* to the other
-plane -- legal only once every chunk written there has been acked (the
-ALB stall: the GPU may fill plane ``t+1`` only while the Viterbi sweep
-consumes plane ``t``).  ``try_alloc`` returns ``None`` on a stall so the
-caller can drain acks and retry.  A plane as deep as the tier's
+The writer *flips* to the other plane as soon as every chunk written
+there has been acked, and rewinds to its first row; it never flips onto
+a plane with unacked chunks (the ALB stall: the GPU may fill plane
+``t+1`` only while the Viterbi sweep consumes plane ``t``).  So the rows
+a plane touches follow the frames in flight, not ``plane_frames``: while
+acks drain plane by plane, a chunk lands at most as deep as the frames
+unacked when it is written.  Only when the filling plane runs out of
+rows with the other still unacked does ``try_alloc`` return ``None``, so
+the caller can drain acks and retry.  A plane as deep as the tier's
 backpressure budget does not rule the stall out: acks arrive out of
 order, so one slow session's chunk can hold the flip target while the
 rest of the budget is free (a 4-frame plane under a 4-frame budget stalls
@@ -70,21 +74,22 @@ class ScorePlaneRing:
         """Reserve ``frames`` rows of the filling plane.
 
         Returns ``(generation, offset, rows_view)``, flipping planes
-        when the current one is full -- or ``None`` when the flip target
-        still has unacked chunks (the ALB stall; drain acks and retry).
+        first whenever the other one is fully acked -- or ``None`` when
+        the filling plane is full and the other still has unacked
+        chunks (the ALB stall; drain acks and retry).
         """
         if frames < 1 or frames > self.plane_frames:
             raise ConfigError(
                 f"chunk of {frames} frames does not fit a "
                 f"{self.plane_frames}-frame score plane"
             )
-        if self._fill + frames > self.plane_frames:
-            if self._pending[(self.generation + 1) & 1]:
-                self.stalls += 1
-                return None
+        if self._fill and not self._pending[(self.generation + 1) & 1]:
             self.generation += 1
             self._fill = 0
             self.flips += 1
+        elif self._fill + frames > self.plane_frames:
+            self.stalls += 1
+            return None
         plane_index = self.generation & 1
         offset = self._fill
         self._fill += frames

@@ -122,6 +122,29 @@ class TestTrainer:
         accuracy = (dnn.predict(feats) == labels).mean()
         assert accuracy > 0.9
 
+    def test_step_holds_one_layers_gradient(self):
+        """``benchmarks/e2e``'s training set-up (4,235 spliced frames,
+        three 512-wide layers): a step held every layer's gradient,
+        plus the temporaries of its delta, about 20 MiB under
+        tracemalloc.  It holds the velocity, one layer's gradient and
+        one batch's activations, give or take 1 MiB."""
+        config = DnnConfig(210, (512, 512, 512), 40)
+        rng = np.random.default_rng(27)
+        feats = rng.normal(size=(4235, config.input_dim))
+        labels = rng.integers(0, config.num_classes, size=4235)
+        dnn = Dnn(config, seed=0)
+        train = TrainConfig(epochs=1, seed=0)
+        layers = [w.nbytes + b.nbytes for w, b in zip(dnn.weights, dnn.biases)]
+        widths = config.input_dim + sum(config.hidden_dims) + config.num_classes
+        activations = train.batch_size * widths * feats.itemsize
+        tracemalloc.start()
+        try:
+            train_dnn(dnn, feats, labels, train)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(layers) + max(layers) + activations + 2**20
+
     def test_shape_mismatch_rejected(self, tiny_dnn):
         with pytest.raises(ConfigError):
             train_dnn(tiny_dnn, np.zeros((4, 8)), np.zeros(5, dtype=int))

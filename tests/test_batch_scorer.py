@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import cpu
 from repro.common.cpu import BlasPool
@@ -187,16 +188,48 @@ class TestScorePlaneRing:
         ring = ScorePlaneRing(plane_frames=budget, width=2)
         try:
             slow, _, _ = ring.try_alloc(2)
-            fast, _, _ = ring.try_alloc(2)  # plane 0 full
+            fast, _, _ = ring.try_alloc(2)  # plane 1 is free: flips to it
+            assert fast == slow + 1
             ring.release(fast)
-            plane_1, _, _ = ring.try_alloc(budget)  # flips to plane 1
-            ring.release(plane_1)
             unacked_frames = 2  # the slow chunk's
             assert unacked_frames < budget
-            assert ring.try_alloc(1) is None  # flipping back stalls
+            # Plane 1 cannot take the chunk and plane 0 holds the slow
+            # one: flipping back stalls.
+            assert ring.try_alloc(budget) is None
             assert ring.stalls == 1 and ring.pending_chunks == 1
             ring.release(slow)  # the slow chunk decodes: the stall resolves
             assert ring.try_alloc(1) is not None
+        finally:
+            ring.close()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), budget=st.integers(1, 24))
+    def test_touched_rows_follow_the_frames_in_flight(self, data, budget):
+        """A long alloc/release stream with at most ``budget`` frames
+        unacked, acks draining plane by plane in any order within a
+        plane: every chunk ends within the frames in flight, so no
+        offset reaches ``2 * budget``.  Flipping only on a full plane
+        walked every such stream down to ``plane_frames``."""
+        ring = ScorePlaneRing(plane_frames=64 * budget, width=1)
+        in_flight = []  # (generation, frames) of every unacked chunk
+        try:
+            chunks = st.lists(st.integers(1, budget), min_size=50, max_size=200)
+            for frames in data.draw(chunks):
+                while in_flight and (
+                    sum(f for _, f in in_flight) + frames > budget
+                    or data.draw(st.booleans())
+                ):
+                    oldest = min(g for g, _ in in_flight)
+                    on_oldest = [
+                        i for i, (g, _) in enumerate(in_flight) if g == oldest
+                    ]
+                    acked = data.draw(st.sampled_from(on_oldest))
+                    ring.release(in_flight.pop(acked)[0])
+                slot = ring.try_alloc(frames)
+                assert slot is not None
+                generation, offset, _ = slot
+                in_flight.append((generation, frames))
+                assert offset + frames <= sum(f for _, f in in_flight) <= budget
         finally:
             ring.close()
 

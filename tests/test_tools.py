@@ -1,5 +1,5 @@
 """Tests for the CI helper tools (tools/perf_report.py, tools/check_docs.py,
-benchmarks/run_all.py's command line)."""
+tools/bench_record.py, benchmarks/run_all.py's command line)."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ def load_tool(name):
 
 perf_report = load_tool("perf_report")
 check_docs = load_tool("check_docs")
+bench_record = load_tool("bench_record")
 
 
 # ----------------------------------------------------------------------
@@ -114,22 +115,10 @@ def records_with_pairs():
     return [p for p in paths if "pairs" in json.loads(p.read_text())]
 
 
-@pytest.fixture(scope="module")
-def e2e():
-    """``benchmarks/e2e``'s own ``compare`` and ``metrics`` modules."""
-    if str(REPO_ROOT) not in sys.path:
-        sys.path.append(str(REPO_ROOT))
-    from benchmarks.e2e import compare, metrics
-
-    return compare, metrics
-
-
-def rederive(record, e2e):
+def rederive(record):
     """Every pooled and per-set end-to-end row whose verdict or parent
-    median differs from what ``compare.py`` makes of the record's pairs."""
-    compare, metrics = e2e
-    rules = {name: (better, bound)
-             for name, _, better, bound in metrics.END_TO_END}
+    median differs from what ``bench_record`` makes of the record's
+    pairs."""
     pairs = record["pairs"]
     blocks = [("pooled", record["end_to_end"], pairs)]
     for name, block in record.get("end_to_end_by_set", {}).items():
@@ -137,12 +126,11 @@ def rederive(record, e2e):
         blocks.append((name, block, [p for p in pairs if p["set"] == number]))
     differences = []
     for name, block, chosen in blocks:
+        derived_block = bench_record.end_to_end_block(chosen)
         for workload, rows in block.items():
             for metric, row in rows.items():
-                base = [p["parent"][workload][metric] for p in chosen]
-                change = [p["change"][workload][metric] for p in chosen]
-                derived = (compare.verdict(base, change, *rules[metric]),
-                           compare.quartiles(base)[1])
+                derived = derived_block[workload][metric]
+                derived = (derived["verdict"], derived["parent"]["median"])
                 recorded = (row["verdict"], row["parent"]["median"])
                 if derived != recorded:
                     differences.append(
@@ -154,19 +142,120 @@ def rederive(record, e2e):
 class TestRecordsRederive:
     @pytest.mark.parametrize("path", records_with_pairs(),
                              ids=lambda p: p.name)
-    def test_verdicts_and_parent_medians_come_from_the_pairs(self, path, e2e):
-        assert rederive(json.loads(path.read_text()), e2e) == []
+    def test_verdicts_and_parent_medians_come_from_the_pairs(self, path):
+        assert rederive(json.loads(path.read_text())) == []
 
-    def test_one_edited_verdict_is_caught(self, e2e):
+    def test_one_edited_verdict_is_caught(self):
         record = committed(39)
         row = record["end_to_end_by_set"]["set_2"]["accel_sweep"]["setup_s"]
         assert row["verdict"] == "same"
         row["verdict"] = "better"
-        assert rederive(record, e2e) == [
+        assert rederive(record) == [
             "set_2 accel_sweep setup_s: recorded ('better', "
             f"{row['parent']['median']!r}), pairs give ('same', "
             f"{row['parent']['median']!r})"
         ]
+
+    def test_tool_rebuilds_a_committed_record_byte_equal(self):
+        record = committed(42)
+        assert json.dumps(bench_record.end_to_end_block(record["pairs"]),
+                          indent=1) == json.dumps(record["end_to_end"], indent=1)
+        assert json.dumps(bench_record.blocks_by_set(record["pairs"]),
+                          indent=1) == json.dumps(record["end_to_end_by_set"],
+                                                  indent=1)
+
+
+# ----------------------------------------------------------------------
+# bench_record: the recording loop, with a scripted harness
+# ----------------------------------------------------------------------
+WORKLOADS = ("audio_paced_tier", "accel_sweep")
+
+
+def fake_run(tree, seed):
+    """A ``run.py --out`` record: the change tree's runs read 10 % less
+    ``peak_rss_mb``, every other figure is the parent's."""
+    change = tree.endswith("change")
+    workloads = {}
+    for index, name in enumerate(WORKLOADS):
+        rss = 100.0 + seed + index
+        workloads[name] = {
+            "attempted": 5, "failed": 0, "valid": True, "problems": [],
+            "correct": not (change and seed == 3 and index == 1),
+            "metrics": {"frames_per_s": 1000.0 + seed,
+                        "peak_rss_mb": rss * 0.9 if change else rss,
+                        "setup_s": 1.0 + seed / 100},
+        }
+    return {"descriptor": {"platform": "test", "git_sha": tree,
+                           "lines": {"src": 2 if change else 1}, "seed": seed},
+            "workloads": workloads}
+
+
+class TestBenchRecord:
+    def record(self, tmp_path, *extra, runner=fake_run):
+        calls = []
+
+        def scripted(tree, seed):
+            calls.append((Path(tree).name, seed))
+            return runner(tree, seed)
+
+        out = tmp_path / "BENCH_9.json"
+        assert bench_record.main(
+            [str(tmp_path / "parent"), str(tmp_path / "change"), "--pr", "9",
+             "--out", str(out), *extra], runner=scripted) == 0
+        return json.loads(out.read_text()), calls
+
+    def test_pairs_interleave_parent_first_on_odd_seeds(self, tmp_path):
+        record, calls = self.record(tmp_path, "--claim",
+                                    "audio_paced_tier:peak_rss_mb")
+        assert calls[:4] == [("parent", 1), ("change", 1),
+                             ("change", 2), ("parent", 2)]
+        assert [p["seed"] for p in record["pairs"]] == list(range(1, 11))
+        assert [p["first"] for p in record["pairs"]] == ["parent", "change"] * 5
+        assert record["end_to_end"] == bench_record.end_to_end_block(
+            record["pairs"])
+        assert list(record["end_to_end_by_set"]) == ["set_1"]
+        row = record["end_to_end"]["audio_paced_tier"]
+        assert row["frames_per_s"]["verdict"] == "same"
+        assert row["peak_rss_mb"]["verdict"] == "better"
+        claim = record["claim"]
+        assert claim["change_ahead_in_pairs"] == 10
+        assert claim["median_ratio"] == pytest.approx(0.9)
+        assert claim["verdict"] == "better"
+        assert record["attempted_operations"] == {"parent": 100, "change": 100}
+        assert record["invalid_runs"] == [
+            "change seed 3 accel_sweep: not correct"]
+        assert not record["every_workload_correct_on_every_run"]
+        assert record["descriptor"]["lines"] == {"src": 2}
+        assert record["descriptor"]["lines_parent"] == {"src": 1}
+        assert "seed" not in record["descriptor"]
+
+    def test_second_set_appends_and_repools(self, tmp_path):
+        first, _ = self.record(tmp_path, "--what", "ten pairs")
+        record, calls = self.record(tmp_path, "--second-set", "--held-out")
+        assert calls[0] == ("parent", 11)
+        assert calls[-2:] == [("change", 2016), ("parent", 2016)]
+        assert record["what"] == "ten pairs"  # the author's field is kept
+        assert record["pairs"][:10] == first["pairs"]
+        assert [p["set"] for p in record["pairs"]] == [1] * 10 + [2] * 10
+        assert record["end_to_end"]["accel_sweep"]["setup_s"]["n"] == [20, 20]
+        assert list(record["end_to_end_by_set"]) == ["set_1", "set_2"]
+        assert "held_out_seed_2016" in record
+
+    def test_an_interrupted_recording_resumes(self, tmp_path):
+        def dies_on_seed_4(tree, seed):
+            if seed == 4:
+                raise KeyboardInterrupt
+            return fake_run(tree, seed)
+
+        with pytest.raises(KeyboardInterrupt):
+            self.record(tmp_path, runner=dies_on_seed_4)
+        record, calls = self.record(tmp_path)
+        assert calls[0] == ("change", 4)
+        assert [p["seed"] for p in record["pairs"]] == list(range(1, 11))
+
+    def test_second_set_needs_a_record(self, tmp_path):
+        with pytest.raises(SystemExit):
+            self.record(tmp_path, "--second-set")
 
 
 class TestPlatformChange:
