@@ -191,11 +191,14 @@ class TestScorePlaneRing:
             fast, _, _ = ring.try_alloc(2)  # plane 1 is free: flips to it
             assert fast == slow + 1
             ring.release(fast)
+            # Plane 0 still holds the slow chunk, so this one stays on
+            # plane 1 and fills it.
+            filler, offset, _ = ring.try_alloc(2)
+            assert filler == fast and offset + 2 == budget
+            ring.release(filler)
             unacked_frames = 2  # the slow chunk's
-            assert unacked_frames < budget
-            # Plane 1 cannot take the chunk and plane 0 holds the slow
-            # one: flipping back stalls.
-            assert ring.try_alloc(budget) is None
+            assert unacked_frames + 1 < budget
+            assert ring.try_alloc(1) is None  # flipping back stalls
             assert ring.stalls == 1 and ring.pending_chunks == 1
             ring.release(slow)  # the slow chunk decodes: the stall resolves
             assert ring.try_alloc(1) is not None

@@ -230,7 +230,9 @@ class TestBenchRecord:
         assert "seed" not in record["descriptor"]
 
     def test_second_set_appends_and_repools(self, tmp_path):
-        first, _ = self.record(tmp_path, "--what", "ten pairs")
+        first, _ = self.record(tmp_path)
+        first["what"] = "ten pairs"
+        (tmp_path / "BENCH_9.json").write_text(json.dumps(first))
         record, calls = self.record(tmp_path, "--second-set", "--held-out")
         assert calls[0] == ("parent", 11)
         assert calls[-2:] == [("change", 2016), ("parent", 2016)]
@@ -256,6 +258,31 @@ class TestBenchRecord:
     def test_second_set_needs_a_record(self, tmp_path):
         with pytest.raises(SystemExit):
             self.record(tmp_path, "--second-set")
+
+    def test_second_set_first_finishes_a_cut_first_set(self, tmp_path):
+        def dies_on_seed_4(tree, seed):
+            if seed == 4:
+                raise KeyboardInterrupt
+            return fake_run(tree, seed)
+
+        with pytest.raises(KeyboardInterrupt):
+            self.record(tmp_path, runner=dies_on_seed_4)
+        record, calls = self.record(tmp_path, "--second-set")
+        assert calls[0] == ("change", 4)
+        assert [p["seed"] for p in record["pairs"]] == list(range(1, 21))
+        assert [p["set"] for p in record["pairs"]] == [1] * 10 + [2] * 10
+
+    @pytest.mark.parametrize("claim", [
+        "audio_paced_tier", "audio_paced_tier:peak_rss_mb:x",
+        "no_such_workload:peak_rss_mb", "audio_paced_tier:no_such_metric"])
+    def test_a_bad_claim_is_refused_before_any_run(self, tmp_path, claim):
+        def must_not_run(tree, seed):
+            raise AssertionError("ran the harness")
+
+        with pytest.raises(SystemExit) as exited:
+            self.record(tmp_path, "--claim", claim, runner=must_not_run)
+        assert exited.value.code == 2
+        assert not (tmp_path / "BENCH_9.json").exists()
 
 
 class TestPlatformChange:

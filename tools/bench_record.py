@@ -11,16 +11,17 @@ were not valid and correct, and per set and pooled, each workload x
 end-to-end metric row with both sides' median and quartiles, the ratio,
 the parent's spread, the bound and the verdict.
 
-* ``--second-set`` appends seeds 11-20 to an existing record and re-pools.
+* ``--second-set`` appends seeds 11-20 to an existing record and re-pools,
+  first finishing set 1 if that recording was cut short.
 * ``--held-out`` adds one pair on the harness's held-out seed, change
   first.
 * ``--claim WORKLOAD:METRIC`` reads the claimed row on set 1: the ratio of
   every pair, how many pairs the change leads, the parent's quartile
   distance and the verdict (and the held-out pair's ratio once recorded).
 
-The prose fields are the author's: ``--what``, ``--claim-asked`` and
-``--spread-note`` set them, and every field of an existing record that
-this tool does not compute is kept as it is.  The record is rewritten
+The prose fields (``what``, ``claim.asked``, notes) are the author's, written
+into the record by hand: every field of an existing record that this tool
+does not compute is kept as it is.  The record is rewritten
 after every pair, and a seed it already holds is not run again, so an
 interrupted recording resumes where it stopped.  Verdicts and quartiles
 are ``benchmarks/e2e/compare.py``'s own ``verdict`` and ``quartiles``;
@@ -48,7 +49,7 @@ from benchmarks.e2e.run import bootstrap  # noqa: E402
 bootstrap()
 
 from benchmarks.e2e import compare, metrics  # noqa: E402
-from benchmarks.e2e.workloads import HELD_OUT_SEED  # noqa: E402
+from benchmarks.e2e.workloads import HELD_OUT_SEED, WORKLOADS  # noqa: E402
 
 #: Seeds of each set of ten pairs.
 SETS = {1: range(1, 11), 2: range(11, 21)}
@@ -275,10 +276,13 @@ def main(argv: Optional[List[str]] = None, runner: Runner = run_harness) -> int:
     parser.add_argument("--held-out", action="store_true",
                         help=f"add one pair on seed {HELD_OUT_SEED}, change first")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
-    parser.add_argument("--claim-asked", help="what the claim asks, in words")
-    parser.add_argument("--what", help="how the record was taken, in words")
-    parser.add_argument("--spread-note", help="the author's reading of the spread")
     args = parser.parse_args(argv)
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in {w.name for w in WORKLOADS} or metric not in RULES:
+            parser.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC with "
+                         f"a workload of benchmarks/e2e and one of "
+                         f"{', '.join(RULES)}")
 
     path = args.out or os.path.join(REPO_ROOT, f"BENCH_{args.pr}.json")
     record: dict = {"pr": args.pr}
@@ -287,20 +291,15 @@ def main(argv: Optional[List[str]] = None, runner: Runner = run_harness) -> int:
             record = json.load(handle)
     elif args.second_set:
         parser.error(f"--second-set appends to a record; {path} does not exist")
-    for key, value in (("what", args.what), ("spread_note", args.spread_note)):
-        if value is not None:
-            record[key] = value
     if args.claim:
-        workload, metric = args.claim.split(":")
         record["claim"] = {**record.get("claim", {}),
                            "workload": workload, "metric": metric}
-    if args.claim_asked is not None:
-        record.setdefault("claim", {})["asked"] = args.claim_asked
 
     trees = {"parent": os.path.abspath(args.parent_tree),
              "change": os.path.abspath(args.change_tree)}
     save = save_to(path)
-    record_set(record, trees, 2 if args.second_set else 1, runner, save)
+    for number in range(1, (2 if args.second_set else 1) + 1):
+        record_set(record, trees, number, runner, save)
     if args.held_out:
         record_held_out(record, trees, runner, save)
     repool(record)
